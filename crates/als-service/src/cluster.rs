@@ -55,7 +55,7 @@ use crate::chaos_net::{ChaosNetConfig, ChaosStats, ChaosTransport};
 use crate::journal::{Journal, JournalConfig, JournalOp};
 use crate::pipeline::{Engine, EngineConfig};
 use crate::ring::{FailureDetector, HealthConfig, NodeHealth, Ring};
-use crate::service::{frame, serve, serve_batched, AlsClient, BatchConfig, ServeStats};
+use crate::service::{frame, serve_batched, AlsClient, BatchConfig, ServeStats};
 use crate::store::cell_key;
 use crate::transport::{Transport, UdpClient, UdpServer, RECV_POLL};
 use agr_core::backoff::backoff_delay;
@@ -320,12 +320,6 @@ pub struct ClusterConfig {
     /// the sync agents' sockets) — how often a serve loop re-checks its
     /// stop flag while idle.
     pub recv_poll: Duration,
-    /// Data-plane batching of every node's serve loop. `Some` (the
-    /// default) runs [`serve_batched`] — readiness-driven batch
-    /// receive, pooled frames, batched replies — so the conformance and
-    /// chaos suites exercise the same data plane production runs use;
-    /// `None` falls back to the single-frame [`serve`] reference loop.
-    pub batch: Option<BatchConfig>,
 }
 
 impl Default for ClusterConfig {
@@ -339,7 +333,6 @@ impl Default for ClusterConfig {
             journal: JournalConfig::default(),
             sync_chaos: None,
             recv_poll: RECV_POLL,
-            batch: Some(BatchConfig::default()),
         }
     }
 }
@@ -478,10 +471,8 @@ impl Cluster {
         let serve = {
             let engine = engine.clone();
             let stop = stop.clone();
-            let batch = self.config.batch;
-            std::thread::spawn(move || match batch {
-                Some(batch) => serve_batched(&engine, &mut server, batch, &stop),
-                None => serve(&engine, &mut server, &stop),
+            std::thread::spawn(move || {
+                serve_batched(&engine, &mut server, BatchConfig::default(), &stop)
             })
         };
         Ok((
@@ -1632,26 +1623,6 @@ mod tests {
         let stats = cluster.shutdown();
         assert_eq!(stats[0].stats_dumps, 1);
         assert_eq!(stats[1].stats_dumps, 0);
-    }
-
-    #[test]
-    fn single_frame_fallback_matches_batched_answers() {
-        // `batch: None` downgrades every node to the single-frame
-        // reference loop; replicated operations must behave identically.
-        let mut config = config(3, 2);
-        config.batch = None;
-        let mut cluster = Cluster::launch(config).unwrap();
-        cluster.set_time(SimTime::from_secs(1));
-        let mut client = cluster.client().unwrap();
-        let cell = CellId { col: 3, row: 1 };
-        assert!(client.update(cell, vec![pair(9)]).fully_acked());
-        assert_eq!(client.query(cell, &[9; 16]).payload, Some(vec![9, 0xC1]));
-        assert_eq!(client.query(cell, &[8; 16]).payload, None);
-        let stats = cluster.shutdown();
-        assert!(
-            stats.iter().all(|s| s.batches == 0),
-            "the fallback loop must not report batches"
-        );
     }
 
     #[test]

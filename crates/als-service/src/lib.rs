@@ -29,9 +29,9 @@
 //! * [`pool`] — reusable frame buffers ([`FramePool`] /
 //!   [`PooledFrame`]) so the batched data plane recycles receive and
 //!   encode buffers instead of allocating per frame.
-//! * [`service`] — the serve loops gluing a transport to an engine
-//!   ([`serve`] one frame at a time, [`serve_batched`] draining
-//!   readiness-driven batches end to end), plus the blocking client.
+//! * [`service`] — the serve loop gluing a transport to an engine
+//!   ([`serve_batched`], draining readiness-driven batches end to end),
+//!   plus the blocking client.
 //! * [`ring`] — rendezvous-hashed cell ownership: which R of N nodes
 //!   own each DLM grid cell, with minimal re-homing when the fleet
 //!   grows.
@@ -79,6 +79,6 @@ pub use metrics::{mirror_engine, mirror_pools, mirror_serve_stats, scrape_regist
 pub use pipeline::{Engine, EngineConfig, Request, Response};
 pub use pool::{FramePool, PoolStats, PooledFrame};
 pub use ring::{FailureDetector, HealthConfig, NodeHealth, Ring};
-pub use service::{serve, serve_batched, AlsClient, BatchConfig, ServeStats};
+pub use service::{serve_batched, AlsClient, BatchConfig, ServeStats};
 pub use store::{cell_key, ShardedStore, StoreConfig};
 pub use transport::{loopback_pair, loopback_pair_with, Transport, UdpClient, UdpServer};

@@ -1,8 +1,8 @@
 //! Mirroring the service's legacy stat structs into an
 //! [`agr_telemetry::Registry`], and rendering the wire scrape.
 //!
-//! The serve loops keep their plain-field tallies ([`ServeStats`]) —
-//! those are battle-tested and cheap — and *mirror* them into a fresh
+//! The serve loop keeps its plain-field tallies ([`ServeStats`]) —
+//! those are battle-tested and cheap — and *mirrors* them into a fresh
 //! registry at scrape time, together with the engine's store counters,
 //! queue gauge, and frame-pool stats. A scrape therefore costs nothing
 //! on the hot path: no atomics are touched per frame beyond what the

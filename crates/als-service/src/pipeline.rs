@@ -108,7 +108,7 @@ pub struct EngineConfig {
     /// Compaction sweep period (wall clock); `None` relies on expiry at
     /// read plus capacity eviction alone.
     pub compact_every: Option<SimTime>,
-    /// Admission-control high-water mark: [`Engine::call_admitted`]
+    /// Admission-control high-water mark: [`Engine::call_batch_admitted`]
     /// rejects (sheds) a request when its target queue already holds at
     /// least this many jobs. `None` admits everything, which preserves
     /// the blocking-backpressure behavior.
@@ -327,7 +327,7 @@ impl Engine {
     }
 
     /// Jobs currently queued across all workers — the load figure a
-    /// `Pong` advertises and `call_admitted` sheds on.
+    /// `Pong` advertises and `call_batch_admitted` sheds on.
     #[must_use]
     pub fn queued(&self) -> usize {
         self.depths.iter().map(|d| d.load(Ordering::Relaxed)).sum()
@@ -427,29 +427,17 @@ impl Engine {
         rx.recv().expect("worker dropped reply slot")
     }
 
-    /// [`Engine::call`] behind admission control: when the target queue
-    /// already holds `shed_watermark` or more jobs, the request is shed
-    /// (counted, side-effect free) and `None` comes back — the serve
+    /// [`Engine::call`] for a whole batch, behind admission control: one
+    /// channel send per involved worker queue, one blocking collection
+    /// pass, answers scattered back to the input order. A request whose
+    /// target queue already holds `shed_watermark` or more jobs is shed
+    /// (counted, side-effect free) and its slot stays `None` — the serve
     /// loop's cue to answer `Busy` instead of queueing unbounded work
-    /// behind an overload. With no watermark configured this is `call`.
-    pub fn call_admitted(&self, request: Request) -> Option<Response> {
-        if let Some(watermark) = self.shed_watermark {
-            let q = self.queue_index(&request);
-            if self.depths[q].load(Ordering::Relaxed) >= watermark.max(1) {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
-        Some(self.call(request))
-    }
-
-    /// [`Engine::call_admitted`] for a whole batch: one channel send per
-    /// involved worker queue, one blocking collection pass, answers
-    /// scattered back to the input order. `None` slots are requests
-    /// admission control shed (the serve loop's cue for `Busy`) —
-    /// shedding is per *request*, and a request's own batch counts
-    /// toward its queue's occupancy, so a single oversized batch cannot
-    /// blow through the watermark the way `watermark × batch` would.
+    /// behind an overload. Shedding is per *request*, and a request's
+    /// own batch counts toward its queue's occupancy, so a single
+    /// oversized batch cannot blow through the watermark the way
+    /// `watermark × batch` would. With no watermark configured every
+    /// request is admitted.
     ///
     /// Correctness leans on an invariant of the worker loop: a batch
     /// arrives as one contiguous run of jobs, and workers answer jobs in

@@ -1,6 +1,6 @@
 //! Reusable frame buffers for the batched data plane.
 //!
-//! The unbatched serve loop allocates one fresh `Vec<u8>` per frame in
+//! Serving without a pool allocates one fresh `Vec<u8>` per frame in
 //! each direction — one for the received datagram, one for the encoded
 //! reply. At hundreds of thousands of frames per second that churn is
 //! what the PR 6 counting allocator surfaces as the dominant steady-state
@@ -20,7 +20,7 @@
 //!   the wire encoder appends to; capacity sticks to the buffer across
 //!   round-trips to the pool.
 //!
-//! The pool is a plain `Mutex<Vec<_>>`: serve loops own their pools, so
+//! The pool is a plain `Mutex<Vec<_>>`: a serve loop owns its pools, so
 //! the lock is effectively uncontended, and a bounded free list means a
 //! burst can overshoot (extra buffers are allocated and later dropped)
 //! without the pool growing forever.

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 /// How long a blocking client waits for its answer before giving up.
 pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Counters from one [`serve`] run.
+/// Counters from one [`serve_batched`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Update frames applied.
@@ -55,8 +55,7 @@ pub struct ServeStats {
     /// Answers (or encodes) that failed to leave the transport — counted
     /// and skipped, never a panic or a loop exit.
     pub send_errors: u64,
-    /// Drain rounds completed by [`serve_batched`] (always 0 under the
-    /// per-frame [`serve`] loop).
+    /// Drain rounds completed.
     pub batches: u64,
     /// Median frames gathered per drain round — how full the batches
     /// actually ran, the observable the batching work stands on.
@@ -110,190 +109,6 @@ pub(crate) fn frame(uid: u64, kind: AlsNetKind) -> AlsNetMessage {
     }
 }
 
-/// Runs a serve loop: decode request frames from `transport`, answer
-/// them through `engine`, until `stop` is raised. Returns the tally.
-///
-/// Receive timeouts are polling, not errors; undecodable frames and
-/// non-request packets are counted and skipped. A broken transport
-/// (loopback peer gone) ends the loop.
-pub fn serve<T: ServerTransport>(
-    engine: &Engine,
-    transport: &mut T,
-    stop: &AtomicBool,
-) -> ServeStats {
-    let mut stats = ServeStats::default();
-    while !stop.load(Ordering::Acquire) {
-        let (bytes, peer) = match transport.recv_from() {
-            Ok(got) => got,
-            Err(e)
-                if e.kind() == io::ErrorKind::TimedOut || e.kind() == io::ErrorKind::WouldBlock =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        };
-        // A frame beyond the transport bound is dropped before the
-        // decoder touches it: the loopback can carry arbitrarily large
-        // frames, and the serve loop must bound its work the way the
-        // UDP receive buffer does.
-        if bytes.len() > MAX_FRAME {
-            stats.bad_frames += 1;
-            continue;
-        }
-        let message = match decode_packet(&bytes) {
-            Ok(AgfwPacket::Als(m)) => m,
-            Ok(_) => {
-                stats.ignored += 1;
-                continue;
-            }
-            Err(_) => {
-                stats.bad_frames += 1;
-                continue;
-            }
-        };
-        let uid = message.uid;
-        let answer = match message.kind {
-            AlsNetKind::Update { cell, pairs } => {
-                match engine.call_admitted(Request::Update { cell, pairs }) {
-                    None => {
-                        stats.shed += 1;
-                        AlsNetKind::Busy
-                    }
-                    Some(Response::Stored { count }) => {
-                        stats.updates += 1;
-                        AlsNetKind::Ack { stored: count }
-                    }
-                    Some(Response::Hit { .. } | Response::Miss) => {
-                        stats.updates += 1;
-                        AlsNetKind::Ack { stored: 0 }
-                    }
-                }
-            }
-            AlsNetKind::Request {
-                cell,
-                index,
-                reply_loc,
-            } => {
-                match engine.call_admitted(Request::Query {
-                    cell,
-                    index,
-                    reply_loc,
-                }) {
-                    None => {
-                        stats.shed += 1;
-                        AlsNetKind::Busy
-                    }
-                    Some(Response::Hit { payload }) => {
-                        stats.queries += 1;
-                        stats.hits += 1;
-                        AlsNetKind::Reply { payload }
-                    }
-                    Some(Response::Miss | Response::Stored { .. }) => {
-                        stats.queries += 1;
-                        AlsNetKind::Miss
-                    }
-                }
-            }
-            AlsNetKind::Forward {
-                from_cell,
-                to_cell,
-                pairs,
-            } => {
-                match engine.call_admitted(Request::Forward {
-                    from_cell,
-                    to_cell,
-                    pairs,
-                }) {
-                    None => {
-                        stats.shed += 1;
-                        AlsNetKind::Busy
-                    }
-                    Some(Response::Stored { count }) => {
-                        stats.forwards += 1;
-                        AlsNetKind::Ack { stored: count }
-                    }
-                    Some(Response::Hit { .. } | Response::Miss) => {
-                        stats.forwards += 1;
-                        AlsNetKind::Ack { stored: 0 }
-                    }
-                }
-            }
-            // Anti-entropy probe: always answer with the local digest.
-            // The *prober* compares and decides whether to push — a
-            // responder never ships data, so every frame in the exchange
-            // stays bounded (pushes are chunked by the sync agent) and a
-            // cell can outgrow a single datagram without wedging the
-            // serve loop.
-            AlsNetKind::SyncDigest { cell, .. } => {
-                stats.sync_digests += 1;
-                let local = engine.store().cell_digest(cell);
-                AlsNetKind::SyncDigest {
-                    cell,
-                    digest: local.digest,
-                    count: local.count,
-                }
-            }
-            // Anti-entropy payload: merge last-writer-wins straight into
-            // the store (sync records carry their own authoritative
-            // stored_at, so they bypass the clock-stamping pipeline) and
-            // acknowledge how many records changed.
-            AlsNetKind::SyncDelta { cell, pairs } => {
-                stats.sync_deltas += 1;
-                let records = pairs
-                    .into_iter()
-                    .map(|p| (cell_key(cell, &p.index), p.payload, p.stored_at))
-                    .collect();
-                // Through the engine, not the raw store: merged records
-                // must reach the journal, or a restart would forget what
-                // anti-entropy delivered.
-                let changed = engine.merge_synced(records);
-                AlsNetKind::Ack {
-                    stored: u32::try_from(changed).unwrap_or(u32::MAX),
-                }
-            }
-            // Liveness probe: always answered, even under overload —
-            // admission control sheds *work*, while the pong advertises
-            // the backlog so clients can tell "slow" from "dead".
-            AlsNetKind::Ping => {
-                stats.pings += 1;
-                AlsNetKind::Pong {
-                    queue_depth: u32::try_from(engine.queued()).unwrap_or(u32::MAX),
-                }
-            }
-            // Telemetry scrape: answer with the node's registry rendered
-            // as Prometheus text. Only the empty-payload request form is
-            // served; a filled dump is someone's reply, not a question.
-            AlsNetKind::StatsDump { payload } if payload.is_empty() => {
-                stats.stats_dumps += 1;
-                AlsNetKind::StatsDump {
-                    payload: crate::metrics::scrape_payload(engine, &stats, None, None),
-                }
-            }
-            AlsNetKind::Reply { .. }
-            | AlsNetKind::Ack { .. }
-            | AlsNetKind::Miss
-            | AlsNetKind::Pong { .. }
-            | AlsNetKind::Busy
-            | AlsNetKind::StatsDump { .. } => {
-                stats.ignored += 1;
-                continue;
-            }
-        };
-        // A failed answer is the peer's loss, not the node's: count it
-        // and keep serving (the kill path still exits via the stop flag
-        // or the receive side reporting the transport gone).
-        match encode_packet(&AgfwPacket::Als(frame(uid, answer))) {
-            Ok(encoded) => {
-                if transport.send_to(&peer, &encoded).is_err() {
-                    stats.send_errors += 1;
-                }
-            }
-            Err(_) => stats.send_errors += 1,
-        }
-    }
-    stats
-}
-
 /// Tuning for [`serve_batched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
@@ -328,101 +143,109 @@ enum DataTag {
     Forward,
 }
 
-/// Encodes one answer into a pooled buffer and queues it for the batch
-/// send; an encode failure is a send error, mirroring [`serve`].
-fn push_reply<P>(
-    pool: &Arc<FramePool>,
-    replies: &mut Vec<(P, PooledFrame)>,
-    peer: P,
-    uid: u64,
-    kind: AlsNetKind,
-    stats: &mut ServeStats,
-) {
-    let mut out = pool.get();
-    let ok =
-        out.fill_with(|buf| encode_packet_into(&AgfwPacket::Als(frame(uid, kind)), buf).is_ok());
-    if ok {
-        replies.push((peer, out));
-    } else {
-        stats.send_errors += 1;
+/// One drain round's working set: the data requests waiting for the
+/// pipeline, the encoded answers waiting for the batch send, and the
+/// running tally.
+struct Round<'a, P> {
+    engine: &'a Engine,
+    reply_pool: Arc<FramePool>,
+    pending: Vec<Request>,
+    meta: Vec<(u64, DataTag, P)>,
+    replies: Vec<(P, PooledFrame)>,
+    stats: ServeStats,
+}
+
+impl<P> Round<'_, P> {
+    /// Encodes one answer into a pooled buffer and queues it for the
+    /// batch send. A failed encode is the peer's loss, not the node's:
+    /// counted as a send error and skipped.
+    fn reply(&mut self, peer: P, uid: u64, kind: AlsNetKind) {
+        let mut out = self.reply_pool.get();
+        let ok = out
+            .fill_with(|buf| encode_packet_into(&AgfwPacket::Als(frame(uid, kind)), buf).is_ok());
+        if ok {
+            self.replies.push((peer, out));
+        } else {
+            self.stats.send_errors += 1;
+        }
+    }
+
+    /// Pushes the accumulated data requests through the pipeline as one
+    /// admission-checked batch and queues their answers. Shed requests
+    /// (a `None` answer) become `Busy`.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let answers = self
+            .engine
+            .call_batch_admitted(std::mem::take(&mut self.pending));
+        // `meta` steps out of `self` for the walk (so `reply` can borrow
+        // the rest) and back in after, keeping its capacity.
+        let mut meta = std::mem::take(&mut self.meta);
+        for ((uid, tag, peer), answer) in meta.drain(..).zip(answers) {
+            let stats = &mut self.stats;
+            let kind = match (tag, answer) {
+                (_, None) => {
+                    stats.shed += 1;
+                    AlsNetKind::Busy
+                }
+                (DataTag::Update, Some(Response::Stored { count })) => {
+                    stats.updates += 1;
+                    AlsNetKind::Ack { stored: count }
+                }
+                (DataTag::Update, Some(Response::Hit { .. } | Response::Miss)) => {
+                    stats.updates += 1;
+                    AlsNetKind::Ack { stored: 0 }
+                }
+                (DataTag::Query, Some(Response::Hit { payload })) => {
+                    stats.queries += 1;
+                    stats.hits += 1;
+                    AlsNetKind::Reply { payload }
+                }
+                (DataTag::Query, Some(Response::Miss | Response::Stored { .. })) => {
+                    stats.queries += 1;
+                    AlsNetKind::Miss
+                }
+                (DataTag::Forward, Some(Response::Stored { count })) => {
+                    stats.forwards += 1;
+                    AlsNetKind::Ack { stored: count }
+                }
+                (DataTag::Forward, Some(Response::Hit { .. } | Response::Miss)) => {
+                    stats.forwards += 1;
+                    AlsNetKind::Ack { stored: 0 }
+                }
+            };
+            self.reply(peer, uid, kind);
+        }
+        self.meta = meta;
     }
 }
 
-/// Pushes the accumulated data requests through the pipeline as one
-/// admission-checked batch and queues their answers. Shed requests (a
-/// `None` answer) become `Busy`, exactly as [`serve`] answers them.
-fn flush_pending<P>(
-    engine: &Engine,
-    pending: &mut Vec<Request>,
-    meta: &mut Vec<(u64, DataTag, P)>,
-    reply_pool: &Arc<FramePool>,
-    replies: &mut Vec<(P, PooledFrame)>,
-    stats: &mut ServeStats,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let answers = engine.call_batch_admitted(std::mem::take(pending));
-    for ((uid, tag, peer), answer) in meta.drain(..).zip(answers) {
-        let kind = match (tag, answer) {
-            (_, None) => {
-                stats.shed += 1;
-                AlsNetKind::Busy
-            }
-            (DataTag::Update, Some(Response::Stored { count })) => {
-                stats.updates += 1;
-                AlsNetKind::Ack { stored: count }
-            }
-            (DataTag::Update, Some(Response::Hit { .. } | Response::Miss)) => {
-                stats.updates += 1;
-                AlsNetKind::Ack { stored: 0 }
-            }
-            (DataTag::Query, Some(Response::Hit { payload })) => {
-                stats.queries += 1;
-                stats.hits += 1;
-                AlsNetKind::Reply { payload }
-            }
-            (DataTag::Query, Some(Response::Miss | Response::Stored { .. })) => {
-                stats.queries += 1;
-                AlsNetKind::Miss
-            }
-            (DataTag::Forward, Some(Response::Stored { count })) => {
-                stats.forwards += 1;
-                AlsNetKind::Ack { stored: count }
-            }
-            (DataTag::Forward, Some(Response::Hit { .. } | Response::Miss)) => {
-                stats.forwards += 1;
-                AlsNetKind::Ack { stored: 0 }
-            }
-        };
-        push_reply(reply_pool, replies, peer, uid, kind, stats);
-    }
-}
-
-/// The readiness-driven serve loop: wait for the first frame (one poll-
-/// bounded blocking batch receive), drain whatever else already arrived
-/// without waiting again, push the whole round through the pipeline's
-/// batch path, and answer with one batch send — syscalls, queue
-/// handoffs, and buffer allocations all amortize over the round.
+/// The serve loop — the only reader of a [`ServerTransport`]: wait for
+/// the first frame (one poll-bounded blocking batch receive), drain
+/// whatever else already arrived without waiting again, push the whole
+/// round through the pipeline's batch path, and answer with one batch
+/// send — syscalls, queue handoffs, and buffer allocations all amortize
+/// over the round. Runs until `stop` is raised or the transport breaks
+/// (loopback peer gone); receive timeouts are polling, not errors.
 ///
-/// Observationally equivalent to [`serve`] (proven by the
-/// `serve_equivalence` proptest): the same request mix produces the
-/// same uid-matched answers, the same store state, and the same stat
-/// tallies — only the new batch-occupancy/pool counters differ from
-/// zero. Anti-entropy and liveness frames keep their ordering
-/// guarantees: a `SyncDigest`/`SyncDelta` flushes the data requests
-/// batched before it, so a digest probe never reads past an update that
-/// arrived ahead of it.
+/// Batching reorders work, never decisions: the `serve_equivalence`
+/// proptest drives the same request mix through a one-frame-per-round
+/// [`BatchConfig`] and the default one and gets the same uid-matched
+/// answers, store state, and stat tallies. Anti-entropy and liveness
+/// frames keep their ordering guarantees: a `SyncDigest`/`SyncDelta`
+/// flushes the data requests batched before it, so a digest probe never
+/// reads past an update that arrived ahead of it.
 ///
-/// `Busy` shedding still fires per request: the pipeline's batch
-/// admission counts a request's own round toward its queue's occupancy.
+/// `Busy` shedding fires per request: the pipeline's batch admission
+/// counts a request's own round toward its queue's occupancy.
 pub fn serve_batched<T: ServerTransport>(
     engine: &Engine,
     transport: &mut T,
     config: BatchConfig,
     stop: &AtomicBool,
 ) -> ServeStats {
-    let mut stats = ServeStats::default();
     let max_batch = config.max_batch.max(1);
     let max_backlog = config.max_backlog.max(max_batch);
     let pool_bound = config.pool_frames.max(max_backlog);
@@ -430,11 +253,15 @@ pub fn serve_batched<T: ServerTransport>(
     // receives never reallocate; reply buffers start empty and keep
     // whatever capacity encoding grows them to.
     let recv_pool = FramePool::with_frame_bytes(pool_bound, MAX_FRAME);
-    let reply_pool = FramePool::new(pool_bound);
     let mut batch: Vec<(PooledFrame, T::Peer)> = Vec::new();
-    let mut replies: Vec<(T::Peer, PooledFrame)> = Vec::new();
-    let mut pending: Vec<Request> = Vec::new();
-    let mut meta: Vec<(u64, DataTag, T::Peer)> = Vec::new();
+    let mut round = Round {
+        engine,
+        reply_pool: FramePool::new(pool_bound),
+        pending: Vec::new(),
+        meta: Vec::new(),
+        replies: Vec::new(),
+        stats: ServeStats::default(),
+    };
     let occupancy = Histogram::new();
     let mut fatal = false;
     while !fatal && !stop.load(Ordering::Acquire) {
@@ -469,24 +296,26 @@ pub fn serve_batched<T: ServerTransport>(
                 }
             }
         }
-        stats.batches += 1;
+        round.stats.batches += 1;
         occupancy.record(batch.len().min(max_backlog) as u64);
-        replies.clear();
+        round.replies.clear();
         for (frame_buf, peer) in batch.drain(..) {
             // A frame beyond the transport bound is dropped before the
-            // decoder touches it, exactly as in [`serve`].
+            // decoder touches it: the loopback can carry arbitrarily
+            // large frames, and the loop must bound its work the way
+            // the UDP receive buffer does.
             if frame_buf.len() > MAX_FRAME {
-                stats.bad_frames += 1;
+                round.stats.bad_frames += 1;
                 continue;
             }
             let message = match decode_packet(&frame_buf) {
                 Ok(AgfwPacket::Als(m)) => m,
                 Ok(_) => {
-                    stats.ignored += 1;
+                    round.stats.ignored += 1;
                     continue;
                 }
                 Err(_) => {
-                    stats.bad_frames += 1;
+                    round.stats.bad_frames += 1;
                     continue;
                 }
             };
@@ -497,126 +326,94 @@ pub fn serve_batched<T: ServerTransport>(
             let uid = message.uid;
             match message.kind {
                 AlsNetKind::Update { cell, pairs } => {
-                    pending.push(Request::Update { cell, pairs });
-                    meta.push((uid, DataTag::Update, peer));
+                    round.pending.push(Request::Update { cell, pairs });
+                    round.meta.push((uid, DataTag::Update, peer));
                 }
                 AlsNetKind::Request {
                     cell,
                     index,
                     reply_loc,
                 } => {
-                    pending.push(Request::Query {
+                    round.pending.push(Request::Query {
                         cell,
                         index,
                         reply_loc,
                     });
-                    meta.push((uid, DataTag::Query, peer));
+                    round.meta.push((uid, DataTag::Query, peer));
                 }
                 AlsNetKind::Forward {
                     from_cell,
                     to_cell,
                     pairs,
                 } => {
-                    pending.push(Request::Forward {
+                    round.pending.push(Request::Forward {
                         from_cell,
                         to_cell,
                         pairs,
                     });
-                    meta.push((uid, DataTag::Forward, peer));
+                    round.meta.push((uid, DataTag::Forward, peer));
                 }
+                // Anti-entropy probe: always answer with the local
+                // digest. The *prober* compares and decides whether to
+                // push — a responder never ships data, so every frame in
+                // the exchange stays bounded (pushes are chunked by the
+                // sync agent) and a cell can outgrow a single datagram
+                // without wedging the serve loop.
                 AlsNetKind::SyncDigest { cell, .. } => {
                     // Flush first: the digest must observe every update
                     // that arrived before it in this round.
-                    flush_pending(
-                        engine,
-                        &mut pending,
-                        &mut meta,
-                        &reply_pool,
-                        &mut replies,
-                        &mut stats,
-                    );
-                    stats.sync_digests += 1;
+                    round.flush();
+                    round.stats.sync_digests += 1;
                     let local = engine.store().cell_digest(cell);
-                    push_reply(
-                        &reply_pool,
-                        &mut replies,
-                        peer,
-                        uid,
-                        AlsNetKind::SyncDigest {
-                            cell,
-                            digest: local.digest,
-                            count: local.count,
-                        },
-                        &mut stats,
-                    );
+                    let answer = AlsNetKind::SyncDigest {
+                        cell,
+                        digest: local.digest,
+                        count: local.count,
+                    };
+                    round.reply(peer, uid, answer);
                 }
+                // Anti-entropy payload: sync records carry their own
+                // authoritative stored_at, so they bypass the
+                // clock-stamping pipeline — but go through the engine,
+                // not the raw store: merged records must reach the
+                // journal, or a restart would forget what anti-entropy
+                // delivered.
                 AlsNetKind::SyncDelta { cell, pairs } => {
                     // Same ordering rule as the digest: earlier data
                     // requests land before the merge.
-                    flush_pending(
-                        engine,
-                        &mut pending,
-                        &mut meta,
-                        &reply_pool,
-                        &mut replies,
-                        &mut stats,
-                    );
-                    stats.sync_deltas += 1;
+                    round.flush();
+                    round.stats.sync_deltas += 1;
                     let records = pairs
                         .into_iter()
                         .map(|p| (cell_key(cell, &p.index), p.payload, p.stored_at))
                         .collect();
-                    let changed = engine.merge_synced(records);
-                    push_reply(
-                        &reply_pool,
-                        &mut replies,
-                        peer,
-                        uid,
-                        AlsNetKind::Ack {
-                            stored: u32::try_from(changed).unwrap_or(u32::MAX),
-                        },
-                        &mut stats,
-                    );
+                    let stored = u32::try_from(engine.merge_synced(records)).unwrap_or(u32::MAX);
+                    round.reply(peer, uid, AlsNetKind::Ack { stored });
                 }
+                // Liveness probe: always answered, even under overload —
+                // admission control sheds *work*, while the pong
+                // advertises the backlog so clients can tell "slow" from
+                // "dead".
                 AlsNetKind::Ping => {
-                    stats.pings += 1;
-                    push_reply(
-                        &reply_pool,
-                        &mut replies,
-                        peer,
-                        uid,
-                        AlsNetKind::Pong {
-                            queue_depth: u32::try_from(engine.queued()).unwrap_or(u32::MAX),
-                        },
-                        &mut stats,
-                    );
+                    round.stats.pings += 1;
+                    let queue_depth = u32::try_from(engine.queued()).unwrap_or(u32::MAX);
+                    round.reply(peer, uid, AlsNetKind::Pong { queue_depth });
                 }
+                // Telemetry scrape. Only the empty-payload request form
+                // is served; a filled dump is someone's reply, not a
+                // question.
                 AlsNetKind::StatsDump { payload } if payload.is_empty() => {
                     // Same ordering rule as the anti-entropy frames: the
                     // dump reflects every request batched ahead of it.
-                    flush_pending(
+                    round.flush();
+                    round.stats.stats_dumps += 1;
+                    let payload = crate::metrics::scrape_payload(
                         engine,
-                        &mut pending,
-                        &mut meta,
-                        &reply_pool,
-                        &mut replies,
-                        &mut stats,
-                    );
-                    stats.stats_dumps += 1;
-                    let dump = crate::metrics::scrape_payload(
-                        engine,
-                        &stats,
+                        &round.stats,
                         Some(&occupancy),
-                        Some((&recv_pool, &reply_pool)),
+                        Some((&recv_pool, &round.reply_pool)),
                     );
-                    push_reply(
-                        &reply_pool,
-                        &mut replies,
-                        peer,
-                        uid,
-                        AlsNetKind::StatsDump { payload: dump },
-                        &mut stats,
-                    );
+                    round.reply(peer, uid, AlsNetKind::StatsDump { payload });
                 }
                 AlsNetKind::Reply { .. }
                 | AlsNetKind::Ack { .. }
@@ -624,27 +421,22 @@ pub fn serve_batched<T: ServerTransport>(
                 | AlsNetKind::Pong { .. }
                 | AlsNetKind::Busy
                 | AlsNetKind::StatsDump { .. } => {
-                    stats.ignored += 1;
+                    round.stats.ignored += 1;
                 }
             }
         }
-        flush_pending(
-            engine,
-            &mut pending,
-            &mut meta,
-            &reply_pool,
-            &mut replies,
-            &mut stats,
-        );
-        let sent = transport.send_batch_to(&replies);
-        stats.send_errors += (replies.len() - sent) as u64;
-        // Reply buffers return to their pool as the vec clears on the
-        // next round.
+        round.flush();
+        // A failed answer is the peer's loss, not the node's: count it
+        // and keep serving. Reply buffers return to their pool as the
+        // vec clears on the next round.
+        let sent = transport.send_batch_to(&round.replies);
+        round.stats.send_errors += (round.replies.len() - sent) as u64;
     }
+    let mut stats = round.stats;
     stats.frames_per_batch_p50 = occupancy.quantile(0.50);
     stats.frames_per_batch_p99 = occupancy.quantile(0.99);
     let recv = recv_pool.stats();
-    let reply = reply_pool.stats();
+    let reply = round.reply_pool.stats();
     stats.pool_hits = recv.hits + reply.hits;
     stats.pool_misses = recv.misses + reply.misses;
     stats
@@ -862,38 +654,6 @@ mod tests {
         let server = {
             let engine = engine.clone();
             let stop = stop.clone();
-            std::thread::spawn(move || serve(&engine, &mut server_side, &stop))
-        };
-
-        let mut client = AlsClient::new(client);
-        assert_eq!(client.update(CELL, vec![pair(1), pair(2)]).unwrap(), 2);
-        assert_eq!(
-            client.query(CELL, vec![1; 16]).unwrap(),
-            Some(vec![1, 0xAB])
-        );
-        assert_eq!(client.query(CELL, vec![9; 16]).unwrap(), None);
-        let to = CellId { col: 7, row: 7 };
-        assert_eq!(client.forward(CELL, to, vec![pair(1)]).unwrap(), 1);
-        assert_eq!(client.query(CELL, vec![1; 16]).unwrap(), None);
-        assert_eq!(client.query(to, vec![1; 16]).unwrap(), Some(vec![1, 0xAB]));
-
-        stop.store(true, Ordering::Release);
-        let stats = server.join().unwrap();
-        assert_eq!(stats.updates, 1);
-        assert_eq!(stats.queries, 4);
-        assert_eq!(stats.forwards, 1);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.bad_frames, 0);
-    }
-
-    #[test]
-    fn batched_loopback_update_query_forward_roundtrip() {
-        let engine = Arc::new(Engine::start(EngineConfig::default()));
-        let (client, mut server_side) = loopback_pair(16);
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = {
-            let engine = engine.clone();
-            let stop = stop.clone();
             std::thread::spawn(move || {
                 serve_batched(&engine, &mut server_side, BatchConfig::default(), &stop)
             })
@@ -941,7 +701,14 @@ mod tests {
         };
         raw.send(&encode_packet(&hello).unwrap()).unwrap();
         let stop_flag = stop.clone();
-        let server = std::thread::spawn(move || serve(&engine, &mut server_side, &stop_flag));
+        let server = std::thread::spawn(move || {
+            serve_batched(
+                &engine,
+                &mut server_side,
+                BatchConfig::default(),
+                &stop_flag,
+            )
+        });
         std::thread::sleep(Duration::from_millis(200));
         stop.store(true, Ordering::Release);
         let stats = server.join().unwrap();

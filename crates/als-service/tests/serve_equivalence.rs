@@ -1,23 +1,25 @@
-//! Observational equivalence of the batched and single-frame serve
-//! loops.
+//! Config equivalence of the one serve loop: batching reorders work,
+//! never decisions.
 //!
 //! [`serve_batched`] reorders *work* — frames are drained in readiness
 //! batches, data requests ride shard-grouped pipeline batches, replies
 //! go out in one `sendmmsg`-shaped burst — but it must move **no
 //! decision**: for any request mix, every uid must receive exactly the
-//! answer the one-frame-at-a-time [`serve`] reference loop gives it,
-//! the stores must end bit-identical, and the shared stat tallies must
-//! agree. The proptest here drives both loops over loopback with the
-//! same randomized frame sequence (updates, queries, forwards, sync
-//! probes and deltas, pings, and garbage) under a manual clock pinned
-//! at zero, then compares every observable.
+//! answer it gets when the same loop is pinned to one frame per round
+//! (`max_batch: 1, max_backlog: 1` — single-frame serving as a *value*
+//! of [`BatchConfig`], not a second implementation), the stores must
+//! end bit-identical, and the shared stat tallies must agree. The
+//! proptest here drives both configs over loopback with the same
+//! randomized frame sequence (updates, queries, forwards, sync probes
+//! and deltas, pings, and garbage) under a manual clock pinned at zero,
+//! then compares every observable.
 //!
 //! The one sanctioned divergence: `Pong` advertises the instantaneous
-//! queue depth, which legitimately differs between the two loops, so
+//! queue depth, which legitimately differs between the two configs, so
 //! the comparison normalizes it to zero.
 
 use agr_als_service::pipeline::{Engine, EngineConfig};
-use agr_als_service::service::{serve, serve_batched, BatchConfig, ServeStats};
+use agr_als_service::service::{serve_batched, BatchConfig, ServeStats};
 use agr_als_service::store::{CellDigest, StoreConfig};
 use agr_als_service::transport::{loopback_pair, Transport};
 use agr_core::packet::{AgfwPacket, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair};
@@ -43,7 +45,7 @@ fn ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
 
 /// Encodes op number `i` (uids are `i + 1`) into a wire frame, or a
 /// deliberately undecodable one. Returns the frame and whether the
-/// serve loops will answer it.
+/// serve loop will answer it.
 fn frame_for(i: usize, op: Op) -> (Vec<u8>, bool) {
     let (kind_sel, cell_sel, key_sel, payload) = op;
     let uid = i as u64 + 1;
@@ -97,7 +99,7 @@ fn frame_for(i: usize, op: Op) -> (Vec<u8>, bool) {
     (frame, true)
 }
 
-/// The answer map with loop-dependent noise removed: `Pong` advertises
+/// The answer map with config-dependent noise removed: `Pong` advertises
 /// the momentary queue depth, which is not an equivalence observable.
 fn normalize(kind: AlsNetKind) -> AlsNetKind {
     match kind {
@@ -121,11 +123,21 @@ fn engine_config() -> EngineConfig {
     }
 }
 
-/// Drives `frames` through one serve loop (batched or not) and returns
+/// One frame per drain round: the loop blocks for a frame, skips the
+/// readiness drain (the backlog cap is already met), and answers it.
+fn single_frame() -> BatchConfig {
+    BatchConfig {
+        max_batch: 1,
+        max_backlog: 1,
+        ..BatchConfig::default()
+    }
+}
+
+/// Drives `frames` through the serve loop under `config` and returns
 /// every observable: the uid -> normalized answer map, the final cell
 /// digests, and the serve tally.
 fn run_loop(
-    batched: bool,
+    config: BatchConfig,
     frames: &[(Vec<u8>, bool)],
 ) -> (BTreeMap<u64, AlsNetKind>, [CellDigest; 2], ServeStats) {
     let (engine, _clock) = Engine::start_manual_clock(engine_config());
@@ -135,13 +147,7 @@ fn run_loop(
     let handle = {
         let engine = engine.clone();
         let stop = stop.clone();
-        std::thread::spawn(move || {
-            if batched {
-                serve_batched(&engine, &mut server, BatchConfig::default(), &stop)
-            } else {
-                serve(&engine, &mut server, &stop)
-            }
-        })
+        std::thread::spawn(move || serve_batched(&engine, &mut server, config, &stop))
     };
     for (frame, _) in frames {
         client.send(frame).expect("loopback send");
@@ -175,7 +181,7 @@ fn run_loop(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any frame mix answers identically through both loops, leaves
+    /// Any frame mix answers identically under both configs, leaves
     /// bit-identical stores, and tallies the same shared counters.
     #[test]
     fn batched_serve_is_observationally_equivalent_to_single_frame(mix in ops(48)) {
@@ -190,8 +196,8 @@ proptest! {
         // (including the sentinel's pong) has arrived, every earlier
         // frame has been classified and counted.
         frames.push(frame_for(frames.len(), (7, 0, 0, 0)));
-        let (ref_answers, ref_digests, ref_stats) = run_loop(false, &frames);
-        let (bat_answers, bat_digests, bat_stats) = run_loop(true, &frames);
+        let (ref_answers, ref_digests, ref_stats) = run_loop(single_frame(), &frames);
+        let (bat_answers, bat_digests, bat_stats) = run_loop(BatchConfig::default(), &frames);
         prop_assert_eq!(&bat_answers, &ref_answers, "uid -> answer maps diverged");
         prop_assert_eq!(bat_digests, ref_digests, "final stores diverged");
         let tallies = [
@@ -210,7 +216,14 @@ proptest! {
         for (name, reference, batched) in tallies {
             prop_assert_eq!(reference, batched, "stat {} diverged", name);
         }
-        prop_assert_eq!(ref_stats.batches, 0, "reference loop never batches");
-        prop_assert!(bat_stats.batches >= 1, "batched loop must batch");
+        // The reference config really is single-frame serving: one
+        // drain round per frame sent (garbage included), never two
+        // frames in a round.
+        prop_assert_eq!(ref_stats.batches, frames.len() as u64, "one round per frame");
+        prop_assert_eq!(ref_stats.frames_per_batch_p99, 1, "no round held two frames");
+        prop_assert!(
+            (1..=frames.len() as u64).contains(&bat_stats.batches),
+            "the default config drains at least one frame per round"
+        );
     }
 }

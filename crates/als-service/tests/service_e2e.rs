@@ -6,7 +6,7 @@
 //! through bounded queues.
 
 use agr_als_service::pipeline::{Engine, EngineConfig, Request, Response};
-use agr_als_service::service::{serve, serve_batched, AlsClient, BatchConfig};
+use agr_als_service::service::{serve_batched, AlsClient, BatchConfig};
 use agr_als_service::store::StoreConfig;
 use agr_als_service::transport::{loopback_pair, UdpClient, UdpServer};
 use agr_core::packet::AlsPair;
@@ -25,57 +25,9 @@ fn pair(i: u8) -> AlsPair {
 
 #[test]
 fn udp_update_query_forward_roundtrip() {
-    let engine = Arc::new(Engine::start(EngineConfig::default()));
-    let mut server_side = UdpServer::bind(("127.0.0.1", 0)).expect("bind");
-    let addr = server_side.local_addr().expect("addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let engine = engine.clone();
-        let stop = stop.clone();
-        std::thread::spawn(move || serve(&engine, &mut server_side, &stop))
-    };
-
-    let mut client = AlsClient::new(UdpClient::connect(addr).expect("connect"));
-    assert_eq!(
-        client
-            .update(CELL, vec![pair(1), pair(2), pair(3)])
-            .unwrap(),
-        3
-    );
-    assert_eq!(
-        client.query(CELL, vec![2; 24]).unwrap(),
-        Some(vec![0xCC, 2])
-    );
-    assert_eq!(client.query(CELL, vec![0xEE; 24]).unwrap(), None);
-
-    let new_home = CellId { col: 11, row: 21 };
-    assert_eq!(client.forward(CELL, new_home, vec![pair(2)]).unwrap(), 1);
-    assert_eq!(client.query(CELL, vec![2; 24]).unwrap(), None);
-    assert_eq!(
-        client.query(new_home, vec![2; 24]).unwrap(),
-        Some(vec![0xCC, 2])
-    );
-
-    stop.store(true, Ordering::Release);
-    let stats = server.join().unwrap();
-    assert_eq!(stats.updates, 1);
-    assert_eq!(stats.forwards, 1);
-    assert_eq!(stats.queries, 4);
-    assert_eq!(stats.hits, 2);
-
-    let Ok(engine) = Arc::try_unwrap(engine) else {
-        unreachable!("all clients have joined; this is the sole handle")
-    };
-    let store = engine.shutdown();
-    assert_eq!(store.len(), 3);
-}
-
-#[test]
-fn udp_batched_update_query_forward_roundtrip() {
-    // The same end-to-end flow as `udp_update_query_forward_roundtrip`,
-    // but through the batched serve loop over a real UDP socket — on
-    // Linux every receive and reply rides recvmmsg/sendmmsg, and every
-    // frame buffer comes from (and returns to) the pools.
+    // Over a real UDP socket — on Linux every receive and reply rides
+    // recvmmsg/sendmmsg, and every frame buffer comes from (and returns
+    // to) the pools.
     let engine = Arc::new(Engine::start(EngineConfig::default()));
     let mut server_side = UdpServer::bind(("127.0.0.1", 0)).expect("bind");
     let addr = server_side.local_addr().expect("addr");
@@ -152,7 +104,7 @@ fn many_loopback_clients_share_one_engine() {
         let engine = engine.clone();
         let stop = stop.clone();
         servers.push(std::thread::spawn(move || {
-            serve(&engine, &mut server_side, &stop)
+            serve_batched(&engine, &mut server_side, BatchConfig::default(), &stop)
         }));
         clients.push(std::thread::spawn(move || {
             let mut client = AlsClient::new(client_side);
@@ -339,7 +291,9 @@ fn saturated_engine_answers_busy_but_still_pongs() {
     let server = {
         let engine = engine.clone();
         let stop = stop.clone();
-        std::thread::spawn(move || serve(&engine, &mut server_side, &stop))
+        std::thread::spawn(move || {
+            serve_batched(&engine, &mut server_side, BatchConfig::default(), &stop)
+        })
     };
 
     let mut ask = |uid: u64, kind: AlsNetKind| -> AlsNetKind {

@@ -5,7 +5,7 @@
 //! Nothing in here may panic or wedge a node.
 
 use agr_als_service::pipeline::{Engine, EngineConfig};
-use agr_als_service::service::{serve, serve_batched, AlsClient, BatchConfig, ServeStats};
+use agr_als_service::service::{serve_batched, AlsClient, BatchConfig, ServeStats};
 use agr_als_service::store::StoreConfig;
 use agr_als_service::transport::{loopback_pair, Transport, UdpClient, UdpServer, MAX_FRAME};
 use agr_core::packet::{AgfwPacket, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair};
@@ -73,7 +73,9 @@ fn spawn_udp_server(
     let stop = Arc::new(AtomicBool::new(false));
     let handle = {
         let stop = stop.clone();
-        std::thread::spawn(move || serve(&engine, &mut server, &stop))
+        std::thread::spawn(move || {
+            serve_batched(&engine, &mut server, BatchConfig::default(), &stop)
+        })
     };
     (addr, stop, handle)
 }
@@ -160,7 +162,9 @@ fn oversize_frames_are_dropped_before_the_decoder() {
     let stop = Arc::new(AtomicBool::new(false));
     let server = {
         let stop = stop.clone();
-        std::thread::spawn(move || serve(&engine, &mut server_side, &stop))
+        std::thread::spawn(move || {
+            serve_batched(&engine, &mut server_side, BatchConfig::default(), &stop)
+        })
     };
 
     // One byte past the bound: dropped and counted, even though the
@@ -224,7 +228,7 @@ fn unknown_kind_and_unsolicited_answers_are_not_answered() {
 #[test]
 fn bad_frames_inside_a_batch_are_skipped_without_poisoning_the_batch() {
     // One batch mixing well-formed requests with garbage, a truncation,
-    // and an oversize frame: the batched serve loop must count and skip
+    // and an oversize frame: the serve loop must count and skip
     // every bad frame while answering every good one — a poisoned
     // neighbor never takes down the rest of its batch.
     let engine = small_engine();

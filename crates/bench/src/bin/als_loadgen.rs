@@ -1,7 +1,7 @@
 //! Load generator for the standalone ALS service engine and its UDP
 //! data plane.
 //!
-//! Four arms, all driving the same zipfian-keyed 70/29/1
+//! Three arms, all driving the same zipfian-keyed 70/29/1
 //! update/query/forward mix:
 //!
 //! * `engine_1shard` / `engine_4shard` — millions of fire-and-forget
@@ -9,40 +9,31 @@
 //!   batching workers, sharded store), one `submit` per op. The
 //!   historical sharding comparison: the acceptance bar is a ≥2×
 //!   ops/sec gain at 4 shards.
-//! * `engine_batched` — the same 4-shard engine driven through
-//!   [`Engine::submit_batch`] in windows of [`ENGINE_WINDOW`]: one
-//!   channel send per shard group per window instead of one per op.
-//!   This is the single-node peak-throughput arm.
-//! * `udp` / `udp_batched` — a real `UdpServer` behind [`serve`] or
-//!   [`serve_batched`], hammered by child *processes* (re-exec of this
-//!   binary with `--udp-client`) pipelining uid-matched request
-//!   windows over the socket. Both arms run identical windowing; the
-//!   only difference is per-frame `send`/`recv` versus
-//!   `sendmmsg`/`recvmmsg` batch calls on both sides, so the ratio
-//!   isolates what syscall batching buys end to end.
+//! * `udp_batched` — a real `UdpServer` behind [`serve_batched`],
+//!   hammered by child *processes* (re-exec of this binary with
+//!   `--udp-client`) pipelining uid-matched request windows over the
+//!   socket with `sendmmsg`/`recvmmsg` batch calls on both sides. (The
+//!   arm keeps its PR 9 name so the recorded history stays greppable.)
 //!
 //! Query latency percentiles are measured per arm on the idle engine
-//! (engine arms: blocking pipeline calls; UDP arms: single-frame
-//! socket round-trips), and everything lands in
-//! `results/BENCH_als.json`.
+//! (engine arms: blocking pipeline calls; UDP arm: single-frame socket
+//! round-trips), and everything lands in `results/BENCH_als.json`.
 //!
 //! Flags / environment:
 //! - `--quick`: reduced op counts (CI smoke).
 //! - `--out <path>` / `--bench-json <path>` / `AGR_BENCH_JSON`: output
 //!   path (default `results/BENCH_als.json`).
 //! - `AGR_ALS_OPS`: explicit per-engine-arm op count override.
-//! - `AGR_ALS_UDP_OPS`: explicit per-UDP-arm op count override.
+//! - `AGR_ALS_UDP_OPS`: explicit UDP-arm op count override.
 //! - `AGR_ALS_THREADS`: client thread / child process count (default 4
-//!   threads for engine arms, 2 processes for UDP arms).
+//!   threads for engine arms, 2 processes for the UDP arm).
 //! - `AGR_ALS_ARMS`: comma-separated arm names to run (default all) —
 //!   handy for iterating on one arm or for a fast CI gate.
-//! - `AGR_ALS_WINDOW` / `AGR_ALS_WORKERS` / `AGR_ALS_BATCH_MAX`:
-//!   batching-knob overrides for experiments.
-//! - `--udp-client <addr> --ops <n> --window <w> --batched <0|1>
-//!   --seed <s>`: internal child-process mode.
+//! - `--udp-client <addr> --ops <n> --seed <s>`: internal child-process
+//!   mode.
 
 use agr_als_service::pipeline::{Engine, EngineConfig, Request};
-use agr_als_service::service::{serve, serve_batched, AlsClient, BatchConfig, ServeStats};
+use agr_als_service::service::{serve_batched, AlsClient, BatchConfig, ServeStats};
 use agr_als_service::store::StoreConfig;
 use agr_als_service::transport::{Transport, UdpClient, UdpServer};
 use agr_bench::bench_json::{git_sha, iso_timestamp};
@@ -69,17 +60,10 @@ const KEY_SPACE: usize = 50_000;
 const ZIPF_S: f64 = 0.99;
 /// Cells the keys spread over (forwards shuffle records between them).
 const CELLS: u32 = 16;
-/// Frames per pipelined window in the UDP arms (`AGR_ALS_WINDOW`
-/// overrides) — sized to stay well inside default socket buffers.
+/// Frames per pipelined window in the UDP arm — sized to stay well
+/// inside default socket buffers.
 const UDP_WINDOW: usize = 32;
-/// Requests per [`Engine::submit_batch`] window in the batched engine
-/// arm (`AGR_ALS_WINDOW` overrides).
-const ENGINE_WINDOW: usize = 256;
-
-fn window_or(default: usize) -> usize {
-    env_u64("AGR_ALS_WINDOW").map_or(default, |w| usize::try_from(w).unwrap_or(1).max(1))
-}
-/// Socket poll granularity of the UDP arms (server and clients).
+/// Socket poll granularity of the UDP arm (server and clients).
 const UDP_POLL: Duration = Duration::from_millis(20);
 
 /// The sealed index for `rank` — 16 opaque bytes, like a truncated
@@ -145,26 +129,6 @@ fn produce(engine: &Engine, zipf: &Zipf, seed: u64, ops: u64) -> u64 {
     ops
 }
 
-/// Like [`produce`], but amortized: requests accumulate into
-/// [`ENGINE_WINDOW`]-sized windows and ride one [`Engine::submit_batch`]
-/// each — one channel send per shard group per window instead of one
-/// per op.
-fn produce_batched(engine: &Engine, zipf: &Zipf, seed: u64, ops: u64) -> u64 {
-    let window = window_or(ENGINE_WINDOW);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut done = 0u64;
-    while done < ops {
-        let n = (ops - done).min(window as u64);
-        let mut window = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            window.push(mixed_request(zipf, &mut rng));
-        }
-        engine.submit_batch(window);
-        done += n;
-    }
-    done
-}
-
 /// Times `samples` blocking query round-trips on an otherwise idle
 /// engine — the uncongested request-pipeline service latency (during
 /// the throughput phase a reply would mostly measure queue depth).
@@ -215,28 +179,24 @@ fn percentile_us(latencies: &Histogram, p: f64) -> f64 {
     latencies.quantile(p) as f64 / 1_000.0
 }
 
-/// Engine knobs per arm. The per-op arms keep the historical
+/// Engine knobs per arm. The engine arms keep the historical
 /// configuration (deep 4096-slot queues, 128-job worker drains) so
-/// their numbers stay comparable across revisions. The batched data
-/// plane runs *bounded* 256-slot queues with 1024-job drains: on a
-/// single core, a deep queue lets hundreds of thousands of requests go
+/// their numbers stay comparable across revisions. The UDP data plane
+/// runs *bounded* 256-slot queues with 1024-job drains: on a single
+/// core, a deep queue lets hundreds of thousands of requests go
 /// cache-cold between producer and worker, and the resulting misses
 /// cost more than the backpressure saves — the shallow queue keeps the
 /// in-flight window cache-resident and is worth ~40% throughput.
-fn engine_config(shards: usize, batched: bool) -> EngineConfig {
+fn engine_config(shards: usize, queue_depth: usize, batch_max: usize) -> EngineConfig {
     EngineConfig {
         store: StoreConfig {
             shards,
             ttl: None,
             capacity_per_shard: None,
         },
-        workers: env_u64("AGR_ALS_WORKERS").map_or(4, |w| usize::try_from(w).unwrap_or(1).max(1)),
-        queue_depth: env_u64("AGR_ALS_QUEUE").map_or(if batched { 256 } else { 4096 }, |q| {
-            usize::try_from(q).unwrap_or(1).max(1)
-        }),
-        batch_max: env_u64("AGR_ALS_BATCH_MAX").map_or(if batched { 1024 } else { 128 }, |b| {
-            usize::try_from(b).unwrap_or(1).max(1)
-        }),
+        workers: 4,
+        queue_depth,
+        batch_max,
         compact_every: None,
         shed_watermark: None,
     }
@@ -257,17 +217,15 @@ fn eprint_result(result: &ConfigResult) {
 }
 
 /// Runs one in-process load against a fresh engine with `shards`
-/// shards, producing per-op (`batched == false`) or window-batched
-/// (`batched == true`) submissions.
+/// shards, one `submit` per op.
 fn run_engine_config(
     arm: &'static str,
     shards: usize,
-    batched: bool,
     threads: u64,
     total_ops: u64,
     latency_samples: u64,
 ) -> ConfigResult {
-    let engine = Arc::new(Engine::start(engine_config(shards, batched)));
+    let engine = Arc::new(Engine::start(engine_config(shards, 4096, 128)));
     let zipf = Arc::new(Zipf::new(KEY_SPACE, ZIPF_S));
     let per_thread = total_ops / threads;
     let t0 = Instant::now();
@@ -275,13 +233,7 @@ fn run_engine_config(
         .map(|t| {
             let engine = engine.clone();
             let zipf = zipf.clone();
-            std::thread::spawn(move || {
-                if batched {
-                    produce_batched(&engine, &zipf, 0xA15_0000 + t, per_thread)
-                } else {
-                    produce(&engine, &zipf, 0xA15_0000 + t, per_thread)
-                }
-            })
+            std::thread::spawn(move || produce(&engine, &zipf, 0xA15_0000 + t, per_thread))
         })
         .collect();
     let mut ops = 0;
@@ -330,23 +282,19 @@ fn run_engine_config(
 }
 
 // ---------------------------------------------------------------------
-// Multi-process UDP arms
+// Multi-process UDP arm
 // ---------------------------------------------------------------------
 
 /// Parsed `--udp-client` child-mode arguments, if present.
 struct ChildArgs {
     addr: SocketAddr,
     ops: u64,
-    window: usize,
-    batched: bool,
     seed: u64,
 }
 
 fn child_args() -> Option<ChildArgs> {
     let mut addr = None;
     let mut ops = 0u64;
-    let mut window = window_or(UDP_WINDOW);
-    let mut batched = false;
     let mut seed = 1u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -357,8 +305,6 @@ fn child_args() -> Option<ChildArgs> {
         match arg.as_str() {
             "--udp-client" => addr = Some(take("--udp-client").parse().expect("server address")),
             "--ops" => ops = take("--ops").parse().expect("op count"),
-            "--window" => window = take("--window").parse().expect("window"),
-            "--batched" => batched = take("--batched") == "1",
             "--seed" => seed = take("--seed").parse().expect("seed"),
             _ => {}
         }
@@ -366,8 +312,6 @@ fn child_args() -> Option<ChildArgs> {
     Some(ChildArgs {
         addr: addr?,
         ops,
-        window: window.max(1),
-        batched,
         seed,
     })
 }
@@ -409,22 +353,20 @@ fn encode_request(uid: u64, request: Request, out: &mut Vec<u8>) {
 }
 
 /// Child-process body: pipelines `ops` mixed requests to the server in
-/// uid-matched windows of `window` frames. Both modes run the exact
-/// same windowing — send the window's unanswered frames, drain answers,
-/// re-send survivors until the window completes — the only difference
-/// is whether sends and receives ride the per-frame calls or the batch
-/// calls (`sendmmsg`/`recvmmsg` on Linux). Lost datagrams are re-sent
-/// with their original uids, so the server's idempotent-enough mix
-/// absorbs retries and the pipeline never wedges.
+/// uid-matched windows of [`UDP_WINDOW`] frames — send the window's
+/// unanswered frames, drain answers, re-send survivors until the window
+/// completes — over the batch calls (`sendmmsg`/`recvmmsg` on Linux).
+/// Lost datagrams are re-sent with their original uids, so the server's
+/// idempotent-enough mix absorbs retries and the pipeline never wedges.
 fn run_udp_child(args: &ChildArgs) {
     let mut client = UdpClient::connect_with(args.addr, UDP_POLL).expect("connect to server");
     let zipf = Zipf::new(KEY_SPACE, ZIPF_S);
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut next_uid = 1u64;
     let mut done = 0u64;
-    let mut frames: Vec<Vec<u8>> = vec![Vec::new(); args.window];
+    let mut frames: Vec<Vec<u8>> = vec![Vec::new(); UDP_WINDOW];
     while done < args.ops {
-        let n = usize::try_from(args.ops - done).map_or(args.window, |left| left.min(args.window));
+        let n = usize::try_from(args.ops - done).map_or(UDP_WINDOW, |left| left.min(UDP_WINDOW));
         let first_uid = next_uid;
         for frame in frames.iter_mut().take(n) {
             encode_request(next_uid, mixed_request(&zipf, &mut rng), frame);
@@ -436,41 +378,23 @@ fn run_udp_child(args: &ChildArgs) {
         while pending > 0 {
             rounds += 1;
             assert!(rounds <= 100, "server stopped answering the window");
-            if args.batched {
-                let refs: Vec<&[u8]> = frames
-                    .iter()
-                    .take(n)
-                    .zip(&answered)
-                    .filter(|(_, done)| !**done)
-                    .map(|(f, _)| f.as_slice())
-                    .collect();
-                let _ = client.send_batch(&refs);
-            } else {
-                for (frame, _) in frames.iter().take(n).zip(&answered).filter(|(_, d)| !**d) {
-                    let _ = client.send(frame);
-                }
-            }
+            let refs: Vec<&[u8]> = frames
+                .iter()
+                .take(n)
+                .zip(&answered)
+                .filter(|(_, done)| !**done)
+                .map(|(f, _)| f.as_slice())
+                .collect();
+            let _ = client.send_batch(&refs);
             // Drain until the window completes or the poll goes idle
             // (timeout => re-send what is still unanswered).
             loop {
                 let mut got_uids: Vec<u64> = Vec::new();
-                let drained = if args.batched {
-                    client.recv_batch_with(args.window, &mut |bytes| {
-                        if let Ok(AgfwPacket::Als(m)) = decode_packet(bytes) {
-                            got_uids.push(m.uid);
-                        }
-                    })
-                } else {
-                    match client.recv() {
-                        Ok(bytes) => {
-                            if let Ok(AgfwPacket::Als(m)) = decode_packet(&bytes) {
-                                got_uids.push(m.uid);
-                            }
-                            Ok(1)
-                        }
-                        Err(e) => Err(e),
+                let drained = client.recv_batch_with(UDP_WINDOW, &mut |bytes| {
+                    if let Ok(AgfwPacket::Als(m)) = decode_packet(bytes) {
+                        got_uids.push(m.uid);
                     }
-                };
+                });
                 for uid in got_uids {
                     let Some(slot) = uid.checked_sub(first_uid).map(|s| s as usize) else {
                         continue;
@@ -491,16 +415,10 @@ fn run_udp_child(args: &ChildArgs) {
     println!("child_ok ops={done}");
 }
 
-/// Runs one UDP arm: a real server socket behind `serve` or
-/// `serve_batched`, hammered by `children` re-execed client processes.
-fn run_udp_config(
-    arm: &'static str,
-    batched: bool,
-    children: u64,
-    total_ops: u64,
-    latency_samples: u64,
-) -> ConfigResult {
-    let engine = Arc::new(Engine::start(engine_config(4, batched)));
+/// Runs the UDP arm: a real server socket behind `serve_batched`,
+/// hammered by `children` re-execed client processes.
+fn run_udp_config(children: u64, total_ops: u64, latency_samples: u64) -> ConfigResult {
+    let engine = Arc::new(Engine::start(engine_config(4, 256, 1024)));
     let mut server = UdpServer::bind_with(("127.0.0.1", 0), UDP_POLL).expect("bind server");
     let addr = server.local_addr().expect("server addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -508,11 +426,7 @@ fn run_udp_config(
         let engine = engine.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
-            if batched {
-                serve_batched(&engine, &mut server, BatchConfig::default(), &stop)
-            } else {
-                serve(&engine, &mut server, &stop)
-            }
+            serve_batched(&engine, &mut server, BatchConfig::default(), &stop)
         })
     };
 
@@ -526,10 +440,6 @@ fn run_udp_config(
                 .arg(addr.to_string())
                 .arg("--ops")
                 .arg(per_child.to_string())
-                .arg("--window")
-                .arg(window_or(UDP_WINDOW).to_string())
-                .arg("--batched")
-                .arg(if batched { "1" } else { "0" })
                 .arg("--seed")
                 .arg((0xD1A_7000 + c).to_string())
                 .stdout(Stdio::piped())
@@ -572,7 +482,7 @@ fn run_udp_config(
     let store = engine.shutdown();
     let stats = store.stats();
     let result = ConfigResult {
-        arm,
+        arm: "udp_batched",
         shards: 4,
         ops,
         wall_s,
@@ -591,6 +501,16 @@ fn run_udp_config(
 // Reporting
 // ---------------------------------------------------------------------
 
+/// `engine_4shard` ops/sec over `engine_1shard` (0 when either arm was
+/// filtered out of the run).
+fn shard_speedup(results: &[ConfigResult]) -> f64 {
+    let by_arm = |arm: &str| results.iter().find(|r| r.arm == arm);
+    match (by_arm("engine_4shard"), by_arm("engine_1shard")) {
+        (Some(n), Some(d)) if d.ops_per_sec() > 0.0 => n.ops_per_sec() / d.ops_per_sec(),
+        _ => 0.0,
+    }
+}
+
 fn render(threads: u64, results: &[ConfigResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -600,8 +520,7 @@ fn render(threads: u64, results: &[ConfigResult]) -> String {
     let _ = writeln!(out, "  \"threads\": {threads},");
     let _ = writeln!(out, "  \"key_space\": {KEY_SPACE},");
     let _ = writeln!(out, "  \"zipf_s\": {ZIPF_S},");
-    let _ = writeln!(out, "  \"engine_window\": {},", window_or(ENGINE_WINDOW));
-    let _ = writeln!(out, "  \"udp_window\": {},", window_or(UDP_WINDOW));
+    let _ = writeln!(out, "  \"udp_window\": {UDP_WINDOW},");
     let total: u64 = results.iter().map(|r| r.ops).sum();
     let _ = writeln!(out, "  \"total_ops\": {total},");
     let _ = writeln!(out, "  \"configs\": [");
@@ -636,25 +555,10 @@ fn render(threads: u64, results: &[ConfigResult]) -> String {
         let _ = writeln!(out, "    }}{comma}");
     }
     let _ = writeln!(out, "  ],");
-    let by_arm = |arm: &str| results.iter().find(|r| r.arm == arm);
-    let ratio = |num: Option<&ConfigResult>, den: Option<&ConfigResult>| match (num, den) {
-        (Some(n), Some(d)) if d.ops_per_sec() > 0.0 => n.ops_per_sec() / d.ops_per_sec(),
-        _ => 0.0,
-    };
     let _ = writeln!(
         out,
         "  \"speedup_4shard_over_1shard\": {:.3},",
-        ratio(by_arm("engine_4shard"), by_arm("engine_1shard"))
-    );
-    let _ = writeln!(
-        out,
-        "  \"speedup_batched_engine_over_per_op\": {:.3},",
-        ratio(by_arm("engine_batched"), by_arm("engine_4shard"))
-    );
-    let _ = writeln!(
-        out,
-        "  \"speedup_batched_over_unbatched_udp\": {:.3},",
-        ratio(by_arm("udp_batched"), by_arm("udp"))
+        shard_speedup(results)
     );
     let peak = results
         .iter()
@@ -705,70 +609,23 @@ fn main() {
             .is_none_or(|list| list.split(',').any(|a| a.trim() == arm))
     };
     let mut results = Vec::new();
-    if wanted("engine_1shard") {
-        results.push(run_engine_config(
-            "engine_1shard",
-            1,
-            false,
-            threads,
-            per_config,
-            latency_samples,
-        ));
-    }
-    if wanted("engine_4shard") {
-        results.push(run_engine_config(
-            "engine_4shard",
-            4,
-            false,
-            threads,
-            per_config,
-            latency_samples,
-        ));
-    }
-    if wanted("engine_batched") {
-        results.push(run_engine_config(
-            "engine_batched",
-            4,
-            true,
-            threads,
-            per_config,
-            latency_samples,
-        ));
-    }
-    if wanted("udp") {
-        results.push(run_udp_config(
-            "udp",
-            false,
-            children,
-            udp_ops,
-            udp_latency_samples,
-        ));
+    for (arm, shards) in [("engine_1shard", 1), ("engine_4shard", 4)] {
+        if wanted(arm) {
+            results.push(run_engine_config(
+                arm,
+                shards,
+                threads,
+                per_config,
+                latency_samples,
+            ));
+        }
     }
     if wanted("udp_batched") {
-        results.push(run_udp_config(
-            "udp_batched",
-            true,
-            children,
-            udp_ops,
-            udp_latency_samples,
-        ));
+        results.push(run_udp_config(children, udp_ops, udp_latency_samples));
     }
-    let find = |arm: &str| results.iter().find(|r| r.arm == arm);
-    let speedup = |num: &str, den: &str| match (find(num), find(den)) {
-        (Some(n), Some(d)) if d.ops_per_sec() > 0.0 => n.ops_per_sec() / d.ops_per_sec(),
-        _ => 0.0,
-    };
     eprintln!(
         "4-shard speedup over 1-shard: {:.2}x",
-        speedup("engine_4shard", "engine_1shard")
-    );
-    eprintln!(
-        "batched-engine speedup over per-op: {:.2}x",
-        speedup("engine_batched", "engine_4shard")
-    );
-    eprintln!(
-        "batched-UDP speedup over per-frame UDP: {:.2}x",
-        speedup("udp_batched", "udp")
+        shard_speedup(&results)
     );
     let path = out_path();
     if let Some(dir) = path.parent() {

@@ -20,7 +20,7 @@
 //! flow as a test.
 
 use agr::als_service::pipeline::{Engine, EngineConfig, Request, Response};
-use agr::als_service::service::{serve, AlsClient};
+use agr::als_service::service::{serve_batched, AlsClient, BatchConfig};
 use agr::als_service::store::StoreConfig;
 use agr::core::als;
 use agr::core::dlm::{DlmRequest, DlmServer, DlmUpdate, ServerSelection};
@@ -89,7 +89,9 @@ fn main() {
     let server_thread = {
         let engine = engine.clone();
         let stop = stop.clone();
-        std::thread::spawn(move || serve(&engine, &mut server_side, &stop))
+        std::thread::spawn(move || {
+            serve_batched(&engine, &mut server_side, BatchConfig::default(), &stop)
+        })
     };
     let mut client = AlsClient::new(client_side);
 

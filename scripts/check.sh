@@ -10,6 +10,12 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# benchmark/ is its own workspace, so nothing above compiles it: this
+# is the gate that notices a public-API change breaking the benchmark
+# driver. Read-only (committed Cargo.lock, output under target/).
+echo "==> cargo check benchmark/ (out-of-workspace API pin)"
+cargo check --offline --release --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
@@ -33,9 +39,9 @@ AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 AGR_NODES=50 AGR_
     cargo run --offline --release -q -p agr-bench --bin adversary_sweep -- \
     --bench-json "${TMPDIR:-/tmp}/BENCH_adversary_smoke.json"
 
-# ALS service smoke: a --quick loadgen run (engine arms per-op and
-# batched, plus the two multi-process UDP arms) gated against the
-# checked-in --quick reference per arm. The runs are duration-matched
+# ALS service smoke: a --quick loadgen run (the two engine arms plus
+# the multi-process UDP arm) gated against the checked-in --quick
+# reference per arm. The runs are duration-matched
 # (same op counts, same knobs), so a 2x bar tolerates machine noise
 # while catching a hot path falling off a cliff — a lock held across a
 # batch, a clone sneaking back into the store path, a batched syscall
@@ -47,13 +53,20 @@ echo "==> ALS service smoke (als_loadgen --quick vs ${ALS_BASELINE})"
 ALS_SMOKE="$SMOKE_RESULTS/BENCH_als_smoke.json"
 cargo run --offline --release -q -p agr-bench --bin als_loadgen -- \
     --quick --out "$ALS_SMOKE" >/dev/null
+# "arm ops_per_sec" per line, sorted by arm name.
+als_rates() {
+    awk -F'"' '/"arm":/ { arm = $4 }
+               /"ops_per_sec":/ { gsub(/[^0-9.]/, "", $3); print arm, $3 }' "$1" | sort
+}
 if [[ -f "$ALS_BASELINE" ]] && grep -q '"arm"' "$ALS_BASELINE"; then
-    # Both files come from als_loadgen's fixed-order writer, so the Nth
-    # ops_per_sec in each belongs to the Nth arm name.
-    paste <(grep -o '"arm": "[a-z_0-9]*"' "$ALS_BASELINE" | cut -d'"' -f4) \
-          <(grep -o '"ops_per_sec": [0-9.]*' "$ALS_BASELINE" | awk '{print $2}') \
-          <(grep -o '"ops_per_sec": [0-9.]*' "$ALS_SMOKE" | awk '{print $2}') |
+    # Joined on the arm *name*: an arm added, removed or filtered out on
+    # one side fails loudly instead of shifting every later comparison.
+    join -a1 -a2 -e MISSING -o 0,1.2,2.2 <(als_rates "$ALS_BASELINE") <(als_rates "$ALS_SMOKE") |
     while read -r arm base now; do
+        if [[ "$base" == MISSING || "$now" == MISSING ]]; then
+            echo "ALS gate: arm '$arm' is in only one of $ALS_BASELINE (${base}) and the smoke run (${now})" >&2
+            exit 1
+        fi
         printf '    %-14s baseline %12.0f ops/s   now %12.0f ops/s\n' "$arm" "$base" "$now"
         if awk -v b="$base" -v n="$now" 'BEGIN { exit !(n * 2 < b) }'; then
             echo "ALS regression: arm '$arm' runs at less than half the recorded ops/sec" >&2
@@ -63,10 +76,10 @@ if [[ -f "$ALS_BASELINE" ]] && grep -q '"arm"' "$ALS_BASELINE"; then
 else
     echo "    (no per-arm $ALS_BASELINE checked in; absolute floor only)"
 fi
-grep -o '"ops_per_sec": [0-9.]*' "$ALS_SMOKE" | awk '{print $2}' |
-while read -r rate; do
+als_rates "$ALS_SMOKE" |
+while read -r arm rate; do
     if awk -v r="$rate" -v f="$ALS_FLOOR" 'BEGIN { exit !(r < f) }'; then
-        echo "ALS throughput collapse: an arm fell below ${ALS_FLOOR} ops/s" >&2
+        echo "ALS throughput collapse: arm '$arm' fell below ${ALS_FLOOR} ops/s" >&2
         exit 1
     fi
 done
