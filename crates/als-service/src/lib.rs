@@ -48,9 +48,10 @@
 //!   snapshot-compacted), replayed into the store before a restarted
 //!   node serves, so recovery is local I/O plus an anti-entropy top-off.
 //!
-//! The `als_loadgen` binary in `agr-bench` drives millions of
-//! zipfian-keyed operations through this engine and records throughput
-//! and latency percentiles to `results/BENCH_als.json`.
+//! The repository benchmark (`benchmark/`, workloads `als_udp_sat`,
+//! `als_udp_paced` and `cluster_r2`, plus the traced `ladder.*` rungs)
+//! drives zipfian-keyed operations through this engine and reports
+//! throughput and exact latency percentiles.
 
 // `deny`, not `forbid`: the one `unsafe` island is the [`mmsg`] FFI
 // module below, which carries an explicit `allow`; everything else in

@@ -10,7 +10,7 @@
 //! cargo run --release -p agr-bench --bin ablate_perimeter
 //! ```
 
-use agr_bench::{bench_json, run_matrix, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         ProtocolKind::Agfw(AgfwConfig::default()),
         ProtocolKind::Agfw(AgfwConfig::with_recovery()),
     ];
-    let (rows, perf) = run_matrix(&kinds, &nodes, &params);
+    let (rows, _) = run_matrix(&kinds, &nodes, &params);
     let mut table = Table::new(vec![
         "nodes",
         "GPSR-Greedy",
@@ -57,5 +57,4 @@ fn main() {
     println!("{table}");
     let path = table.save_csv("ablate_perimeter");
     eprintln!("saved {}", path.display());
-    bench_json::maybe_write("ablate_perimeter", &perf);
 }

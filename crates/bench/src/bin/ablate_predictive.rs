@@ -10,7 +10,7 @@
 //! cargo run --release -p agr-bench --bin ablate_predictive
 //! ```
 
-use agr_bench::{bench_json, run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_sim::SimTime;
 
@@ -46,7 +46,7 @@ fn main() {
             }));
         }
     }
-    let (results, perf) = run_matrix(&kinds, &[nodes], &params);
+    let (results, _) = run_matrix(&kinds, &[nodes], &params);
 
     let mut table = Table::new(vec![
         "hello interval (s)",
@@ -69,5 +69,4 @@ fn main() {
     println!("{table}");
     let path = table.save_csv("ablate_predictive");
     eprintln!("saved {}", path.display());
-    bench_json::maybe_write("ablate_predictive", &perf);
 }

@@ -13,7 +13,7 @@
 //! cargo run --release -p agr-bench --bin ablate_pseudonym
 //! ```
 
-use agr_bench::{bench_json, run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_core::SelectionStrategy;
 
@@ -51,7 +51,7 @@ fn main() {
             }));
         }
     }
-    let (results, perf) = run_matrix(&kinds, &[nodes], &params);
+    let (results, _) = run_matrix(&kinds, &[nodes], &params);
 
     let mut table = Table::new(vec![
         "rotate every",
@@ -74,5 +74,4 @@ fn main() {
     println!("{table}");
     let path = table.save_csv("ablate_pseudonym");
     eprintln!("saved {}", path.display());
-    bench_json::maybe_write("ablate_pseudonym", &perf);
 }

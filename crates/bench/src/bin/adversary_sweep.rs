@@ -21,25 +21,10 @@
 //! (comma-separated compromised fractions; default 0,0.1,0.2,0.3).
 //! Like every sweep, results are bit-identical at any `AGR_JOBS`.
 
-use agr_bench::runner::node_counts;
-use agr_bench::{bench_json, run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::runner::{env_list, node_counts};
+use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_sim::AdversaryMix;
-
-/// Compromised fractions to sweep: `AGR_ADV` override or the default grid.
-fn fractions() -> Vec<f64> {
-    if let Ok(list) = std::env::var("AGR_ADV") {
-        let parsed: Vec<f64> = list
-            .split(',')
-            .filter_map(|x| x.trim().parse().ok())
-            .filter(|p| (0.0..=1.0).contains(p))
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
-    vec![0.0, 0.10, 0.20, 0.30]
-}
 
 /// Sum of a named counter across a point's per-seed stats.
 fn counter_sum(point: &PointResult, name: &str) -> u64 {
@@ -48,7 +33,9 @@ fn counter_sum(point: &PointResult, name: &str) -> u64 {
 
 fn main() {
     let base = SweepParams::from_env();
-    let fracs = fractions();
+    let fracs = env_list("AGR_ADV", &[0.0, 0.10, 0.20, 0.30], |p| {
+        (0.0..=1.0).contains(p)
+    });
     // An adversary sweep runs at fixed density: the first AGR_NODES
     // entry, or the paper's 50-node baseline.
     let nodes = node_counts()[0];
@@ -118,6 +105,5 @@ fn main() {
             perf.jobs,
             perf.events_per_sec()
         );
-        bench_json::maybe_write("adversary_sweep", &perf);
     }
 }

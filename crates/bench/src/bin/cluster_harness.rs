@@ -27,8 +27,7 @@
 //!   and assert a UDP stats scrape renders ≥ 20 Prometheus metric
 //!   families — the check.sh telemetry gate (seconds, no chaos).
 //! - `--chaos-seed <n>`: override the chaos seed (the CI chaos matrix).
-//! - `--out <path>` / `--bench-json <path>` / `AGR_BENCH_JSON`: output
-//!   path (default `results/BENCH_cluster.json`).
+//! - `--out <path>`: output path (default `results/BENCH_cluster.json`).
 //! - `AGR_CLUSTER_OPS`: explicit per-ring op count override.
 
 use agr_als_service::chaos_net::ChaosNetConfig;
@@ -38,8 +37,8 @@ use agr_als_service::cluster::{
 use agr_als_service::pipeline::EngineConfig;
 use agr_als_service::ring::NodeHealth;
 use agr_als_service::store::StoreConfig;
-use agr_bench::bench_json::{git_sha, iso_timestamp};
 use agr_bench::runner::env_u64;
+use agr_bench::stamp::{git_sha, iso_timestamp};
 use agr_bench::zipf::Zipf;
 use agr_core::packet::AlsPair;
 use agr_geom::CellId;
@@ -54,7 +53,7 @@ use std::time::{Duration, Instant};
 
 /// Distinct sealed indices the zipfian sampler draws from.
 const KEY_SPACE: usize = 4_096;
-/// Zipf exponent shared with `als_loadgen`.
+/// Zipf exponent of the key popularity law.
 const ZIPF_S: f64 = 0.99;
 /// Cells the keys spread over.
 const CELLS: u32 = 8;
@@ -656,24 +655,17 @@ fn render(baselines: &[RunResult], chaos_runs: &[RunResult], chaos_seed: u64) ->
     out
 }
 
-/// Output path: `--out`/`--bench-json` flag, `AGR_BENCH_JSON`, else
-/// `results/BENCH_cluster.json`.
+/// Output path: the `--out` flag, else `results/BENCH_cluster.json`.
 fn out_path() -> PathBuf {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--out" || arg == "--bench-json" {
+        if arg == "--out" {
             if let Some(p) = args.next() {
                 return PathBuf::from(p);
             }
         }
     }
-    std::env::var("AGR_BENCH_JSON")
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .map_or_else(
-            || PathBuf::from("results/BENCH_cluster.json"),
-            PathBuf::from,
-        )
+    PathBuf::from("results/BENCH_cluster.json")
 }
 
 /// `--chaos-seed <n>` override (the CI chaos matrix), else the default.

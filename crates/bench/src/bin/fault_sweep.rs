@@ -18,25 +18,10 @@
 //! (comma-separated per-link loss rates; default 0,0.05,0.1,0.2,0.3).
 //! Like every sweep, results are bit-identical at any `AGR_JOBS`.
 
-use agr_bench::runner::node_counts;
-use agr_bench::{bench_json, run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::runner::{env_list, node_counts};
+use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_sim::FaultPlan;
-
-/// Loss rates to sweep: `AGR_LOSS` override or the default grid.
-fn loss_rates() -> Vec<f64> {
-    if let Ok(list) = std::env::var("AGR_LOSS") {
-        let parsed: Vec<f64> = list
-            .split(',')
-            .filter_map(|x| x.trim().parse().ok())
-            .filter(|p| (0.0..=1.0).contains(p))
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
-    vec![0.0, 0.05, 0.10, 0.20, 0.30]
-}
 
 /// Sum of a named counter across a point's per-seed stats.
 fn counter_sum(point: &PointResult, name: &str) -> u64 {
@@ -45,7 +30,9 @@ fn counter_sum(point: &PointResult, name: &str) -> u64 {
 
 fn main() {
     let base = SweepParams::from_env();
-    let losses = loss_rates();
+    let losses = env_list("AGR_LOSS", &[0.0, 0.05, 0.10, 0.20, 0.30], |p| {
+        (0.0..=1.0).contains(p)
+    });
     // A loss sweep runs at fixed density: the first AGR_NODES entry, or
     // the paper's 50-node baseline.
     let nodes = node_counts()[0];
@@ -111,6 +98,5 @@ fn main() {
             perf.jobs,
             perf.events_per_sec()
         );
-        bench_json::maybe_write("fault_sweep", &perf);
     }
 }

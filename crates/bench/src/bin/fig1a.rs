@@ -12,7 +12,7 @@
 //! ```
 
 use agr_bench::runner::node_counts;
-use agr_bench::{bench_json, run_matrix, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 
 fn main() {
@@ -60,5 +60,4 @@ fn main() {
         perf.jobs,
         perf.events_per_sec()
     );
-    bench_json::maybe_write("fig1a", &perf);
 }

@@ -13,8 +13,8 @@
 //! cargo run --release -p agr-bench --bin privacy_eval
 //! ```
 
-use agr_bench::runner::{env_u64, jobs, paper_config, par_map, PointPerf, SweepParams, SweepPerf};
-use agr_bench::{bench_json, Table};
+use agr_bench::runner::{env_u64, jobs, paper_config, par_map, SweepParams};
+use agr_bench::Table;
 use agr_core::agfw::{Agfw, AgfwConfig};
 use agr_gpsr::{Gpsr, GpsrConfig};
 use agr_privacy::exposure::{AgfwExposureObserver, GpsrExposureObserver};
@@ -26,15 +26,13 @@ use agr_privacy::tracker::{
 use agr_sim::{NodeId, SimTime, World};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
-/// Post-processed output of one run: the two table rows plus the
-/// wall-clock record. Frames are folded into streaming observers on the
-/// worker that produced them; only row strings cross threads.
+/// Post-processed output of one run: the two table rows. Frames are
+/// folded into streaming observers on the worker that produced them;
+/// only row strings cross threads.
 struct RunRows {
     exposure: Vec<String>,
     tracking: Vec<String>,
-    perf: PointPerf,
 }
 
 fn main() {
@@ -73,20 +71,13 @@ fn main() {
         .iter()
         .flat_map(|&n| [(n, false), (n, true)])
         .collect();
-    let started = Instant::now();
     let rows = par_map(&tasks, jobs(), |&(nodes, is_agfw)| {
-        let t0 = Instant::now();
         if is_agfw {
-            agfw_rows(nodes, seed, &params, t0)
+            agfw_rows(nodes, seed, &params)
         } else {
-            gpsr_rows(nodes, seed, &params, t0)
+            gpsr_rows(nodes, seed, &params)
         }
     });
-    let perf = SweepPerf {
-        jobs: jobs(),
-        wall_s: started.elapsed().as_secs_f64(),
-        points: rows.iter().map(|r| r.perf.clone()).collect(),
-    };
     for run in rows {
         exposure_table.row(run.exposure);
         tracking_table.row(run.tracking);
@@ -99,12 +90,11 @@ fn main() {
     let p1 = exposure_table.save_csv("privacy_exposure");
     let p2 = tracking_table.save_csv("privacy_tracking");
     eprintln!("saved {} and {}", p1.display(), p2.display());
-    bench_json::maybe_write("privacy_eval", &perf);
 }
 
 /// Runs one GPSR scenario with streaming privacy observers attached —
 /// the trace is folded into aggregates on the fly, never materialised.
-fn gpsr_rows(nodes: usize, seed: u64, params: &SweepParams, t0: Instant) -> RunRows {
+fn gpsr_rows(nodes: usize, seed: u64, params: &SweepParams) -> RunRows {
     let config = paper_config(nodes, seed, params);
     let exposure_obs = Rc::new(RefCell::new(GpsrExposureObserver::new()));
     let sighting_obs = Rc::new(RefCell::new(GpsrSightingObserver::new()));
@@ -113,7 +103,7 @@ fn gpsr_rows(nodes: usize, seed: u64, params: &SweepParams, t0: Instant) -> RunR
     });
     world.attach_observer(Box::new(Rc::clone(&exposure_obs)));
     world.attach_observer(Box::new(Rc::clone(&sighting_obs)));
-    let stats = world.run();
+    world.run();
     let report = exposure_obs.borrow().report();
     let exposure = vec![
         nodes.to_string(),
@@ -141,21 +131,11 @@ fn gpsr_rows(nodes: usize, seed: u64, params: &SweepParams, t0: Instant) -> RunR
         format!("{mean_set:.1}"),
         format!("{entropy:.1}"),
     ];
-    RunRows {
-        exposure,
-        tracking,
-        perf: PointPerf {
-            protocol: "GPSR",
-            nodes,
-            seed,
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: stats.events_processed,
-        },
-    }
+    RunRows { exposure, tracking }
 }
 
 /// Runs one AGFW scenario with streaming privacy observers attached.
-fn agfw_rows(nodes: usize, seed: u64, params: &SweepParams, t0: Instant) -> RunRows {
+fn agfw_rows(nodes: usize, seed: u64, params: &SweepParams) -> RunRows {
     let config = paper_config(nodes, seed, params);
     let exposure_obs = Rc::new(RefCell::new(AgfwExposureObserver::new()));
     let sighting_obs = Rc::new(RefCell::new(AgfwSightingObserver::new()));
@@ -164,7 +144,7 @@ fn agfw_rows(nodes: usize, seed: u64, params: &SweepParams, t0: Instant) -> RunR
     });
     world.attach_observer(Box::new(Rc::clone(&exposure_obs)));
     world.attach_observer(Box::new(Rc::clone(&sighting_obs)));
-    let stats = world.run();
+    world.run();
     let report = exposure_obs.borrow().report();
     let exposure = vec![
         nodes.to_string(),
@@ -196,17 +176,7 @@ fn agfw_rows(nodes: usize, seed: u64, params: &SweepParams, t0: Instant) -> RunR
         format!("{mean_set:.1}"),
         format!("{entropy:.1}"),
     ];
-    RunRows {
-        exposure,
-        tracking,
-        perf: PointPerf {
-            protocol: "AGFW",
-            nodes,
-            seed,
-            wall_s: t0.elapsed().as_secs_f64(),
-            events: stats.events_processed,
-        },
-    }
+    RunRows { exposure, tracking }
 }
 
 /// Mean anonymity-set size and entropy of a transmission observed at a

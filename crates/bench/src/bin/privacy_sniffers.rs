@@ -11,8 +11,8 @@
 //! cargo run --release -p agr-bench --bin privacy_sniffers
 //! ```
 
-use agr_bench::runner::{env_u64, jobs, paper_config, par_map, PointPerf, SweepParams, SweepPerf};
-use agr_bench::{bench_json, Table};
+use agr_bench::runner::{env_u64, jobs, paper_config, par_map, SweepParams};
+use agr_bench::Table;
 use agr_core::agfw::{Agfw, AgfwConfig};
 use agr_gpsr::{Gpsr, GpsrConfig};
 use agr_privacy::exposure::{AgfwExposureObserver, GpsrExposureObserver};
@@ -23,7 +23,6 @@ use agr_privacy::tracker::{
 use agr_sim::{NodeId, SimTime, World};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
 const SNIFFER_COUNTS: [usize; 6] = [1, 2, 4, 8, 12, 24];
 
@@ -48,9 +47,7 @@ fn main() {
     // One run per protocol, fanned over the worker pool; the sniffer
     // fields post-process each trace on its own worker.
     let tasks = [false, true];
-    let started = Instant::now();
     let outputs = par_map(&tasks, jobs(), |&is_agfw| {
-        let t0 = Instant::now();
         let config = paper_config(50, seed, &params);
         let area = config.area;
         if is_agfw {
@@ -76,7 +73,7 @@ fn main() {
                     (exposure, sightings)
                 })
                 .collect();
-            let stats = world.run();
+            world.run();
             let cols = observers
                 .iter()
                 .map(|(exposure, sightings)| {
@@ -90,16 +87,7 @@ fn main() {
                     )
                 })
                 .collect();
-            (
-                TraceCols::Agfw(cols),
-                PointPerf {
-                    protocol: "AGFW-ACK",
-                    nodes: 50,
-                    seed,
-                    wall_s: t0.elapsed().as_secs_f64(),
-                    events: stats.events_processed,
-                },
-            )
+            TraceCols::Agfw(cols)
         } else {
             let mut world = World::new(config, |_, _, rng| {
                 Gpsr::new(GpsrConfig::greedy_only(), rng)
@@ -120,7 +108,7 @@ fn main() {
                     (exposure, sightings)
                 })
                 .collect();
-            let stats = world.run();
+            world.run();
             let cols = observers
                 .iter()
                 .map(|(exposure, sightings)| {
@@ -137,26 +125,12 @@ fn main() {
                     )
                 })
                 .collect();
-            (
-                TraceCols::Gpsr(cols),
-                PointPerf {
-                    protocol: "GPSR-Greedy",
-                    nodes: 50,
-                    seed,
-                    wall_s: t0.elapsed().as_secs_f64(),
-                    events: stats.events_processed,
-                },
-            )
+            TraceCols::Gpsr(cols)
         }
     });
-    let perf = SweepPerf {
-        jobs: jobs(),
-        wall_s: started.elapsed().as_secs_f64(),
-        points: outputs.iter().map(|(_, p)| p.clone()).collect(),
-    };
     let mut gpsr_cols = None;
     let mut agfw_cols = None;
-    for (cols, _) in outputs {
+    for cols in outputs {
         match cols {
             TraceCols::Gpsr(c) => gpsr_cols = Some(c),
             TraceCols::Agfw(c) => agfw_cols = Some(c),
@@ -197,5 +171,4 @@ fn main() {
     );
     let path = table.save_csv("privacy_sniffers");
     eprintln!("saved {}", path.display());
-    bench_json::maybe_write("privacy_sniffers", &perf);
 }

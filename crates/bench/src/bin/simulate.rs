@@ -12,19 +12,19 @@
 //!
 //! The run is delegated to the shared runner (`run_point`), so a point
 //! simulated here is byte-for-byte the same point a sweep binary would
-//! run. `--bench-json <path>` dumps the wall-clock record.
+//! run.
 //!
 //! Telemetry exports (both observation-only — the printed stats are
 //! byte-identical with or without them):
 //!
 //! * `--viz-json <path>` — JSONL event stream (tx/rx/pseudonym-change
 //!   with positions) replayable in `viz/replay.html`.
-//! * `--metrics-json <path>` — telemetry registry snapshot with the same
-//!   provenance stamping as the bench-json record.
+//! * `--metrics-json <path>` — telemetry registry snapshot, stamped with
+//!   `bin` / `git_sha` / `generated_at`.
 
 use agr_bench::runner::{run_point, ProtocolKind, SweepParams};
+use agr_bench::stamp;
 use agr_bench::viz::run_point_observed;
-use agr_bench::{bench_json, PointPerf, SweepPerf};
 use agr_sim::{AdversaryMix, FaultPlan, SimTime};
 use agr_telemetry::export::snapshot_to_json;
 use std::time::Instant;
@@ -78,7 +78,7 @@ fn usage() -> ! {
          \x20               [--nodes N] [--duration SECONDS] [--seed N]\n\
          \x20               [--flows N] [--senders N] [--interval MS] [--payload BYTES]\n\
          \x20               [--speed M_PER_S] [--pause SECONDS] [--counters]\n\
-         \x20               [--loss P] [--burst P_G2B,P_B2G] [--blackhole FRAC] [--bench-json PATH]\n\
+         \x20               [--loss P] [--burst P_G2B,P_B2G] [--blackhole FRAC]\n\
          \x20               [--viz-json PATH] [--metrics-json PATH]"
     );
     std::process::exit(2);
@@ -127,10 +127,6 @@ fn parse_args() -> Args {
             "--counters" => args.counters = true,
             "--viz-json" => args.viz_json = Some(value("--viz-json")),
             "--metrics-json" => args.metrics_json = Some(value("--metrics-json")),
-            // Consumed again by bench_json::target_path; just validate.
-            "--bench-json" => {
-                let _ = value("--bench-json");
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -209,7 +205,7 @@ fn main() {
             println!("viz_json={path} events={}", run.events.len());
         }
         if let Some(path) = &args.metrics_json {
-            let meta = bench_json::snapshot_meta("simulate");
+            let meta = stamp::snapshot_meta("simulate");
             let meta: Vec<(&str, &str)> =
                 meta.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
             let json = snapshot_to_json(&run.registry.snapshot(), &meta);
@@ -217,16 +213,4 @@ fn main() {
             println!("metrics_json={path}");
         }
     }
-    let perf = SweepPerf {
-        jobs: 1,
-        wall_s,
-        points: vec![PointPerf {
-            protocol: kind.label(),
-            nodes: args.nodes,
-            seed: args.seed,
-            wall_s,
-            events: stats.events_processed,
-        }],
-    };
-    bench_json::maybe_write("simulate", &perf);
 }

@@ -8,11 +8,9 @@
 //! cargo run --release -p agr-bench --bin table_als
 //! ```
 //!
-//! Pure message-size accounting — no sweeps, nothing to parallelise —
-//! but `--bench-json` still records the wall-clock like every binary.
+//! Pure message-size accounting — no sweeps, nothing to parallelise.
 
-use agr_bench::runner::{PointPerf, SweepPerf};
-use agr_bench::{bench_json, Table};
+use agr_bench::Table;
 use agr_core::als::{self, AlsRequestAll, AlsServer};
 use agr_core::dlm::{DlmRequest, DlmServer, DlmUpdate, ServerSelection};
 use agr_crypto::rsa::RsaKeyPair;
@@ -22,7 +20,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let started = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(33);
     let ssa = ServerSelection::new(Rect::with_size(1500.0, 300.0), 250.0);
     eprintln!("generating requester keys (RSA-512)...");
@@ -125,20 +122,6 @@ fn main() {
 
     println!("Table: location service message costs — DLM vs ALS (paper S3.3)");
     println!("{table}");
-    let rows = table.len() as u64;
     let path = table.save_csv("table_als");
     eprintln!("saved {}", path.display());
-    let wall_s = started.elapsed().as_secs_f64();
-    let perf = SweepPerf {
-        jobs: 1,
-        wall_s,
-        points: vec![PointPerf {
-            protocol: "ALS-accounting",
-            nodes: 0,
-            seed: 33,
-            wall_s,
-            events: rows,
-        }],
-    };
-    bench_json::maybe_write("table_als", &perf);
 }

@@ -13,15 +13,14 @@
 //! cargo run --release -p agr-bench --bin table_als_net
 //! ```
 
-use agr_bench::runner::{env_u64, jobs, paper_config, par_map, PointPerf, SweepParams, SweepPerf};
-use agr_bench::{bench_json, Table};
+use agr_bench::runner::{env_u64, jobs, paper_config, par_map, SweepParams};
+use agr_bench::Table;
 use agr_core::agfw::{Agfw, AgfwConfig, AlsNetParams, LocationMode};
 use agr_core::keys::KeyDirectory;
 use agr_sim::{SimTime, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn main() {
     let mut params = SweepParams::from_env();
@@ -57,9 +56,7 @@ fn main() {
                 .flat_map(move |vi| (1..=params.seeds).map(move |seed| (ni, vi, seed)))
         })
         .collect();
-    let started = Instant::now();
     let runs = par_map(&tasks, jobs(), |&(ni, vi, seed)| {
-        let t0 = Instant::now();
         let nodes = nodes_list[ni];
         let (keys, dir) = &keysets[ni];
         let sim = paper_config(nodes, seed, &params);
@@ -79,24 +76,8 @@ fn main() {
                 None,
             )
         });
-        let stats = world.run();
-        (stats, t0.elapsed().as_secs_f64())
+        world.run()
     });
-    let perf = SweepPerf {
-        jobs: jobs(),
-        wall_s: started.elapsed().as_secs_f64(),
-        points: tasks
-            .iter()
-            .zip(&runs)
-            .map(|(&(ni, vi, seed), (stats, wall_s))| PointPerf {
-                protocol: variants[vi].0,
-                nodes: nodes_list[ni],
-                seed,
-                wall_s: *wall_s,
-                events: stats.events_processed,
-            })
-            .collect(),
-    };
 
     let mut table = Table::new(vec![
         "nodes",
@@ -114,7 +95,7 @@ fn main() {
             let mut overhead = 0.0;
             let mut retries = 0u64;
             for _ in 1..=params.seeds {
-                let (stats, _) = runs.next().expect("one run per task");
+                let stats = runs.next().expect("one run per task");
                 delivery += stats.delivery_fraction();
                 latency += stats.mean_latency().as_millis_f64();
                 let ctrl = stats.counter("agfw.hello")
@@ -142,5 +123,4 @@ fn main() {
     println!("{table}");
     let path = table.save_csv("table_als_net");
     eprintln!("saved {}", path.display());
-    bench_json::maybe_write("table_als_net", &perf);
 }

@@ -14,10 +14,9 @@
 //! Unlike the sweep binaries this one stays single-threaded regardless
 //! of `AGR_JOBS`: it measures per-operation CPU time, and concurrent
 //! workers contending for cores would distort exactly the numbers the
-//! table exists to report. `--bench-json` still records the wall-clock.
+//! table exists to report.
 
-use agr_bench::runner::{PointPerf, SweepPerf};
-use agr_bench::{bench_json, Table};
+use agr_bench::Table;
 use agr_crypto::rsa::RsaKeyPair;
 use agr_crypto::trapdoor::{SymmetricTrapdoor, Trapdoor};
 use agr_geom::Point;
@@ -34,8 +33,6 @@ fn time_per_op<F: FnMut()>(iters: u32, mut f: F) -> f64 {
 }
 
 fn main() {
-    let started = Instant::now();
-    let mut points = Vec::new();
     let mut rng = StdRng::seed_from_u64(2005);
     let loc = Point::new(750.0, 150.0);
     let mut table = Table::new(vec![
@@ -47,7 +44,6 @@ fn main() {
     ]);
 
     for bits in [512u32, 768, 1024] {
-        let row_start = Instant::now();
         let keys = RsaKeyPair::generate(bits, &mut rng).unwrap();
         let td = Trapdoor::seal(keys.public(), 7, loc, &mut rng).unwrap();
         let iters = 200;
@@ -65,19 +61,11 @@ fn main() {
             format!("{open_us:.1}"),
             format!("{:.1}", open_us / seal_us),
         ]);
-        points.push(PointPerf {
-            protocol: "RSA-trapdoor",
-            nodes: bits as usize,
-            seed: 0,
-            wall_s: row_start.elapsed().as_secs_f64(),
-            events: u64::from(iters) * 2,
-        });
     }
 
     // The §5.1 suggestion: "a lower cost symmetric encryption if a proper
     // key exchange scheme is in place".
     let key = [7u8; 32];
-    let row_start = Instant::now();
     let std = SymmetricTrapdoor::seal(&key, 7, loc, &mut rng);
     let iters = 5_000;
     let mut srng = StdRng::seed_from_u64(2);
@@ -95,22 +83,8 @@ fn main() {
         format!("{:.1}", open_us / seal_us),
     ]);
 
-    points.push(PointPerf {
-        protocol: "symmetric-trapdoor",
-        nodes: 0,
-        seed: 0,
-        wall_s: row_start.elapsed().as_secs_f64(),
-        events: u64::from(iters) * 2,
-    });
-
     println!("Table: trapdoor size and cost (paper §5.1: 64 B, 0.5 ms seal, 8.5 ms open on 2005 hardware, ratio 17x)");
     println!("{table}");
     let path = table.save_csv("table_crypto");
     eprintln!("saved {}", path.display());
-    let perf = SweepPerf {
-        jobs: 1,
-        wall_s: started.elapsed().as_secs_f64(),
-        points,
-    };
-    bench_json::maybe_write("table_crypto", &perf);
 }

@@ -10,10 +10,9 @@
 //!
 //! Stays single-threaded regardless of `AGR_JOBS`: sign/verify CPU
 //! timings are the point of the table, and contending workers would
-//! distort them. `--bench-json` still records the wall-clock.
+//! distort them.
 
-use agr_bench::runner::{PointPerf, SweepPerf};
-use agr_bench::{bench_json, Table};
+use agr_bench::Table;
 use agr_core::aant::{Aant, AantConfig};
 use agr_core::keys::KeyDirectory;
 use agr_core::packet::AgfwPacket;
@@ -26,8 +25,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let started = Instant::now();
-    let mut points = Vec::new();
     let mut rng = StdRng::seed_from_u64(42);
     let population = 32;
     // 512-bit keys: the paper's RSA size.
@@ -46,7 +43,6 @@ fn main() {
     let ts = SimTime::from_secs(1);
 
     for ring_size in [1usize, 2, 4, 8, 16, 32] {
-        let row_start = Instant::now();
         let aant = Aant::new(
             0,
             Arc::clone(&keys[0]),
@@ -89,23 +85,10 @@ fn main() {
             format!("{sign_ms:.2}"),
             format!("{verify_ms:.2}"),
         ]);
-        points.push(PointPerf {
-            protocol: "AANT-ring",
-            nodes: ring_size,
-            seed: 0,
-            wall_s: row_start.elapsed().as_secs_f64(),
-            events: u64::from(iters) * 2,
-        });
     }
 
     println!("Table: AANT hello overhead and cost vs ring size (k+1)-anonymity, RSA-512");
     println!("{table}");
     let path = table.save_csv("table_ring");
     eprintln!("saved {}", path.display());
-    let perf = SweepPerf {
-        jobs: 1,
-        wall_s: started.elapsed().as_secs_f64(),
-        points,
-    };
-    bench_json::maybe_write("table_ring", &perf);
 }

@@ -26,23 +26,25 @@
 //! Results are independent of `AGR_JOBS`: each (protocol × nodes × seed)
 //! point is a self-contained deterministic simulation and aggregation
 //! happens in task order, so CSVs are bit-identical at any worker count.
+//! A set-but-malformed `AGR_SEEDS` / `AGR_DURATION_S` / `AGR_NODES`
+//! exits 2 instead of silently running the default experiment.
 //!
-//! Any binary dumps a machine-readable wall-clock record when given
-//! `--bench-json <path>` or `AGR_BENCH_JSON=<path>` (see [`bench_json`]).
+//! This crate reproduces the paper; it gates no host-speed number. Those
+//! come from `BENCHMARK.json` + `benchmark/` (see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod plot;
 pub mod report;
 pub mod runner;
+pub mod stamp;
 pub mod viz;
 pub mod zipf;
 
 pub use report::Table;
 pub use runner::{
-    jobs, par_map, run_matrix, run_point, run_sweep, sweep, PointPerf, PointResult, ProtocolKind,
-    SweepParams, SweepPerf,
+    jobs, par_map, run_matrix, run_point, run_sweep, sweep, PointResult, ProtocolKind, SweepParams,
+    SweepPerf,
 };
 pub use viz::{run_point_observed, ObservedRun};

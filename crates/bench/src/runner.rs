@@ -12,6 +12,7 @@ use agr_gpsr::{Gpsr, GpsrConfig};
 use agr_sim::{AdversaryMix, FaultPlan, SimConfig, SimTime, Stats, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::str::FromStr;
 use std::time::Instant;
 
 /// Which protocol a sweep point runs.
@@ -121,10 +122,54 @@ impl SweepParams {
     }
 }
 
-/// Reads a `u64` environment variable.
+/// Reports a set-but-unusable environment variable and exits 2: a typo
+/// in a sweep knob must not silently run a different experiment.
+fn exit_malformed(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Reads a `u64` environment variable. Unset means `None`; a value that
+/// is set but not a `u64` exits 2 naming the variable.
 #[must_use]
 pub fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
+    let raw = std::env::var(name).ok()?;
+    Some(raw.trim().parse().unwrap_or_else(|_| {
+        exit_malformed(&format!("{name}: '{}' is not a whole number", raw.trim()))
+    }))
+}
+
+/// Parses a comma-separated list, rejecting the whole value on the first
+/// entry that does not parse or fails `valid`.
+fn parse_list<T: FromStr>(
+    name: &str,
+    raw: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Vec<T>, String> {
+    raw.split(',')
+        .map(|entry| {
+            let entry = entry.trim();
+            entry.parse().ok().filter(|x| valid(x)).ok_or_else(|| {
+                format!("{name}: entry '{entry}' of '{raw}' is malformed or out of range")
+            })
+        })
+        .collect()
+}
+
+/// Reads a comma-separated list from the environment variable `name`.
+/// Unset means `default`; a set value must parse entry for entry and
+/// pass `valid`, else the process exits 2 naming the variable and the
+/// offending entry.
+#[must_use]
+pub fn env_list<T: FromStr + Clone>(
+    name: &str,
+    default: &[T],
+    valid: impl Fn(&T) -> bool,
+) -> Vec<T> {
+    match std::env::var(name) {
+        Ok(raw) => parse_list(name, &raw, valid).unwrap_or_else(|e| exit_malformed(&e)),
+        Err(_) => default.to_vec(),
+    }
 }
 
 /// Node counts for the density sweep: the paper's x-axis runs from the
@@ -132,16 +177,7 @@ pub fn env_u64(name: &str) -> Option<u64> {
 /// singles out. Override with `AGR_NODES=50,75,...`.
 #[must_use]
 pub fn node_counts() -> Vec<usize> {
-    if let Ok(list) = std::env::var("AGR_NODES") {
-        let parsed: Vec<usize> = list
-            .split(',')
-            .filter_map(|x| x.trim().parse().ok())
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
-    vec![50, 75, 100, 112, 125, 150]
+    env_list("AGR_NODES", &[50, 75, 100, 112, 125, 150], |&n| n > 0)
 }
 
 /// Aggregated result of one sweep point (one protocol × one node count).
@@ -245,44 +281,24 @@ pub fn run_point(kind: &ProtocolKind, nodes: usize, seed: u64, params: &SweepPar
 // bin and test keeps its `runner::{jobs, par_map}` spelling.
 pub use agr_sim::par::{jobs, par_map};
 
-/// Wall-clock record of one sweep point (one protocol × nodes × seed).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointPerf {
-    /// Protocol label.
-    pub protocol: &'static str,
-    /// Node count.
-    pub nodes: usize,
-    /// Seed.
-    pub seed: u64,
-    /// Wall-clock seconds this point took on its worker.
-    pub wall_s: f64,
-    /// Engine events the run dispatched.
-    pub events: u64,
-}
-
-/// Wall-clock record of a whole sweep, for `BENCH_sweep.json`.
+/// Wall-clock record of a whole sweep: what the sweep binaries' closing
+/// stderr line prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPerf {
     /// Worker threads used.
     pub jobs: usize,
     /// End-to-end wall-clock seconds for the sweep.
     pub wall_s: f64,
-    /// Per-point records, in deterministic task order.
-    pub points: Vec<PointPerf>,
+    /// Engine events dispatched across all points.
+    pub events: u64,
 }
 
 impl SweepPerf {
-    /// Total engine events dispatched across all points.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.points.iter().map(|p| p.events).sum()
-    }
-
     /// Aggregate simulation throughput (events per wall-clock second).
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_s > 0.0 {
-            self.total_events() as f64 / self.wall_s
+            self.events as f64 / self.wall_s
         } else {
             0.0
         }
@@ -293,7 +309,7 @@ impl SweepPerf {
     pub fn merge(&mut self, other: SweepPerf) {
         self.jobs = self.jobs.max(other.jobs);
         self.wall_s += other.wall_s;
-        self.points.extend(other.points);
+        self.events += other.events;
     }
 }
 
@@ -330,24 +346,11 @@ pub fn run_matrix_jobs(
         })
         .collect();
     let started = Instant::now();
-    let runs: Vec<(Stats, f64)> = par_map(&tasks, jobs, |&(kind, nodes, seed)| {
-        let t0 = Instant::now();
-        let stats = run_point(&kind, nodes, seed, params);
-        (stats, t0.elapsed().as_secs_f64())
+    let runs: Vec<Stats> = par_map(&tasks, jobs, |&(kind, nodes, seed)| {
+        run_point(&kind, nodes, seed, params)
     });
     let wall_s = started.elapsed().as_secs_f64();
-
-    let points = tasks
-        .iter()
-        .zip(&runs)
-        .map(|(&(kind, nodes, seed), (stats, point_wall))| PointPerf {
-            protocol: kind.label(),
-            nodes,
-            seed,
-            wall_s: *point_wall,
-            events: stats.events_processed,
-        })
-        .collect();
+    let events = runs.iter().map(|s| s.events_processed).sum();
 
     let mut runs = runs.into_iter();
     let results = kinds
@@ -360,7 +363,7 @@ pub fn run_matrix_jobs(
                     let mut per_seed_latency = Vec::new();
                     let mut stats = Vec::new();
                     for _ in 1..=params.seeds {
-                        let (s, _) = runs.next().expect("one run per task");
+                        let s = runs.next().expect("one run per task");
                         per_seed_delivery.push(s.delivery_fraction());
                         per_seed_latency.push(s.mean_latency().as_millis_f64());
                         stats.push(s);
@@ -387,7 +390,7 @@ pub fn run_matrix_jobs(
         SweepPerf {
             jobs,
             wall_s,
-            points,
+            events,
         },
     )
 }
@@ -511,8 +514,8 @@ mod tests {
         let (serial, _) = run_matrix_jobs(&kinds, &[50], &params, 1);
         let (parallel, perf) = run_matrix_jobs(&kinds, &[50], &params, 4);
         assert_eq!(serial, parallel);
-        assert_eq!(perf.points.len(), 2);
-        assert!(perf.total_events() > 0);
+        assert_eq!(perf.jobs, 4);
+        assert!(perf.events > 0);
     }
 
     /// ISSUE-2 determinism regression: the serial-vs-parallel property
@@ -595,6 +598,27 @@ mod tests {
             .map(|s| s.counter("agfw.ack_recovered"))
             .sum();
         assert!(recovered > 0, "no hop ever needed a retransmission");
+    }
+
+    #[test]
+    fn parse_list_accepts_only_fully_valid_lists() {
+        let unit = |p: &f64| (0.0..=1.0).contains(p);
+        assert_eq!(
+            parse_list("AGR_NODES", "50, 75", |&n: &usize| n > 0),
+            Ok(vec![50, 75])
+        );
+        assert_eq!(parse_list("AGR_LOSS", "0,0.1", unit), Ok(vec![0.0, 0.1]));
+        // Empty value, empty entry, typo, out of range: each names the
+        // variable and the entry instead of falling back to a default.
+        for (raw, entry) in [("", "''"), ("0.1,,0.2", "''"), ("0.1,O.2", "'O.2'")] {
+            let err = parse_list("AGR_LOSS", raw, unit).unwrap_err();
+            assert!(err.contains("AGR_LOSS") && err.contains(entry), "{err}");
+        }
+        let err = parse_list("AGR_LOSS", "10", unit).unwrap_err();
+        assert!(err.contains("'10'"), "{err}");
+        let err = parse_list("AGR_NODES", "5O,75", |&n: &usize| n > 0).unwrap_err();
+        assert!(err.contains("AGR_NODES") && err.contains("'5O'"), "{err}");
+        assert!(parse_list("AGR_NODES", "0", |&n: &usize| n > 0).is_err());
     }
 
     #[test]

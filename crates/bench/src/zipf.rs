@@ -1,11 +1,9 @@
-//! Shared inverse-CDF zipfian sampler.
+//! Inverse-CDF zipfian sampler.
 //!
-//! Both the single-engine load generator (`als_loadgen`) and the
-//! replicated cluster harness (`cluster_harness`) draw keys from the
-//! same skewed popularity law, so the sampler lives here once: the CDF
-//! is precomputed at construction and sampling is a binary search,
-//! cheap enough to sit inside a load loop and shareable read-only
-//! across client threads.
+//! The replicated cluster harness (`cluster_harness`) draws keys from a
+//! skewed popularity law: the CDF is precomputed at construction and
+//! sampling is a binary search, cheap enough to sit inside a load loop
+//! and shareable read-only across client threads.
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -10,8 +10,8 @@
 //!
 //! There is no statistical regression machinery; the output is a plain
 //! `name  time: [mean min..max]` line per benchmark, which is enough to
-//! compare hot paths before/after a change (the workspace records sweep
-//! trajectories separately in `BENCH_sweep.json`).
+//! compare hot paths before/after a change (end-to-end performance is
+//! measured separately, by `benchmark/`).
 //!
 //! Under `cargo test` (which runs `harness = false` bench targets too)
 //! each benchmark executes a single iteration so the suite stays fast —

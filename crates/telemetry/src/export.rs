@@ -1,13 +1,13 @@
 //! Snapshot exporters: stamped JSON (with a round-trip parser) and
 //! Prometheus text exposition format v0.
 //!
-//! The JSON shape mirrors the bench bins' hand-rolled `bench_json`
-//! output — no serde anywhere in the workspace — and is versioned so a
+//! The JSON is hand-rolled like the bench bins' result files — no
+//! serde anywhere in the workspace — and is versioned so a
 //! parser can reject foreign documents. Provenance stamping (git sha,
 //! timestamp) is the *caller's* job: this crate never reads the clock
 //! or the environment, so the same snapshot always renders the same
-//! bytes. Pass `bench_json::git_sha()` / `iso_timestamp()` in as meta
-//! pairs when exporting from a bench bin.
+//! bytes. Pass `agr_bench::stamp::snapshot_meta()` in as meta pairs
+//! when exporting from a bench bin.
 
 use crate::hist::{bucket_bound, BUCKETS};
 use crate::registry::{MetricKey, MetricValue, Snapshot};

@@ -20,7 +20,7 @@
 //!   Observation never draws randomness or reorders work, so an
 //!   instrumented sim run stays byte-identical to a bare one.
 //! * [`export`] — JSON snapshots (stamped with whatever provenance the
-//!   caller supplies, matching `bench_json`), Prometheus text
+//!   caller supplies, e.g. `agr_bench::stamp`), Prometheus text
 //!   exposition v0, and the `--viz-json` JSONL event-stream schema the
 //!   checked-in replay page loads.
 //! * [`Name`]/[`Interner`] — metric names that keep the `&'static str`
