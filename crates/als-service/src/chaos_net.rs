@@ -1,6 +1,6 @@
 //! Deterministic packet-level chaos over any [`Transport`].
 //!
-//! [`ChaosTransport`] wraps a transport and injects seeded drop,
+//! `ChaosTransport` wraps a transport and injects seeded drop,
 //! duplication, and reorder/delay faults on the frames flowing through
 //! it. Every fault decision is drawn from a private [`SplitMix64`]
 //! stream keyed to the *frame counter*, never to wall time or to how
@@ -18,7 +18,7 @@
 //! receive side; request/response protocols built on uid echo (every
 //! frame in this crate) absorb duplicates for free.
 //!
-//! **Batch passthrough.** [`ChaosTransport`] deliberately does *not*
+//! **Batch passthrough.** `ChaosTransport` deliberately does *not*
 //! override the [`Transport`] batch hooks ([`Transport::send_batch`],
 //! [`Transport::recv_batch_with`]): their default implementations loop
 //! over the per-frame [`Transport::send`] / [`Transport::recv`] paths
@@ -34,30 +34,30 @@ use crate::transport::Transport;
 use std::collections::VecDeque;
 use std::io;
 
-/// Fault rates of a [`ChaosTransport`]. Rates are per-mille (0..=1000)
+/// Fault rates of a `ChaosTransport`. Rates are per-mille (0..=1000)
 /// and applied independently per frame per direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosNetConfig {
     /// Seed of the private fault stream. Two transports with the same
     /// seed and traffic make identical decisions.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Probability (‰) that a frame silently vanishes, rolled on each
     /// send and again on each arrival.
-    pub drop_permille: u16,
+    pub(crate) drop_permille: u16,
     /// Probability (‰) that a frame is delivered twice, rolled on each
     /// surviving send and arrival.
-    pub dup_permille: u16,
+    pub(crate) dup_permille: u16,
     /// Probability (‰) that an arriving frame is held back so later
     /// frames overtake it.
-    pub reorder_permille: u16,
+    pub(crate) reorder_permille: u16,
     /// Most frames that may overtake a held-back frame before it is
     /// released (0 disables reordering).
-    pub reorder_window: usize,
+    pub(crate) reorder_window: usize,
 }
 
 impl ChaosNetConfig {
     /// A transparent configuration: no faults at all.
-    pub const OFF: ChaosNetConfig = ChaosNetConfig {
+    pub(crate) const OFF: ChaosNetConfig = ChaosNetConfig {
         seed: 0,
         drop_permille: 0,
         dup_permille: 0,
@@ -80,7 +80,7 @@ impl ChaosNetConfig {
 
     /// Whether this configuration injects any fault at all.
     #[must_use]
-    pub fn is_off(&self) -> bool {
+    pub(crate) fn is_off(&self) -> bool {
         self.drop_permille == 0
             && self.dup_permille == 0
             && (self.reorder_permille == 0 || self.reorder_window == 0)
@@ -89,28 +89,9 @@ impl ChaosNetConfig {
     /// The same rates under a different seed — how per-peer streams are
     /// decorrelated from one base configuration.
     #[must_use]
-    pub fn reseeded(&self, seed: u64) -> ChaosNetConfig {
+    pub(crate) fn reseeded(&self, seed: u64) -> ChaosNetConfig {
         ChaosNetConfig { seed, ..*self }
     }
-}
-
-/// Tally of the faults a [`ChaosTransport`] injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Frames the caller asked to send.
-    pub sent: u64,
-    /// Sends silently swallowed.
-    pub dropped_tx: u64,
-    /// Sends transmitted twice.
-    pub duplicated_tx: u64,
-    /// Frames that arrived from the inner transport.
-    pub arrived: u64,
-    /// Arrivals silently swallowed.
-    pub dropped_rx: u64,
-    /// Arrivals re-delivered a second time.
-    pub duplicated_rx: u64,
-    /// Arrivals held back for later frames to overtake.
-    pub reordered: u64,
 }
 
 /// A frame parked by the reorder fault, released once `release_at`
@@ -122,14 +103,13 @@ struct Held {
 
 /// A [`Transport`] decorator injecting seeded drop/dup/reorder faults —
 /// see the module docs for the determinism contract.
-pub struct ChaosTransport<T: Transport> {
+pub(crate) struct ChaosTransport<T: Transport> {
     inner: T,
     config: ChaosNetConfig,
     tx_rng: SplitMix64,
     rx_rng: SplitMix64,
     held: VecDeque<Held>,
     arrivals: u64,
-    stats: ChaosStats,
 }
 
 impl<T: Transport> ChaosTransport<T> {
@@ -137,7 +117,7 @@ impl<T: Transport> ChaosTransport<T> {
     /// pure pass-through (no RNG draws, so the fault stream of an active
     /// configuration is unperturbed by off-wrapped peers).
     #[must_use]
-    pub fn new(inner: T, config: ChaosNetConfig) -> ChaosTransport<T> {
+    pub(crate) fn new(inner: T, config: ChaosNetConfig) -> ChaosTransport<T> {
         ChaosTransport {
             inner,
             tx_rng: SplitMix64::new(config.seed ^ 0x7C5A_0115_D1A6_0001),
@@ -145,20 +125,7 @@ impl<T: Transport> ChaosTransport<T> {
             config,
             held: VecDeque::new(),
             arrivals: 0,
-            stats: ChaosStats::default(),
         }
-    }
-
-    /// The fault tally so far.
-    #[must_use]
-    pub fn stats(&self) -> ChaosStats {
-        self.stats
-    }
-
-    /// The wrapped transport back (held frames are discarded).
-    #[must_use]
-    pub fn into_inner(self) -> T {
-        self.inner
     }
 
     /// Pops a held frame that is due (enough arrivals observed), oldest
@@ -177,7 +144,6 @@ impl<T: Transport> ChaosTransport<T> {
 
 impl<T: Transport> Transport for ChaosTransport<T> {
     fn send(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.stats.sent += 1;
         if self.config.is_off() {
             return self.inner.send(frame);
         }
@@ -186,12 +152,10 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         let drop_roll = self.tx_rng.below(1000);
         let dup_roll = self.tx_rng.below(1000);
         if drop_roll < u64::from(self.config.drop_permille) {
-            self.stats.dropped_tx += 1;
             return Ok(());
         }
         self.inner.send(frame)?;
         if dup_roll < u64::from(self.config.dup_permille) {
-            self.stats.duplicated_tx += 1;
             self.inner.send(frame)?;
         }
         Ok(())
@@ -222,17 +186,14 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                 Err(e) => return Err(e),
             };
             self.arrivals += 1;
-            self.stats.arrived += 1;
             // Fixed three draws per arrival, same alignment rationale.
             let drop_roll = self.rx_rng.below(1000);
             let dup_roll = self.rx_rng.below(1000);
             let reorder_roll = self.rx_rng.below(1000);
             if drop_roll < u64::from(self.config.drop_permille) {
-                self.stats.dropped_rx += 1;
                 continue;
             }
             if dup_roll < u64::from(self.config.dup_permille) {
-                self.stats.duplicated_rx += 1;
                 self.held.push_back(Held {
                     release_at: self.arrivals,
                     frame: frame.clone(),
@@ -241,7 +202,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             if self.config.reorder_window > 0
                 && reorder_roll < u64::from(self.config.reorder_permille)
             {
-                self.stats.reordered += 1;
                 let distance = 1 + self.rx_rng.below(self.config.reorder_window as u64);
                 self.held.push_back(Held {
                     release_at: self.arrivals + distance,

@@ -4,7 +4,7 @@
 //!
 //! The moving parts, smallest to largest:
 //!
-//! * [`sync_cell_push`] — one node's anti-entropy agent step against one
+//! * `sync_cell_push` — one node's anti-entropy agent step against one
 //!   peer for one cell: probe the peer's digest over a
 //!   [`agr_core::packet::AlsNetKind::SyncDigest`] frame; on mismatch,
 //!   push the local record set in bounded
@@ -51,7 +51,7 @@
 //! query only ever returns a payload some client actually wrote — the
 //! single-map reference model can always explain the answer.
 
-use crate::chaos_net::{ChaosNetConfig, ChaosStats, ChaosTransport};
+use crate::chaos_net::{ChaosNetConfig, ChaosTransport};
 use crate::journal::{Journal, JournalConfig, JournalOp};
 use crate::pipeline::{Engine, EngineConfig};
 use crate::ring::{FailureDetector, HealthConfig, NodeHealth, Ring};
@@ -89,7 +89,7 @@ impl SplitMix64 {
     }
 
     /// The next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -120,7 +120,7 @@ pub enum ChaosAction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosEvent {
     /// The event fires before the op with this index is issued.
-    pub at_op: u64,
+    pub(crate) at_op: u64,
     /// Ring index of the victim.
     pub node: usize,
     /// Kill or restart.
@@ -136,7 +136,7 @@ pub struct ChaosEvent {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChaosPlan {
     /// The schedule, sorted by `at_op`.
-    pub events: Vec<ChaosEvent>,
+    pub(crate) events: Vec<ChaosEvent>,
 }
 
 impl ChaosPlan {
@@ -209,13 +209,13 @@ const SYNC_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Outcome of one [`sync_cell_push`] step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CellSync {
+pub(crate) struct CellSync {
     /// The digests agreed; nothing was shipped.
-    pub matched: bool,
+    pub(crate) matched: bool,
     /// Records pushed to the peer.
-    pub pushed: usize,
+    pub(crate) pushed: usize,
     /// Records the peer's last-writer-wins merge actually changed.
-    pub changed: usize,
+    pub(crate) changed: usize,
 }
 
 /// One anti-entropy step: probe `peer`'s digest for `cell` and, if it
@@ -233,7 +233,7 @@ pub struct CellSync {
 ///
 /// Transport failures talking to the peer (a dead peer surfaces as
 /// `TimedOut` or `ConnectionRefused`).
-pub fn sync_cell_push<T: Transport>(
+pub(crate) fn sync_cell_push<T: Transport>(
     engine: &Engine,
     peer: &mut AlsClient<T>,
     cell: CellId,
@@ -277,14 +277,14 @@ pub fn sync_cell_push<T: Transport>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SyncRoundStats {
     /// Digest probes whose answer matched (no data shipped).
-    pub matched: usize,
+    pub(crate) matched: usize,
     /// Records pushed across all pairs and cells.
     pub pushed: usize,
     /// Records that actually changed on a receiving replica — 0 means
     /// the round was a no-op and the live owners have converged.
     pub changed: usize,
     /// Owner pairs skipped because one side was down.
-    pub skipped_down: usize,
+    pub(crate) skipped_down: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -313,13 +313,9 @@ pub struct ClusterConfig {
     /// Journal sizing, when `journal_dir` is set.
     pub journal: JournalConfig,
     /// Packet chaos on the anti-entropy paths: each sync round wraps its
-    /// peer transports in a [`ChaosTransport`] seeded per `(round, dst)`
+    /// peer transports in a `ChaosTransport` seeded per `(round, dst)`
     /// so repair itself runs over the same lossy network the clients do.
     pub sync_chaos: Option<ChaosNetConfig>,
-    /// Receive-poll granularity of every node's server socket (and of
-    /// the sync agents' sockets) — how often a serve loop re-checks its
-    /// stop flag while idle.
-    pub recv_poll: Duration,
 }
 
 impl Default for ClusterConfig {
@@ -332,7 +328,6 @@ impl Default for ClusterConfig {
             journal_dir: None,
             journal: JournalConfig::default(),
             sync_chaos: None,
-            recv_poll: RECV_POLL,
         }
     }
 }
@@ -434,8 +429,8 @@ impl Cluster {
         addr: Option<SocketAddr>,
     ) -> io::Result<(NodeHandle, SocketAddr, u64)> {
         let mut server = match addr {
-            Some(addr) => UdpServer::bind_with(addr, self.config.recv_poll)?,
-            None => UdpServer::bind_with(("127.0.0.1", 0), self.config.recv_poll)?,
+            Some(addr) => UdpServer::bind_with(addr, RECV_POLL)?,
+            None => UdpServer::bind_with(("127.0.0.1", 0), RECV_POLL)?,
         };
         let bound = server.local_addr()?;
         let journal = match &self.config.journal_dir {
@@ -499,16 +494,9 @@ impl Cluster {
         self.config.replication
     }
 
-    /// Every node's bound address, in ring order — stable across
-    /// kill/restart.
-    #[must_use]
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
     /// Whether `node` is currently serving.
     #[must_use]
-    pub fn is_up(&self, node: usize) -> bool {
+    pub(crate) fn is_up(&self, node: usize) -> bool {
         self.nodes.get(node).is_some_and(Option::is_some)
     }
 
@@ -528,16 +516,6 @@ impl Cluster {
                 clock.store(now.as_nanos(), Ordering::Release);
             }
         }
-    }
-
-    /// A ring-aware replicated client for this cluster, with default
-    /// [`ClientConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Socket bind/connect failures.
-    pub fn client(&self) -> io::Result<ClusterClient> {
-        ClusterClient::connect(&self.addrs, self.config.replication)
     }
 
     /// A ring-aware replicated client with explicit deadlines, retry,
@@ -598,12 +576,12 @@ impl Cluster {
     }
 
     /// One full anti-entropy round: for every cell in `cells` and every
-    /// *ordered* pair of live owners, runs [`sync_cell_push`]. Both
+    /// *ordered* pair of live owners, runs `sync_cell_push`. Both
     /// directions of each pair run, so afterwards every live owner pair
     /// holds the last-writer-wins union of what the pair held before.
     ///
     /// With [`ClusterConfig::sync_chaos`], every peer transport is
-    /// wrapped in a [`ChaosTransport`] seeded per `(round, destination)`
+    /// wrapped in a `ChaosTransport` seeded per `(round, destination)`
     /// — repair traffic rides the same lossy network as client traffic,
     /// and the sync clients retry within a bounded window to get the
     /// round through anyway.
@@ -628,10 +606,8 @@ impl Cluster {
                     }
                     None => ChaosNetConfig::OFF,
                 };
-                let transport = ChaosTransport::new(
-                    UdpClient::connect_with(addr, self.config.recv_poll)?,
-                    chaos,
-                );
+                let transport =
+                    ChaosTransport::new(UdpClient::connect_with(addr, RECV_POLL)?, chaos);
                 Some(AlsClient::with_timeouts(
                     transport,
                     SYNC_TOTAL_TIMEOUT,
@@ -725,7 +701,16 @@ impl Drop for Cluster {
 /// microseconds; the margin absorbs scheduler hiccups so a healthy node
 /// never feeds the failure detector false misses (which would perturb
 /// the deterministic trace).
-pub const ACK_TIMEOUT: Duration = Duration::from_secs(2);
+pub(crate) const ACK_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Floor of the hedging delay (and its value before any latency samples
+/// exist).
+const HEDGE_MIN: Duration = Duration::from_millis(1);
+
+/// Receive-poll granularity of a client's peer sockets — the latency
+/// floor of noticing an answer, and the holdback flush cadence under
+/// chaos reordering.
+const CLIENT_RECV_POLL: Duration = Duration::from_millis(5);
 
 /// Deadlines, retry, hedging, heartbeat, and chaos knobs of a
 /// [`ClusterClient`]. Every timing knob is explicit configuration —
@@ -742,8 +727,6 @@ pub struct ClientConfig {
     pub retry_base: Duration,
     /// Backoff ceiling.
     pub retry_cap: Duration,
-    /// Failure-detector tuning.
-    pub health: HealthConfig,
     /// Heartbeat period in client operations: every `ping_every` ops the
     /// client pings **all** nodes and feeds the detector. 0 disables
     /// heartbeats (the detector then learns only from awaited ops).
@@ -754,16 +737,9 @@ pub struct ClientConfig {
     /// within a p99-derived delay, fan the query to the second owner and
     /// take whichever answers first.
     pub hedge: bool,
-    /// Floor of the hedging delay (and its value before any latency
-    /// samples exist).
-    pub hedge_min: Duration,
     /// Seeded packet chaos on every peer transport (`None` = clean
     /// network). Per-peer streams are decorrelated from this seed.
     pub chaos: Option<ChaosNetConfig>,
-    /// Receive-poll granularity of the peer sockets — the latency floor
-    /// of noticing an answer, and the holdback flush cadence under
-    /// chaos reordering.
-    pub recv_poll: Duration,
     /// Cells a `Rejoining` node must digest-match (against a healthy
     /// co-owner, probed in-band) before reads trust it again. Empty
     /// readmits on the first answered heartbeat.
@@ -777,13 +753,10 @@ impl Default for ClientConfig {
             op_deadline: Duration::from_secs(4),
             retry_base: Duration::from_millis(10),
             retry_cap: Duration::from_millis(160),
-            health: HealthConfig::default(),
             ping_every: 64,
             ping_timeout: Duration::from_millis(250),
             hedge: false,
-            hedge_min: Duration::from_millis(1),
             chaos: None,
-            recv_poll: Duration::from_millis(5),
             readmit_cells: Vec::new(),
         }
     }
@@ -805,11 +778,11 @@ pub struct ClientStats {
     /// Heartbeat pings sent.
     pub pings: u64,
     /// Heartbeat pongs received.
-    pub pongs: u64,
+    pub(crate) pongs: u64,
     /// Nodes readmitted to read eligibility after rejoining.
     pub readmitted: u64,
     /// Frames that failed to encode or send (counted, never a panic).
-    pub send_errors: u64,
+    pub(crate) send_errors: u64,
 }
 
 /// Outcome of one replicated update.
@@ -882,16 +855,6 @@ fn remaining(deadline: Instant) -> Option<Duration> {
 }
 
 impl ClusterClient {
-    /// Connects one UDP socket per node address with default
-    /// [`ClientConfig`] (no chaos, no hedging).
-    ///
-    /// # Errors
-    ///
-    /// Socket bind/connect failures.
-    pub fn connect(addrs: &[SocketAddr], replication: usize) -> io::Result<ClusterClient> {
-        ClusterClient::connect_with(addrs, replication, ClientConfig::default())
-    }
-
     /// Connects with explicit deadline/retry/hedging/chaos config.
     ///
     /// Each peer socket gets its own chaos stream, reseeded from
@@ -901,7 +864,7 @@ impl ClusterClient {
     /// # Errors
     ///
     /// Socket bind/connect failures.
-    pub fn connect_with(
+    pub(crate) fn connect_with(
         addrs: &[SocketAddr],
         replication: usize,
         config: ClientConfig,
@@ -918,11 +881,11 @@ impl ClusterClient {
                 None => ChaosNetConfig::OFF,
             };
             peers.push(ChaosTransport::new(
-                UdpClient::connect_with(*addr, config.recv_poll)?,
+                UdpClient::connect_with(*addr, CLIENT_RECV_POLL)?,
                 chaos,
             ));
         }
-        let detector = FailureDetector::new(addrs.len(), config.health);
+        let detector = FailureDetector::new(addrs.len(), HealthConfig::default());
         Ok(ClusterClient {
             ring: Ring::new(addrs.len()),
             replication,
@@ -948,12 +911,6 @@ impl ClusterClient {
     #[must_use]
     pub fn health(&self, node: usize) -> NodeHealth {
         self.detector.state(node)
-    }
-
-    /// Per-peer chaos transport counters (all zero when chaos is off).
-    #[must_use]
-    pub fn chaos_stats(&self) -> Vec<ChaosStats> {
-        self.peers.iter().map(ChaosTransport::stats).collect()
     }
 
     fn fresh_uid(&mut self) -> u64 {
@@ -1045,15 +1002,15 @@ impl ClusterClient {
     }
 
     /// Hedging delay: the p99 of recent time-to-answer samples, clamped
-    /// to `[hedge_min, ack_timeout]`.
+    /// to `[HEDGE_MIN, ack_timeout]`.
     fn hedge_delay(&self) -> Duration {
         if self.latencies.is_empty() {
-            return self.config.hedge_min;
+            return HEDGE_MIN;
         }
         let mut sorted = self.latencies.clone();
         sorted.sort_unstable();
         let idx = (sorted.len() * 99 / 100).min(sorted.len() - 1);
-        Duration::from_micros(sorted[idx]).clamp(self.config.hedge_min, self.config.ack_timeout)
+        Duration::from_micros(sorted[idx]).clamp(HEDGE_MIN, self.config.ack_timeout)
     }
 
     /// Runs the heartbeat when the op counter says one is due.
@@ -1244,7 +1201,7 @@ impl ClusterClient {
     ///
     /// With [`ClientConfig::hedge`] and at least two eligible owners,
     /// the round instead races the first two owners: the second is
-    /// asked only after the p99-derived [`ClusterClient::hedge_delay`]
+    /// asked only after the p99-derived `ClusterClient::hedge_delay`
     /// passes unanswered.
     pub fn query(&mut self, cell: CellId, index: &[u8]) -> QueryOutcome {
         self.ops += 1;
@@ -1583,7 +1540,7 @@ mod tests {
     fn replicated_update_reaches_every_owner() {
         let mut cluster = Cluster::launch(config(3, 2)).unwrap();
         cluster.set_time(SimTime::from_secs(1));
-        let mut client = cluster.client().unwrap();
+        let mut client = cluster.client_with(ClientConfig::default()).unwrap();
         let cell = CellId { col: 2, row: 5 };
         let outcome = client.update(cell, vec![pair(7)]);
         assert_eq!(outcome.owners, 2);
@@ -1609,7 +1566,7 @@ mod tests {
     fn live_node_answers_udp_stats_scrape() {
         let mut cluster = Cluster::launch(config(2, 1)).unwrap();
         cluster.set_time(SimTime::from_secs(1));
-        let mut client = cluster.client().unwrap();
+        let mut client = cluster.client_with(ClientConfig::default()).unwrap();
         let cell = CellId { col: 0, row: 0 };
         assert!(client.update(cell, vec![pair(1)]).fully_acked());
         let text = client.scrape_stats(0).expect("node 0 must answer a scrape");
@@ -1680,7 +1637,7 @@ mod tests {
     fn sync_round_is_idempotent_once_converged() {
         let mut cluster = Cluster::launch(config(3, 2)).unwrap();
         cluster.set_time(SimTime::from_secs(1));
-        let mut client = cluster.client().unwrap();
+        let mut client = cluster.client_with(ClientConfig::default()).unwrap();
         for i in 0..12u8 {
             let cell = CellId {
                 col: u32::from(i % 4),

@@ -52,12 +52,12 @@ const PUT_CHUNK_BYTES: usize = 32 * 1024;
 pub struct JournalConfig {
     /// Bytes after which the active segment is sealed and a new one
     /// started.
-    pub segment_bytes: u64,
+    pub(crate) segment_bytes: u64,
     /// Records between `fsync` calls (0 syncs every record). Larger
     /// batches trade a longer losable tail for fewer disk stalls.
-    pub sync_every: u32,
+    pub(crate) sync_every: u32,
     /// Sealed segments that trigger [`Journal::wants_compaction`].
-    pub compact_segments: usize,
+    pub(crate) compact_segments: usize,
 }
 
 impl Default for JournalConfig {
@@ -72,7 +72,7 @@ impl Default for JournalConfig {
 
 /// One replayed mutation, in journal order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalOp {
+pub(crate) enum JournalOp {
     /// Store `payload` under the full cell-prefixed `key` as of
     /// `stored_at` (the original application time, not replay time).
     Put {
@@ -160,7 +160,7 @@ fn cell_of_key(key: &[u8]) -> Option<CellId> {
 impl Journal {
     /// Opens (creating if needed) the journal in `dir` and starts a
     /// fresh active segment after any existing ones. Existing segments
-    /// are left untouched for [`Journal::replay`].
+    /// are left untouched for `Journal::replay`.
     pub fn open(dir: impl Into<PathBuf>, config: JournalConfig) -> io::Result<Journal> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -181,7 +181,7 @@ impl Journal {
     /// Replays every record in `dir` in segment-and-append order,
     /// tolerating a torn tail per segment. A missing directory replays
     /// as empty (a node's first boot).
-    pub fn replay(dir: impl AsRef<Path>) -> io::Result<Vec<JournalOp>> {
+    pub(crate) fn replay(dir: impl AsRef<Path>) -> io::Result<Vec<JournalOp>> {
         let dir = dir.as_ref();
         if !dir.exists() {
             return Ok(Vec::new());
@@ -234,14 +234,14 @@ impl Journal {
     }
 
     /// Appends an applied delete of the full cell-prefixed `key`.
-    pub fn append_delete(&mut self, key: &[u8]) -> io::Result<()> {
+    pub(crate) fn append_delete(&mut self, key: &[u8]) -> io::Result<()> {
         self.append_record(TAG_DELETE, key)
     }
 
     /// Whether enough sealed history has piled up that the owner should
     /// snapshot the store and [`Journal::compact`].
     #[must_use]
-    pub fn wants_compaction(&self) -> bool {
+    pub(crate) fn wants_compaction(&self) -> bool {
         self.sealed.len() >= self.config.compact_segments.max(1)
     }
 
@@ -250,7 +250,7 @@ impl Journal {
     /// a fresh segment first, then every older segment is deleted, so a
     /// crash at any point leaves a replayable journal — at worst with
     /// duplicated history, never with a hole.
-    pub fn compact(&mut self, snapshot: &[(Vec<u8>, Vec<u8>, SimTime)]) -> io::Result<()> {
+    pub(crate) fn compact(&mut self, snapshot: &[(Vec<u8>, Vec<u8>, SimTime)]) -> io::Result<()> {
         self.active.flush()?;
         self.active.get_ref().sync_data()?;
         let snapshot_seq = self.active_seq + 1;

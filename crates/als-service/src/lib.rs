@@ -26,11 +26,11 @@
 //!   load generator can run as separate processes. Both support batch
 //!   receive/send — on Linux the UDP paths go through
 //!   `recvmmsg`/`sendmmsg` so a batch costs one syscall.
-//! * [`pool`] — reusable frame buffers ([`FramePool`] /
-//!   [`PooledFrame`]) so the batched data plane recycles receive and
+//! * [`pool`] — reusable frame buffers (`FramePool` /
+//!   `PooledFrame`) so the batched data plane recycles receive and
 //!   encode buffers instead of allocating per frame.
 //! * [`service`] — the serve loop gluing a transport to an engine
-//!   ([`serve_batched`], draining readiness-driven batches end to end),
+//!   (`serve_batched`, draining readiness-driven batches end to end),
 //!   plus the blocking client.
 //! * [`ring`] — rendezvous-hashed cell ownership: which R of N nodes
 //!   own each DLM grid cell, with minimal re-homing when the fleet
@@ -73,13 +73,4 @@ pub mod service;
 pub mod store;
 pub mod transport;
 
-pub use chaos_net::{ChaosNetConfig, ChaosStats, ChaosTransport};
-pub use cluster::{ChaosPlan, ClientConfig, Cluster, ClusterClient, ClusterConfig};
-pub use journal::{Journal, JournalConfig, JournalOp};
-pub use metrics::{mirror_engine, mirror_pools, mirror_serve_stats, scrape_registry};
-pub use pipeline::{Engine, EngineConfig, Request, Response};
-pub use pool::{FramePool, PoolStats, PooledFrame};
-pub use ring::{FailureDetector, HealthConfig, NodeHealth, Ring};
-pub use service::{serve_batched, AlsClient, BatchConfig, ServeStats};
-pub use store::{cell_key, ShardedStore, StoreConfig};
-pub use transport::{loopback_pair, loopback_pair_with, Transport, UdpClient, UdpServer};
+pub use transport::{loopback_pair, Transport, UdpClient};

@@ -23,11 +23,11 @@ use std::sync::Arc;
 
 /// Scrape payload bound: comfortably inside `MAX_FRAME` (64 KiB) after
 /// the ALS message header and the u16 payload length prefix.
-pub const MAX_SCRAPE_BYTES: usize = 60 * 1024;
+pub(crate) const MAX_SCRAPE_BYTES: usize = 60 * 1024;
 
 /// Mirrors one [`ServeStats`] tally into `reg` under the `als.serve.*`
 /// namespace (counters are `set`, so re-mirroring is idempotent).
-pub fn mirror_serve_stats(reg: &Registry, s: &ServeStats) {
+pub(crate) fn mirror_serve_stats(reg: &Registry, s: &ServeStats) {
     reg.counter("als.serve.updates").set(s.updates);
     reg.counter("als.serve.queries").set(s.queries);
     reg.counter("als.serve.forwards").set(s.forwards);
@@ -47,7 +47,7 @@ pub fn mirror_serve_stats(reg: &Registry, s: &ServeStats) {
 
 /// Mirrors the engine's store counters, record/shard gauges, pipeline
 /// queue depth, shed total, and journal health into `reg`.
-pub fn mirror_engine(reg: &Registry, engine: &Engine) {
+pub(crate) fn mirror_engine(reg: &Registry, engine: &Engine) {
     let store = engine.store();
     let stats = store.stats();
     reg.counter("als.store.stored").set(stats.stored);
@@ -72,7 +72,7 @@ pub fn mirror_engine(reg: &Registry, engine: &Engine) {
 
 /// Mirrors frame-pool reuse counters under `als.pool.*`, labelled by
 /// pool role.
-pub fn mirror_pools(reg: &Registry, recv: &FramePool, reply: &FramePool) {
+pub(crate) fn mirror_pools(reg: &Registry, recv: &FramePool, reply: &FramePool) {
     for (role, pool) in [("recv", recv), ("reply", reply)] {
         let stats = pool.stats();
         reg.counter_with("als.pool.hits", &[("pool", role)])
@@ -88,7 +88,7 @@ pub fn mirror_pools(reg: &Registry, recv: &FramePool, reply: &FramePool) {
 /// when the batched loop is asked — the live batch-occupancy histogram
 /// and pool counters.
 #[must_use]
-pub fn scrape_registry(
+pub(crate) fn scrape_registry(
     engine: &Engine,
     stats: &ServeStats,
     batch_occupancy: Option<&Histogram>,

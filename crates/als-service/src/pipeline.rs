@@ -63,7 +63,7 @@ impl Request {
     /// The key whose shard decides which worker queue this request rides
     /// (keeps per-key operations FIFO).
     #[must_use]
-    pub fn routing_key(&self) -> Vec<u8> {
+    pub(crate) fn routing_key(&self) -> Vec<u8> {
         match self {
             Request::Update { cell, pairs } => pairs
                 .first()
@@ -132,7 +132,7 @@ impl Default for EngineConfig {
 /// [`SimTime`] so the storage layer is oblivious to which world —
 /// simulated or wall — is driving it. Tests pin it manually.
 #[derive(Debug, Clone)]
-pub struct Clock {
+pub(crate) struct Clock {
     origin: Instant,
     manual: Option<Arc<AtomicU64>>,
 }
@@ -158,7 +158,7 @@ impl Clock {
 
     /// The current engine time.
     #[must_use]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         match &self.manual {
             Some(cell) => SimTime::from_nanos(cell.load(Ordering::Acquire)),
             None => SimTime::from_nanos(
@@ -199,7 +199,6 @@ impl Work {
 /// Cheap to share: clone the [`Arc`] returned by [`Engine::start`].
 pub struct Engine {
     store: Arc<ShardedStore>,
-    clock: Clock,
     queues: Vec<SyncSender<Work>>,
     depths: Vec<Arc<AtomicUsize>>,
     shed_watermark: Option<usize>,
@@ -231,7 +230,7 @@ impl Engine {
     /// Starts a wall-clock engine that journals every applied mutation
     /// to `journal` — the crash-recovery mode cluster nodes run in.
     #[must_use]
-    pub fn start_journaled(config: EngineConfig, journal: Journal) -> Engine {
+    pub(crate) fn start_journaled(config: EngineConfig, journal: Journal) -> Engine {
         Engine::start_with_clock(config, Clock::wall(), Some(journal))
     }
 
@@ -246,7 +245,7 @@ impl Engine {
     /// Manual clock plus journaling — the configuration the
     /// deterministic cluster conformance suite runs recovery under.
     #[must_use]
-    pub fn start_manual_clock_journaled(
+    pub(crate) fn start_manual_clock_journaled(
         config: EngineConfig,
         journal: Journal,
     ) -> (Engine, Arc<AtomicU64>) {
@@ -296,7 +295,6 @@ impl Engine {
         });
         Engine {
             store,
-            clock,
             queues,
             depths,
             shed_watermark: config.shed_watermark,
@@ -313,12 +311,6 @@ impl Engine {
     #[must_use]
     pub fn store(&self) -> &Arc<ShardedStore> {
         &self.store
-    }
-
-    /// The engine's current time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
     }
 
     fn queue_index(&self, request: &Request) -> usize {
@@ -506,7 +498,7 @@ impl Engine {
     /// (a no-op merge must not be re-journaled: replay order must match
     /// merge order, or a replayed older record could shadow a newer
     /// one). The write side of anti-entropy delta application.
-    pub fn merge_synced(&self, records: Vec<(Vec<u8>, Vec<u8>, SimTime)>) -> usize {
+    pub(crate) fn merge_synced(&self, records: Vec<(Vec<u8>, Vec<u8>, SimTime)>) -> usize {
         let mut landed: Vec<(Vec<u8>, Vec<u8>, SimTime)> = Vec::new();
         for (key, payload, stored_at) in records {
             if self
@@ -532,13 +524,13 @@ impl Engine {
     /// Journal write failures over the engine's lifetime (the journal
     /// degrades to best-effort rather than panicking a worker).
     #[must_use]
-    pub fn journal_error_count(&self) -> u64 {
+    pub(crate) fn journal_error_count(&self) -> u64 {
         self.journal_errors.load(Ordering::Relaxed)
     }
 
     /// Whether this engine journals applied mutations.
     #[must_use]
-    pub fn is_journaled(&self) -> bool {
+    pub(crate) fn is_journaled(&self) -> bool {
         self.journal.is_some()
     }
 

@@ -13,10 +13,10 @@
 //! * **Receive buffers** are sized up-front ([`FramePool::with_frame_bytes`])
 //!   so `recvmmsg` can scatter straight into them; the buffer's `Vec`
 //!   length stays pinned at the frame bound and only the logical
-//!   [`PooledFrame::len`] changes per datagram — reuse never pays a
+//!   `PooledFrame::len` changes per datagram — reuse never pays a
 //!   `resize` memset.
-//! * **Encode buffers** start empty ([`FramePool::new`]) and are filled
-//!   through [`PooledFrame::fill_with`], which exposes the inner `Vec`
+//! * **Encode buffers** start empty (`FramePool::new`) and are filled
+//!   through `PooledFrame::fill_with`, which exposes the inner `Vec`
 //!   the wire encoder appends to; capacity sticks to the buffer across
 //!   round-trips to the pool.
 //!
@@ -32,11 +32,11 @@ use std::sync::{Arc, Mutex};
 /// reused versus freshly allocated, the observable the batching work is
 /// judged by.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
+pub(crate) struct PoolStats {
     /// `get` calls served from the free list (no allocation).
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// `get` calls that had to allocate a fresh buffer.
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 /// A bounded free list of frame buffers. Cheap to share (`Arc`); see the
@@ -64,12 +64,12 @@ impl FramePool {
     /// reuse. At most `max_pooled` buffers are retained on the free
     /// list; returns beyond that are dropped.
     #[must_use]
-    pub fn new(max_pooled: usize) -> Arc<FramePool> {
+    pub(crate) fn new(max_pooled: usize) -> Arc<FramePool> {
         FramePool::with_frame_bytes(max_pooled, 0)
     }
 
     /// A pool of receive-style buffers: fresh buffers come zero-filled
-    /// at `frame_bytes` length, so [`PooledFrame::recv_space`] is a
+    /// at `frame_bytes` length, so `PooledFrame::recv_space` is a
     /// no-op slice borrow on every reuse.
     #[must_use]
     pub fn with_frame_bytes(max_pooled: usize, frame_bytes: usize) -> Arc<FramePool> {
@@ -110,7 +110,7 @@ impl FramePool {
     /// portable `recv_from` fallback). Counts as neither hit nor miss.
     /// The frame's logical length is the buffer's full length.
     #[must_use]
-    pub fn adopt(self: &Arc<Self>, buf: Vec<u8>) -> PooledFrame {
+    pub(crate) fn adopt(self: &Arc<Self>, buf: Vec<u8>) -> PooledFrame {
         let len = buf.len();
         PooledFrame {
             pool: self.clone(),
@@ -121,7 +121,7 @@ impl FramePool {
 
     /// Lifetime reuse counters.
     #[must_use]
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -130,7 +130,7 @@ impl FramePool {
 
     /// Buffers currently resting on the free list.
     #[must_use]
-    pub fn idle(&self) -> usize {
+    pub(crate) fn idle(&self) -> usize {
         self.free.lock().expect("frame pool poisoned").len()
     }
 
@@ -171,27 +171,21 @@ impl PooledFrame {
 
     /// The logical frame bytes.
     #[must_use]
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.buf()[..self.len]
     }
 
     /// Logical frame length (bytes the producer declared meaningful).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the logical frame is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// A writable scratch slice of at least `bytes` bytes for a receive
     /// syscall to scatter into. Grows the buffer if a smaller (encode)
     /// buffer strayed into a receive path; on a receive-sized pool this
     /// never reallocates.
-    pub fn recv_space(&mut self, bytes: usize) -> &mut [u8] {
+    pub(crate) fn recv_space(&mut self, bytes: usize) -> &mut [u8] {
         let buf = self.buf_mut();
         if buf.len() < bytes {
             buf.resize(bytes, 0);
@@ -205,7 +199,7 @@ impl PooledFrame {
     /// # Panics
     ///
     /// If `len` exceeds the underlying buffer.
-    pub fn set_len(&mut self, len: usize) {
+    pub(crate) fn set_len(&mut self, len: usize) {
         assert!(len <= self.buf().len(), "frame length beyond buffer");
         self.len = len;
     }
@@ -213,7 +207,7 @@ impl PooledFrame {
     /// Clears the buffer, lets `fill` append the frame bytes (the shape
     /// [`agr_core::wire::encode_packet_into`] expects), and adopts the
     /// resulting length as the logical frame.
-    pub fn fill_with<R>(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    pub(crate) fn fill_with<R>(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> R) -> R {
         let buf = self.buf_mut();
         buf.clear();
         let result = fill(buf);
@@ -259,7 +253,7 @@ mod tests {
         assert_eq!(pool.idle(), 1);
         {
             let frame = pool.get();
-            assert!(frame.is_empty(), "logical length resets on reuse");
+            assert_eq!(frame.len(), 0, "logical length resets on reuse");
         }
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));

@@ -36,12 +36,6 @@ impl Ring {
         }
     }
 
-    /// Ring size.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// The rendezvous score of `node` for `cell` — FNV-1a over the
     /// cell-prefixed key the store itself uses, extended with the node
     /// index, then pushed through a full-avalanche finalizer.
@@ -54,7 +48,7 @@ impl Ring {
     /// entirely. The SplitMix64-style mix diffuses every input bit into
     /// the comparison-deciding high bits.
     #[must_use]
-    pub fn score(&self, node: usize, cell: CellId) -> u64 {
+    pub(crate) fn score(&self, node: usize, cell: CellId) -> u64 {
         let mut key = [0u8; 16];
         key[..4].copy_from_slice(&cell.col.to_be_bytes());
         key[4..8].copy_from_slice(&cell.row.to_be_bytes());
@@ -79,18 +73,6 @@ impl Ring {
             .take(r.clamp(1, self.nodes))
             .map(|(_, node)| node)
             .collect()
-    }
-
-    /// The primary owner of `cell` (the highest-scoring node).
-    #[must_use]
-    pub fn primary(&self, cell: CellId) -> usize {
-        self.owners(cell, 1)[0]
-    }
-
-    /// Whether `node` is among the `r` owners of `cell`.
-    #[must_use]
-    pub fn owns(&self, node: usize, cell: CellId, r: usize) -> bool {
-        self.owners(cell, r).contains(&node)
     }
 }
 
@@ -235,8 +217,11 @@ mod tests {
             assert_ne!(owners[0], owners[1]);
             assert!(owners.iter().all(|&n| n < 5));
             assert_eq!(owners, ring.owners(cell, 2), "ownership must be stable");
-            assert_eq!(owners[0], ring.primary(cell));
-            assert!(ring.owns(owners[0], cell, 2) && ring.owns(owners[1], cell, 2));
+            assert_eq!(
+                owners[0],
+                ring.owners(cell, 1)[0],
+                "primary heads every owner list"
+            );
         }
     }
 
@@ -257,7 +242,7 @@ mod tests {
         let ring = Ring::new(5);
         let mut primaries = [0usize; 5];
         for cell in cells(16) {
-            primaries[ring.primary(cell)] += 1;
+            primaries[ring.owners(cell, 1)[0]] += 1;
         }
         for (node, &count) in primaries.iter().enumerate() {
             assert!(

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a blocking client waits for its answer before giving up.
-pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Counters from one [`serve_batched`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -464,7 +464,7 @@ impl<T: Transport> AlsClient<T> {
     /// re-sending over a lossy transport is safe; `attempt == total`
     /// (the default) never re-sends.
     #[must_use]
-    pub fn with_timeouts(transport: T, total: Duration, attempt: Duration) -> AlsClient<T> {
+    pub(crate) fn with_timeouts(transport: T, total: Duration, attempt: Duration) -> AlsClient<T> {
         AlsClient {
             transport,
             next_uid: 1,
@@ -517,7 +517,7 @@ impl<T: Transport> AlsClient<T> {
     /// # Errors
     ///
     /// Transport failures, or `TimedOut` when no answer arrived within
-    /// [`CLIENT_TIMEOUT`].
+    /// `CLIENT_TIMEOUT`.
     pub fn update(&mut self, cell: CellId, pairs: Vec<AlsPair>) -> io::Result<u32> {
         match self.roundtrip(AlsNetKind::Update { cell, pairs })? {
             AlsNetKind::Ack { stored } => Ok(stored),
@@ -530,7 +530,7 @@ impl<T: Transport> AlsClient<T> {
     /// # Errors
     ///
     /// Transport failures, or `TimedOut` when no answer arrived within
-    /// [`CLIENT_TIMEOUT`].
+    /// `CLIENT_TIMEOUT`.
     pub fn query(&mut self, cell: CellId, index: Vec<u8>) -> io::Result<Option<Vec<u8>>> {
         let kind = AlsNetKind::Request {
             cell,
@@ -550,7 +550,7 @@ impl<T: Transport> AlsClient<T> {
     /// # Errors
     ///
     /// Transport failures, or `TimedOut` when no answer arrived within
-    /// [`CLIENT_TIMEOUT`].
+    /// `CLIENT_TIMEOUT`.
     pub fn forward(
         &mut self,
         from_cell: CellId,
@@ -576,7 +576,12 @@ impl<T: Transport> AlsClient<T> {
     ///
     /// Transport failures, or `TimedOut` when no answer arrived within
     /// [`CLIENT_TIMEOUT`].
-    pub fn sync_digest(&mut self, cell: CellId, digest: u64, count: u32) -> io::Result<(u64, u32)> {
+    pub(crate) fn sync_digest(
+        &mut self,
+        cell: CellId,
+        digest: u64,
+        count: u32,
+    ) -> io::Result<(u64, u32)> {
         let kind = AlsNetKind::SyncDigest {
             cell,
             digest,
@@ -596,27 +601,9 @@ impl<T: Transport> AlsClient<T> {
     ///
     /// Transport failures, or `TimedOut` when no answer arrived within
     /// [`CLIENT_TIMEOUT`].
-    pub fn sync_delta(&mut self, cell: CellId, pairs: Vec<AlsSyncPair>) -> io::Result<u32> {
+    pub(crate) fn sync_delta(&mut self, cell: CellId, pairs: Vec<AlsSyncPair>) -> io::Result<u32> {
         match self.roundtrip(AlsNetKind::SyncDelta { cell, pairs })? {
             AlsNetKind::Ack { stored } => Ok(stored),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Scrapes the peer's telemetry registry: sends an empty
-    /// `StatsDump` request and returns the Prometheus text the node
-    /// answers with.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, `TimedOut` when no answer arrived within
-    /// [`CLIENT_TIMEOUT`], or `InvalidData` when the dump is not UTF-8.
-    pub fn scrape_stats(&mut self) -> io::Result<String> {
-        match self.roundtrip(AlsNetKind::StatsDump {
-            payload: Vec::new(),
-        })? {
-            AlsNetKind::StatsDump { payload } => String::from_utf8(payload)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "stats dump is not UTF-8")),
             other => Err(unexpected(&other)),
         }
     }

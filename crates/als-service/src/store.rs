@@ -39,7 +39,7 @@ impl Default for StoreConfig {
 /// FNV-1a over `bytes` — the shard router. Stable across platforms and
 /// processes, so a key always lands on the same shard.
 #[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -67,9 +67,9 @@ pub type StoreOp = (Vec<u8>, Vec<u8>);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CellDigest {
     /// Order-independent FNV-1a fold over `(key, payload, stored_at)`.
-    pub digest: u64,
+    pub(crate) digest: u64,
     /// Records covered.
-    pub count: u32,
+    pub(crate) count: u32,
 }
 
 /// A sharded, TTL-bounded, LRU-capped blob store.
@@ -82,7 +82,6 @@ pub struct CellDigest {
 #[derive(Debug)]
 pub struct ShardedStore {
     shards: Vec<Mutex<AlsServer>>,
-    ttl: Option<SimTime>,
 }
 
 impl ShardedStore {
@@ -97,33 +96,18 @@ impl ShardedStore {
             shards: (0..config.shards.max(1))
                 .map(|_| Mutex::new(AlsServer::with_config(per_shard)))
                 .collect(),
-            ttl: config.ttl,
         }
-    }
-
-    /// The freshness bound records live under, if any.
-    #[must_use]
-    pub fn ttl(&self) -> Option<SimTime> {
-        self.ttl
-    }
-
-    /// Whether a record stored at `stored_at` is still fresh at `now`
-    /// under this store's TTL — the same rule every shard applies.
-    #[must_use]
-    pub fn is_fresh(&self, stored_at: SimTime, now: SimTime) -> bool {
-        self.ttl
-            .is_none_or(|ttl| now.as_nanos() <= stored_at.as_nanos().saturating_add(ttl.as_nanos()))
     }
 
     /// Number of shards.
     #[must_use]
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards.len()
     }
 
     /// Which shard owns `key`.
     #[must_use]
-    pub fn shard_of(&self, key: &[u8]) -> usize {
+    pub(crate) fn shard_of(&self, key: &[u8]) -> usize {
         (fnv1a(key) % self.shards.len() as u64) as usize
     }
 
@@ -210,7 +194,7 @@ impl ShardedStore {
     /// in key order: `(full cell-prefixed key, payload, stored_at)`.
     /// The read side of replication handoff and anti-entropy deltas.
     #[must_use]
-    pub fn scan_cell(&self, cell: CellId) -> Vec<(Vec<u8>, Vec<u8>, SimTime)> {
+    pub(crate) fn scan_cell(&self, cell: CellId) -> Vec<(Vec<u8>, Vec<u8>, SimTime)> {
         let prefix = cell_key(cell, &[]);
         let mut records: Vec<(Vec<u8>, Vec<u8>, SimTime)> = self
             .shards
@@ -232,7 +216,7 @@ impl ShardedStore {
     /// side of journal compaction: the snapshot segment is exactly this
     /// scan at compaction time.
     #[must_use]
-    pub fn scan_all(&self) -> Vec<(Vec<u8>, Vec<u8>, SimTime)> {
+    pub(crate) fn scan_all(&self) -> Vec<(Vec<u8>, Vec<u8>, SimTime)> {
         let mut records: Vec<(Vec<u8>, Vec<u8>, SimTime)> = self
             .shards
             .iter()
@@ -274,55 +258,15 @@ impl ShardedStore {
         CellDigest { digest, count }
     }
 
-    /// Merges replicated records last-writer-wins (see
-    /// [`AlsServer::merge_record`]): each `(key, payload, stored_at)`
-    /// lands only when absent or strictly newer by `(stored_at, payload)`
-    /// than the resident copy. Keys are full cell-prefixed keys. Returns
-    /// how many records changed.
-    pub fn merge_records(&self, records: Vec<(Vec<u8>, Vec<u8>, SimTime)>) -> usize {
-        let mut changed = 0;
-        for (key, payload, stored_at) in records {
-            if self.merge_record(key, payload, stored_at) {
-                changed += 1;
-            }
-        }
-        changed
-    }
-
-    /// Merges a single replicated record last-writer-wins; returns
-    /// whether the resident state changed. The per-record form of
-    /// [`ShardedStore::merge_records`], for callers that must know
-    /// *which* records landed (the journal records only those).
-    pub fn merge_record(&self, key: Vec<u8>, payload: Vec<u8>, stored_at: SimTime) -> bool {
+    /// Merges a single replicated record last-writer-wins (see
+    /// [`AlsServer::merge_record`]): `(key, payload, stored_at)` lands
+    /// only when absent or strictly newer by `(stored_at, payload)` than
+    /// the resident copy. `key` is a full cell-prefixed key. Returns
+    /// whether the resident state changed (the journal records only the
+    /// records that landed).
+    pub(crate) fn merge_record(&self, key: Vec<u8>, payload: Vec<u8>, stored_at: SimTime) -> bool {
         self.shard(&key)
             .merge_record(key.clone(), payload, stored_at)
-    }
-
-    /// Re-homes every record stored under `from` to `to` — the
-    /// hierarchical DLM-forward: when responsibility for a cell moves
-    /// (a server departs, a hierarchy level re-partitions), its records
-    /// are drained by cell prefix and re-keyed. A move is not a rewrite:
-    /// each record keeps its original `stored_at` (its TTL does not
-    /// restart), and a record already stale at drain time is dropped
-    /// instead of resurrected under the new prefix. Returns how many
-    /// records moved (dropped-stale ones excluded) — observationally
-    /// identical to delete-then-reinsert on a single map, which is what
-    /// the re-home proptest in `tests/store_model.rs` pins.
-    pub fn forward_cell(&self, from: CellId, to: CellId, now: SimTime) -> usize {
-        let prefix = cell_key(from, &[]);
-        let mut moved = 0;
-        for shard in &self.shards {
-            let drained = shard.lock().expect("shard poisoned").take_prefix(&prefix);
-            for (key, payload, stored_at) in drained {
-                if !self.is_fresh(stored_at, now) {
-                    continue;
-                }
-                let rekeyed = cell_key(to, &key[prefix.len()..]);
-                self.store(rekeyed, payload, stored_at);
-                moved += 1;
-            }
-        }
-        moved
     }
 
     /// Total records across shards (lazily-expired ones included until
@@ -343,7 +287,7 @@ impl ShardedStore {
 
     /// Per-shard lifetime counters, in shard order.
     #[must_use]
-    pub fn shard_stats(&self) -> Vec<AlsStoreStats> {
+    pub(crate) fn shard_stats(&self) -> Vec<AlsStoreStats> {
         self.shards
             .iter()
             .map(|s| s.lock().expect("shard poisoned").stats().clone())
@@ -430,28 +374,5 @@ mod tests {
         }
         assert_eq!(store.compact(SimTime::from_secs(100), 4), 40);
         assert_eq!(store.len(), 20);
-    }
-
-    #[test]
-    fn forward_cell_rehomes_records_under_new_prefix() {
-        let store = ShardedStore::new(&cfg(4));
-        let now = SimTime::from_secs(1);
-        let from = CellId { col: 2, row: 3 };
-        let to = CellId { col: 9, row: 0 };
-        let other = CellId { col: 5, row: 5 };
-        for i in 0..10u8 {
-            store.store(cell_key(from, &[i; 16]), vec![i], now);
-        }
-        store.store(cell_key(other, &[1; 16]), vec![0xAA], now);
-        assert_eq!(store.forward_cell(from, to, now), 10);
-        for i in 0..10u8 {
-            assert!(store.query(&cell_key(from, &[i; 16]), now).is_none());
-            assert_eq!(store.query(&cell_key(to, &[i; 16]), now), Some(vec![i]));
-        }
-        // Unrelated cells are untouched.
-        assert_eq!(
-            store.query(&cell_key(other, &[1; 16]), now),
-            Some(vec![0xAA])
-        );
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! Both traits carry **batch** variants alongside the per-frame calls.
 //! The batch methods default to per-frame loops, so a transport (or a
-//! decorator like [`crate::chaos_net::ChaosTransport`]) that never
+//! decorator like `crate::chaos_net::ChaosTransport`) that never
 //! overrides them behaves exactly as before; the implementations here
 //! override them where a real win exists — the loopback drains its
 //! queue under one lock, and on Linux the UDP paths go through
@@ -22,7 +22,7 @@
 //! [`FramePool`], so a hot serve loop recycles buffers instead of
 //! allocating per datagram.
 //!
-//! Receive paths time out (default [`RECV_POLL`], configurable per
+//! Receive paths time out (default `RECV_POLL`, configurable per
 //! endpoint) instead of blocking forever so serve loops can poll their
 //! stop flag; a timeout surfaces as [`std::io::ErrorKind::TimedOut`] /
 //! `WouldBlock`, which callers treat as "nothing yet", not as failure.
@@ -37,7 +37,7 @@ use std::time::Duration;
 /// How long receive calls wait before reporting `TimedOut`, so serve
 /// loops can notice a stop request. The default; every endpoint
 /// constructor has a `_with` variant taking an explicit poll.
-pub const RECV_POLL: Duration = Duration::from_millis(50);
+pub(crate) const RECV_POLL: Duration = Duration::from_millis(50);
 
 /// Largest frame any transport must carry. ALS pairs are small (sealed
 /// indices and records, a few dozen bytes each); 64 KiB leaves room for
@@ -325,7 +325,7 @@ pub struct LoopbackServer {
 }
 
 /// An in-process transport pair over two bounded queues of `depth`
-/// frames each, polling at the default [`RECV_POLL`]. Sending into a
+/// frames each, polling at the default `RECV_POLL`. Sending into a
 /// full queue blocks; dropping either half closes both directions,
 /// waking the other half with an error.
 #[must_use]
@@ -453,7 +453,7 @@ pub struct UdpClient {
 
 impl UdpClient {
     /// Binds an ephemeral local socket and connects it to `server` with
-    /// the default [`RECV_POLL`] receive granularity.
+    /// the default `RECV_POLL` receive granularity.
     ///
     /// # Errors
     ///
@@ -528,57 +528,6 @@ impl Transport for UdpClient {
     }
 }
 
-/// An unconnected UDP endpoint that talks to many peers from one
-/// socket — the cluster side of the transport: a client fanning a
-/// request out to a cell's replica set, or a node's anti-entropy agent
-/// probing each of its peers in turn.
-///
-/// Staying unconnected matters on Linux: a `connect`ed UDP socket
-/// surfaces ICMP port-unreachable as `ConnectionRefused` on later
-/// calls, which would make sends to a crashed node error instead of
-/// silently vanishing the way a real lossy network drops them.
-pub struct UdpEndpoint {
-    socket: UdpSocket,
-    buf: Vec<u8>,
-}
-
-impl UdpEndpoint {
-    /// Binds an ephemeral localhost socket with the standard
-    /// [`RECV_POLL`] read timeout.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn bind_ephemeral() -> io::Result<UdpEndpoint> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        socket.set_read_timeout(Some(RECV_POLL))?;
-        Ok(UdpEndpoint {
-            socket,
-            buf: vec![0; MAX_FRAME],
-        })
-    }
-
-    /// Sends one frame to `peer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O failure.
-    pub fn send_to(&mut self, peer: SocketAddr, frame: &[u8]) -> io::Result<()> {
-        self.socket.send_to(frame, peer).map(|_| ())
-    }
-
-    /// Waits for the next frame (with its sender), up to [`RECV_POLL`].
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::TimedOut`] / `WouldBlock` when nothing arrived in
-    /// time; other kinds are real failures.
-    pub fn recv_from(&mut self) -> io::Result<(Vec<u8>, SocketAddr)> {
-        let (n, peer) = self.socket.recv_from(&mut self.buf)?;
-        Ok((self.buf[..n].to_vec(), peer))
-    }
-}
-
 /// A UDP server socket answering datagrams from any peer.
 pub struct UdpServer {
     socket: UdpSocket,
@@ -589,7 +538,7 @@ pub struct UdpServer {
 
 impl UdpServer {
     /// Binds `addr` (use port 0 for an OS-assigned port, then
-    /// [`UdpServer::local_addr`]) with the default [`RECV_POLL`]
+    /// [`UdpServer::local_addr`]) with the default `RECV_POLL`
     /// stop-polling granularity.
     ///
     /// # Errors

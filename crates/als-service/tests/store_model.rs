@@ -14,8 +14,7 @@
 //! the two universes coincide: a single-shard store against a capacity
 //! bound on the whole model.
 
-use agr_als_service::store::{cell_key, ShardedStore, StoreConfig};
-use agr_geom::CellId;
+use agr_als_service::store::{ShardedStore, StoreConfig};
 use agr_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -275,92 +274,5 @@ proptest! {
             prop_assert_eq!(store.query(&key, now), model.query(&key, now));
         }
         prop_assert_eq!(store.len(), model.records.len());
-    }
-
-    /// Cell re-homing is observationally delete-then-reinsert: draining
-    /// a cell prefix through `forward_cell` must leave exactly the state
-    /// a single map reaches by removing every prefixed key and
-    /// re-inserting the still-fresh ones under the new prefix with their
-    /// **original** timestamps. Records already stale at drain time are
-    /// dropped mid-drain (never resurrected under the new prefix), and a
-    /// move never restarts a TTL.
-    #[test]
-    fn forward_drain_matches_delete_then_reinsert(
-        shards in 1usize..9,
-        ops in collection::vec((0u8..8, 0u8..2, 0u8..10, any::<u8>(), 0u64..5), 1..110),
-    ) {
-        let ttl = SimTime::from_secs(8);
-        let store = ShardedStore::new(&StoreConfig {
-            shards,
-            ttl: Some(ttl),
-            capacity_per_shard: None,
-        });
-        // The reference is a bare map of key -> (payload, stored_at);
-        // freshness is recomputed from stored_at exactly as the store
-        // does, so a moved record keeps its original expiry deadline.
-        let mut model: BTreeMap<Vec<u8>, (Vec<u8>, SimTime)> = BTreeMap::new();
-        let fresh = |at: SimTime, now: SimTime| {
-            now.as_nanos() <= at.as_nanos().saturating_add(ttl.as_nanos())
-        };
-        let cells = [CellId { col: 1, row: 2 }, CellId { col: 6, row: 3 }];
-        let mut now = SimTime::ZERO;
-        for &(kind, cell_sel, idx, payload, dt) in &ops {
-            now += SimTime::from_secs(dt);
-            let cell = cells[usize::from(cell_sel)];
-            let key = cell_key(cell, &[idx, 0x51]);
-            match kind {
-                // Weighted: stores dominate, queries probe, forwards
-                // re-home a whole cell (in both directions over the run,
-                // so records bounce and their deadlines must survive).
-                0..=3 => {
-                    store.store(key.clone(), vec![payload], now);
-                    model.insert(key, (vec![payload], now));
-                }
-                4..=6 => {
-                    let want = match model.get(&key) {
-                        Some((p, at)) if fresh(*at, now) => Some(p.clone()),
-                        Some(_) => {
-                            // The store expires lazily on query; mirror it.
-                            model.remove(&key);
-                            None
-                        }
-                        None => None,
-                    };
-                    prop_assert_eq!(store.query(&key, now), want);
-                }
-                _ => {
-                    let from = cell;
-                    let to = cells[usize::from(1 - cell_sel)];
-                    let moved = store.forward_cell(from, to, now);
-                    let prefix = cell_key(from, &[]);
-                    let drained: Vec<Vec<u8>> = model
-                        .keys()
-                        .filter(|k| k.starts_with(&prefix))
-                        .cloned()
-                        .collect();
-                    let mut want_moved = 0;
-                    for key in drained {
-                        let (payload, at) = model.remove(&key).expect("key just listed");
-                        if fresh(at, now) {
-                            model.insert(cell_key(to, &key[prefix.len()..]), (payload, at));
-                            want_moved += 1;
-                        }
-                    }
-                    prop_assert_eq!(moved, want_moved, "moved count at {:?}", now);
-                }
-            }
-            prop_assert_eq!(store.len(), model.len(), "len at {:?}", now);
-        }
-        // Final sweep: every possible key in both cells answers the same.
-        for cell in cells {
-            for idx in 0u8..10 {
-                let key = cell_key(cell, &[idx, 0x51]);
-                let want = match model.get(&key) {
-                    Some((p, at)) if fresh(*at, now) => Some(p.clone()),
-                    _ => None,
-                };
-                prop_assert_eq!(store.query(&key, now), want);
-            }
-        }
     }
 }

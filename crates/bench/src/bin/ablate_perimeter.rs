@@ -14,10 +14,7 @@ use agr_bench::{run_matrix, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 
 fn main() {
-    let mut params = SweepParams::from_env();
-    if std::env::var("AGR_DURATION_S").is_err() {
-        params.duration = agr_sim::SimTime::from_secs(300);
-    }
+    let params = SweepParams::from_env_with_duration(agr_sim::SimTime::from_secs(300));
     // Sparser-than-paper densities, where greedy dead-ends matter.
     let nodes = [25usize, 35, 50, 75];
     let kinds = [

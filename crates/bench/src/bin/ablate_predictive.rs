@@ -25,10 +25,7 @@ fn retx_per_pkt(point: &PointResult) -> f64 {
 }
 
 fn main() {
-    let mut params = SweepParams::from_env();
-    if std::env::var("AGR_DURATION_S").is_err() {
-        params.duration = SimTime::from_secs(300);
-    }
+    let params = SweepParams::from_env_with_duration(SimTime::from_secs(300));
     let nodes = 50;
     // One matrix over all hello-interval × variant combinations.
     let mut labels = Vec::new();

@@ -2,7 +2,7 @@
 //!
 //! Two regimes share one runner. The **baseline rings** (1, 3, and 5
 //! UDP nodes, clean network) drive zipfian-keyed replicated updates and
-//! ring queries through a [`ClusterClient`] while a seeded kill/restart
+//! ring queries through a `ClusterClient` while a seeded kill/restart
 //! schedule fires mid-load — the ops/s numbers comparable across
 //! revisions. The **chaos runs** then put the 5-node ring under seeded
 //! packet chaos (drop/duplicate/reorder on every client and sync path)
@@ -160,7 +160,6 @@ fn client_config(spec: &RunSpec) -> ClientConfig {
             ping_every: 0,
             ping_timeout: Duration::from_millis(120),
             hedge: spec.hedge,
-            hedge_min: Duration::from_millis(1),
             chaos: Some(ChaosNetConfig::standard(seed ^ 0x00C1_1E57)),
             ..ClientConfig::default()
         },

@@ -11,7 +11,7 @@
 //! cargo run --release -p agr-bench --bin privacy_sniffers
 //! ```
 
-use agr_bench::runner::{env_u64, jobs, paper_config, par_map, SweepParams};
+use agr_bench::runner::{jobs, paper_config, par_map, SweepParams};
 use agr_bench::Table;
 use agr_core::agfw::{Agfw, AgfwConfig};
 use agr_gpsr::{Gpsr, GpsrConfig};
@@ -37,10 +37,7 @@ enum TraceCols {
 }
 
 fn main() {
-    let mut params = SweepParams::from_env();
-    if env_u64("AGR_DURATION_S").is_none() {
-        params.duration = SimTime::from_secs(300);
-    }
+    let params = SweepParams::from_env_with_duration(SimTime::from_secs(300));
     let seed = 1;
     let target = NodeId(0);
 

@@ -15,7 +15,7 @@
 
 use agr_bench::runner::{env_u64, jobs, paper_config, par_map, SweepParams};
 use agr_bench::Table;
-use agr_core::agfw::{Agfw, AgfwConfig, AlsNetParams, LocationMode};
+use agr_core::agfw::{Agfw, AgfwConfig, LocationMode};
 use agr_core::keys::KeyDirectory;
 use agr_sim::{SimTime, World};
 use rand::rngs::StdRng;
@@ -23,20 +23,14 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 fn main() {
-    let mut params = SweepParams::from_env();
-    if env_u64("AGR_DURATION_S").is_none() {
-        params.duration = SimTime::from_secs(300);
-    }
+    let mut params = SweepParams::from_env_with_duration(SimTime::from_secs(300));
     if env_u64("AGR_SEEDS").is_none() {
         params.seeds = 3;
     }
     let nodes_list = [30usize, 50, 75];
     let variants = [
         ("oracle", LocationMode::Oracle),
-        (
-            "ALS (networked)",
-            LocationMode::Als(AlsNetParams::default()),
-        ),
+        ("ALS (networked)", LocationMode::Als),
     ];
 
     // Key generation per node count is itself independent work: fan it.

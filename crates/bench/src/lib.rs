@@ -16,18 +16,16 @@
 //! | §3.2 reliability | `fault_sweep` | delivery vs injected per-link loss, NL-ACK on vs off |
 //! | threat-model extension | `adversary_sweep` | delivery vs blackhole fraction, defenses on vs off |
 //!
-//! Criterion micro-benches (`cargo bench -p agr-bench`) cover the
-//! cryptographic primitives and simulator hot paths.
-//!
 //! Environment knobs shared by the figure binaries: `AGR_SEEDS` (number
 //! of seeds averaged per point, default 5), `AGR_DURATION_S` (simulated
 //! seconds, default 900), `AGR_NODES` (comma-separated node counts),
-//! `AGR_JOBS` (sweep worker threads, default: available parallelism).
+//! `AGR_JOBS` (sweep worker threads, a whole number ≥ 1; default:
+//! available parallelism).
 //! Results are independent of `AGR_JOBS`: each (protocol × nodes × seed)
 //! point is a self-contained deterministic simulation and aggregation
 //! happens in task order, so CSVs are bit-identical at any worker count.
-//! A set-but-malformed `AGR_SEEDS` / `AGR_DURATION_S` / `AGR_NODES`
-//! exits 2 instead of silently running the default experiment.
+//! A set-but-malformed `AGR_SEEDS` / `AGR_DURATION_S` / `AGR_NODES` /
+//! `AGR_JOBS` exits 2 instead of silently running the default experiment.
 //!
 //! This crate reproduces the paper; it gates no host-speed number. Those
 //! come from `BENCHMARK.json` + `benchmark/` (see `benchmark/README.md`).

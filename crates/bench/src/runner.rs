@@ -111,13 +111,20 @@ impl SweepParams {
     /// Applies the `AGR_SEEDS` / `AGR_DURATION_S` environment overrides.
     #[must_use]
     pub fn from_env() -> Self {
+        SweepParams::from_env_with_duration(SweepParams::default().duration)
+    }
+
+    /// [`SweepParams::from_env`] for a binary whose duration, when
+    /// `AGR_DURATION_S` is unset, is `default_duration` rather than the
+    /// paper's 900 s.
+    #[must_use]
+    pub fn from_env_with_duration(default_duration: SimTime) -> Self {
         let mut p = SweepParams::default();
         if let Some(s) = env_u64("AGR_SEEDS") {
             p.seeds = s.max(1);
         }
-        if let Some(d) = env_u64("AGR_DURATION_S") {
-            p.duration = SimTime::from_secs(d.max(60));
-        }
+        p.duration =
+            env_u64("AGR_DURATION_S").map_or(default_duration, |d| SimTime::from_secs(d.max(60)));
         p
     }
 }
@@ -276,10 +283,33 @@ pub fn run_point(kind: &ProtocolKind, nodes: usize, seed: u64, params: &SweepPar
     }
 }
 
-// The scoped worker pool moved to `agr-sim::par` so non-bench consumers
+// The scoped worker pool lives in `agr-sim::par` so non-bench consumers
 // (the ALS service engine) can share it; re-exported here so every sweep
-// bin and test keeps its `runner::{jobs, par_map}` spelling.
-pub use agr_sim::par::{jobs, par_map};
+// bin and test keeps its `runner::par_map` spelling.
+pub use agr_sim::par::par_map;
+
+/// Resolves an `AGR_JOBS` value: unset means the machine's available
+/// parallelism; a set value must be a whole number ≥ 1.
+fn parse_jobs(raw: Option<&str>) -> Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(jobs) if jobs >= 1 => Ok(jobs),
+        _ => Err(format!(
+            "AGR_JOBS: '{}' is not a whole number >= 1",
+            raw.trim()
+        )),
+    }
+}
+
+/// Worker count for parallel sweeps: `AGR_JOBS` if set, else the
+/// machine's available parallelism. A set value that is not a whole
+/// number ≥ 1 exits 2 naming the variable.
+#[must_use]
+pub fn jobs() -> usize {
+    parse_jobs(std::env::var("AGR_JOBS").ok().as_deref()).unwrap_or_else(|e| exit_malformed(&e))
+}
 
 /// Wall-clock record of a whole sweep: what the sweep binaries' closing
 /// stderr line prints.
@@ -622,10 +652,16 @@ mod tests {
     }
 
     #[test]
-    fn jobs_honours_env_override() {
-        std::env::set_var("AGR_JOBS", "3");
-        assert_eq!(jobs(), 3);
-        std::env::remove_var("AGR_JOBS");
-        assert!(jobs() >= 1);
+    fn parse_jobs_accepts_only_whole_numbers_from_one() {
+        assert!(parse_jobs(None).unwrap() >= 1);
+        assert_eq!(parse_jobs(Some("3")), Ok(3));
+        assert_eq!(parse_jobs(Some(" 3 ")), Ok(3));
+        for raw in ["0", "1O", ""] {
+            let err = parse_jobs(Some(raw)).unwrap_err();
+            assert!(
+                err.contains("AGR_JOBS") && err.contains(&format!("'{raw}'")),
+                "{err}"
+            );
+        }
     }
 }

@@ -89,7 +89,7 @@ impl Aant {
     /// verification is a pure function of public bytes — no per-verifier
     /// secret enters the computation.
     #[must_use]
-    pub fn with_verify_cache(mut self, cache: Arc<VerifyCache>) -> Self {
+    pub(crate) fn with_verify_cache(mut self, cache: Arc<VerifyCache>) -> Self {
         self.verify_cache = Some(cache);
         self
     }
@@ -97,7 +97,7 @@ impl Aant {
     /// The canonical byte encoding of a hello, signed and verified by both
     /// ends.
     #[must_use]
-    pub fn hello_message(n: Pseudonym, loc: Point, ts: SimTime) -> Vec<u8> {
+    pub(crate) fn hello_message(n: Pseudonym, loc: Point, ts: SimTime) -> Vec<u8> {
         let mut m = Vec::with_capacity(6 + 16 + 8);
         m.extend_from_slice(&n.0);
         m.extend_from_slice(&loc.x.to_be_bytes());
@@ -164,7 +164,7 @@ impl Aant {
     /// from the attached [`VerifyCache`] instead of being recomputed
     /// (always false without a cache).
     #[must_use]
-    pub fn verify_hello_cached(
+    pub(crate) fn verify_hello_cached(
         &self,
         n: Pseudonym,
         loc: Point,
@@ -192,12 +192,6 @@ impl Aant {
             }
             None => (ring_verify(&message, &ring, &auth.signature).is_ok(), false),
         }
-    }
-
-    /// The configured ring size.
-    #[must_use]
-    pub fn ring_size(&self) -> usize {
-        self.config.ring_size
     }
 }
 

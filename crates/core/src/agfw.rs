@@ -69,7 +69,7 @@ impl CryptoMode {
     /// The paper's measured RSA-512 timings: 0.5 ms encrypt, 8.5 ms
     /// decrypt "for a portable computer processor".
     #[must_use]
-    pub fn paper_modeled() -> Self {
+    pub(crate) fn paper_modeled() -> Self {
         CryptoMode::Modeled {
             encrypt_delay: SimTime::from_micros(500),
             decrypt_delay: SimTime::from_micros(8_500),
@@ -112,49 +112,22 @@ pub enum LocationMode {
     /// network: the integration the paper expected to "elegantly degrade
     /// a bit" but did not simulate. Requires key material
     /// ([`Agfw::with_keys`]).
-    Als(AlsNetParams),
+    Als,
 }
 
-/// Parameters of the networked anonymous location service.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlsNetParams {
-    /// DLM grid cell size in metres (a radio range is the natural pick).
-    pub cell_size: f64,
-    /// Remote-location-update period (the update is skipped when the node
-    /// has moved less than `min_move` since its last one — random-waypoint
-    /// nodes pause for 60 s, so most periods need no refresh).
-    pub update_interval: SimTime,
-    /// Minimum movement since the last update to justify a new one.
-    pub min_move: f64,
-    /// How long a cached destination location stays usable.
-    pub cache_lifetime: SimTime,
-    /// How long a query waits for its LREP before retrying.
-    pub query_timeout: SimTime,
-    /// Query retries before the queued packets are dropped.
-    pub max_query_retries: u32,
-    /// Hop budget of service messages.
-    pub ttl: u8,
-    /// Storage policy of the cell servers this node hosts (TTL freshness
-    /// and LRU capacity — see [`crate::als::AlsStoreConfig`]). The
-    /// default keeps every record forever, the paper-faithful behavior
-    /// the golden fingerprints pin.
-    pub store: crate::als::AlsStoreConfig,
-}
-
-impl Default for AlsNetParams {
-    fn default() -> Self {
-        AlsNetParams {
-            cell_size: 250.0,
-            update_interval: SimTime::from_secs(4),
-            min_move: 0.0,
-            cache_lifetime: SimTime::from_secs(8),
-            query_timeout: SimTime::from_millis(400),
-            max_query_retries: 4,
-            ttl: 32,
-            store: crate::als::AlsStoreConfig::default(),
-        }
-    }
-}
+/// DLM grid cell size of the networked location service, in metres (a
+/// radio range is the natural pick).
+const ALS_CELL_SIZE: f64 = 250.0;
+/// Remote-location-update period.
+const ALS_UPDATE_INTERVAL: SimTime = SimTime::from_secs(4);
+/// How long a cached destination location stays usable.
+const ALS_CACHE_LIFETIME: SimTime = SimTime::from_secs(8);
+/// How long a query waits for its LREP before retrying.
+const ALS_QUERY_TIMEOUT: SimTime = SimTime::from_millis(400);
+/// Query retries before the queued packets are dropped.
+const ALS_MAX_QUERY_RETRIES: u32 = 4;
+/// Hop budget of service messages.
+const ALS_TTL: u8 = 32;
 
 /// Hardening knobs against active insiders (blackholes, grayholes,
 /// spoofers, replayers — see `agr-sim::adversary`).
@@ -167,84 +140,50 @@ impl Default for AlsNetParams {
 /// Three mechanisms compose:
 ///
 /// 1. **Suspicion-scored selection**: every NL-ACK outcome feeds a
-///    per-pseudonym-slot suspicion score in the ANT (timed out →
-///    [`DefenseConfig::timeout_increment`], delivered →
-///    [`DefenseConfig::ack_decay`]); next-hop selection skips slots at or
-///    above [`DefenseConfig::suspicion_threshold`].
+///    per-pseudonym-slot suspicion score in the ANT (timed out → +0.6,
+///    delivered → −0.3); next-hop selection skips slots at or above 1.0.
 /// 2. **Forward-watch** (watchdog): an ACK from a relay that is *not* in
 ///    the destination's last-hop region promises an onward transmission.
 ///    The packet is retained; if no copy of it (nor a downstream ACK) is
-///    overheard within [`DefenseConfig::watch_timeout`], the relay is a
-///    suspected blackhole — it, and live slots advertised within
-///    [`DefenseConfig::suspect_radius`] of it (its likely rotation
-///    aliases), get [`DefenseConfig::watch_increment`], and the retained
-///    packet is re-routed around them. This is the only signal that can
+///    overheard within 75 ms, the relay is a suspected blackhole — it,
+///    and live slots advertised within 50 m of it (its likely rotation
+///    aliases), get +2.0, and the retained packet is re-routed around
+///    them. This is the only signal that can
 ///    catch an accept+ACK+drop attacker, which never times out.
 /// 3. **Bounded backoff**: hop retransmissions and ALS query retries are
 ///    spaced by capped exponential backoff with hash-derived jitter
 ///    ([`crate::backoff::backoff_delay`]) instead of hammering a silent
 ///    relay at a fixed cadence.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DefenseConfig {
     /// Master switch; off reproduces the unhardened protocol exactly.
     pub enabled: bool,
-    /// Slots with a suspicion score at or above this are excluded from
-    /// next-hop selection (greedy and perimeter).
-    pub suspicion_threshold: f64,
-    /// Suspicion added to the addressed slot on an NL-ACK timeout.
-    pub timeout_increment: f64,
-    /// Suspicion removed from the addressed slot on a delivered NL-ACK.
-    pub ack_decay: f64,
-    /// Suspicion added when a forward-watch fires (sized to cross the
-    /// threshold at once — a confirmed drop, not mere silence).
-    pub watch_increment: f64,
-    /// Also suspect live slots advertised within this radius (metres) of
-    /// a watch-confirmed suspect: a rotating attacker's aliases cluster
-    /// around the same advertised position. Zero disables the spatial
-    /// generalisation.
-    pub suspect_radius: f64,
-    /// Enable the forward-watch.
-    pub forward_watch: bool,
-    /// How long an ACKed hop may go without an overheard onward
-    /// transmission before its relay is condemned. Must cover the relay's
-    /// MAC queueing plus, in the last-hop region, a trapdoor open.
-    pub watch_timeout: SimTime,
-    /// First-retry backoff delay (attempt 0).
-    pub backoff_base: SimTime,
-    /// Retransmission backoff cap.
-    pub backoff_cap: SimTime,
-    /// ALS query-retry backoff cap (the base is the query timeout).
-    pub als_backoff_cap: SimTime,
 }
 
-impl Default for DefenseConfig {
-    fn default() -> Self {
-        DefenseConfig {
-            enabled: false,
-            suspicion_threshold: 1.0,
-            timeout_increment: 0.6,
-            ack_decay: 0.3,
-            watch_increment: 2.0,
-            suspect_radius: 50.0,
-            forward_watch: true,
-            watch_timeout: SimTime::from_millis(75),
-            backoff_base: SimTime::from_millis(25),
-            backoff_cap: SimTime::from_millis(200),
-            als_backoff_cap: SimTime::from_millis(1600),
-        }
-    }
-}
-
-impl DefenseConfig {
-    /// The standard hardened profile: defaults with the switch on.
-    #[must_use]
-    pub fn standard() -> Self {
-        DefenseConfig {
-            enabled: true,
-            ..DefenseConfig::default()
-        }
-    }
-}
+/// Slots with a suspicion score at or above this are excluded from
+/// next-hop selection (greedy and perimeter).
+const SUSPICION_THRESHOLD: f64 = 1.0;
+/// Suspicion added to the addressed slot on an NL-ACK timeout.
+const TIMEOUT_INCREMENT: f64 = 0.6;
+/// Suspicion removed from the addressed slot on a delivered NL-ACK.
+const ACK_DECAY: f64 = 0.3;
+/// Suspicion added when a forward-watch fires (sized to cross the
+/// threshold at once — a confirmed drop, not mere silence).
+const WATCH_INCREMENT: f64 = 2.0;
+/// Also suspect live slots advertised within this radius (metres) of a
+/// watch-confirmed suspect: a rotating attacker's aliases cluster around
+/// the same advertised position.
+const SUSPECT_RADIUS: f64 = 50.0;
+/// How long an ACKed hop may go without an overheard onward transmission
+/// before its relay is condemned. Must cover the relay's MAC queueing
+/// plus, in the last-hop region, a trapdoor open.
+const WATCH_TIMEOUT: SimTime = SimTime::from_millis(75);
+/// First-retry backoff delay (attempt 0).
+const BACKOFF_BASE: SimTime = SimTime::from_millis(25);
+/// Retransmission backoff cap.
+const BACKOFF_CAP: SimTime = SimTime::from_millis(200);
+/// ALS query-retry backoff cap (the base is the query timeout).
+const ALS_BACKOFF_CAP: SimTime = SimTime::from_millis(1600);
 
 /// AGFW configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -258,8 +197,6 @@ pub struct AgfwConfig {
     pub fresh_window: SimTime,
     /// Next-hop selection strategy.
     pub selection: SelectionStrategy,
-    /// How many of its own recent pseudonyms a node answers to (paper: 2).
-    pub pseudonym_memory: usize,
     /// Rotate the pseudonym every `rotate_every`-th hello (paper: 1 =
     /// every hello; larger values are the privacy/efficiency ablation).
     pub rotate_every: u32,
@@ -273,11 +210,6 @@ pub struct AgfwConfig {
     pub max_retransmits: u32,
     /// Piggyback ACKs on outgoing data packets when possible (§3.2).
     pub piggyback_acks: bool,
-    /// With piggybacking on, flush ACKs as an explicit packet if no data
-    /// packet has carried them within this delay.
-    pub ack_flush_delay: SimTime,
-    /// Initial TTL of data packets.
-    pub ttl: u8,
     /// Trapdoor cryptography realisation.
     pub crypto: CryptoMode,
     /// Anonymous perimeter recovery at greedy dead ends — the paper's §6
@@ -295,6 +227,14 @@ pub struct AgfwConfig {
     pub defense: DefenseConfig,
 }
 
+/// How many of its own recent pseudonyms a node answers to (paper: 2).
+const PSEUDONYM_MEMORY: usize = 2;
+/// With piggybacking on, flush ACKs as an explicit packet if no data
+/// packet has carried them within this delay.
+const ACK_FLUSH_DELAY: SimTime = SimTime::from_millis(5);
+/// Initial TTL of data packets.
+const DATA_TTL: u8 = 64;
+
 impl Default for AgfwConfig {
     fn default() -> Self {
         AgfwConfig {
@@ -302,14 +242,11 @@ impl Default for AgfwConfig {
             ant_timeout: SimTime::from_millis(4500),
             fresh_window: SimTime::from_millis(2200),
             selection: SelectionStrategy::FreshnessAware,
-            pseudonym_memory: 2,
             rotate_every: 1,
             nl_ack: true,
             ack_timeout: SimTime::from_millis(25),
             max_retransmits: 5,
             piggyback_acks: false,
-            ack_flush_delay: SimTime::from_millis(5),
-            ttl: 64,
             crypto: CryptoMode::paper_modeled(),
             recovery: false,
             predictive: false,
@@ -353,17 +290,7 @@ impl AgfwConfig {
     #[must_use]
     pub fn hardened() -> Self {
         AgfwConfig {
-            defense: DefenseConfig::standard(),
-            ..AgfwConfig::default()
-        }
-    }
-
-    /// AGFW resolving destinations through the networked anonymous
-    /// location service instead of an oracle.
-    #[must_use]
-    pub fn with_als() -> Self {
-        AgfwConfig {
-            location: LocationMode::Als(AlsNetParams::default()),
+            defense: DefenseConfig { enabled: true },
             ..AgfwConfig::default()
         }
     }
@@ -450,7 +377,6 @@ struct PendingQuery {
 /// Per-node state of the networked anonymous location service.
 #[derive(Debug)]
 struct AlsState {
-    params: AlsNetParams,
     ssa: ServerSelection,
     /// Server role: records stored per cell while this node sits in (or
     /// is the surrogate for) that cell. Records are handed off when the
@@ -461,8 +387,6 @@ struct AlsState {
     pending_queries: HashMap<NodeId, PendingQuery>,
     /// Duplicate suppression for geo-routed service messages.
     seen: HashMap<u64, SimTime>,
-    /// Position advertised by the last remote location update.
-    last_update_pos: Option<agr_geom::Point>,
     /// Who might query this node — "the updating node has to identify
     /// all its possible senders" (§3.3, the paper's stated limitation).
     anticipated: Vec<NodeId>,
@@ -530,7 +454,7 @@ impl Agfw {
             next: Pseudonym::LAST_ATTEMPT, // placeholder until selection
             trapdoor,
             uid: ctx.rng().random(),
-            ttl: self.config.ttl,
+            ttl: DATA_TTL,
             payload_bytes: ctx.config().flows[tag.flow as usize].payload_bytes,
             acks: Vec::new(),
             mode: AgfwMode::Greedy,
@@ -587,7 +511,7 @@ impl Agfw {
     ) -> Self {
         let als = match config.location {
             LocationMode::Oracle => None,
-            LocationMode::Als(params) => {
+            LocationMode::Als => {
                 assert!(
                     keys.is_some() && directory.is_some(),
                     "LocationMode::Als requires Agfw::with_keys (real key material)"
@@ -599,13 +523,11 @@ impl Agfw {
                 anticipated.dedup();
                 anticipated.retain(|&s| s != id);
                 Some(AlsState {
-                    params,
-                    ssa: ServerSelection::new(sim.area, params.cell_size),
+                    ssa: ServerSelection::new(sim.area, ALS_CELL_SIZE),
                     servers: HashMap::new(),
                     loc_cache: HashMap::new(),
                     pending_queries: HashMap::new(),
                     seen: HashMap::new(),
-                    last_update_pos: None,
                     anticipated,
                 })
             }
@@ -615,7 +537,7 @@ impl Agfw {
             config,
             comm_range: sim.radio.comm_range,
             ant: AnonymousNeighborTable::new(config.ant_timeout, config.fresh_window),
-            pseudonyms: PseudonymGenerator::new(u64::from(id.0), config.pseudonym_memory),
+            pseudonyms: PseudonymGenerator::new(u64::from(id.0), PSEUDONYM_MEMORY),
             hellos_sent: 0,
             keys,
             directory,
@@ -644,18 +566,12 @@ impl Agfw {
         self
     }
 
-    /// Read access to the node's ANT (tests and analysis).
-    #[must_use]
-    pub fn ant(&self) -> &AnonymousNeighborTable {
-        &self.ant
-    }
-
     /// The suspicion cutoff for next-hop selection: the configured
     /// threshold when the defense is on, infinite (exclude nobody, i.e.
     /// the legacy selection verbatim) when it is off.
     fn suspicion_threshold(&self) -> f64 {
         if self.config.defense.enabled {
-            self.config.defense.suspicion_threshold
+            SUSPICION_THRESHOLD
         } else {
             f64::INFINITY
         }
@@ -724,7 +640,7 @@ impl Agfw {
         if self.config.piggyback_acks {
             if !self.ack_flush_scheduled {
                 self.ack_flush_scheduled = true;
-                ctx.set_timer(self.config.ack_flush_delay, TIMER_ACK_FLUSH);
+                ctx.set_timer(ACK_FLUSH_DELAY, TIMER_ACK_FLUSH);
             }
         } else {
             self.flush_acks(ctx);
@@ -1000,8 +916,7 @@ impl Agfw {
                     Outbound::Als(msg) => msg.next,
                 };
                 if self.config.defense.enabled {
-                    self.ant
-                        .suspect(addressed, self.config.defense.timeout_increment);
+                    self.ant.suspect(addressed, TIMEOUT_INCREMENT);
                     ctx.count("defense.suspected");
                 }
                 if retries_left + 1 < self.config.max_retransmits {
@@ -1012,12 +927,7 @@ impl Agfw {
                     // before re-selecting, instead of an immediate retry
                     // at a fixed cadence.
                     let attempt = self.config.max_retransmits - retries_left - 1;
-                    let delay = backoff_delay(
-                        self.config.defense.backoff_base,
-                        attempt,
-                        self.config.defense.backoff_cap,
-                        uid,
-                    );
+                    let delay = backoff_delay(BACKOFF_BASE, attempt, BACKOFF_CAP, uid);
                     ctx.count("defense.backoff");
                     self.schedule_op(ctx, delay, PendingOp::RetryHop { uid, generation });
                 } else {
@@ -1047,18 +957,11 @@ impl Agfw {
                 }
                 let w = self.watched.remove(&uid).expect("checked above");
                 ctx.count("defense.watch_fired");
-                let defense = self.config.defense;
-                self.ant.suspect(w.suspect, defense.watch_increment);
+                self.ant.suspect(w.suspect, WATCH_INCREMENT);
                 ctx.count("defense.suspected");
-                if defense.suspect_radius > 0.0 {
-                    // Taint the suspect's likely rotation aliases too.
-                    self.ant.suspect_nearby(
-                        w.suspect_loc,
-                        defense.suspect_radius,
-                        defense.watch_increment,
-                        ctx.now(),
-                    );
-                }
+                // Taint the suspect's likely rotation aliases too.
+                self.ant
+                    .suspect_nearby(w.suspect_loc, SUSPECT_RADIUS, WATCH_INCREMENT, ctx.now());
                 // Heal: the retained packet re-routes around the suspects.
                 ctx.count("defense.rerouted");
                 self.forward_or_last_attempt(ctx, w.data, false);
@@ -1072,8 +975,8 @@ impl Agfw {
     }
 
     fn process_ack(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, ack: AckRef) {
-        let defense = self.config.defense;
-        if defense.enabled {
+        let defense_on = self.config.defense.enabled;
+        if defense_on {
             // An overheard ACK for the *downstream* hop of a watched
             // packet (same uid, different addressed pseudonym) proves the
             // suspect forwarded it. The suspect's own re-ACKs
@@ -1103,10 +1006,9 @@ impl Agfw {
                 // in — the recovery the paper's §3.2 scheme exists for.
                 ctx.count("agfw.ack_recovered");
             }
-            if defense.enabled {
-                self.ant.absolve(ack.to, defense.ack_decay);
-                if defense.forward_watch && !already_forwarded && ack.to != Pseudonym::LAST_ATTEMPT
-                {
+            if defense_on {
+                self.ant.absolve(ack.to, ACK_DECAY);
+                if !already_forwarded && ack.to != Pseudonym::LAST_ATTEMPT {
                     if let Outbound::Data(data) = pending.packet {
                         // Arm the forward-watch unless the relay's
                         // advertised position puts it in the last-hop
@@ -1129,7 +1031,7 @@ impl Agfw {
                             );
                             self.schedule_op(
                                 ctx,
-                                defense.watch_timeout,
+                                WATCH_TIMEOUT,
                                 PendingOp::ForwardWatch {
                                     uid: ack.uid,
                                     suspect: ack.to,
@@ -1233,13 +1135,6 @@ impl Agfw {
         let me = u64::from(self.my_id.0);
         let my_pos = ctx.my_pos();
         let now = ctx.now();
-        if let Some(prev) = als.last_update_pos {
-            if prev.distance(my_pos) < als.params.min_move {
-                ctx.count("als.update_skipped");
-                return;
-            }
-        }
-        let ttl = als.params.ttl;
         let cell = als.ssa.cell_for(me);
         let target_loc = als.ssa.grid().cell_center(cell);
         let directory = self.directory.as_ref().expect("Als mode has directory");
@@ -1267,9 +1162,6 @@ impl Agfw {
         if pairs.is_empty() {
             return;
         }
-        if let Some(als) = &mut self.als {
-            als.last_update_pos = Some(my_pos);
-        }
         // Split into modest frames: a 20-pair batch is a ~2.6 KB frame
         // whose airtime invites collisions.
         for chunk in pairs.chunks(8) {
@@ -1278,7 +1170,7 @@ impl Agfw {
                 target_loc,
                 next: Pseudonym::LAST_ATTEMPT,
                 uid: ctx.rng().random(),
-                ttl,
+                ttl: ALS_TTL,
                 kind: AlsNetKind::Update {
                     cell,
                     pairs: chunk.to_vec(),
@@ -1297,7 +1189,6 @@ impl Agfw {
         let selection = self.config.selection;
         let threshold = self.suspicion_threshold();
         let Some(als) = &mut self.als else { return };
-        let ttl = als.params.ttl;
         let mut outgoing = Vec::new();
         for (&cell, server) in als.servers.iter_mut() {
             if server.is_empty() {
@@ -1318,7 +1209,7 @@ impl Agfw {
                     target_loc,
                     next: Pseudonym::LAST_ATTEMPT,
                     uid: 0, // assigned below (needs the RNG)
-                    ttl,
+                    ttl: ALS_TTL,
                     kind: AlsNetKind::Update {
                         cell,
                         pairs: chunk
@@ -1347,12 +1238,11 @@ impl Agfw {
             ctx.count("agfw.drop.no_location");
             return;
         };
-        let retries = als.params.max_query_retries;
         let entry = als.pending_queries.entry(dest);
         let fresh = matches!(entry, std::collections::hash_map::Entry::Vacant(_));
         let pq = entry.or_insert_with(|| PendingQuery {
             queued: Vec::new(),
-            retries_left: retries,
+            retries_left: ALS_MAX_QUERY_RETRIES,
             generation: 0,
         });
         pq.queued.push(tag);
@@ -1363,14 +1253,11 @@ impl Agfw {
 
     /// Builds and geo-routes the LREQ for `dest`, scheduling its timeout.
     fn als_send_request(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, dest: NodeId) {
-        let defense = self.config.defense;
+        let defense_on = self.config.defense.enabled;
         let my_salt = u64::from(self.my_id.0);
         let Some(als) = &mut self.als else { return };
         let me = u64::from(self.my_id.0);
         let ssa = als.ssa;
-        let ttl = als.params.ttl;
-        let base_timeout = als.params.query_timeout;
-        let max_retries = als.params.max_query_retries;
         let (generation, retries_left) = match als.pending_queries.get_mut(&dest) {
             Some(pq) => {
                 pq.generation += 1;
@@ -1381,16 +1268,16 @@ impl Agfw {
         // Hardened query retries back off exponentially (capped), with
         // jitter salted per (requester, destination) pair so concurrent
         // queriers of a dead region desynchronise.
-        let timeout = if defense.enabled {
-            let attempt = max_retries.saturating_sub(retries_left);
+        let timeout = if defense_on {
+            let attempt = ALS_MAX_QUERY_RETRIES.saturating_sub(retries_left);
             backoff_delay(
-                base_timeout,
+                ALS_QUERY_TIMEOUT,
                 attempt,
-                defense.als_backoff_cap,
+                ALS_BACKOFF_CAP,
                 (my_salt << 32) | u64::from(dest.0),
             )
         } else {
-            base_timeout
+            ALS_QUERY_TIMEOUT
         };
         let my_pos = ctx.my_pos();
         let keys = self.keys.as_ref().expect("Als mode has keys");
@@ -1404,7 +1291,7 @@ impl Agfw {
             target_loc: ssa.anchor_for(u64::from(dest.0)),
             next: Pseudonym::LAST_ATTEMPT,
             uid: ctx.rng().random(),
-            ttl,
+            ttl: ALS_TTL,
             kind: AlsNetKind::Request {
                 cell: request.server_cell,
                 index: request.index,
@@ -1456,11 +1343,7 @@ impl Agfw {
                 if !at_local_max {
                     return false;
                 }
-                let store = als.params.store;
-                let server = als
-                    .servers
-                    .entry(*cell)
-                    .or_insert_with(|| AlsServer::with_config(store));
+                let server = als.servers.entry(*cell).or_default();
                 for pair in pairs {
                     server.store_at(pair.index.clone(), pair.payload.clone(), now);
                 }
@@ -1479,7 +1362,6 @@ impl Agfw {
                     .servers
                     .get_mut(cell)
                     .and_then(|server| server.query_at(index, now));
-                let ttl = als.params.ttl;
                 match reply {
                     Some(payload) => {
                         ctx.count("als.reply_sent");
@@ -1487,7 +1369,7 @@ impl Agfw {
                             target_loc: *reply_loc,
                             next: Pseudonym::LAST_ATTEMPT,
                             uid: ctx.rng().random(),
-                            ttl,
+                            ttl: ALS_TTL,
                             kind: AlsNetKind::Reply { payload },
                         };
                         self.als_route(ctx, msg);
@@ -1693,9 +1575,9 @@ impl Protocol for Agfw {
         let base = self.config.hello_interval.as_nanos().max(1);
         let delay = SimTime::from_nanos(ctx.rng().random_range(0..base));
         ctx.set_timer(delay, TIMER_HELLO);
-        if let Some(als) = &self.als {
+        if self.als.is_some() {
             // First update after the neighborhood has formed.
-            let base = als.params.update_interval.as_nanos().max(1);
+            let base = ALS_UPDATE_INTERVAL.as_nanos().max(1);
             let delay = SimTime::from_nanos(
                 SimTime::from_secs(2).as_nanos() + ctx.rng().random_range(0..base),
             );
@@ -1754,8 +1636,8 @@ impl Protocol for Agfw {
             }
             TIMER_ALS_UPDATE => {
                 self.als_send_update(ctx);
-                if let Some(als) = &self.als {
-                    let base = als.params.update_interval.as_nanos().max(1);
+                if self.als.is_some() {
+                    let base = ALS_UPDATE_INTERVAL.as_nanos().max(1);
                     let jitter = ctx.rng().random_range((base * 3 / 4)..=(base * 5 / 4));
                     ctx.set_timer(SimTime::from_nanos(jitter), TIMER_ALS_UPDATE);
                 }
@@ -1777,11 +1659,11 @@ impl Protocol for Agfw {
                 let dst_loc = ctx.oracle_position(dest);
                 self.originate(ctx, dest, dst_loc, tag);
             }
-            LocationMode::Als(params) => {
+            LocationMode::Als => {
                 let now = ctx.now();
                 let cached = self.als.as_ref().and_then(|a| {
                     a.loc_cache.get(&dest).and_then(|&(loc, at)| {
-                        (now.saturating_sub(at) < params.cache_lifetime).then_some(loc)
+                        (now.saturating_sub(at) < ALS_CACHE_LIFETIME).then_some(loc)
                     })
                 });
                 if let Some(loc) = cached {
@@ -1834,8 +1716,7 @@ impl Protocol for Agfw {
                     ctx.count("defense.hello_rejected");
                     return;
                 }
-                let defense = self.config.defense;
-                if defense.enabled && defense.suspect_radius > 0.0 {
+                if self.config.defense.enabled {
                     // Suspicion inheritance: a fresh pseudonym beaconing
                     // from where a *convicted* suspect stood is excluded
                     // too — without this a per-beacon-rotating attacker
@@ -1845,12 +1726,10 @@ impl Protocol for Agfw {
                     // threshold (< watch_increment), so inherited slots
                     // are never themselves sources: chains terminate,
                     // and a quarantine dies with the convicted entry.
-                    let source =
-                        self.ant
-                            .suspicion_nearby(loc, defense.suspect_radius, n, ctx.now());
+                    let source = self.ant.suspicion_nearby(loc, SUSPECT_RADIUS, n, ctx.now());
                     let current = self.ant.suspicion(n);
-                    if source >= defense.watch_increment && current < defense.suspicion_threshold {
-                        self.ant.suspect(n, defense.suspicion_threshold - current);
+                    if source >= WATCH_INCREMENT && current < SUSPICION_THRESHOLD {
+                        self.ant.suspect(n, SUSPICION_THRESHOLD - current);
                         ctx.count("defense.suspicion_inherited");
                     }
                 }
@@ -1910,7 +1789,6 @@ mod tests {
     fn default_config_matches_paper() {
         let c = AgfwConfig::default();
         assert_eq!(c.hello_interval, SimTime::from_secs(1));
-        assert_eq!(c.pseudonym_memory, 2);
         assert_eq!(c.rotate_every, 1);
         assert!(c.nl_ack);
         assert_eq!(

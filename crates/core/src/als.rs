@@ -59,7 +59,7 @@ pub struct AlsRequest {
     /// dictionary.
     pub index: Vec<u8>,
     /// Where to geo-route the reply (a location, not an identity).
-    pub reply_loc: Point,
+    pub(crate) reply_loc: Point,
 }
 
 impl AlsRequest {
@@ -93,7 +93,7 @@ impl AlsRequestAll {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlsReply {
     /// Geo-routing target (the requester's advertised location).
-    pub reply_loc: Point,
+    pub(crate) reply_loc: Point,
     /// The sealed records — one for the indexed variant, all stored
     /// records for the no-index variant.
     pub payloads: Vec<Vec<u8>>,
@@ -160,7 +160,7 @@ pub fn make_update<R: Rng + ?Sized>(
 ///
 /// Propagates RSA block-size errors (requesters need ≥320-bit keys).
 #[allow(clippy::too_many_arguments)]
-pub fn make_update_with_scratch<R: Rng + ?Sized>(
+pub(crate) fn make_update_with_scratch<R: Rng + ?Sized>(
     updater: u64,
     updater_loc: Point,
     ts: SimTime,
@@ -194,7 +194,7 @@ pub fn make_update_with_scratch<R: Rng + ?Sized>(
 /// calls this once. A requester whose key cannot seal the record (block
 /// too small) is skipped, consuming no randomness, matching a caller loop
 /// that drops `Err` results.
-pub fn make_update_batch<R: Rng + ?Sized>(
+pub(crate) fn make_update_batch<R: Rng + ?Sized>(
     updater: u64,
     updater_loc: Point,
     ts: SimTime,
@@ -374,12 +374,6 @@ impl AlsServer {
             config,
             ..AlsServer::default()
         }
-    }
-
-    /// The storage policy in force.
-    #[must_use]
-    pub fn config(&self) -> AlsStoreConfig {
-        self.config
     }
 
     /// Lifetime counters.
@@ -564,7 +558,7 @@ impl AlsServer {
     /// Removes and returns all `(index, payload)` records in index order
     /// — used by a departing server to hand its records off towards the
     /// cell.
-    pub fn take_records(&mut self) -> Vec<(Vec<u8>, Vec<u8>)> {
+    pub(crate) fn take_records(&mut self) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.recency.clear();
         std::mem::take(&mut self.records)
             .into_iter()
@@ -600,27 +594,6 @@ impl AlsServer {
         }
         self.store_at(index, payload, stored_at);
         true
-    }
-
-    /// Removes and returns all records whose index starts with `prefix`,
-    /// in index order, each with the time it was stored — the
-    /// hierarchical DLM-forward primitive: the service prefixes indices
-    /// with their owning cell, so a prefix drain re-homes exactly one
-    /// cell's records. `stored_at` rides along so the re-homed copy keeps
-    /// its original freshness anchor (a move is not a rewrite).
-    pub fn take_prefix(&mut self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>, SimTime)> {
-        let keys: Vec<Vec<u8>> = self
-            .records
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.into_iter()
-            .map(|k| {
-                let stored = self.remove(&k).expect("key just enumerated");
-                (k, stored.payload, stored.stored_at)
-            })
-            .collect()
     }
 }
 
@@ -859,31 +832,6 @@ mod tests {
         server.store_at(blob(1, 4), blob(0xF, 8), now);
         assert_eq!(server.stats().evicted, 1);
         assert_eq!(server.stats().replaced, 1);
-    }
-
-    #[test]
-    fn take_prefix_drains_exactly_one_cell() {
-        let mut server = AlsServer::new();
-        let now = SimTime::ZERO;
-        let key = |cell: u8, rest: u8| vec![cell, cell, rest];
-        server.store_at(key(1, 7), blob(0xA, 4), now);
-        server.store_at(key(1, 9), blob(0xB, 4), now);
-        server.store_at(key(2, 7), blob(0xC, 4), now);
-        let drained = server.take_prefix(&[1, 1]);
-        assert_eq!(
-            drained,
-            vec![
-                (key(1, 7), blob(0xA, 4), now),
-                (key(1, 9), blob(0xB, 4), now)
-            ]
-        );
-        assert_eq!(server.len(), 1);
-        assert!(server.query_at(&key(2, 7), now).is_some());
-        // The drained keys are really gone, and LRU bookkeeping survived
-        // the drain (a follow-up store still works).
-        assert!(server.query_at(&key(1, 7), now).is_none());
-        server.store_at(key(1, 7), blob(0xD, 4), now);
-        assert_eq!(server.query_at(&key(1, 7), now), Some(blob(0xD, 4)));
     }
 
     #[test]

@@ -33,21 +33,21 @@ pub enum SelectionStrategy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AntEntry {
     /// The pseudonym the neighbor used in this hello.
-    pub pseudonym: Pseudonym,
+    pub(crate) pseudonym: Pseudonym,
     /// Advertised position.
     pub loc: Point,
     /// Advertised velocity, when the sender included one ("forwarding
     /// could be better if the node movement is predictable", §3.1.1).
-    pub velocity: Option<Vec2>,
+    pub(crate) velocity: Option<Vec2>,
     /// When the hello was heard.
-    pub heard_at: SimTime,
+    pub(crate) heard_at: SimTime,
 }
 
 impl AntEntry {
     /// The entry's position extrapolated to `now` along its advertised
     /// velocity (or the raw position when none was advertised).
     #[must_use]
-    pub fn predicted_loc(&self, now: SimTime) -> Point {
+    pub(crate) fn predicted_loc(&self, now: SimTime) -> Point {
         match self.velocity {
             Some(v) => self.loc + v * now.saturating_sub(self.heard_at).as_secs_f64(),
             None => self.loc,
@@ -77,7 +77,7 @@ impl AntEntry {
 ///     SimTime::from_secs(2),
 ///     SelectionStrategy::FreshnessAware,
 /// );
-/// assert_eq!(next.unwrap().pseudonym, n);
+/// assert_eq!(next.unwrap().loc, Point::new(100.0, 0.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnonymousNeighborTable {
@@ -121,7 +121,7 @@ impl AnonymousNeighborTable {
 
     /// Records a hello that also advertised a velocity (the §3.1.1
     /// predictive extension).
-    pub fn observe_with_velocity(
+    pub(crate) fn observe_with_velocity(
         &mut self,
         pseudonym: Pseudonym,
         loc: Point,
@@ -151,7 +151,7 @@ impl AnonymousNeighborTable {
     /// carry a timestamp at least as old as the entry timeout by the time
     /// they could resurrect anything. Returns whether the hello was
     /// accepted.
-    pub fn observe_hello(
+    pub(crate) fn observe_hello(
         &mut self,
         pseudonym: Pseudonym,
         loc: Point,
@@ -173,14 +173,14 @@ impl AnonymousNeighborTable {
     }
 
     /// Removes an entry, e.g. after repeated delivery failures to it.
-    pub fn remove(&mut self, pseudonym: Pseudonym) -> Option<AntEntry> {
+    pub(crate) fn remove(&mut self, pseudonym: Pseudonym) -> Option<AntEntry> {
         self.entries.remove(&pseudonym)
     }
 
     /// Raises the suspicion score of a pseudonym slot by `amount`
     /// (an NL-ACK timeout, or a forward-watch that saw no onward
     /// transmission).
-    pub fn suspect(&mut self, pseudonym: Pseudonym, amount: f64) {
+    pub(crate) fn suspect(&mut self, pseudonym: Pseudonym, amount: f64) {
         *self.suspicion.entry(pseudonym).or_insert(0.0) += amount;
     }
 
@@ -190,7 +190,7 @@ impl AnonymousNeighborTable {
     /// rotation: its aliases cluster around the same advertised position.
     /// (This deliberately links pseudonyms by position, trading a slice of
     /// the paper's unlinkability for robustness; see DESIGN.md.)
-    pub fn suspect_nearby(&mut self, loc: Point, radius: f64, amount: f64, now: SimTime) {
+    pub(crate) fn suspect_nearby(&mut self, loc: Point, radius: f64, amount: f64, now: SimTime) {
         let nearby: Vec<Pseudonym> = self
             .live(now)
             .filter(|e| e.loc.distance(loc) <= radius)
@@ -208,7 +208,7 @@ impl AnonymousNeighborTable {
     /// alias starts clean and must be re-convicted at full price. (Same
     /// position-linking trade-off as [`Self::suspect_nearby`].)
     #[must_use]
-    pub fn suspicion_nearby(
+    pub(crate) fn suspicion_nearby(
         &self,
         loc: Point,
         radius: f64,
@@ -223,7 +223,7 @@ impl AnonymousNeighborTable {
 
     /// Decays the suspicion score of a pseudonym slot by `amount`
     /// (a delivered NL-ACK), clamping at zero.
-    pub fn absolve(&mut self, pseudonym: Pseudonym, amount: f64) {
+    pub(crate) fn absolve(&mut self, pseudonym: Pseudonym, amount: f64) {
         if let Some(score) = self.suspicion.get_mut(&pseudonym) {
             *score -= amount;
             if *score <= 0.0 {
@@ -234,13 +234,13 @@ impl AnonymousNeighborTable {
 
     /// The current suspicion score of a pseudonym slot (zero when clean).
     #[must_use]
-    pub fn suspicion(&self, pseudonym: Pseudonym) -> f64 {
+    pub(crate) fn suspicion(&self, pseudonym: Pseudonym) -> f64 {
         self.suspicion.get(&pseudonym).copied().unwrap_or(0.0)
     }
 
     /// The live entry for `pseudonym`, if present and unexpired.
     #[must_use]
-    pub fn entry(&self, pseudonym: Pseudonym, now: SimTime) -> Option<AntEntry> {
+    pub(crate) fn entry(&self, pseudonym: Pseudonym, now: SimTime) -> Option<AntEntry> {
         self.entries
             .get(&pseudonym)
             .filter(|e| now.saturating_sub(e.heard_at) < self.timeout)
@@ -278,16 +278,10 @@ impl AnonymousNeighborTable {
     /// The Gabriel-planarised subset of *fresh* entries, for anonymous
     /// perimeter recovery (the §6 extension): fresh entries only, so that
     /// a neighbor's stale aliases do not witness away its live edge.
+    /// Restricted to entries whose suspicion score is below
+    /// `suspicion_threshold` (an infinite threshold excludes nobody).
     #[must_use]
-    pub fn planar_fresh(&self, self_pos: Point, now: SimTime) -> Vec<AntEntry> {
-        self.planar_fresh_excluding(self_pos, now, f64::INFINITY)
-    }
-
-    /// [`Self::planar_fresh`] restricted to entries whose suspicion score
-    /// is below `suspicion_threshold` (an infinite threshold excludes
-    /// nobody and is exactly `planar_fresh`).
-    #[must_use]
-    pub fn planar_fresh_excluding(
+    pub(crate) fn planar_fresh_excluding(
         &self,
         self_pos: Point,
         now: SimTime,
@@ -332,7 +326,7 @@ impl AnonymousNeighborTable {
     /// infinite threshold excludes nobody and reproduces `next_hop`
     /// exactly, which is what keeps defense-off runs byte-identical.
     #[must_use]
-    pub fn next_hop_excluding(
+    pub(crate) fn next_hop_excluding(
         &self,
         self_pos: Point,
         dst_loc: Point,
@@ -670,10 +664,6 @@ mod tests {
         let kept = t.planar_fresh_excluding(Point::ORIGIN, now, 1.0);
         assert!(kept.iter().all(|e| e.pseudonym != n(1)));
         assert!(kept.iter().any(|e| e.pseudonym == n(2)));
-        assert_eq!(
-            t.planar_fresh_excluding(Point::ORIGIN, now, f64::INFINITY),
-            t.planar_fresh(Point::ORIGIN, now)
-        );
     }
 
     #[test]

@@ -51,18 +51,18 @@ impl ServerSelection {
     /// The geographic anchor (cell centre) update/request packets are
     /// geo-routed towards.
     #[must_use]
-    pub fn anchor_for(&self, id: u64) -> Point {
+    pub(crate) fn anchor_for(&self, id: u64) -> Point {
         self.grid.cell_center(self.cell_for(id))
     }
 }
 
 /// A stored location record.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DlmRecord {
+pub(crate) struct DlmRecord {
     /// The node's advertised location.
-    pub loc: Point,
+    pub(crate) loc: Point,
     /// Update timestamp.
-    pub ts: SimTime,
+    pub(crate) ts: SimTime,
 }
 
 /// Remote location update: `⟨RLU, id, loc, ts⟩` — identity and location
@@ -110,11 +110,11 @@ impl DlmRequest {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DlmReply {
     /// The requested node.
-    pub target: u64,
+    pub(crate) target: u64,
     /// Its stored location.
     pub loc: Point,
     /// Record timestamp.
-    pub ts: SimTime,
+    pub(crate) ts: SimTime,
 }
 
 impl DlmReply {
@@ -164,24 +164,6 @@ impl DlmServer {
             loc: r.loc,
             ts: r.ts,
         })
-    }
-
-    /// Number of stored records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if no records are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// What a compromised server learns: every stored identity–location
-    /// doublet (used by the privacy analysis).
-    pub fn exposed_doublets(&self) -> impl Iterator<Item = (u64, Point)> + '_ {
-        self.records.iter().map(|(&id, r)| (id, r.loc))
     }
 }
 
@@ -258,7 +240,6 @@ mod tests {
     #[test]
     fn unknown_target_yields_none() {
         let server = DlmServer::new();
-        assert!(server.is_empty());
         assert!(server
             .handle_request(&DlmRequest {
                 target: 1,
@@ -266,18 +247,5 @@ mod tests {
                 requester_loc: Point::ORIGIN,
             })
             .is_none());
-    }
-
-    #[test]
-    fn server_sees_identity_location_doublets() {
-        // The privacy defect ALS fixes: a DLM server reads everything.
-        let mut server = DlmServer::new();
-        server.handle_update(DlmUpdate {
-            id: 7,
-            loc: Point::new(3.0, 4.0),
-            ts: SimTime::ZERO,
-        });
-        let doublets: Vec<_> = server.exposed_doublets().collect();
-        assert_eq!(doublets, vec![(7, Point::new(3.0, 4.0))]);
     }
 }

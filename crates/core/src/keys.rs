@@ -81,7 +81,7 @@ impl KeyDirectory {
     }
 
     /// All certified identities (unordered).
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.certs.keys().copied()
     }
 

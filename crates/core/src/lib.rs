@@ -60,8 +60,6 @@ pub mod packet;
 pub mod pseudonym;
 pub mod wire;
 
-pub use agfw::{Agfw, AgfwConfig, CryptoMode, DefenseConfig};
-pub use ant::{AnonymousNeighborTable, AntEntry, SelectionStrategy};
-pub use backoff::backoff_delay;
+pub use ant::{AnonymousNeighborTable, SelectionStrategy};
 pub use packet::{AgfwData, AgfwPacket, TrapdoorWire};
 pub use pseudonym::{Pseudonym, PseudonymGenerator};

@@ -19,7 +19,7 @@ use agr_geom::{CellId, Point, Vec2};
 use agr_sim::{FlowTag, NodeId, SimTime};
 
 /// IP-ish fixed network header bytes counted on every packet.
-pub const NET_HEADER_BYTES: u32 = 20;
+pub(crate) const NET_HEADER_BYTES: u32 = 20;
 
 /// The destination-detection trapdoor as carried in a packet.
 ///
@@ -48,26 +48,10 @@ pub enum TrapdoorWire {
 impl TrapdoorWire {
     /// Bytes this trapdoor occupies on the wire.
     #[must_use]
-    pub fn wire_bytes(&self) -> u32 {
+    pub(crate) fn wire_bytes(&self) -> u32 {
         match self {
             TrapdoorWire::Real(t) => t.encoded_len() as u32,
             TrapdoorWire::Modeled { .. } => 64,
-        }
-    }
-
-    /// A stable marker equal across retransmissions of one packet but
-    /// distinct across packets — what the §4 eavesdropper uses to
-    /// correlate "the last hop packet on the same route".
-    #[must_use]
-    pub fn flow_marker(&self) -> u64 {
-        match self {
-            TrapdoorWire::Real(t) => {
-                let bytes = t.as_bytes();
-                let mut m = [0u8; 8];
-                m.copy_from_slice(&bytes[..8.min(bytes.len())]);
-                u64::from_be_bytes(m)
-            }
-            TrapdoorWire::Modeled { nonce, .. } => *nonce,
         }
     }
 }
@@ -108,7 +92,7 @@ pub struct HelloAuth {
 impl HelloAuth {
     /// Wire bytes: 8 per ring identity plus the signature blocks.
     #[must_use]
-    pub fn wire_bytes(&self) -> u32 {
+    pub(crate) fn wire_bytes(&self) -> u32 {
         (self.ring_ids.len() * 8 + self.signature.encoded_len()) as u32
     }
 }
@@ -332,7 +316,7 @@ pub struct AlsNetMessage {
 impl AlsNetMessage {
     /// Network-layer bytes.
     #[must_use]
-    pub fn wire_bytes(&self) -> u32 {
+    pub(crate) fn wire_bytes(&self) -> u32 {
         let body = match &self.kind {
             AlsNetKind::Update { pairs, .. } => {
                 2 + pairs
@@ -489,20 +473,6 @@ mod tests {
             .wire_bytes(),
             64
         );
-    }
-
-    #[test]
-    fn flow_marker_stable_per_packet() {
-        let t = TrapdoorWire::Modeled {
-            dest: NodeId(1),
-            nonce: 42,
-        };
-        assert_eq!(t.flow_marker(), t.clone().flow_marker());
-        let other = TrapdoorWire::Modeled {
-            dest: NodeId(1),
-            nonce: 43,
-        };
-        assert_ne!(t.flow_marker(), other.flow_marker());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! full §3.3 message flow (RLU → store → LREQ → LREP) geo-routed over
 //! the live radio network, with **no location oracle** for destinations.
 
-use agr_core::agfw::{Agfw, AgfwConfig, AlsNetParams, LocationMode};
+use agr_core::agfw::{Agfw, AgfwConfig, LocationMode};
 use agr_core::keys::KeyDirectory;
 use agr_geom::Point;
 use agr_sim::{FlowConfig, NodeId, SimConfig, SimTime, World};
@@ -10,12 +10,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn als_world(mut sim: SimConfig, key_bits: u32, params: AlsNetParams) -> World<Agfw> {
+fn als_world(mut sim: SimConfig, key_bits: u32) -> World<Agfw> {
     let mut rng = StdRng::seed_from_u64(0xa15);
     let (keys, dir) = KeyDirectory::generate(sim.num_nodes, key_bits, &mut rng).unwrap();
     sim.seed = 42;
     let config = AgfwConfig {
-        location: LocationMode::Als(params),
+        location: LocationMode::Als,
         ..AgfwConfig::default()
     };
     World::new(sim, move |id, cfg, _| {
@@ -56,7 +56,7 @@ fn static_network_resolves_locations_and_delivers() {
         .collect();
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(120));
     sim.flows = vec![flow(0, 8, 25, 110)];
-    let mut world = als_world(sim, 512, AlsNetParams::default());
+    let mut world = als_world(sim, 512);
     let stats = world.run();
 
     assert!(
@@ -90,7 +90,7 @@ fn cache_amortises_queries() {
         .collect();
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(120));
     sim.flows = vec![flow(0, 8, 25, 110)];
-    let mut world = als_world(sim, 512, AlsNetParams::default());
+    let mut world = als_world(sim, 512);
     let stats = world.run();
     // ~85 packets but far fewer queries: the cache answers most sends.
     assert!(stats.counter("als.cache_hit") > stats.counter("als.request_sent"));
@@ -106,7 +106,7 @@ fn mobile_network_without_oracle() {
     sim.num_nodes = 30;
     sim.duration = SimTime::from_secs(240);
     let sim = sim.with_cbr_traffic(8, 5, SimTime::from_secs(1), 64, &mut traffic_rng);
-    let mut world = als_world(sim, 512, AlsNetParams::default());
+    let mut world = als_world(sim, 512);
     let stats = world.run();
     assert!(
         stats.delivery_fraction() > 0.5,
@@ -134,7 +134,7 @@ fn query_retry_heals_lost_service_messages() {
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(120));
     sim.flows = vec![flow(0, 8, 25, 110)];
     sim.fault = agr_sim::FaultPlan::uniform_loss(0.35);
-    let mut world = als_world(sim, 512, AlsNetParams::default());
+    let mut world = als_world(sim, 512);
     let stats = world.run();
     assert!(
         stats.counter("als.request_retry") > 0,
@@ -166,7 +166,7 @@ fn unanticipated_destination_times_out_cleanly() {
     ];
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(60));
     sim.flows = vec![flow(0, 2, 20, 50)];
-    let mut world = als_world(sim, 512, AlsNetParams::default());
+    let mut world = als_world(sim, 512);
     let stats = world.run();
     assert_eq!(stats.data_delivered, 0);
     assert!(

@@ -1,6 +1,6 @@
 //! Arbitrary-precision unsigned integers sized for RSA-512 work.
 //!
-//! [`BigUint`] stores little-endian `u64` limbs in a [`crate::limbs`]
+//! [`BigUint`] stores little-endian `u64` limbs in a `crate::limbs`
 //! small-vector: values up to 2048 bits (every steady-state protocol
 //! operand) live inline on the stack, wider values spill to the heap. The
 //! two hot paths for this reproduction are modular exponentiation (RSA,
@@ -12,12 +12,10 @@
 //! 512 bits.
 //!
 //! Exponentiation uses a sliding window over precomputed odd powers
-//! (width adapted to the exponent size) and [`Montgomery::multi_pow`]
-//! provides Shamir–Straus simultaneous exponentiation for product checks
-//! such as batched signature verification. All paths reduce to canonical
-//! residues (`< n`) after every multiplication, so the windowed, the
-//! multi-exponentiation, and the frozen [`Montgomery::pow_reference`]
-//! paths return bit-identical results.
+//! (width adapted to the exponent size). Both paths reduce to canonical
+//! residues (`< n`) after every multiplication, so the windowed and the
+//! frozen [`Montgomery::pow_reference`] paths return bit-identical
+//! results.
 
 // Limb arithmetic with explicit carries reads more clearly with indexed
 // loops than with iterator chains.
@@ -33,7 +31,7 @@ use std::ops::{Add, Mul, Rem, Shl, Shr, Sub};
 /// # Examples
 ///
 /// ```
-/// use agr_crypto::BigUint;
+/// use agr_crypto::bigint::BigUint;
 ///
 /// let a = BigUint::from_u64(1u64 << 63);
 /// let b = &a + &a;
@@ -48,7 +46,7 @@ pub struct BigUint {
 
 impl BigUint {
     /// The value `0`.
-    pub const ZERO: BigUint = BigUint {
+    pub(crate) const ZERO: BigUint = BigUint {
         limbs: LimbVec::new(),
     };
 
@@ -117,7 +115,7 @@ impl BigUint {
     /// without allocating an intermediate vector (the value `0` appends
     /// nothing). Hot digest paths use this to reuse one buffer across
     /// many values.
-    pub fn append_bytes_be(&self, out: &mut Vec<u8>) {
+    pub(crate) fn append_bytes_be(&self, out: &mut Vec<u8>) {
         if self.is_zero() {
             return;
         }
@@ -138,7 +136,7 @@ impl BigUint {
     ///
     /// Returns `None` if the value does not fit.
     #[must_use]
-    pub fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
+    pub(crate) fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
         let mut out = vec![0u8; len];
         self.write_bytes_be_padded(&mut out).map(|()| out)
     }
@@ -150,7 +148,7 @@ impl BigUint {
     /// Returns `None` (leaving `out` unspecified) if the value does not
     /// fit.
     #[must_use]
-    pub fn write_bytes_be_padded(&self, out: &mut [u8]) -> Option<()> {
+    pub(crate) fn write_bytes_be_padded(&self, out: &mut [u8]) -> Option<()> {
         let limbs = self.limbs.as_slice();
         let byte_len = match limbs.last() {
             None => 0,
@@ -179,13 +177,13 @@ impl BigUint {
 
     /// True if the value is odd.
     #[must_use]
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         self.limbs.first().is_some_and(|l| l & 1 == 1)
     }
 
     /// True if the value is even (zero counts as even).
     #[must_use]
-    pub fn is_even(&self) -> bool {
+    pub(crate) fn is_even(&self) -> bool {
         !self.is_odd()
     }
 
@@ -200,7 +198,7 @@ impl BigUint {
 
     /// The bit at position `i` (bit 0 is the least significant).
     #[must_use]
-    pub fn bit(&self, i: u32) -> bool {
+    pub(crate) fn bit(&self, i: u32) -> bool {
         let limb = (i / 64) as usize;
         self.limbs
             .get(limb)
@@ -208,22 +206,12 @@ impl BigUint {
     }
 
     /// Sets the bit at position `i` to 1.
-    pub fn set_bit(&mut self, i: u32) {
+    pub(crate) fn set_bit(&mut self, i: u32) {
         let limb = (i / 64) as usize;
         if limb >= self.limbs.len() {
             self.limbs.resize(limb + 1, 0);
         }
         self.limbs[limb] |= 1u64 << (i % 64);
-    }
-
-    /// The value as a `u64`, if it fits.
-    #[must_use]
-    pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
-            _ => None,
-        }
     }
 
     fn normalize(&mut self) {
@@ -459,7 +447,7 @@ impl BigUint {
     ///
     /// Panics if `divisor` is zero.
     #[must_use]
-    pub fn div_rem_u64(&self, divisor: u64) -> (BigUint, u64) {
+    pub(crate) fn div_rem_u64(&self, divisor: u64) -> (BigUint, u64) {
         assert!(divisor != 0, "division by zero");
         let a = self.limbs.as_slice();
         let mut out = LimbVec::zeroed(a.len());
@@ -716,7 +704,7 @@ impl fmt::LowerHex for BigUint {
 
 /// Widest modulus the allocation-free scratch path supports: 32 limbs =
 /// 2048 bits. Wider moduli fall back to [`Montgomery::pow_reference`].
-pub const MAX_LIMBS: usize = 32;
+pub(crate) const MAX_LIMBS: usize = 32;
 
 /// Widest exponentiation window (bits); sets the odd-power table size.
 const MAX_WINDOW: u32 = 4;
@@ -728,10 +716,10 @@ const TABLE_SIZE: usize = 1 << (MAX_WINDOW - 1);
 ///
 /// Roughly 5 KiB of plain `u64` arrays, constructed on the stack. One
 /// arena serves any number of sequential [`Montgomery::pow_with_scratch`]
-/// / [`Montgomery::multi_pow_with_scratch`] calls under any moduli up to
-/// [`MAX_LIMBS`] limbs — loops that exponentiate repeatedly (ring
-/// signature chains, batched verification, Miller–Rabin rounds) build one
-/// and thread it through, making the whole loop allocation-free.
+/// calls under any moduli up to `MAX_LIMBS` limbs — loops that
+/// exponentiate repeatedly (ring signature chains, batched verification,
+/// Miller–Rabin rounds) build one and thread it through, making the whole
+/// loop allocation-free.
 ///
 /// The buffers are never read before being written, so construction cost
 /// is a single memset.
@@ -779,10 +767,10 @@ impl fmt::Debug for MontScratch {
 /// itself for small exponents like the RSA verification exponent. Callers
 /// that exponentiate repeatedly under one modulus — RSA keys, trapdoor
 /// seal/open, the ring signature's `k+1` permutations — should build one
-/// context (or use a [`MontCache`]) and call [`Montgomery::pow`] on it
+/// context (or use a `MontCache`) and call `Montgomery::pow` on it
 /// instead of [`BigUint::modpow`], which rebuilds the context every call.
 ///
-/// Exponentiation temporaries live in a [`MontScratch`]; [`Montgomery::pow`]
+/// Exponentiation temporaries live in a [`MontScratch`]; `Montgomery::pow`
 /// builds one per call on the stack, and the `*_with_scratch` variants
 /// let loops share a single arena.
 #[derive(Debug, Clone)]
@@ -929,13 +917,13 @@ impl Montgomery {
     /// Builds a [`MontScratch`] on the stack; loops should prefer
     /// [`Montgomery::pow_with_scratch`] to share one arena.
     #[must_use]
-    pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+    pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let mut scratch = MontScratch::new();
         self.pow_with_scratch(base, exp, &mut scratch)
     }
 
     /// `base^exp mod n` using a caller-owned scratch arena: zero heap
-    /// allocations for moduli up to [`MAX_LIMBS`] limbs (the result
+    /// allocations for moduli up to `MAX_LIMBS` limbs (the result
     /// itself is inline-stored).
     ///
     /// Sliding-window exponentiation over precomputed odd powers, window
@@ -1037,98 +1025,13 @@ impl Montgomery {
         BigUint::from_limb_slice(&t[..len])
     }
 
-    /// Shamir–Straus simultaneous exponentiation:
-    /// `∏ bases[i]^exps[i] mod n` with one shared squaring chain.
-    ///
-    /// Identical (bit-for-bit) to multiplying the individual
-    /// [`Montgomery::pow`] results modulo `n`, but each squaring is paid
-    /// once instead of once per base — the workhorse of batched
-    /// signature-product checks. An empty input yields `1`.
-    #[must_use]
-    pub fn multi_pow(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-        let mut scratch = MontScratch::new();
-        self.multi_pow_with_scratch(pairs, &mut scratch)
-    }
-
-    /// [`Montgomery::multi_pow`] with a caller-owned scratch arena.
-    ///
-    /// The per-base Montgomery-domain table is the only heap use (one
-    /// `Vec` sized to `pairs.len()`); the inner loop allocates nothing.
-    #[must_use]
-    pub fn multi_pow_with_scratch(
-        &self,
-        pairs: &[(&BigUint, &BigUint)],
-        scratch: &mut MontScratch,
-    ) -> BigUint {
-        if pairs.is_empty() {
-            return BigUint::one();
-        }
-        let len = self.len();
-        if len > MAX_LIMBS {
-            // Wide-modulus fallback: sequential products of the reference
-            // path — same canonical result.
-            let modulus = BigUint {
-                limbs: self.n.clone(),
-            };
-            let mut acc = BigUint::one();
-            for &(base, exp) in pairs {
-                acc = acc
-                    .mul_ref(&self.pow_reference(base, exp))
-                    .rem_ref(&modulus);
-            }
-            return acc;
-        }
-        let modulus = BigUint {
-            limbs: self.n.clone(),
-        };
-        let MontScratch { t, acc, sq, .. } = scratch;
-        // Convert every base into the Montgomery domain.
-        let mut bases_m: Vec<[u64; MAX_LIMBS]> = vec![[0u64; MAX_LIMBS]; pairs.len()];
-        for (slot, &(base, _)) in bases_m.iter_mut().zip(pairs) {
-            let reduced;
-            let base_norm = if *base >= modulus {
-                reduced = base.rem_ref(&modulus);
-                &reduced
-            } else {
-                base
-            };
-            let bl = base_norm.limbs.as_slice();
-            sq[..bl.len()].copy_from_slice(bl);
-            sq[bl.len()..len].fill(0);
-            self.mont_mul_t(&sq[..len], &self.r2[..len], t);
-            slot[..len].copy_from_slice(&t[..len]);
-        }
-        // acc = 1 in the Montgomery domain (R mod n).
-        sq[..len].fill(0);
-        sq[0] = 1;
-        self.mont_mul_t(&sq[..len], &self.r2[..len], t);
-        acc[..len].copy_from_slice(&t[..len]);
-
-        let max_bits = pairs.iter().map(|&(_, e)| e.bits()).max().unwrap_or(0);
-        for i in (0..max_bits).rev() {
-            self.mont_mul_t(&acc[..len], &acc[..len], t);
-            acc[..len].copy_from_slice(&t[..len]);
-            for (base_m, &(_, exp)) in bases_m.iter().zip(pairs) {
-                if exp.bit(i) {
-                    self.mont_mul_t(&acc[..len], &base_m[..len], t);
-                    acc[..len].copy_from_slice(&t[..len]);
-                }
-            }
-        }
-
-        sq[..len].fill(0);
-        sq[0] = 1;
-        self.mont_mul_t(&acc[..len], &sq[..len], t);
-        BigUint::from_limb_slice(&t[..len])
-    }
-
     /// The frozen `Vec<u64>` reference path: plain MSB-first
     /// square-and-multiply with a per-product allocating multiplier —
     /// byte-for-byte the implementation that predates the scratch arena.
     ///
     /// Kept as the equivalence oracle for the scratch/windowed path
     /// (property tests assert bit-identical results) and as the working
-    /// fallback for moduli wider than [`MAX_LIMBS`] limbs.
+    /// fallback for moduli wider than `MAX_LIMBS` limbs.
     #[must_use]
     pub fn pow_reference(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
@@ -1167,14 +1070,14 @@ impl Montgomery {
 /// regardless of which has warmed its cache. Thread-safe, so keys shared
 /// across sweep worker threads (`Arc<RsaKeyPair>`) warm it once.
 #[derive(Default)]
-pub struct MontCache {
+pub(crate) struct MontCache {
     cell: std::sync::OnceLock<Montgomery>,
 }
 
 impl MontCache {
     /// An empty cache.
     #[must_use]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         MontCache {
             cell: std::sync::OnceLock::new(),
         }
@@ -1188,7 +1091,7 @@ impl MontCache {
     /// # Panics
     ///
     /// Panics (on first use) if `modulus` is even, zero, or one.
-    pub fn get(&self, modulus: &BigUint) -> &Montgomery {
+    pub(crate) fn get(&self, modulus: &BigUint) -> &Montgomery {
         let mont = self.cell.get_or_init(|| Montgomery::new(modulus));
         debug_assert_eq!(
             mont.n, modulus.limbs,
@@ -1197,16 +1100,10 @@ impl MontCache {
         mont
     }
 
-    /// `base^exp mod modulus` through the cached context.
-    #[must_use]
-    pub fn modpow(&self, base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
-        self.get(modulus).pow(base, exp)
-    }
-
     /// `base^exp mod modulus` through the cached context, reusing a
     /// caller-owned scratch arena — the fully allocation-free hot path.
     #[must_use]
-    pub fn modpow_with_scratch(
+    pub(crate) fn modpow_with_scratch(
         &self,
         base: &BigUint,
         exp: &BigUint,
@@ -1518,38 +1415,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_pow_matches_sequential_product() {
-        let m = BigUint::from_bytes_be(&[0xe7; 16]);
-        let mont = Montgomery::new(&m);
-        let bases = [
-            big(3),
-            big(0xdead_beef),
-            BigUint::from_bytes_be(&[0x77; 20]),
-        ];
-        let exps = [big(65_537), big(12345), BigUint::from_bytes_be(&[0x1f; 9])];
-        let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
-        let combined = mont.multi_pow(&pairs);
-        let mut sequential = BigUint::one();
-        for (b, e) in &pairs {
-            sequential = sequential.mul_ref(&mont.pow(b, e)).rem_ref(&m);
-        }
-        assert_eq!(combined, sequential);
-    }
-
-    #[test]
-    fn multi_pow_edge_cases() {
-        let m = BigUint::from_bytes_be(&[0xa5; 8]);
-        let mont = Montgomery::new(&m);
-        // Empty product is 1.
-        assert_eq!(mont.multi_pow(&[]), BigUint::one());
-        // Zero exponents contribute a factor of 1.
-        let b = big(7);
-        let e0 = BigUint::ZERO;
-        let e1 = big(13);
-        assert_eq!(mont.multi_pow(&[(&b, &e0), (&b, &e1)]), mont.pow(&b, &e1));
-    }
-
-    #[test]
     fn bytes_roundtrip() {
         let cases: Vec<Vec<u8>> = vec![
             vec![1],
@@ -1656,13 +1521,6 @@ mod tests {
     }
 
     #[test]
-    fn to_u64() {
-        assert_eq!(BigUint::ZERO.to_u64(), Some(0));
-        assert_eq!(big(42).to_u64(), Some(42));
-        assert_eq!(BigUint::one().shl_bits(64).to_u64(), None);
-    }
-
-    #[test]
     fn wide_modulus_falls_back_to_reference() {
         // 2560-bit modulus (40 limbs) exceeds MAX_LIMBS; pow must still
         // agree with the reference path (it *is* the reference path).
@@ -1672,7 +1530,5 @@ mod tests {
         let base = BigUint::from_bytes_be(&[0x33; 100]);
         let exp = big(65_537);
         assert_eq!(mont.pow(&base, &exp), mont.pow_reference(&base, &exp));
-        let pairs = [(&base, &exp)];
-        assert_eq!(mont.multi_pow(&pairs), mont.pow_reference(&base, &exp));
     }
 }

@@ -16,7 +16,7 @@ use rand::Rng;
 /// # Examples
 ///
 /// ```
-/// use agr_crypto::cert::CertificateAuthority;
+/// use agr_crypto::cert::{Certificate, CertificateAuthority};
 /// use agr_crypto::rsa::RsaKeyPair;
 /// use rand::SeedableRng;
 ///
@@ -24,7 +24,7 @@ use rand::Rng;
 /// let ca = CertificateAuthority::new(256, &mut rng)?;
 /// let node_keys = RsaKeyPair::generate(256, &mut rng)?;
 /// let cert = ca.issue(42, node_keys.public().clone());
-/// cert.verify(ca.public_key())?;
+/// Certificate::verify_batch([&cert], ca.public_key())?;
 /// assert_eq!(cert.subject(), 42);
 /// # Ok::<(), agr_crypto::CryptoError>(())
 /// ```
@@ -43,16 +43,6 @@ impl Certificate {
         self.subject
     }
 
-    /// The CA-assigned serial number.
-    ///
-    /// §4 of the paper suggests transmitting certificate *serial numbers*
-    /// instead of whole certificates to cut hello-beacon overhead; this is
-    /// the number that scheme would reference.
-    #[must_use]
-    pub fn serial(&self) -> u64 {
-        self.serial
-    }
-
     /// The certified public key.
     #[must_use]
     pub fn public_key(&self) -> &RsaPublicKey {
@@ -66,32 +56,16 @@ impl Certificate {
         8 + 8 + self.public_key.modulus_len() + 4 + self.signature.len()
     }
 
-    /// Verifies the CA signature.
+    /// Verifies the CA signature on many certificates under one CA key
+    /// as a single batch: all items share one Montgomery scratch arena
+    /// instead of paying per-certificate setup — the bulk path for
+    /// verifying a whole key directory at once.
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::BadSignature`] if the certificate was not
-    /// issued by the CA owning `ca_key` or has been altered.
-    pub fn verify(&self, ca_key: &RsaPublicKey) -> Result<(), CryptoError> {
-        ca_key.verify(&self.tbs_bytes(), &self.signature)
-    }
-
-    /// The CA signature bytes.
-    #[must_use]
-    pub fn signature(&self) -> &[u8] {
-        &self.signature
-    }
-
-    /// Verifies many certificates under one CA key as a single batch:
-    /// all items share one Montgomery scratch arena (and the batched
-    /// product check, when the CA exponent is large) instead of paying
-    /// per-certificate setup — the bulk path for verifying a whole key
-    /// directory at once.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing certificate's error in iteration order,
-    /// exactly as a sequential [`Certificate::verify`] loop would.
+    /// Returns the first failing certificate's error in iteration order:
+    /// [`CryptoError::BadSignature`] if it was not issued by the CA owning
+    /// `ca_key` or has been altered.
     pub fn verify_batch<'a, I>(certs: I, ca_key: &RsaPublicKey) -> Result<(), CryptoError>
     where
         I: IntoIterator<Item = &'a Certificate>,
@@ -180,7 +154,7 @@ mod tests {
     fn issued_certificate_verifies() {
         let (ca, node, _) = setup();
         let cert = ca.issue(7, node.public().clone());
-        cert.verify(ca.public_key()).unwrap();
+        Certificate::verify_batch([&cert], ca.public_key()).unwrap();
         assert_eq!(cert.subject(), 7);
         assert_eq!(cert.public_key(), node.public());
     }
@@ -190,7 +164,7 @@ mod tests {
         let (ca, node, _) = setup();
         let c1 = ca.issue(1, node.public().clone());
         let c2 = ca.issue(2, node.public().clone());
-        assert_eq!(c2.serial(), c1.serial() + 1);
+        assert_eq!(c2.serial, c1.serial + 1);
     }
 
     #[test]
@@ -198,7 +172,10 @@ mod tests {
         let (ca, node, _) = setup();
         let mut cert = ca.issue(7, node.public().clone());
         cert.subject = 8;
-        assert_eq!(cert.verify(ca.public_key()), Err(CryptoError::BadSignature));
+        assert_eq!(
+            Certificate::verify_batch([&cert], ca.public_key()),
+            Err(CryptoError::BadSignature)
+        );
     }
 
     #[test]
@@ -207,7 +184,7 @@ mod tests {
         let other_ca = CertificateAuthority::new(256, &mut rng).unwrap();
         let cert = ca.issue(7, node.public().clone());
         assert_eq!(
-            cert.verify(other_ca.public_key()),
+            Certificate::verify_batch([&cert], other_ca.public_key()),
             Err(CryptoError::BadSignature)
         );
     }
@@ -218,7 +195,10 @@ mod tests {
         let other = RsaKeyPair::generate(128, &mut rng).unwrap();
         let mut cert = ca.issue(7, node.public().clone());
         cert.public_key = other.public().clone();
-        assert_eq!(cert.verify(ca.public_key()), Err(CryptoError::BadSignature));
+        assert_eq!(
+            Certificate::verify_batch([&cert], ca.public_key()),
+            Err(CryptoError::BadSignature)
+        );
     }
 
     #[test]

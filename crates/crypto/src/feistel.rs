@@ -13,10 +13,10 @@ use crate::sha256::Sha256;
 
 /// Minimum number of Feistel rounds accepted (Luby–Rackoff needs 4 for a
 /// strong PRP; we default to more for margin).
-pub const MIN_ROUNDS: u32 = 4;
+pub(crate) const MIN_ROUNDS: u32 = 4;
 
 /// Default number of rounds.
-pub const DEFAULT_ROUNDS: u32 = 8;
+pub(crate) const DEFAULT_ROUNDS: u32 = 8;
 
 /// A keyed permutation over fixed-size blocks of `block_len` bytes.
 ///
@@ -47,7 +47,7 @@ pub struct Feistel {
 
 impl Feistel {
     /// Creates a cipher over blocks of `block_len` bytes with
-    /// [`DEFAULT_ROUNDS`] rounds.
+    /// `DEFAULT_ROUNDS` rounds.
     ///
     /// # Panics
     ///
@@ -64,7 +64,7 @@ impl Feistel {
     ///
     /// Panics if `block_len` is zero or odd, or `rounds < MIN_ROUNDS`.
     #[must_use]
-    pub fn with_rounds(key: [u8; 32], block_len: usize, rounds: u32) -> Self {
+    pub(crate) fn with_rounds(key: [u8; 32], block_len: usize, rounds: u32) -> Self {
         assert!(
             block_len > 0 && block_len.is_multiple_of(2),
             "block length must be positive and even"
@@ -81,12 +81,6 @@ impl Feistel {
             rounds,
             round_keys,
         }
-    }
-
-    /// Block size in bytes.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.block_len
     }
 
     /// Encrypts `block` in place.

@@ -9,7 +9,7 @@
 //!
 //! * [`BigUint`] — arbitrary-precision unsigned integers with Montgomery
 //!   modular exponentiation ([`bigint`]).
-//! * [`prime`] — Miller–Rabin probabilistic prime generation.
+//! * `prime` — Miller–Rabin probabilistic prime generation.
 //! * [`rsa`] — RSA key generation, PKCS#1-v1.5-style encryption and
 //!   signatures (512-bit keys by default, per the paper).
 //! * [`sha256`] — FIPS 180-4 SHA-256.
@@ -51,12 +51,12 @@ pub mod cert;
 mod error;
 pub mod feistel;
 mod limbs;
-pub mod prime;
+mod prime;
 pub mod ring_sig;
 pub mod rsa;
 pub mod sha256;
 pub mod trapdoor;
 
-pub use bigint::BigUint;
+pub(crate) use bigint::BigUint;
 pub use error::CryptoError;
 pub use sha256::Sha256;

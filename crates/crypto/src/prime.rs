@@ -21,7 +21,7 @@ const MILLER_RABIN_ROUNDS: u32 = 40;
 /// # Panics
 ///
 /// Panics if `bits` is zero.
-pub fn random_bits<R: Rng + ?Sized>(bits: u32, rng: &mut R) -> BigUint {
+pub(crate) fn random_bits<R: Rng + ?Sized>(bits: u32, rng: &mut R) -> BigUint {
     assert!(bits > 0, "cannot draw a 0-bit integer");
     let bytes = bits.div_ceil(8);
     let mut buf = vec![0u8; bytes as usize];
@@ -39,7 +39,7 @@ pub fn random_bits<R: Rng + ?Sized>(bits: u32, rng: &mut R) -> BigUint {
 /// # Panics
 ///
 /// Panics if `bound` is zero.
-pub fn random_below<R: Rng + ?Sized>(bound: &BigUint, rng: &mut R) -> BigUint {
+pub(crate) fn random_below<R: Rng + ?Sized>(bound: &BigUint, rng: &mut R) -> BigUint {
     assert!(!bound.is_zero(), "bound must be positive");
     let bits = bound.bits();
     let bytes = bits.div_ceil(8);
@@ -60,12 +60,12 @@ pub fn random_below<R: Rng + ?Sized>(bound: &BigUint, rng: &mut R) -> BigUint {
 /// Returns `true` if `n` is (almost certainly) prime. Deterministically
 /// correct for `n < 212`; for larger `n` the error probability is below
 /// `4^-rounds`.
-pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
+pub(crate) fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     miller_rabin(n, MILLER_RABIN_ROUNDS, rng)
 }
 
 /// Miller–Rabin with an explicit round count.
-pub fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> bool {
+pub(crate) fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> bool {
     let two = BigUint::from_u64(2);
     if n < &two {
         return false;
@@ -128,7 +128,7 @@ pub fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> b
 /// # Panics
 ///
 /// Panics if `bits < 8`; RSA needs at least two distinct multi-byte primes.
-pub fn gen_prime<R: Rng + ?Sized>(bits: u32, rng: &mut R) -> BigUint {
+pub(crate) fn gen_prime<R: Rng + ?Sized>(bits: u32, rng: &mut R) -> BigUint {
     assert!(bits >= 8, "prime size must be at least 8 bits");
     loop {
         let mut candidate = random_bits(bits, rng);
@@ -234,8 +234,9 @@ mod tests {
         let bound = BigUint::from_u64(4);
         let mut seen = [false; 4];
         for _ in 0..200 {
-            let v = random_below(&bound, &mut r).to_u64().unwrap() as usize;
-            seen[v] = true;
+            let v = random_below(&bound, &mut r);
+            let i = (0..4).position(|i| v == BigUint::from_u64(i)).unwrap();
+            seen[i] = true;
         }
         assert!(
             seen.iter().all(|&s| s),

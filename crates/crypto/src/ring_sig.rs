@@ -56,12 +56,6 @@ pub struct RingSignature {
 }
 
 impl RingSignature {
-    /// Ring size (number of possible signers).
-    #[must_use]
-    pub fn ring_size(&self) -> usize {
-        self.xs.len()
-    }
-
     /// Serialized size in bytes: the wire cost a hello beacon pays for
     /// `(k+1)`-anonymity, before certificates.
     #[must_use]
@@ -235,14 +229,14 @@ impl VerifyCache {
     }
 
     /// Number of distinct `(message, ring, signature)` triples cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.verdicts.lock().expect("cache lock poisoned").len()
     }
 
     /// True if nothing has been cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -556,8 +550,6 @@ mod tests {
         let mut r = rng(19);
         let sig2 = ring_sign(b"m", &pubs[..2], 0, &keys[0], &mut r).unwrap();
         let sig4 = ring_sign(b"m", &pubs[..4], 0, &keys[0], &mut r).unwrap();
-        assert_eq!(sig2.ring_size(), 2);
-        assert_eq!(sig4.ring_size(), 4);
         // encoded_len = block * (1 + ring): linear in ring size.
         let block = sig2.encoded_len() / 3;
         assert_eq!(sig4.encoded_len(), block * 5);

@@ -1,13 +1,13 @@
 //! RSA key generation, encryption, and signatures.
 //!
 //! The paper's simulations use RSA with a 512-bit public key, giving the
-//! 64-byte trapdoor bound of §5.1; [`DEFAULT_KEY_BITS`] matches that.
+//! 64-byte trapdoor bound of §5.1.
 //! Encryption uses PKCS#1-v1.5-style type-2 random padding and signatures
 //! use type-1 padding over a SHA-256 digest (a simplified DigestInfo — this
 //! is a protocol reproduction, not an interoperable PKCS#1 stack).
 //!
 //! The *raw* `x^e mod n` / `y^d mod n` permutations are also exposed
-//! ([`RsaPublicKey::raw_encrypt`], [`RsaKeyPair::raw_decrypt`]) because the
+//! (`RsaPublicKey::raw_encrypt_with_scratch`, `RsaKeyPair::raw_decrypt`) because the
 //! Rivest–Shamir–Tauman ring signature is built directly on the trapdoor
 //! permutation, not on padded encryption.
 
@@ -16,9 +16,6 @@ use crate::error::CryptoError;
 use crate::prime;
 use crate::sha256::Sha256;
 use rand::Rng;
-
-/// Key size used by the paper's evaluation (§5.1): RSA-512.
-pub const DEFAULT_KEY_BITS: u32 = 512;
 
 /// PKCS#1 v1.5 overhead: `00 || BT || PS(>=8) || 00` costs 11 bytes.
 const PKCS1_OVERHEAD: usize = 11;
@@ -37,8 +34,7 @@ const SIG_PREFIX: &[u8] = b"AGR-SHA256:";
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let keys = RsaKeyPair::generate(256, &mut rng)?;
 /// let pk = keys.public();
-/// assert_eq!(pk.modulus_len(), 32);
-/// assert_eq!(pk.max_plaintext_len(), 21);
+/// assert_eq!(pk.bits(), 256);
 /// # Ok::<(), agr_crypto::CryptoError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -56,13 +52,13 @@ pub struct RsaPublicKey {
 impl RsaPublicKey {
     /// The modulus `n`.
     #[must_use]
-    pub fn modulus(&self) -> &BigUint {
+    pub(crate) fn modulus(&self) -> &BigUint {
         &self.n
     }
 
     /// The public exponent `e`.
     #[must_use]
-    pub fn exponent(&self) -> &BigUint {
+    pub(crate) fn exponent(&self) -> &BigUint {
         &self.e
     }
 
@@ -74,42 +70,40 @@ impl RsaPublicKey {
 
     /// Modulus (and therefore ciphertext/signature block) size in bytes.
     #[must_use]
-    pub fn modulus_len(&self) -> usize {
+    pub(crate) fn modulus_len(&self) -> usize {
         (self.bits as usize).div_ceil(8)
     }
 
     /// Longest plaintext `encrypt` accepts, in bytes.
     #[must_use]
-    pub fn max_plaintext_len(&self) -> usize {
+    pub(crate) fn max_plaintext_len(&self) -> usize {
         self.modulus_len().saturating_sub(PKCS1_OVERHEAD)
     }
 
-    /// The raw trapdoor permutation `x ↦ x^e mod n`.
+    /// The raw trapdoor permutation `x ↦ x^e mod n`, through a
+    /// caller-owned scratch arena so loops that apply it many times (ring
+    /// signature chains, batched verification) stay allocation-free.
     ///
     /// No padding; used by the ring signature. The caller must ensure
     /// `x < n` for the map to be a permutation.
     #[must_use]
-    pub fn raw_encrypt(&self, x: &BigUint) -> BigUint {
-        self.mont.modpow(x, &self.e, &self.n)
-    }
-
-    /// [`RsaPublicKey::raw_encrypt`] with a caller-owned scratch arena —
-    /// the allocation-free form used by loops that apply the permutation
-    /// many times (ring signature chains, batched verification).
-    #[must_use]
-    pub fn raw_encrypt_with_scratch(&self, x: &BigUint, scratch: &mut MontScratch) -> BigUint {
+    pub(crate) fn raw_encrypt_with_scratch(
+        &self,
+        x: &BigUint,
+        scratch: &mut MontScratch,
+    ) -> BigUint {
         self.mont.modpow_with_scratch(x, &self.e, &self.n, scratch)
     }
 
     /// Encrypts `msg` with PKCS#1-v1.5 type-2 random padding.
     ///
-    /// The returned ciphertext is exactly [`RsaPublicKey::modulus_len`]
+    /// The returned ciphertext is exactly `RsaPublicKey::modulus_len`
     /// bytes — for the paper's RSA-512, the 64-byte trapdoor of §5.1.
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::MessageTooLong`] if `msg` exceeds
-    /// [`RsaPublicKey::max_plaintext_len`].
+    /// `RsaPublicKey::max_plaintext_len`.
     pub fn encrypt<R: Rng + ?Sized>(
         &self,
         msg: &[u8],
@@ -171,7 +165,7 @@ impl RsaPublicKey {
     /// # Errors
     ///
     /// Returns [`CryptoError::MessageTooLong`] if `msg` exceeds
-    /// [`RsaPublicKey::max_plaintext_len`].
+    /// `RsaPublicKey::max_plaintext_len`.
     pub fn encrypt_deterministic(&self, msg: &[u8]) -> Result<Vec<u8>, CryptoError> {
         let mut scratch = MontScratch::new();
         self.encrypt_deterministic_with_scratch(msg, &mut scratch)
@@ -237,7 +231,7 @@ impl RsaPublicKey {
     /// # Errors
     ///
     /// Same contract as [`RsaPublicKey::verify`].
-    pub fn verify_with_scratch(
+    pub(crate) fn verify_with_scratch(
         &self,
         msg: &[u8],
         signature: &[u8],
@@ -267,84 +261,24 @@ impl RsaPublicKey {
     /// Verifies a burst of `(key, message, signature)` triples.
     ///
     /// All items share one scratch arena, so the whole batch costs no
-    /// Montgomery temporaries beyond a single stack allocation. When the
-    /// batch shares one key whose public exponent exceeds 64 bits, a
-    /// Shamir–Straus product check `(∏ sᵢ^cᵢ)^e = ∏ mᵢ^cᵢ (mod n)` with
-    /// deterministic 64-bit multipliers replaces the per-item
-    /// exponentiations; with the small `e = 65537` used throughout this
-    /// stack, per-item verification is already cheaper than any product
-    /// test, so the batch win is amortised setup rather than fewer
-    /// multiplications.
+    /// Montgomery temporaries beyond a single stack allocation: with the
+    /// small `e = 65537` used throughout this stack the batch win is
+    /// amortised setup, not fewer multiplications.
     ///
     /// # Errors
     ///
     /// Returns the first failing item's error in iteration order, exactly
     /// as a sequential [`RsaPublicKey::verify`] loop would. An empty batch
     /// is vacuously `Ok`.
-    pub fn verify_batch<'a, I>(items: I) -> Result<(), CryptoError>
+    pub(crate) fn verify_batch<'a, I>(items: I) -> Result<(), CryptoError>
     where
         I: IntoIterator<Item = (&'a RsaPublicKey, &'a [u8], &'a [u8])>,
     {
-        let items: Vec<(&RsaPublicKey, &[u8], &[u8])> = items.into_iter().collect();
         let mut scratch = MontScratch::new();
-        let product_eligible = items.len() >= 2
-            && items[0].0.e.bits() > 64
-            && items
-                .iter()
-                .all(|(k, _, _)| k.n == items[0].0.n && k.e == items[0].0.e);
-        if product_eligible && Self::verify_batch_product(&items, &mut scratch).is_ok() {
-            return Ok(());
-        }
-        // Per-item path: exact first-failure semantics; also localises a
-        // failure the product test only detects in aggregate.
         for (key, msg, sig) in items {
             key.verify_with_scratch(msg, sig, &mut scratch)?;
         }
         Ok(())
-    }
-
-    /// The randomised product test behind [`RsaPublicKey::verify_batch`]:
-    /// accepts iff `(∏ sᵢ^cᵢ)^e ≡ ∏ blockᵢ^cᵢ (mod n)` for multipliers
-    /// `cᵢ` derived by hashing each item. Sound up to a forger guessing
-    /// the 64-bit multipliers; a rejection does not identify the bad item.
-    fn verify_batch_product(
-        items: &[(&RsaPublicKey, &[u8], &[u8])],
-        scratch: &mut MontScratch,
-    ) -> Result<(), CryptoError> {
-        let key = items[0].0;
-        let k = key.modulus_len();
-        let mut sigs = Vec::with_capacity(items.len());
-        let mut blocks = Vec::with_capacity(items.len());
-        let mut mults = Vec::with_capacity(items.len());
-        for (i, (_, msg, sig)) in items.iter().enumerate() {
-            if sig.len() != k {
-                return Err(CryptoError::BlockSizeMismatch {
-                    got: sig.len(),
-                    expected: k,
-                });
-            }
-            let s = BigUint::from_bytes_be(sig);
-            if s >= key.n {
-                return Err(CryptoError::BadSignature);
-            }
-            let digest =
-                Sha256::digest_parts(&[b"AGR-BATCHVER", &(i as u64).to_le_bytes(), msg, sig]);
-            let c = u64::from_be_bytes(digest[..8].try_into().expect("8-byte prefix")).max(1);
-            sigs.push(s);
-            blocks.push(BigUint::from_bytes_be(&signature_block(msg, k)));
-            mults.push(BigUint::from_u64(c));
-        }
-        let mont = key.mont.get(&key.n);
-        let left_pairs: Vec<(&BigUint, &BigUint)> = sigs.iter().zip(mults.iter()).collect();
-        let sig_product = mont.multi_pow_with_scratch(&left_pairs, scratch);
-        let left = mont.pow_with_scratch(&sig_product, &key.e, scratch);
-        let right_pairs: Vec<(&BigUint, &BigUint)> = blocks.iter().zip(mults.iter()).collect();
-        let right = mont.multi_pow_with_scratch(&right_pairs, scratch);
-        if left == right {
-            Ok(())
-        } else {
-            Err(CryptoError::BadSignature)
-        }
     }
 }
 
@@ -380,8 +314,8 @@ impl RsaKeyPair {
     /// Generates a fresh key pair with a modulus of exactly `bits` bits and
     /// public exponent 65537.
     ///
-    /// The paper's configuration is `generate(512, ...)`
-    /// ([`DEFAULT_KEY_BITS`]); tests use smaller keys for speed.
+    /// The paper's configuration (§5.1) is `generate(512, ...)`; tests use
+    /// smaller keys for speed.
     ///
     /// # Errors
     ///
@@ -443,7 +377,7 @@ impl RsaKeyPair {
     ///
     /// No padding; used by the ring signature.
     #[must_use]
-    pub fn raw_decrypt(&self, y: &BigUint) -> BigUint {
+    pub(crate) fn raw_decrypt(&self, y: &BigUint) -> BigUint {
         let mut scratch = MontScratch::new();
         self.raw_decrypt_with_scratch(y, &mut scratch)
     }
@@ -451,7 +385,11 @@ impl RsaKeyPair {
     /// [`RsaKeyPair::raw_decrypt`] with a caller-owned scratch arena
     /// shared by both CRT half-exponentiations.
     #[must_use]
-    pub fn raw_decrypt_with_scratch(&self, y: &BigUint, scratch: &mut MontScratch) -> BigUint {
+    pub(crate) fn raw_decrypt_with_scratch(
+        &self,
+        y: &BigUint,
+        scratch: &mut MontScratch,
+    ) -> BigUint {
         // CRT: m1 = y^dp mod p, m2 = y^dq mod q,
         //      h = qinv (m1 - m2) mod p, m = m2 + q h.
         let m1 = self
@@ -511,7 +449,7 @@ impl RsaKeyPair {
 
     /// Signs `msg` (deterministically) with type-1 padding over SHA-256.
     ///
-    /// The signature is [`RsaPublicKey::modulus_len`] bytes.
+    /// The signature is `RsaPublicKey::modulus_len` bytes.
     #[must_use]
     pub fn sign(&self, msg: &[u8]) -> Vec<u8> {
         let k = self.public.modulus_len();
@@ -585,7 +523,9 @@ mod tests {
     fn raw_roundtrip() {
         let keys = RsaKeyPair::generate(128, &mut rng(5)).unwrap();
         let x = BigUint::from_u64(0xdead_beef_1234_5678);
-        let y = keys.public().raw_encrypt(&x);
+        let y = keys
+            .public()
+            .raw_encrypt_with_scratch(&x, &mut MontScratch::new());
         assert_ne!(y, x);
         assert_eq!(keys.raw_decrypt(&y), x);
     }
@@ -780,52 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_batch_product_path_with_large_exponent() {
-        // Swap the exponent roles: "public" exponent d (hundreds of bits)
-        // triggers the Shamir–Straus product test, and s = block^e is a
-        // valid signature under it.
-        let keys = RsaKeyPair::generate(256, &mut rng(42)).unwrap();
-        let pk = RsaPublicKey {
-            n: keys.public().n.clone(),
-            e: keys.d.clone(),
-            bits: keys.public().bits,
-            mont: MontCache::new(),
-        };
-        assert!(pk.e.bits() > 64);
-        let k = pk.modulus_len();
-        let msgs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![0x50 + i; 12]).collect();
-        let sigs: Vec<Vec<u8>> = msgs
-            .iter()
-            .map(|m| {
-                let block = BigUint::from_bytes_be(&signature_block(m, k));
-                keys.public()
-                    .raw_encrypt(&block)
-                    .to_bytes_be_padded(k)
-                    .unwrap()
-            })
-            .collect();
-        let items: Vec<(&RsaPublicKey, &[u8], &[u8])> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| (&pk, m.as_slice(), s.as_slice()))
-            .collect();
-        assert!(RsaPublicKey::verify_batch(items.clone()).is_ok());
-        // Corrupt one signature: the product test rejects and the
-        // per-item fallback pinpoints BadSignature.
-        let mut bad = sigs.clone();
-        bad[2][3] ^= 1;
-        let items_bad: Vec<(&RsaPublicKey, &[u8], &[u8])> = msgs
-            .iter()
-            .zip(&bad)
-            .map(|(m, s)| (&pk, m.as_slice(), s.as_slice()))
-            .collect();
-        assert_eq!(
-            RsaPublicKey::verify_batch(items_bad),
-            Err(CryptoError::BadSignature)
-        );
-    }
-
-    #[test]
     fn scratch_verify_matches_verify() {
         let keys = test_keys();
         let sig = keys.sign(b"scratch me");
@@ -845,7 +739,9 @@ mod tests {
     fn crt_decrypt_matches_plain_exponentiation() {
         let keys = RsaKeyPair::generate(128, &mut rng(33)).unwrap();
         let msg = BigUint::from_u64(123_456_789);
-        let c = keys.public().raw_encrypt(&msg);
+        let c = keys
+            .public()
+            .raw_encrypt_with_scratch(&msg, &mut MontScratch::new());
         let plain = c.modpow(&keys.d, keys.public().modulus());
         assert_eq!(keys.raw_decrypt(&c), plain);
     }

@@ -1,7 +1,6 @@
 //! Equivalence proofs for the fixed-limb Montgomery fast paths.
 //!
 //! The windowed scratch-arena exponentiation ([`Montgomery::pow_with_scratch`])
-//! and the Shamir–Straus multi-exponentiation ([`Montgomery::multi_pow`])
 //! must be *bit-identical* to the frozen `Vec<u64>` reference path
 //! ([`Montgomery::pow_reference`]) — that identity is what keeps every
 //! golden event stream byte-stable across the perf rewrite. These tests
@@ -63,24 +62,6 @@ proptest! {
     fn pow_matches_reference_2048(base in operand(512), exp in operand(72)) {
         // 2048 bits = the full 32-limb scratch capacity.
         assert_pow_matches(&modulus(2048), &base, &exp);
-    }
-
-    #[test]
-    fn multi_pow_matches_sequential_modpow_products(
-        bases in proptest::collection::vec(operand(160), 1..5),
-        exps in proptest::collection::vec(operand(24), 1..5),
-    ) {
-        let m = modulus(512);
-        let mont = Montgomery::new(&m);
-        let k = bases.len().min(exps.len());
-        let pairs: Vec<(&BigUint, &BigUint)> =
-            bases[..k].iter().zip(&exps[..k]).collect();
-        let fused = mont.multi_pow(&pairs);
-        let mut sequential = BigUint::one();
-        for (b, e) in &pairs {
-            sequential = sequential.mul_ref(&mont.pow_reference(b, e)).rem_ref(&m);
-        }
-        prop_assert_eq!(fused, sequential);
     }
 }
 

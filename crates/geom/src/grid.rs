@@ -17,7 +17,7 @@ pub struct CellId {
 impl CellId {
     /// Creates a cell id for `(col, row)`.
     #[must_use]
-    pub const fn new(col: u32, row: u32) -> Self {
+    pub(crate) const fn new(col: u32, row: u32) -> Self {
         CellId { col, row }
     }
 }
@@ -79,18 +79,6 @@ impl Grid {
             cols,
             rows,
         }
-    }
-
-    /// The partitioned area.
-    #[must_use]
-    pub fn area(&self) -> Rect {
-        self.area
-    }
-
-    /// Cell side length in metres.
-    #[must_use]
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
     }
 
     /// Number of columns.

@@ -15,7 +15,7 @@
 //! ```
 //! use agr_geom::{Point, Rect};
 //!
-//! let area = Rect::new(Point::ORIGIN, Point::new(1500.0, 300.0));
+//! let area = Rect::with_size(1500.0, 300.0);
 //! let a = Point::new(100.0, 100.0);
 //! let b = Point::new(400.0, 100.0);
 //! assert!(area.contains(a));
@@ -29,9 +29,7 @@ mod grid;
 pub mod planar;
 mod point;
 mod rect;
-mod segment;
 
 pub use grid::{CellId, Grid};
 pub use point::{Point, Vec2};
 pub use rect::Rect;
-pub use segment::Segment;

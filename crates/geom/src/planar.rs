@@ -2,10 +2,9 @@
 //!
 //! GPSR's perimeter mode (the recovery strategy the paper names as the
 //! natural extension of AGFW, §6) routes around voids on a *planarised*
-//! subgraph of the radio connectivity graph. The two classical local
-//! planarisations are the **Relative Neighborhood Graph** (RNG) and the
-//! **Gabriel Graph** (GG); both can be computed by each node from its
-//! 1-hop neighbor table alone, which is what makes them usable in a
+//! subgraph of the radio connectivity graph. The local planarisation
+//! used here is the **Gabriel Graph** (GG), which each node can compute
+//! from its 1-hop neighbor table alone — what makes it usable in a
 //! stateless geographic protocol.
 
 use crate::{Point, Vec2};
@@ -41,24 +40,6 @@ where
     others
         .into_iter()
         .all(|w| u.distance_sq(w) + w.distance_sq(v) >= uv_sq - 1e-9)
-}
-
-/// True if the edge `u – v` survives **Relative Neighborhood Graph**
-/// planarisation given the candidate witnesses `others`.
-///
-/// The RNG keeps `u – v` iff no witness `w` is simultaneously closer to
-/// both endpoints than they are to each other: there is no `w` with
-/// `max(|uw|, |wv|) < |uv|`. The RNG is a subgraph of the GG (sparser,
-/// longer perimeter walks, but fewer crossing-edge artefacts under
-/// imprecise positions).
-pub fn rng_edge<I>(u: Point, v: Point, others: I) -> bool
-where
-    I: IntoIterator<Item = Point>,
-{
-    let uv_sq = u.distance_sq(v);
-    others
-        .into_iter()
-        .all(|w| u.distance_sq(w).max(w.distance_sq(v)) >= uv_sq - 1e-9)
 }
 
 /// Selects the next hop by the **right-hand rule**.
@@ -124,24 +105,6 @@ mod tests {
         let v = Point::new(10.0, 0.0);
         let w = Point::new(5.0, 5.0);
         assert!(gabriel_edge(u, v, [w]));
-    }
-
-    #[test]
-    fn rng_is_subgraph_of_gg() {
-        // Witness inside the lune but outside the diametral circle:
-        // removed by RNG, kept by GG.
-        let u = Point::new(0.0, 0.0);
-        let v = Point::new(10.0, 0.0);
-        let w = Point::new(5.0, 7.0); // |uw| = |wv| ≈ 8.6 < 10, but outside circle
-        assert!(gabriel_edge(u, v, [w]));
-        assert!(!rng_edge(u, v, [w]));
-    }
-
-    #[test]
-    fn rng_far_witness_keeps_edge() {
-        let u = Point::new(0.0, 0.0);
-        let v = Point::new(10.0, 0.0);
-        assert!(rng_edge(u, v, [Point::new(5.0, 20.0)]));
     }
 
     #[test]

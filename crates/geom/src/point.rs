@@ -90,7 +90,7 @@ impl Point {
 
     /// Midpoint between `self` and `other`.
     #[must_use]
-    pub fn midpoint(self, other: Point) -> Point {
+    pub(crate) fn midpoint(self, other: Point) -> Point {
         self.lerp(other, 0.5)
     }
 
@@ -163,29 +163,9 @@ impl Vec2 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Squared length; cheaper than [`Vec2::length`].
-    #[must_use]
-    pub fn length_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
-    /// Dot product.
-    #[must_use]
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// 2-D cross product (z-component of the 3-D cross product).
-    ///
-    /// Positive when `other` is counter-clockwise from `self`.
-    #[must_use]
-    pub fn cross(self, other: Vec2) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// The vector scaled to unit length, or `None` for (near-)zero vectors.
     #[must_use]
-    pub fn normalized(self) -> Option<Vec2> {
+    pub(crate) fn normalized(self) -> Option<Vec2> {
         let len = self.length();
         if len < 1e-12 {
             None
@@ -197,7 +177,7 @@ impl Vec2 {
     /// Angle of the vector in radians, in `(-pi, pi]`, measured
     /// counter-clockwise from the positive x-axis.
     #[must_use]
-    pub fn angle(self) -> f64 {
+    pub(crate) fn angle(self) -> f64 {
         self.y.atan2(self.x)
     }
 
@@ -315,15 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_sign_tells_orientation() {
-        let e1 = Vec2::new(1.0, 0.0);
-        let e2 = Vec2::new(0.0, 1.0);
-        assert!(e1.cross(e2) > 0.0);
-        assert!(e2.cross(e1) < 0.0);
-        assert_eq!(e1.cross(e1), 0.0);
-    }
-
-    #[test]
     fn ccw_angle_quarter_turns() {
         let e1 = Vec2::new(1.0, 0.0);
         let up = Vec2::new(0.0, 1.0);
@@ -349,7 +320,6 @@ mod tests {
         assert_eq!(-a, Vec2::new(-1.0, -2.0));
         assert_eq!(a * 2.0, Vec2::new(2.0, 4.0));
         assert_eq!(a / 2.0, Vec2::new(0.5, 1.0));
-        assert_eq!(a.dot(b), 1.0);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use std::fmt;
 ///
 /// let area = Rect::with_size(1500.0, 300.0);
 /// assert!(area.contains(Point::new(750.0, 150.0)));
-/// assert_eq!(area.center(), Point::new(750.0, 150.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
@@ -28,7 +27,7 @@ impl Rect {
     /// The corners may be given in any order; they are normalised so that
     /// `min()` is the bottom-left and `max()` the top-right corner.
     #[must_use]
-    pub fn new(a: Point, b: Point) -> Self {
+    pub(crate) fn new(a: Point, b: Point) -> Self {
         Rect {
             min: Point::new(a.x.min(b.x), a.y.min(b.y)),
             max: Point::new(a.x.max(b.x), a.y.max(b.y)),
@@ -46,13 +45,13 @@ impl Rect {
 
     /// Bottom-left corner.
     #[must_use]
-    pub fn min(&self) -> Point {
+    pub(crate) fn min(&self) -> Point {
         self.min
     }
 
     /// Top-right corner.
     #[must_use]
-    pub fn max(&self) -> Point {
+    pub(crate) fn max(&self) -> Point {
         self.max
     }
 
@@ -76,7 +75,7 @@ impl Rect {
 
     /// Geometric centre.
     #[must_use]
-    pub fn center(&self) -> Point {
+    pub(crate) fn center(&self) -> Point {
         self.min.midpoint(self.max)
     }
 

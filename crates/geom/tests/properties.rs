@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use agr_geom::{planar, Grid, Point, Rect, Segment, Vec2};
+use agr_geom::{planar, Grid, Point, Rect, Vec2};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -86,28 +86,6 @@ proptest! {
         let b = Vec2::new(bx, by);
         let angle = a.ccw_angle_to(b);
         prop_assert!((0.0..std::f64::consts::TAU + 1e-9).contains(&angle));
-    }
-
-    #[test]
-    fn intersection_point_lies_on_both(a in arb_point(), b in arb_point(),
-                                       c in arb_point(), d in arb_point()) {
-        let s1 = Segment::new(a, b);
-        let s2 = Segment::new(c, d);
-        if let Some(p) = s1.intersection(&s2) {
-            let on = |s: &Segment, p: Point| {
-                (s.a.distance(p) + p.distance(s.b) - s.length()).abs() < 1e-5 * (1.0 + s.length())
-            };
-            prop_assert!(on(&s1, p) && on(&s2, p));
-        }
-    }
-
-    #[test]
-    fn rng_subgraph_of_gg(u in arb_point(), v in arb_point(),
-                          ws in proptest::collection::vec(arb_point(), 0..8)) {
-        // Every RNG edge is a GG edge.
-        if planar::rng_edge(u, v, ws.iter().copied()) {
-            prop_assert!(planar::gabriel_edge(u, v, ws.iter().copied()));
-        }
     }
 
     #[test]

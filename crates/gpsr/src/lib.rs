@@ -41,12 +41,11 @@
 #![warn(missing_docs)]
 
 pub mod greedy;
-pub mod neighbor;
+mod neighbor;
 pub mod packet;
 pub mod perimeter;
 mod protocol;
 
 pub use neighbor::{Neighbor, NeighborTable};
-pub use packet::{DataHeader, GpsrPacket, RoutingMode};
-pub use perimeter::PlanarGraph;
-pub use protocol::{Gpsr, GpsrConfig, Planarization};
+pub use packet::GpsrPacket;
+pub use protocol::{Gpsr, GpsrConfig};

@@ -50,12 +50,6 @@ impl NeighborTable {
         }
     }
 
-    /// The configured entry timeout.
-    #[must_use]
-    pub fn timeout(&self) -> SimTime {
-        self.timeout
-    }
-
     /// Inserts or refreshes a neighbor from a beacon.
     pub fn update(&mut self, id: NodeId, pos: Point, now: SimTime) {
         self.entries.insert(
@@ -71,7 +65,7 @@ impl NeighborTable {
     /// Removes a neighbor (e.g. after a MAC-layer delivery failure).
     ///
     /// Returns the removed entry, if present.
-    pub fn remove(&mut self, id: NodeId) -> Option<Neighbor> {
+    pub(crate) fn remove(&mut self, id: NodeId) -> Option<Neighbor> {
         self.entries.remove(&id)
     }
 
@@ -85,7 +79,7 @@ impl NeighborTable {
     }
 
     /// Iterates over live neighbors.
-    pub fn live(&self, now: SimTime) -> impl Iterator<Item = Neighbor> + '_ {
+    pub(crate) fn live(&self, now: SimTime) -> impl Iterator<Item = Neighbor> + '_ {
         self.entries
             .values()
             .filter(move |n| self.is_live(n, now))
@@ -100,7 +94,7 @@ impl NeighborTable {
 
     /// Drops expired entries to bound memory (call occasionally, e.g. on
     /// each beacon).
-    pub fn prune(&mut self, now: SimTime) {
+    pub(crate) fn prune(&mut self, now: SimTime) {
         let timeout = self.timeout;
         self.entries
             .retain(|_, n| now.saturating_sub(n.heard_at) < timeout);

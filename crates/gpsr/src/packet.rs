@@ -14,11 +14,11 @@ pub const BEACON_BYTES: u32 = 32;
 
 /// Bytes of the GPSR data header: IP-ish header (20) + destination id (4)
 /// + destination location (8) + mode/TTL/perimeter fields (16).
-pub const DATA_HEADER_BYTES: u32 = 48;
+pub(crate) const DATA_HEADER_BYTES: u32 = 48;
 
 /// Routing mode carried in the data header.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RoutingMode {
+pub(crate) enum RoutingMode {
     /// Greedy forwarding towards the destination location.
     Greedy,
     /// Perimeter (face) routing around a void.
@@ -39,18 +39,18 @@ pub enum RoutingMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataHeader {
     /// End-to-end statistics tag.
-    pub tag: FlowTag,
+    pub(crate) tag: FlowTag,
     /// Destination identity (cleartext — the privacy leak).
     pub dst: NodeId,
     /// Destination location as known to the source.
-    pub dst_loc: Point,
+    pub(crate) dst_loc: Point,
     /// Remaining hop budget.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Greedy or perimeter.
-    pub mode: RoutingMode,
+    pub(crate) mode: RoutingMode,
     /// Application payload size in bytes (payload content is irrelevant to
     /// routing; only its size matters for airtime).
-    pub payload_bytes: u32,
+    pub(crate) payload_bytes: u32,
 }
 
 impl DataHeader {

@@ -1,9 +1,9 @@
 //! Perimeter-mode recovery: planarised right-hand-rule face routing.
 //!
 //! When greedy forwarding reaches a local maximum, GPSR routes *around*
-//! the void: the node planarises its neighbor set (Gabriel graph or
-//! relative neighborhood graph — both computable from the 1-hop table
-//! alone) and forwards along faces by the right-hand rule, returning to
+//! the void: the node planarises its neighbor set (Gabriel graph,
+//! computable from the 1-hop table alone) and forwards along faces by
+//! the right-hand rule, returning to
 //! greedy as soon as the packet is closer to the destination than where
 //! it entered perimeter mode.
 //!
@@ -17,24 +17,10 @@ use crate::neighbor::Neighbor;
 use agr_geom::{planar, Point};
 use agr_sim::NodeId;
 
-/// Which local planarisation to apply to the neighbor graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanarGraph {
-    /// Gabriel graph (denser; shorter perimeter walks).
-    #[default]
-    Gabriel,
-    /// Relative neighborhood graph (sparser subgraph of the GG).
-    Rng,
-}
-
 /// Filters `neighbors` down to those whose edge from `self_pos` survives
-/// planarisation, using all other neighbors as witnesses.
+/// Gabriel-graph planarisation, using all other neighbors as witnesses.
 #[must_use]
-pub fn planar_neighbors(
-    self_pos: Point,
-    neighbors: &[Neighbor],
-    graph: PlanarGraph,
-) -> Vec<Neighbor> {
+pub fn planar_neighbors(self_pos: Point, neighbors: &[Neighbor]) -> Vec<Neighbor> {
     neighbors
         .iter()
         .filter(|candidate| {
@@ -42,10 +28,7 @@ pub fn planar_neighbors(
                 .iter()
                 .filter(|w| w.id != candidate.id)
                 .map(|w| w.pos);
-            match graph {
-                PlanarGraph::Gabriel => planar::gabriel_edge(self_pos, candidate.pos, witnesses),
-                PlanarGraph::Rng => planar::rng_edge(self_pos, candidate.pos, witnesses),
-            }
+            planar::gabriel_edge(self_pos, candidate.pos, witnesses)
         })
         .copied()
         .collect()
@@ -59,13 +42,8 @@ pub fn planar_neighbors(
 ///
 /// Returns `None` when the node has no planar neighbors at all.
 #[must_use]
-pub fn next_hop(
-    self_pos: Point,
-    prev: Point,
-    neighbors: &[Neighbor],
-    graph: PlanarGraph,
-) -> Option<Neighbor> {
-    let planar_set = planar_neighbors(self_pos, neighbors, graph);
+pub fn next_hop(self_pos: Point, prev: Point, neighbors: &[Neighbor]) -> Option<Neighbor> {
+    let planar_set = planar_neighbors(self_pos, neighbors);
     let positions: Vec<Point> = planar_set.iter().map(|n| n.pos).collect();
     planar::right_hand_next(self_pos, prev, &positions).map(|i| planar_set[i])
 }
@@ -82,7 +60,7 @@ pub fn can_resume_greedy(self_pos: Point, entry: Point, dst_loc: Point) -> bool 
 /// perimeter edge (in the same direction) — the destination is
 /// unreachable and the packet must be dropped.
 #[must_use]
-pub fn is_loop(edge: (NodeId, NodeId), first_edge: Option<(NodeId, NodeId)>) -> bool {
+pub(crate) fn is_loop(edge: (NodeId, NodeId), first_edge: Option<(NodeId, NodeId)>) -> bool {
     first_edge == Some(edge)
 }
 
@@ -106,21 +84,9 @@ mod tests {
         let me = Point::ORIGIN;
         let far = n(1, 100.0, 0.0);
         let witness = n(2, 50.0, 5.0);
-        let kept = planar_neighbors(me, &[far, witness], PlanarGraph::Gabriel);
+        let kept = planar_neighbors(me, &[far, witness]);
         let ids: Vec<_> = kept.iter().map(|k| k.id).collect();
         assert_eq!(ids, vec![NodeId(2)]);
-    }
-
-    #[test]
-    fn rng_is_sparser_than_gabriel() {
-        let me = Point::ORIGIN;
-        // Witness in the RNG lune but outside the GG circle.
-        let far = n(1, 100.0, 0.0);
-        let witness = n(2, 50.0, 70.0);
-        let gg = planar_neighbors(me, &[far, witness], PlanarGraph::Gabriel);
-        let rng = planar_neighbors(me, &[far, witness], PlanarGraph::Rng);
-        assert!(gg.iter().any(|k| k.id == NodeId(1)));
-        assert!(!rng.iter().any(|k| k.id == NodeId(1)));
     }
 
     #[test]
@@ -131,25 +97,13 @@ mod tests {
         let neighbors = [n(1, 0.0, 100.0), n(2, 100.0, 0.0)];
         // Coming "from" a point due west: right-hand rule sweeps CCW from
         // west → south → east: picks the east neighbor first.
-        let got = next_hop(
-            me,
-            Point::new(-100.0, 0.0),
-            &neighbors,
-            PlanarGraph::Gabriel,
-        )
-        .unwrap();
+        let got = next_hop(me, Point::new(-100.0, 0.0), &neighbors).unwrap();
         assert_eq!(got.id, NodeId(2));
     }
 
     #[test]
     fn no_neighbors_gives_none() {
-        assert!(next_hop(
-            Point::ORIGIN,
-            Point::new(1.0, 0.0),
-            &[],
-            PlanarGraph::Gabriel
-        )
-        .is_none());
+        assert!(next_hop(Point::ORIGIN, Point::new(1.0, 0.0), &[]).is_none());
     }
 
     #[test]

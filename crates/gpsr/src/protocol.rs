@@ -3,48 +3,25 @@
 use crate::greedy;
 use crate::neighbor::NeighborTable;
 use crate::packet::{DataHeader, GpsrPacket, RoutingMode, BEACON_BYTES};
-use crate::perimeter::{self, PlanarGraph};
+use crate::perimeter;
 use agr_sim::{Ctx, FlowTag, MacAddr, MacDst, MacOutcome, NodeId, Protocol, SimTime};
 use rand::Rng;
 
-/// Re-exported planarisation choice for perimeter mode.
-pub type Planarization = PlanarGraph;
-
 /// GPSR configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GpsrConfig {
-    /// Beacon (local location update) interval; GPSR default 1 s.
-    pub beacon_interval: SimTime,
-    /// Neighbor entry lifetime; GPSR default 4.5 × beacon interval.
-    pub neighbor_timeout: SimTime,
-    /// Initial TTL of data packets.
-    pub ttl: u8,
     /// Enable perimeter-mode recovery (off = the paper's GPSR-Greedy
     /// baseline, which "usually ... has a satisfactory delivery
     /// performance even in a modest-density network", §6).
     pub perimeter: bool,
-    /// Planarisation used by perimeter mode.
-    pub planarization: Planarization,
-    /// Freshness window for greedy selection. When set, neighbors whose
-    /// last beacon is older than this window are only used if no fresher
-    /// progressing neighbor exists — the GPSR-side analogue of the AGFW
-    /// ANT freshness hardening. `None` (the default) reproduces classic
-    /// GPSR exactly.
-    pub fresh_window: Option<SimTime>,
 }
 
-impl Default for GpsrConfig {
-    fn default() -> Self {
-        GpsrConfig {
-            beacon_interval: SimTime::from_secs(1),
-            neighbor_timeout: SimTime::from_millis(4500),
-            ttl: 64,
-            perimeter: false,
-            planarization: Planarization::Gabriel,
-            fresh_window: None,
-        }
-    }
-}
+/// Beacon (local location update) interval; GPSR default 1 s.
+const BEACON_INTERVAL: SimTime = SimTime::from_secs(1);
+/// Neighbor entry lifetime; GPSR default 4.5 × beacon interval.
+const NEIGHBOR_TIMEOUT: SimTime = SimTime::from_millis(4500);
+/// Initial TTL of data packets.
+const DATA_TTL: u8 = 64;
 
 impl GpsrConfig {
     /// The baseline of the paper's Figure 1: greedy-only GPSR.
@@ -56,10 +33,7 @@ impl GpsrConfig {
     /// Greedy + perimeter recovery (the full GPSR of Karp & Kung).
     #[must_use]
     pub fn with_perimeter() -> Self {
-        GpsrConfig {
-            perimeter: true,
-            ..GpsrConfig::default()
-        }
+        GpsrConfig { perimeter: true }
     }
 }
 
@@ -83,7 +57,7 @@ impl Gpsr {
     pub fn new(config: GpsrConfig, _rng: &mut impl Rng) -> Self {
         Gpsr {
             config,
-            table: NeighborTable::new(config.neighbor_timeout),
+            table: NeighborTable::new(NEIGHBOR_TIMEOUT),
         }
     }
 
@@ -94,7 +68,7 @@ impl Gpsr {
     }
 
     fn schedule_beacon(&self, ctx: &mut Ctx<'_, GpsrPacket>, first: bool) {
-        let base = self.config.beacon_interval.as_nanos();
+        let base = BEACON_INTERVAL.as_nanos();
         let delay = if first {
             // Stagger initial beacons across one interval.
             ctx.rng().random_range(0..base.max(1))
@@ -135,9 +109,7 @@ impl Gpsr {
             } else {
                 let mut neighbors: Vec<_> = self.table.live(now).collect();
                 neighbors.sort_by_key(|n| n.id);
-                let Some(next) =
-                    perimeter::next_hop(my_pos, prev, &neighbors, self.config.planarization)
-                else {
+                let Some(next) = perimeter::next_hop(my_pos, prev, &neighbors) else {
                     ctx.count("gpsr.drop.no_route");
                     return;
                 };
@@ -161,21 +133,7 @@ impl Gpsr {
             }
         }
 
-        // Greedy mode, preferring recently-beaconed neighbors when a
-        // freshness window is configured (stale advertisements are the
-        // raw material of both mobility error and beacon replay).
-        let fresh_choice = self.config.fresh_window.and_then(|window| {
-            greedy::next_hop(
-                my_pos,
-                header.dst_loc,
-                self.table
-                    .live(now)
-                    .filter(|n| now.saturating_sub(n.heard_at) < window),
-            )
-        });
-        match fresh_choice
-            .or_else(|| greedy::next_hop(my_pos, header.dst_loc, self.table.live(now)))
-        {
+        match greedy::next_hop(my_pos, header.dst_loc, self.table.live(now)) {
             Some(next) => {
                 ctx.count("gpsr.forward.greedy");
                 ctx.mac_unicast(
@@ -190,12 +148,7 @@ impl Gpsr {
                 // the destination.
                 let mut neighbors: Vec<_> = self.table.live(now).collect();
                 neighbors.sort_by_key(|n| n.id);
-                let Some(next) = perimeter::next_hop(
-                    my_pos,
-                    header.dst_loc,
-                    &neighbors,
-                    self.config.planarization,
-                ) else {
+                let Some(next) = perimeter::next_hop(my_pos, header.dst_loc, &neighbors) else {
                     ctx.count("gpsr.drop.no_route");
                     return;
                 };
@@ -249,7 +202,7 @@ impl Protocol for Gpsr {
             tag,
             dst: dest,
             dst_loc,
-            ttl: self.config.ttl,
+            ttl: DATA_TTL,
             mode: RoutingMode::Greedy,
             payload_bytes: ctx.config().flows[tag.flow as usize].payload_bytes,
         };
@@ -312,17 +265,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_matches_gpsr_paper() {
-        let c = GpsrConfig::default();
-        assert_eq!(c.beacon_interval, SimTime::from_secs(1));
-        assert_eq!(c.neighbor_timeout, SimTime::from_millis(4500));
-        assert!(!c.perimeter);
-    }
-
-    #[test]
     fn config_presets() {
         assert!(!GpsrConfig::greedy_only().perimeter);
         assert!(GpsrConfig::with_perimeter().perimeter);
-        assert!(GpsrConfig::default().fresh_window.is_none());
     }
 }

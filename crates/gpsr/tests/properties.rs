@@ -1,7 +1,7 @@
 //! Property-based tests for GPSR's routing primitives.
 
 use agr_geom::Point;
-use agr_gpsr::perimeter::{self, PlanarGraph};
+use agr_gpsr::perimeter;
 use agr_gpsr::{greedy, Neighbor, NeighborTable};
 use agr_sim::{NodeId, SimTime};
 use proptest::prelude::*;
@@ -53,20 +53,10 @@ proptest! {
         me in arb_point(),
         neighbors in arb_neighbors(),
     ) {
-        for graph in [PlanarGraph::Gabriel, PlanarGraph::Rng] {
-            let planar = perimeter::planar_neighbors(me, &neighbors, graph);
-            prop_assert!(planar.len() <= neighbors.len());
-            for p in &planar {
-                prop_assert!(neighbors.iter().any(|n| n.id == p.id));
-            }
-        }
-        // RNG ⊆ GG.
-        let gg: std::collections::HashSet<_> = perimeter::planar_neighbors(
-            me, &neighbors, PlanarGraph::Gabriel
-        ).iter().map(|n| n.id).collect();
-        let rng = perimeter::planar_neighbors(me, &neighbors, PlanarGraph::Rng);
-        for n in &rng {
-            prop_assert!(gg.contains(&n.id), "RNG edge missing from GG");
+        let planar = perimeter::planar_neighbors(me, &neighbors);
+        prop_assert!(planar.len() <= neighbors.len());
+        for p in &planar {
+            prop_assert!(neighbors.iter().any(|n| n.id == p.id));
         }
     }
 
@@ -76,10 +66,8 @@ proptest! {
         prev in arb_point(),
         neighbors in arb_neighbors(),
     ) {
-        if let Some(next) =
-            perimeter::next_hop(me, prev, &neighbors, PlanarGraph::Gabriel)
-        {
-            let planar = perimeter::planar_neighbors(me, &neighbors, PlanarGraph::Gabriel);
+        if let Some(next) = perimeter::next_hop(me, prev, &neighbors) {
+            let planar = perimeter::planar_neighbors(me, &neighbors);
             prop_assert!(planar.iter().any(|n| n.id == next.id));
         }
     }

@@ -60,7 +60,7 @@ impl GpsrExposureObserver {
     }
 
     /// Accounts one eavesdropped frame.
-    pub fn observe(&mut self, frame: &FrameRecord<GpsrPacket>) {
+    pub(crate) fn observe(&mut self, frame: &FrameRecord<GpsrPacket>) {
         self.report.frames_observed += 1;
         if let Some(src) = frame.src_mac {
             self.report.mac_source_disclosures += 1;
@@ -112,7 +112,7 @@ impl AgfwExposureObserver {
     }
 
     /// Accounts one eavesdropped frame.
-    pub fn observe(&mut self, frame: &FrameRecord<AgfwPacket>) {
+    pub(crate) fn observe(&mut self, frame: &FrameRecord<AgfwPacket>) {
         self.report.frames_observed += 1;
         if frame.src_mac.is_some() {
             self.report.mac_source_disclosures += 1;

@@ -30,12 +30,4 @@ pub mod metrics;
 pub mod sniffer;
 pub mod tracker;
 
-pub use exposure::{
-    agfw_exposure, gpsr_exposure, AgfwExposureObserver, ExposureReport, GpsrExposureObserver,
-};
-pub use metrics::{anonymity_entropy, candidate_set_size};
-pub use sniffer::{SnifferField, SnifferObserver};
-pub use tracker::{
-    confusion_segments, link_tracks, mean_time_to_confusion, tracking_accuracy,
-    AgfwSightingObserver, GpsrSightingObserver, LinkingParams, Sighting, Track,
-};
+pub use metrics::anonymity_entropy;

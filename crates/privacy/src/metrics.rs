@@ -13,7 +13,7 @@ use agr_geom::Point;
 /// adversary's localisation uncertainty, e.g. the radio range for a
 /// passive sniffer without direction finding).
 #[must_use]
-pub fn candidate_set_size(obs_pos: Point, node_positions: &[Point], radius: f64) -> usize {
+pub(crate) fn candidate_set_size(obs_pos: Point, node_positions: &[Point], radius: f64) -> usize {
     node_positions
         .iter()
         .filter(|p| p.within_range(obs_pos, radius))

@@ -10,7 +10,6 @@
 
 use agr_geom::{Point, Rect};
 use agr_sim::{FrameObserver, FrameRecord};
-use rand::Rng;
 
 /// A field of stationary passive sniffers.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,19 +26,9 @@ impl SnifferField {
     ///
     /// Panics if `range` is not strictly positive.
     #[must_use]
-    pub fn new(positions: Vec<Point>, range: f64) -> Self {
+    pub(crate) fn new(positions: Vec<Point>, range: f64) -> Self {
         assert!(range > 0.0, "sniffer range must be positive");
         SnifferField { positions, range }
-    }
-
-    /// Places `count` sniffers uniformly at random in `area` — the cheap
-    /// adversary who scatters receivers and waits.
-    #[must_use]
-    pub fn random<R: Rng + ?Sized>(count: usize, area: Rect, range: f64, rng: &mut R) -> Self {
-        let positions = (0..count)
-            .map(|_| area.point_at(rng.random_range(0.0..=1.0), rng.random_range(0.0..=1.0)))
-            .collect();
-        SnifferField::new(positions, range)
     }
 
     /// Places sniffers on a regular grid covering `area` with roughly
@@ -69,51 +58,12 @@ impl SnifferField {
         SnifferField::new(positions, range)
     }
 
-    /// Number of sniffers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// True if the field has no sniffers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
-    /// The sniffer positions.
-    #[must_use]
-    pub fn positions(&self) -> &[Point] {
-        &self.positions
-    }
-
     /// True if a transmission at `tx_pos` is overheard by any sniffer.
     #[must_use]
-    pub fn hears(&self, tx_pos: Point) -> bool {
+    pub(crate) fn hears(&self, tx_pos: Point) -> bool {
         self.positions
             .iter()
             .any(|s| s.within_range(tx_pos, self.range))
-    }
-
-    /// Filters a frame trace down to the frames this field overhears —
-    /// feed the result to [`crate::exposure`] and [`crate::tracker`].
-    #[must_use]
-    pub fn observe<PKT: Clone>(&self, frames: &[FrameRecord<PKT>]) -> Vec<FrameRecord<PKT>> {
-        frames
-            .iter()
-            .filter(|f| self.hears(f.tx_pos))
-            .cloned()
-            .collect()
-    }
-
-    /// Fraction of the trace this field overhears.
-    #[must_use]
-    pub fn coverage<PKT>(&self, frames: &[FrameRecord<PKT>]) -> f64 {
-        if frames.is_empty() {
-            return 0.0;
-        }
-        let heard = frames.iter().filter(|f| self.hears(f.tx_pos)).count();
-        heard as f64 / frames.len() as f64
     }
 }
 
@@ -149,12 +99,6 @@ impl<O> SnifferObserver<O> {
         &self.inner
     }
 
-    /// Consumes the wrapper, returning the wrapped observer.
-    #[must_use]
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
     /// Fraction of the streamed frames the field overheard.
     #[must_use]
     pub fn coverage_seen(&self) -> f64 {
@@ -179,21 +123,8 @@ impl<PKT, O: FrameObserver<PKT>> FrameObserver<PKT> for SnifferObserver<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agr_sim::{FrameType, NodeId, SimTime};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn frame_at(x: f64, y: f64) -> FrameRecord<u32> {
-        FrameRecord {
-            time: SimTime::ZERO,
-            tx_node: NodeId(0),
-            tx_pos: Point::new(x, y),
-            src_mac: None,
-            dst_mac: None,
-            frame_type: FrameType::Data,
-            packet: Some(std::sync::Arc::new(7)),
-        }
-    }
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn hears_within_range_only() {
@@ -204,24 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn observe_filters_frames() {
-        let field = SnifferField::new(vec![Point::new(0.0, 0.0)], 100.0);
-        let frames = vec![
-            frame_at(50.0, 0.0),
-            frame_at(500.0, 0.0),
-            frame_at(0.0, 80.0),
-        ];
-        let heard = field.observe(&frames);
-        assert_eq!(heard.len(), 2);
-        assert!((field.coverage(&frames) - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_field_hears_nothing() {
         let field = SnifferField::new(vec![], 100.0);
-        assert!(field.is_empty());
         assert!(!field.hears(Point::ORIGIN));
-        assert_eq!(field.coverage(&[frame_at(0.0, 0.0)]), 0.0);
     }
 
     #[test]
@@ -229,8 +145,8 @@ mod tests {
         let area = Rect::with_size(1500.0, 300.0);
         for count in [1usize, 4, 6, 12, 25] {
             let field = SnifferField::grid(count, area, 250.0);
-            assert_eq!(field.len(), count, "count {count}");
-            for p in field.positions() {
+            assert_eq!(field.positions.len(), count, "count {count}");
+            for p in &field.positions {
                 assert!(area.contains(*p));
             }
         }
@@ -245,14 +161,6 @@ mod tests {
             let p = area.point_at(rng.random_range(0.0..=1.0), rng.random_range(0.0..=1.0));
             assert!(field.hears(p), "uncovered point {p}");
         }
-    }
-
-    #[test]
-    fn random_field_is_seed_deterministic() {
-        let area = Rect::with_size(1500.0, 300.0);
-        let f1 = SnifferField::random(5, area, 250.0, &mut StdRng::seed_from_u64(9));
-        let f2 = SnifferField::random(5, area, 250.0, &mut StdRng::seed_from_u64(9));
-        assert_eq!(f1, f2);
     }
 
     #[test]

@@ -18,12 +18,12 @@ use agr_sim::{FrameObserver, FrameRecord, NodeId, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sighting {
     /// Observation time.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Advertised (= actual) position.
-    pub pos: Point,
+    pub(crate) pos: Point,
     /// Ground-truth transmitter, used **only** for scoring the attack —
     /// the linker never reads it.
-    pub truth: NodeId,
+    pub(crate) truth: NodeId,
 }
 
 /// A reconstructed trajectory: indices of sightings the adversary
@@ -31,24 +31,7 @@ pub struct Sighting {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Track {
     /// Member sightings in time order.
-    pub sightings: Vec<Sighting>,
-}
-
-impl Track {
-    /// The most common ground-truth node in this track and its share of
-    /// the track (the track's *purity*).
-    #[must_use]
-    pub fn dominant(&self) -> Option<(NodeId, f64)> {
-        if self.sightings.is_empty() {
-            return None;
-        }
-        let mut counts: std::collections::BTreeMap<NodeId, usize> = Default::default();
-        for s in &self.sightings {
-            *counts.entry(s.truth).or_default() += 1;
-        }
-        let (&node, &count) = counts.iter().max_by_key(|(_, &c)| c)?;
-        Some((node, count as f64 / self.sightings.len() as f64))
-    }
+    pub(crate) sightings: Vec<Sighting>,
 }
 
 /// Parameters of the linking adversary.
@@ -56,11 +39,11 @@ impl Track {
 pub struct LinkingParams {
     /// Maximum node speed assumed by the adversary (m/s). A sighting can
     /// extend a track if reachable at this speed.
-    pub max_speed: f64,
+    pub(crate) max_speed: f64,
     /// Tracks not extended for this long are closed.
-    pub max_gap: SimTime,
+    pub(crate) max_gap: SimTime,
     /// Base position uncertainty in metres (beacon quantisation, timing).
-    pub slack: f64,
+    pub(crate) slack: f64,
 }
 
 impl Default for LinkingParams {
@@ -90,7 +73,7 @@ impl GpsrSightingObserver {
     }
 
     /// Records the sighting (if any) carried by one frame.
-    pub fn observe(&mut self, f: &FrameRecord<GpsrPacket>) {
+    pub(crate) fn observe(&mut self, f: &FrameRecord<GpsrPacket>) {
         if let Some(GpsrPacket::Beacon { pos, .. }) = f.packet.as_deref() {
             self.sightings.push(Sighting {
                 time: f.time,
@@ -108,7 +91,7 @@ impl GpsrSightingObserver {
 
     /// Consumes the collector, returning the sightings.
     #[must_use]
-    pub fn into_sightings(self) -> Vec<Sighting> {
+    pub(crate) fn into_sightings(self) -> Vec<Sighting> {
         self.sightings
     }
 }
@@ -134,7 +117,7 @@ impl AgfwSightingObserver {
     }
 
     /// Records the sighting (if any) carried by one frame.
-    pub fn observe(&mut self, f: &FrameRecord<AgfwPacket>) {
+    pub(crate) fn observe(&mut self, f: &FrameRecord<AgfwPacket>) {
         if let Some(AgfwPacket::Hello { loc, .. }) = f.packet.as_deref() {
             self.sightings.push(Sighting {
                 time: f.time,
@@ -152,7 +135,7 @@ impl AgfwSightingObserver {
 
     /// Consumes the collector, returning the sightings.
     #[must_use]
-    pub fn into_sightings(self) -> Vec<Sighting> {
+    pub(crate) fn into_sightings(self) -> Vec<Sighting> {
         self.sightings
     }
 }
@@ -248,7 +231,7 @@ pub fn tracking_accuracy(tracks: &[Track], target: NodeId) -> f64 {
 /// the whole observation window; against ANT pseudonyms it shrinks with
 /// density.
 #[must_use]
-pub fn confusion_segments(tracks: &[Track], target: NodeId) -> Vec<SimTime> {
+pub(crate) fn confusion_segments(tracks: &[Track], target: NodeId) -> Vec<SimTime> {
     // (time, track index) for every sighting of the target.
     let mut timeline: Vec<(SimTime, usize)> = tracks
         .iter()
@@ -331,9 +314,6 @@ mod tests {
         let tracks = link_tracks(&sightings, &LinkingParams::default());
         assert_eq!(tracks.len(), 1);
         assert_eq!(tracking_accuracy(&tracks, NodeId(0)), 1.0);
-        let (node, purity) = tracks[0].dominant().unwrap();
-        assert_eq!(node, NodeId(0));
-        assert_eq!(purity, 1.0);
     }
 
     #[test]
@@ -405,10 +385,5 @@ mod tests {
         assert!(tracks.is_empty());
         assert_eq!(tracking_accuracy(&tracks, NodeId(0)), 0.0);
         assert_eq!(mean_tracking_accuracy(&tracks), 0.0);
-    }
-
-    #[test]
-    fn dominant_of_empty_track() {
-        assert!(Track::default().dominant().is_none());
     }
 }

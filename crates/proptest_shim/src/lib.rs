@@ -194,7 +194,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Rng, Strategy, TestRng};
 
-    /// Acceptable length specifications for [`vec`].
+    /// Acceptable length specifications for `vec`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -231,7 +231,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by `vec`.
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -92,7 +92,7 @@ impl AdversaryPlan {
 
     /// True when no node carries a role (no RNGs will be allocated).
     #[must_use]
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.roles.is_empty()
     }
 
@@ -110,15 +110,6 @@ impl AdversaryPlan {
         self.roles.push((node, role));
         self
     }
-
-    /// The role carried by `node`, if any.
-    #[must_use]
-    pub fn role_of(&self, node: NodeId) -> Option<AdversaryRole> {
-        self.roles
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|(_, role)| *role)
-    }
 }
 
 /// A density-independent adversary template: "this `fraction` of the
@@ -127,9 +118,9 @@ impl AdversaryPlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryMix {
     /// Role assigned to every sampled node.
-    pub role: AdversaryRole,
+    pub(crate) role: AdversaryRole,
     /// Fraction of the population compromised, in `[0, 1]`.
-    pub fraction: f64,
+    pub(crate) fraction: f64,
 }
 
 /// Domain-separation constant mixed into the membership seed so the
@@ -186,19 +177,6 @@ mod tests {
         assert!(!AdversaryPlan::none()
             .with_role(NodeId(3), AdversaryRole::Blackhole)
             .is_none());
-    }
-
-    #[test]
-    fn role_lookup_finds_assignment() {
-        let plan = AdversaryPlan::none()
-            .with_role(NodeId(2), AdversaryRole::Grayhole { p_drop: 0.5 })
-            .with_role(NodeId(7), AdversaryRole::Blackhole);
-        assert_eq!(
-            plan.role_of(NodeId(2)),
-            Some(AdversaryRole::Grayhole { p_drop: 0.5 })
-        );
-        assert_eq!(plan.role_of(NodeId(7)), Some(AdversaryRole::Blackhole));
-        assert_eq!(plan.role_of(NodeId(0)), None);
     }
 
     #[test]

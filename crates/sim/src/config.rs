@@ -22,12 +22,12 @@ pub struct RadioParams {
     /// terminals beyond the communication range.
     pub cs_range: f64,
     /// Data bit rate in bit/s (802.11 DSSS: 2 Mb/s).
-    pub data_rate: f64,
+    pub(crate) data_rate: f64,
     /// Basic bit rate used by control frames (RTS/CTS/ACK): 1 Mb/s.
-    pub basic_rate: f64,
+    pub(crate) basic_rate: f64,
     /// PHY preamble + PLCP header time prepended to every frame (192 µs at
     /// the 1 Mb/s long preamble).
-    pub preamble: SimTime,
+    pub(crate) preamble: SimTime,
 }
 
 impl Default for RadioParams {
@@ -46,14 +46,14 @@ impl RadioParams {
     /// Airtime of a data frame of `bytes` MAC-payload bytes (includes MAC
     /// overhead and preamble).
     #[must_use]
-    pub fn data_airtime(&self, bytes: u32, mac: &MacParams) -> SimTime {
+    pub(crate) fn data_airtime(&self, bytes: u32, mac: &MacParams) -> SimTime {
         let total_bits = f64::from((bytes + mac.data_header_bytes) * 8);
         self.preamble + SimTime::from_secs_f64(total_bits / self.data_rate)
     }
 
     /// Airtime of a control frame of `bytes` bytes at the basic rate.
     #[must_use]
-    pub fn control_airtime(&self, bytes: u32) -> SimTime {
+    pub(crate) fn control_airtime(&self, bytes: u32) -> SimTime {
         let bits = f64::from(bytes * 8);
         self.preamble + SimTime::from_secs_f64(bits / self.basic_rate)
     }
@@ -63,23 +63,23 @@ impl RadioParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MacParams {
     /// Slot time (20 µs).
-    pub slot: SimTime,
+    pub(crate) slot: SimTime,
     /// Short interframe space (10 µs).
-    pub sifs: SimTime,
+    pub(crate) sifs: SimTime,
     /// DCF interframe space (SIFS + 2 slots = 50 µs).
-    pub difs: SimTime,
+    pub(crate) difs: SimTime,
     /// Minimum contention window (31).
-    pub cw_min: u32,
+    pub(crate) cw_min: u32,
     /// Maximum contention window (1023).
-    pub cw_max: u32,
+    pub(crate) cw_max: u32,
     /// Retry limit for frames preceded by RTS (short retry: 7).
-    pub short_retry_limit: u32,
+    pub(crate) short_retry_limit: u32,
     /// Retry limit for data frames (long retry: 4).
-    pub long_retry_limit: u32,
+    pub(crate) long_retry_limit: u32,
     /// Payload size above which unicast uses RTS/CTS. NS-2's CMU default
     /// is 0 — every unicast data frame is preceded by a handshake, which
     /// is the behaviour the paper's §5.2 discussion assumes.
-    pub rts_threshold: u32,
+    pub(crate) rts_threshold: u32,
     /// MAC header + FCS bytes added to every data frame (28 + 6 LLC).
     pub data_header_bytes: u32,
     /// RTS frame size in bytes.
@@ -197,12 +197,12 @@ pub struct SimConfig {
     /// How the PHY locates potential receivers (see [`PhyIndexMode`]).
     pub phy_index: PhyIndexMode,
     /// Deterministic fault schedule: per-link loss, node churn, and
-    /// stale-beacon injection (see [`crate::fault`]). The default plan
+    /// stale-beacon injection (see `crate::fault`). The default plan
     /// injects nothing and leaves runs bit-identical to a fault-free
     /// simulator.
     pub fault: FaultPlan,
     /// Deterministic adversarial node assignment: blackholes, grayholes,
-    /// location spoofers, and beacon replayers (see [`crate::adversary`]).
+    /// location spoofers, and beacon replayers (see `crate::adversary`).
     /// The default plan compromises nobody and leaves runs byte-identical
     /// to an adversary-free simulator.
     pub adversary: AdversaryPlan,

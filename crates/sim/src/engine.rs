@@ -102,12 +102,6 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
     /// Creates an empty queue with room for `cap` events before the
     /// backing heap reallocates.
     #[must_use]
@@ -132,20 +126,8 @@ impl EventQueue {
 
     /// Time of the earliest event without removing it.
     #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.t)
-    }
-
-    /// Number of queued events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -162,7 +144,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_secs(3), timer(0, 3));
         q.push(SimTime::from_secs(1), timer(0, 1));
         q.push(SimTime::from_secs(2), timer(0, 2));
@@ -177,7 +159,7 @@ mod tests {
 
     #[test]
     fn ties_break_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let t = SimTime::from_secs(1);
         for kind in 0..10 {
             q.push(t, timer(0, kind));
@@ -193,12 +175,10 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        let mut q = EventQueue::default();
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_secs(5), timer(1, 0));
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-        assert_eq!(q.len(), 1);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_secs(5));
         assert!(q.pop().is_none());

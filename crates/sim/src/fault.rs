@@ -48,13 +48,13 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Per-packet probability of leaving `Good` for `Bad`.
-    pub p_good_to_bad: f64,
+    pub(crate) p_good_to_bad: f64,
     /// Per-packet probability of leaving `Bad` for `Good`.
-    pub p_bad_to_good: f64,
+    pub(crate) p_bad_to_good: f64,
     /// Loss probability while in `Good` (classic Gilbert: 0).
-    pub loss_good: f64,
+    pub(crate) loss_good: f64,
     /// Loss probability while in `Bad` (classic Gilbert: 1).
-    pub loss_bad: f64,
+    pub(crate) loss_bad: f64,
 }
 
 impl GilbertElliott {
@@ -84,16 +84,6 @@ impl GilbertElliott {
         let pi_bad = p / (p + q);
         pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
     }
-
-    /// Mean burst length while in `Bad` (packets): `1 / q`.
-    #[must_use]
-    pub fn mean_burst_len(&self) -> f64 {
-        if self.p_bad_to_good > 0.0 {
-            1.0 / self.p_bad_to_good
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Per-link packet-loss model.
@@ -115,7 +105,7 @@ pub enum LossModel {
 impl LossModel {
     /// True if this model can never drop a frame.
     #[must_use]
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         match self {
             LossModel::None => true,
             LossModel::Uniform { p } => *p <= 0.0,
@@ -125,7 +115,7 @@ impl LossModel {
 
     /// Counter name under which drops from this model are recorded.
     #[must_use]
-    pub fn drop_counter(&self) -> &'static str {
+    pub(crate) fn drop_counter(&self) -> &'static str {
         match self {
             LossModel::None | LossModel::Uniform { .. } => "fault.drop.uniform",
             LossModel::GilbertElliott(_) => "fault.drop.burst",
@@ -144,12 +134,6 @@ pub struct LinkChannel {
 }
 
 impl LinkChannel {
-    /// A fresh channel (Gilbert–Elliott chains start in `Good`).
-    #[must_use]
-    pub fn new() -> Self {
-        LinkChannel::default()
-    }
-
     /// Passes one frame through the channel; returns true if the frame
     /// is dropped.
     ///
@@ -175,12 +159,6 @@ impl LinkChannel {
             }
         }
     }
-
-    /// True while the chain is in its `Bad` state.
-    #[must_use]
-    pub fn is_bad(&self) -> bool {
-        self.bad
-    }
 }
 
 /// One scheduled radio outage: `node` goes down at `down` and recovers
@@ -199,9 +177,9 @@ pub struct ChurnEvent {
 /// only every `refresh`, so neighbor tables hold positions up to
 /// `refresh` seconds old.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaleLocations {
+pub(crate) struct StaleLocations {
     /// How long an advertised fix may lag behind ground truth.
-    pub refresh: SimTime,
+    pub(crate) refresh: SimTime,
 }
 
 /// A complete, seeded fault schedule for one run.
@@ -212,11 +190,11 @@ pub struct StaleLocations {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Per-link loss model.
-    pub loss: LossModel,
+    pub(crate) loss: LossModel,
     /// Scheduled radio outages.
     pub churn: Vec<ChurnEvent>,
     /// Stale advertised-position injection.
-    pub stale: Option<StaleLocations>,
+    pub(crate) stale: Option<StaleLocations>,
 }
 
 impl FaultPlan {
@@ -247,7 +225,7 @@ impl FaultPlan {
     /// True if the plan injects nothing; such plans cost no RNG draws
     /// and schedule no events.
     #[must_use]
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.loss.is_none() && self.churn.is_empty() && self.stale.is_none()
     }
 
@@ -302,7 +280,6 @@ mod tests {
     fn gilbert_steady_state_formula() {
         let ge = GilbertElliott::gilbert(0.1, 0.3);
         assert!((ge.steady_state_loss() - 0.25).abs() < 1e-12);
-        assert!((ge.mean_burst_len() - 1.0 / 0.3).abs() < 1e-12);
         // Frozen chain: stays Good forever.
         let frozen = GilbertElliott::gilbert(0.0, 0.0);
         assert_eq!(frozen.steady_state_loss(), 0.0);
@@ -319,7 +296,7 @@ mod tests {
     #[test]
     fn uniform_channel_extremes() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut ch = LinkChannel::new();
+        let mut ch = LinkChannel::default();
         for _ in 0..100 {
             assert!(!ch.transmit(&LossModel::Uniform { p: 0.0 }, &mut rng));
             assert!(ch.transmit(&LossModel::Uniform { p: 1.0 }, &mut rng));
@@ -333,16 +310,13 @@ mod tests {
         // exactly the state sequence (shifted by the initial Good state).
         let model = LossModel::GilbertElliott(GilbertElliott::gilbert(0.3, 0.3));
         let mut rng = StdRng::seed_from_u64(42);
-        let mut ch = LinkChannel::new();
-        let mut prev_bad = ch.is_bad();
-        assert!(!prev_bad, "chains start Good");
+        let mut ch = LinkChannel::default();
+        assert!(!ch.bad, "chains start Good");
         for _ in 0..10_000 {
-            let was_bad = ch.is_bad();
+            let was_bad = ch.bad;
             let dropped = ch.transmit(&model, &mut rng);
             assert_eq!(dropped, was_bad, "drop decision must reflect the state");
-            prev_bad = ch.is_bad();
         }
-        let _ = prev_bad;
     }
 
     #[test]
@@ -350,7 +324,7 @@ mod tests {
         let model = LossModel::GilbertElliott(GilbertElliott::gilbert(0.2, 0.4));
         let run = |seed: u64| -> Vec<bool> {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut ch = LinkChannel::new();
+            let mut ch = LinkChannel::default();
             (0..1000).map(|_| ch.transmit(&model, &mut rng)).collect()
         };
         assert_eq!(run(9), run(9));

@@ -6,13 +6,13 @@
 //!
 //! * a deterministic discrete-event engine ([`engine`], [`SimTime`]),
 //! * a unit-disk radio with carrier sensing, collisions, and hidden
-//!   terminals ([`phy`]),
+//!   terminals (`phy`),
 //! * an IEEE 802.11 DCF MAC: CSMA/CA, binary exponential backoff, NAV
 //!   virtual carrier sensing, RTS/CTS/DATA/ACK for unicast and plain
-//!   CSMA/CA for broadcast ([`mac`]),
+//!   CSMA/CA for broadcast (`mac`),
 //! * random-waypoint mobility ([`mobility`]),
 //! * CBR traffic generation ([`config::FlowConfig`]), and
-//! * metrics collection ([`stats`]): packet delivery fraction and
+//! * metrics collection (`stats`): packet delivery fraction and
 //!   end-to-end latency, the two metrics of the paper's §5.
 //!
 //! Routing protocols implement the [`Protocol`] trait and are driven by a
@@ -60,29 +60,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary;
-pub mod config;
+mod adversary;
+mod config;
 pub mod engine;
-pub mod fault;
-pub mod mac;
+mod fault;
+mod mac;
 pub mod mobility;
-pub mod obs;
+mod obs;
 pub mod par;
-pub mod phy;
-pub mod protocol;
+mod phy;
+mod protocol;
 pub mod spatial;
-pub mod stats;
+mod stats;
 mod time;
 mod world;
 
 pub use adversary::{AdversaryMix, AdversaryPlan, AdversaryRole};
-pub use config::{FlowConfig, MacParams, MobilityParams, PhyIndexMode, RadioParams, SimConfig};
-pub use fault::{ChurnEvent, FaultPlan, GilbertElliott, LinkChannel, LossModel, StaleLocations};
+pub use config::{FlowConfig, MacParams, MobilityParams, PhyIndexMode, SimConfig};
+pub use fault::{ChurnEvent, FaultPlan, GilbertElliott, LinkChannel, LossModel};
 pub use obs::TelemetryObserver;
-pub use protocol::{Ctx, FlowTag, MacDst, MacOutcome, Protocol};
-pub use stats::{FlowStats, Stats};
+pub use protocol::{FlowTag, MacDst, MacOutcome, Protocol};
+pub use stats::Stats;
 pub use time::SimTime;
-pub use world::{FrameObserver, FrameRecord, FrameType, RecordingObserver, World};
+pub use world::{Ctx, FrameObserver, FrameRecord, FrameType, RecordingObserver, World};
 
 /// Identifier of a simulated node.
 ///

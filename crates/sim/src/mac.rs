@@ -54,26 +54,26 @@ pub(crate) enum MacFrameKind<PKT> {
 /// A frame on the air.
 #[derive(Debug, Clone)]
 pub(crate) struct MacFrame<PKT> {
-    pub kind: MacFrameKind<PKT>,
+    pub(crate) kind: MacFrameKind<PKT>,
     /// Source MAC address; `None` on anonymous broadcasts.
-    pub src: Option<MacAddr>,
+    pub(crate) src: Option<MacAddr>,
     /// Destination; `None` = broadcast.
-    pub dst: Option<MacAddr>,
+    pub(crate) dst: Option<MacAddr>,
     /// Absolute time until which the medium is reserved (NAV). Zero means
     /// "to be filled in at transmit time".
-    pub nav_until: SimTime,
+    pub(crate) nav_until: SimTime,
     /// Sender's MAC sequence number (duplicate detection on retransmit).
-    pub seq: u16,
+    pub(crate) seq: u16,
 }
 
 /// A queued outgoing packet.
 #[derive(Debug)]
 pub(crate) struct OutPkt<PKT> {
-    pub payload: Arc<PKT>,
-    pub dst: MacDst,
+    pub(crate) payload: Arc<PKT>,
+    pub(crate) dst: MacDst,
     /// Network-layer bytes (MAC overhead added by the PHY airtime model).
-    pub bytes: u32,
-    pub seq: u16,
+    pub(crate) bytes: u32,
+    pub(crate) seq: u16,
 }
 
 /// What the node is currently transmitting.
@@ -110,32 +110,32 @@ pub(crate) enum MacState {
 /// Per-node MAC state.
 #[derive(Debug)]
 pub(crate) struct Mac<PKT> {
-    pub addr: MacAddr,
-    pub queue: VecDeque<OutPkt<PKT>>,
-    pub state: MacState,
+    pub(crate) addr: MacAddr,
+    pub(crate) queue: VecDeque<OutPkt<PKT>>,
+    pub(crate) state: MacState,
     /// Current contention window.
-    pub cw: u32,
+    pub(crate) cw: u32,
     /// Retry count for the head frame.
-    pub retries: u32,
+    pub(crate) retries: u32,
     /// Remaining backoff time (frozen across busy periods).
-    pub backoff_remaining: SimTime,
+    pub(crate) backoff_remaining: SimTime,
     /// When the current countdown started (valid in `Backoff`).
-    pub backoff_started: SimTime,
+    pub(crate) backoff_started: SimTime,
     /// Virtual carrier sense: medium reserved until this time.
-    pub nav_until: SimTime,
+    pub(crate) nav_until: SimTime,
     /// Invalidates stale `MacInternal` events.
-    pub guard: u64,
+    pub(crate) guard: u64,
     /// Next MAC sequence number to assign.
-    pub next_seq: u16,
+    pub(crate) next_seq: u16,
     /// Last sequence number accepted from each source (dedup).
-    pub dedup: HashMap<MacAddr, u16>,
+    pub(crate) dedup: HashMap<MacAddr, u16>,
     /// Frame to transmit after SIFS, with its kind and precomputed
     /// airtime (valid in `Sifs`).
-    pub pending_response: Option<(MacFrame<PKT>, TxKind, SimTime)>,
+    pub(crate) pending_response: Option<(MacFrame<PKT>, TxKind, SimTime)>,
 }
 
 impl<PKT> Mac<PKT> {
-    pub fn new(addr: MacAddr, cw_min: u32) -> Self {
+    pub(crate) fn new(addr: MacAddr, cw_min: u32) -> Self {
         Mac {
             addr,
             queue: VecDeque::new(),
@@ -153,18 +153,18 @@ impl<PKT> Mac<PKT> {
     }
 
     /// Bumps the guard, invalidating any scheduled wake-up.
-    pub fn cancel_wakeup(&mut self) -> u64 {
+    pub(crate) fn cancel_wakeup(&mut self) -> u64 {
         self.guard += 1;
         self.guard
     }
 
     /// Doubles the contention window after a failed attempt.
-    pub fn widen_cw(&mut self, cw_max: u32) {
+    pub(crate) fn widen_cw(&mut self, cw_max: u32) {
         self.cw = (self.cw * 2 + 1).min(cw_max);
     }
 
     /// Resets contention state after success or final drop.
-    pub fn reset_contention(&mut self, cw_min: u32) {
+    pub(crate) fn reset_contention(&mut self, cw_min: u32) {
         self.cw = cw_min;
         self.retries = 0;
         self.backoff_remaining = SimTime::ZERO;
@@ -172,7 +172,7 @@ impl<PKT> Mac<PKT> {
 
     /// Records `seq` from `src`; returns true if it is a duplicate of the
     /// last accepted frame (MAC-level retransmission).
-    pub fn is_duplicate(&mut self, src: MacAddr, seq: u16) -> bool {
+    pub(crate) fn is_duplicate(&mut self, src: MacAddr, seq: u16) -> bool {
         match self.dedup.insert(src, seq) {
             Some(prev) => prev == seq,
             None => false,
@@ -180,7 +180,7 @@ impl<PKT> Mac<PKT> {
     }
 
     /// True if the virtual carrier (NAV) considers the medium reserved.
-    pub fn nav_busy(&self, now: SimTime) -> bool {
+    pub(crate) fn nav_busy(&self, now: SimTime) -> bool {
         now < self.nav_until
     }
 }

@@ -85,13 +85,6 @@ impl MobilityState {
         }
     }
 
-    /// Instantaneous speed at time `t` in m/s, without advancing the state
-    /// machine (returns 0 while pausing or beyond the current leg).
-    #[must_use]
-    pub fn current_speed(&self, t: SimTime) -> f64 {
-        self.velocity_at(t).length()
-    }
-
     /// Instantaneous velocity vector at time `t` (zero while pausing),
     /// without advancing the state machine — call
     /// [`MobilityState::position_at`] first for the same `t`.
@@ -100,7 +93,7 @@ impl MobilityState {
     /// beacons, enabling the predictive neighbor tables the paper's
     /// §3.1.1 suggests.
     #[must_use]
-    pub fn velocity_at(&self, t: SimTime) -> Vec2 {
+    pub(crate) fn velocity_at(&self, t: SimTime) -> Vec2 {
         let leg = &self.leg;
         if t <= leg.depart || t >= leg.arrive || leg.arrive == leg.depart {
             Vec2::ZERO
@@ -198,7 +191,7 @@ mod tests {
         let (params, area, mut rng) = setup();
         let mut m = MobilityState::new(Point::ORIGIN);
         let _ = m.position_at(SimTime::from_secs(1), &params, area, &mut rng);
-        assert_eq!(m.current_speed(SimTime::from_secs(1)), 0.0);
+        assert_eq!(m.velocity_at(SimTime::from_secs(1)).length(), 0.0);
     }
 
     #[test]
@@ -227,7 +220,7 @@ mod tests {
         // Advance past the first pause so a real leg exists.
         let t = SimTime::from_secs(70);
         let _ = m.position_at(t, &params, area, &mut rng);
-        let v = m.current_speed(t);
+        let v = m.velocity_at(t).length();
         assert!(v <= params.max_speed + 1e-9, "speed {v} exceeds limit");
     }
 }

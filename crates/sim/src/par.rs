@@ -10,18 +10,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count for parallel work: `AGR_JOBS` if set (min 1), else the
-/// machine's available parallelism.
-#[must_use]
-pub fn jobs() -> usize {
-    if let Ok(v) = std::env::var("AGR_JOBS") {
-        if let Ok(j) = v.trim().parse::<u64>() {
-            return (j as usize).max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Maps `f` over `items` on up to `jobs` scoped worker threads, returning
 /// results **in input order** regardless of completion order.
 ///

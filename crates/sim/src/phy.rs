@@ -24,13 +24,13 @@ use agr_geom::Point;
 #[derive(Debug)]
 pub(crate) struct PhyState<PKT> {
     /// End time of this node's own transmission, if transmitting.
-    pub transmitting: Option<SimTime>,
+    pub(crate) transmitting: Option<SimTime>,
     /// Number of foreign carriers currently sensed (within cs-range).
-    pub sensed: u32,
+    pub(crate) sensed: u32,
     /// When the medium last became idle at this node.
-    pub idle_since: SimTime,
+    pub(crate) idle_since: SimTime,
     /// Carriers currently overlapping this node, deliverable or not.
-    pub pending: Vec<PendingRx<PKT>>,
+    pub(crate) pending: Vec<PendingRx<PKT>>,
 }
 
 impl<PKT> PhyState<PKT> {
@@ -45,7 +45,7 @@ impl<PKT> PhyState<PKT> {
 
     /// True if the physical medium is busy at this node (own transmission
     /// or any sensed carrier).
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.transmitting.is_some() || self.sensed > 0
     }
 }
@@ -53,53 +53,53 @@ impl<PKT> PhyState<PKT> {
 /// A carrier overlapping a node.
 #[derive(Debug)]
 pub(crate) struct PendingRx<PKT> {
-    pub rx_id: u64,
+    pub(crate) rx_id: u64,
     /// Ground-truth transmitter of this carrier. The MAC never sees it
     /// (frames may be source-less broadcasts); the fault layer keys its
     /// per-directed-link loss channels on it.
-    pub tx: usize,
+    pub(crate) tx: usize,
     /// The frame, kept only when it was decodable at start.
-    pub frame: Option<MacFrame<PKT>>,
+    pub(crate) frame: Option<MacFrame<PKT>>,
     /// Set when another carrier or the node's own transmission overlapped.
-    pub corrupted: bool,
+    pub(crate) corrupted: bool,
 }
 
 /// Result of starting a transmission.
 #[derive(Debug)]
 pub(crate) struct TxStart {
     /// When the transmission ends.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Nodes whose medium transitioned idle → busy.
-    pub went_busy: Vec<usize>,
+    pub(crate) went_busy: Vec<usize>,
     /// `(node, rx_id)` carrier-end notifications to schedule at `end`.
-    pub rx_ends: Vec<(usize, u64)>,
+    pub(crate) rx_ends: Vec<(usize, u64)>,
 }
 
 /// Result of a carrier ending at a node.
 #[derive(Debug)]
 pub(crate) struct RxEndOutcome<PKT> {
     /// The successfully received frame, if any.
-    pub frame: Option<MacFrame<PKT>>,
+    pub(crate) frame: Option<MacFrame<PKT>>,
     /// Ground-truth transmitter of the carrier (for per-link fault
     /// channels).
-    pub tx: usize,
+    pub(crate) tx: usize,
     /// True if the frame existed but was corrupted by a collision.
-    pub collided: bool,
+    pub(crate) collided: bool,
     /// True if the node's medium transitioned busy → idle.
-    pub went_idle: bool,
+    pub(crate) went_idle: bool,
 }
 
 /// The shared radio channel.
 #[derive(Debug)]
 pub(crate) struct Phy<PKT> {
-    pub comm_range: f64,
-    pub cs_range: f64,
-    pub states: Vec<PhyState<PKT>>,
+    pub(crate) comm_range: f64,
+    pub(crate) cs_range: f64,
+    pub(crate) states: Vec<PhyState<PKT>>,
     next_rx_id: u64,
 }
 
 impl<PKT: Clone> Phy<PKT> {
-    pub fn new(comm_range: f64, cs_range: f64, nodes: usize) -> Self {
+    pub(crate) fn new(comm_range: f64, cs_range: f64, nodes: usize) -> Self {
         Phy {
             comm_range,
             cs_range,
@@ -120,7 +120,7 @@ impl<PKT: Clone> Phy<PKT> {
     /// Positions are a snapshot at the start instant; the receiver set is
     /// frozen there (node speeds are ~five orders of magnitude below frame
     /// airtimes, so mid-frame movement is negligible).
-    pub fn start_tx(
+    pub(crate) fn start_tx(
         &mut self,
         tx: usize,
         tx_pos: Point,
@@ -189,7 +189,7 @@ impl<PKT: Clone> Phy<PKT> {
     }
 
     /// The carrier identified by `rx_id` ends at node `j`.
-    pub fn rx_end(&mut self, j: usize, rx_id: u64, now: SimTime) -> RxEndOutcome<PKT> {
+    pub(crate) fn rx_end(&mut self, j: usize, rx_id: u64, now: SimTime) -> RxEndOutcome<PKT> {
         let state = &mut self.states[j];
         let idx = state
             .pending
@@ -219,7 +219,7 @@ impl<PKT: Clone> Phy<PKT> {
 
     /// Node `n`'s own transmission ends. Returns true if its medium
     /// transitioned to idle.
-    pub fn tx_end(&mut self, n: usize, now: SimTime) -> bool {
+    pub(crate) fn tx_end(&mut self, n: usize, now: SimTime) -> bool {
         let state = &mut self.states[n];
         debug_assert!(state.transmitting.is_some(), "tx_end without transmission");
         state.transmitting = None;

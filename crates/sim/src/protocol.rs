@@ -6,7 +6,7 @@
 //! record deliveries). The same node code therefore runs unchanged under
 //! unit tests (drive the trait directly) and full simulations.
 
-pub use crate::world::Ctx;
+pub(crate) use crate::world::Ctx;
 
 use crate::time::SimTime;
 use crate::{MacAddr, NodeId};

@@ -1,6 +1,6 @@
 //! Incremental uniform-grid index over node positions.
 //!
-//! [`crate::phy`]'s `start_tx` must find every node within carrier-sense
+//! `crate::phy`'s `start_tx` must find every node within carrier-sense
 //! range of a transmitter. A linear scan costs O(N) per transmission; this
 //! index buckets nodes into square cells at least as large as the
 //! carrier-sense range plus a staleness slack, so probing the 3×3 block of

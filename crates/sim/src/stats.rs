@@ -6,22 +6,21 @@
 //! and cryptographic operations without the simulator knowing about them.
 
 use crate::time::SimTime;
-use agr_telemetry::{Interner, Name};
 use std::collections::{BTreeMap, HashSet};
 
 /// Per-flow delivery breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowStats {
+pub(crate) struct FlowStats {
     /// Packets originated on this flow.
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Packets delivered (first copies).
-    pub delivered: u64,
+    pub(crate) delivered: u64,
 }
 
 impl FlowStats {
     /// Delivery fraction for this flow (1.0 when idle).
     #[must_use]
-    pub fn delivery_fraction(&self) -> f64 {
+    pub(crate) fn delivery_fraction(&self) -> f64 {
         if self.sent == 0 {
             1.0
         } else {
@@ -32,12 +31,10 @@ impl FlowStats {
 
 /// Aggregated run statistics.
 ///
-/// Implements `PartialEq` so regression tests can assert that two runs
-/// (e.g. serial vs parallel sweep execution, or grid vs linear PHY
-/// indexing) produced *exactly* the same outcome, field for field. The
-/// name interner is excluded from the comparison: it is a key cache, not
-/// an observable.
-#[derive(Debug, Clone, Default)]
+/// Derives `PartialEq` so regression tests can assert that two runs (e.g.
+/// serial vs parallel sweep execution, or grid vs linear PHY indexing)
+/// produced *exactly* the same outcome, field for field.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
     /// Data packets originated by sources.
     pub data_sent: u64,
@@ -48,34 +45,18 @@ pub struct Stats {
     pub events_processed: u64,
     /// End-to-end latency of each delivered packet.
     latencies: Vec<SimTime>,
-    /// Named event counters. [`Name`] keys compare by content, so the
-    /// map iterates in the same order the old `&'static str` keys did.
-    counters: BTreeMap<Name, u64>,
-    /// Dedups dynamically built counter names ([`Stats::count_dynamic`])
-    /// into shared allocations.
-    interner: Interner,
+    /// Named event counters.
+    counters: BTreeMap<&'static str, u64>,
     /// Duplicate-delivery guard: (flow, seq) pairs already delivered.
     delivered_keys: HashSet<(u32, u32)>,
     /// Per-flow breakdown.
     flows: BTreeMap<u32, FlowStats>,
 }
 
-impl PartialEq for Stats {
-    fn eq(&self, other: &Stats) -> bool {
-        self.data_sent == other.data_sent
-            && self.data_delivered == other.data_delivered
-            && self.events_processed == other.events_processed
-            && self.latencies == other.latencies
-            && self.counters == other.counters
-            && self.delivered_keys == other.delivered_keys
-            && self.flows == other.flows
-    }
-}
-
 impl Stats {
     /// Creates empty statistics.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Stats::default()
     }
 
@@ -99,33 +80,14 @@ impl Stats {
         true
     }
 
-    /// Increments the named counter (the zero-allocation static path).
-    pub fn count(&mut self, name: &'static str) {
-        *self.counters.entry(Name::Static(name)).or_insert(0) += 1;
+    /// Increments the named counter.
+    pub(crate) fn count(&mut self, name: &'static str) {
+        *self.counters.entry(name).or_insert(0) += 1;
     }
 
     /// Adds `n` to the named counter.
-    pub fn count_n(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(Name::Static(name)).or_insert(0) += n;
-    }
-
-    /// Increments a counter under a dynamically built name (e.g. a
-    /// per-adversary or per-cell key formatted at runtime). The name is
-    /// interned: bumping the same string a million times allocates its
-    /// key once and leaks nothing.
-    pub fn count_dynamic(&mut self, name: &str) {
-        self.count_dynamic_n(name, 1);
-    }
-
-    /// Adds `n` to a dynamically named counter (see
-    /// [`Stats::count_dynamic`]).
-    pub fn count_dynamic_n(&mut self, name: &str, n: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += n;
-            return;
-        }
-        let key = self.interner.intern(name);
-        *self.counters.entry(key).or_insert(0) += n;
+    pub(crate) fn count_n(&mut self, name: &'static str, n: u64) {
+        *self.counters.entry(name).or_insert(0) += n;
     }
 
     /// Reads a named counter (0 if never incremented).
@@ -136,13 +98,16 @@ impl Stats {
 
     /// All named counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Counters whose name starts with `prefix`, sorted by name — e.g.
     /// `prefixed("fault.drop.")` yields every drop-by-cause counter the
     /// fault layer recorded.
-    pub fn prefixed<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, u64)> + 'a {
+    pub(crate) fn prefixed<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
         self.counters()
             .filter(move |(name, _)| name.starts_with(prefix))
     }
@@ -196,11 +161,6 @@ impl Stats {
     #[must_use]
     pub fn latencies(&self) -> &[SimTime] {
         &self.latencies
-    }
-
-    /// Per-flow breakdown, ordered by flow index.
-    pub fn per_flow(&self) -> impl Iterator<Item = (u32, FlowStats)> + '_ {
-        self.flows.iter().map(|(&f, &s)| (f, s))
     }
 
     /// The worst per-flow delivery fraction — a fairness indicator: a
@@ -265,40 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_counters_intern_and_mix_with_static() {
-        let mut s = Stats::new();
-        s.count("adv.drop");
-        for cell in 0..3 {
-            let name = format!("adv.cell.{cell}");
-            s.count_dynamic(&name);
-            s.count_dynamic(&name);
-        }
-        assert_eq!(s.counter("adv.cell.0"), 2);
-        assert_eq!(s.counter("adv.cell.2"), 2);
-        assert_eq!(s.counter("adv.drop"), 1);
-        // Sorted iteration interleaves static and dynamic names.
-        let names: Vec<&str> = s.counters().map(|(n, _)| n).collect();
-        assert_eq!(
-            names,
-            vec!["adv.cell.0", "adv.cell.1", "adv.cell.2", "adv.drop"]
-        );
-        assert_eq!(s.prefixed_sum("adv.cell."), 6);
-    }
-
-    #[test]
-    fn dynamic_counters_do_not_break_equality() {
-        let mut a = Stats::new();
-        let mut b = Stats::new();
-        a.count_dynamic("x.1");
-        // Same counter value reached via a different interner history.
-        b.count_dynamic("x.1");
-        b.count_dynamic("x.2");
-        assert_ne!(a, b);
-        a.count_dynamic("x.2");
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn prefixed_counters() {
         let mut s = Stats::new();
         s.count_n("fault.drop.uniform", 3);
@@ -322,12 +248,12 @@ mod tests {
         s.record_sent(0);
         s.record_sent(1);
         s.record_delivered(0, 0, SimTime::from_millis(1));
-        let flows: Vec<_> = s.per_flow().collect();
+        let flows: Vec<FlowStats> = s.flows.values().copied().collect();
         assert_eq!(flows.len(), 2);
-        assert_eq!(flows[0].1.sent, 2);
-        assert_eq!(flows[0].1.delivered, 1);
-        assert_eq!(flows[0].1.delivery_fraction(), 0.5);
-        assert_eq!(flows[1].1.delivery_fraction(), 0.0);
+        assert_eq!(flows[0].sent, 2);
+        assert_eq!(flows[0].delivered, 1);
+        assert_eq!(flows[0].delivery_fraction(), 0.5);
+        assert_eq!(flows[1].delivery_fraction(), 0.0);
         assert_eq!(s.worst_flow_delivery(), 0.0);
     }
 

@@ -75,7 +75,7 @@ impl SimTime {
     ///
     /// Panics if `s` is negative or not finite.
     #[must_use]
-    pub fn from_secs_f64(s: f64) -> Self {
+    pub(crate) fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time: {s}");
         SimTime((s * 1e9).round() as u64)
     }

@@ -118,12 +118,6 @@ impl<PKT> RecordingObserver<PKT> {
     pub fn frames(&self) -> &[FrameRecord<PKT>] {
         &self.frames
     }
-
-    /// Consumes the recorder, returning the accumulated trace.
-    #[must_use]
-    pub fn into_frames(self) -> Vec<FrameRecord<PKT>> {
-        self.frames
-    }
 }
 
 impl<PKT> Default for RecordingObserver<PKT> {
@@ -963,12 +957,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             self.mac_on_medium_idle(n);
         }
     }
-
-    /// A data frame airtime for `bytes` network bytes — exposed to
-    /// protocols for budgeting (e.g. NL-ACK timeouts).
-    fn data_airtime(&self, bytes: u32) -> SimTime {
-        self.config.radio.data_airtime(bytes, &self.config.mac)
-    }
 }
 
 /// Per-node handle protocols use to interact with the world.
@@ -991,12 +979,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     #[must_use]
     pub fn my_id(&self) -> NodeId {
         NodeId(self.node as u32)
-    }
-
-    /// This node's MAC address.
-    #[must_use]
-    pub fn my_mac(&self) -> MacAddr {
-        self.inner.macs[self.node].addr
     }
 
     /// This node's current position (every node is assumed to know its own
@@ -1025,13 +1007,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     #[must_use]
     pub fn beacon_pos(&mut self) -> Point {
         self.inner.beacon_position_of(self.node)
-    }
-
-    /// Whether this node's radio is currently up (false during a
-    /// scheduled churn outage).
-    #[must_use]
-    pub fn radio_up(&self) -> bool {
-        self.inner.node_up[self.node]
     }
 
     /// The adversary role this node plays, if the run's
@@ -1064,12 +1039,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
         self.inner.position_of(node.0 as usize)
     }
 
-    /// Number of nodes in the simulation.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.inner.config.num_nodes
-    }
-
     /// The simulation configuration.
     #[must_use]
     pub fn config(&self) -> &SimConfig {
@@ -1086,7 +1055,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     /// `bytes` is the network-layer packet size (header + payload); the
     /// MAC adds its own overhead. Completion is reported via
     /// [`Protocol::on_mac_result`].
-    pub fn mac_send(&mut self, dst: MacDst, packet: PKT, bytes: u32) {
+    pub(crate) fn mac_send(&mut self, dst: MacDst, packet: PKT, bytes: u32) {
         self.inner.mac_enqueue(self.node, packet, dst, bytes);
     }
 
@@ -1098,13 +1067,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     /// Queues a reliable unicast (RTS/CTS/DATA/ACK with retries).
     pub fn mac_unicast(&mut self, to: MacAddr, packet: PKT, bytes: u32) {
         self.mac_send(MacDst::Unicast(to), packet, bytes);
-    }
-
-    /// Number of frames queued at this node's MAC (including any in
-    /// flight).
-    #[must_use]
-    pub fn mac_queue_len(&self) -> usize {
-        self.inner.macs[self.node].queue.len()
     }
 
     /// Schedules [`Protocol::on_timer`] with `kind` after `delay`.
@@ -1147,13 +1109,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     /// Adds `n` to a named statistics counter.
     pub fn count_n(&mut self, name: &'static str, n: u64) {
         self.inner.stats.count_n(name, n);
-    }
-
-    /// Airtime of a data frame carrying `bytes` network bytes — useful for
-    /// sizing protocol-level timeouts.
-    #[must_use]
-    pub fn data_airtime(&self, bytes: u32) -> SimTime {
-        self.inner.data_airtime(bytes)
     }
 }
 

@@ -14,11 +14,11 @@ use crate::registry::{MetricKey, MetricValue, Snapshot};
 use std::fmt::Write as _;
 
 /// Document format tag emitted and required by the JSON round trip.
-pub const SNAPSHOT_FORMAT: &str = "agr-telemetry-snapshot-v1";
+pub(crate) const SNAPSHOT_FORMAT: &str = "agr-telemetry-snapshot-v1";
 
 /// Escapes and quotes `s` as a JSON string literal.
 #[must_use]
-pub fn json_string(s: &str) -> String {
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -318,7 +318,7 @@ fn as_i64(v: &Json) -> Result<i64, String> {
 }
 
 /// Parses a document produced by [`snapshot_to_json`] back into a
-/// [`Snapshot`]. Meta stamping is provenance, not state, so it is
+/// `Snapshot`. Meta stamping is provenance, not state, so it is
 /// checked for well-formedness but not returned.
 ///
 /// # Errors
@@ -406,7 +406,7 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
 /// Maps a dotted metric name onto the Prometheus charset, prefixed with
 /// the workspace namespace (`als.serve.hits` → `agr_als_serve_hits`).
 #[must_use]
-pub fn prometheus_name(name: &str) -> String {
+pub(crate) fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
     out.push_str("agr_");
     for c in name.chars() {

@@ -16,18 +16,18 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets (bit lengths 0..=63).
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// Bucket index for a recorded value: its bit length, clamped to 63.
 #[must_use]
-pub fn bucket_of(value: u64) -> usize {
+pub(crate) fn bucket_of(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()).min(63) as usize
 }
 
 /// Inclusive upper bound of bucket `i`: `0` for bucket 0, `2^i - 1` in
 /// between, and `u64::MAX` for the final clamp bucket.
 #[must_use]
-pub fn bucket_bound(i: usize) -> u64 {
+pub(crate) fn bucket_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         i if i >= 63 => u64::MAX,
@@ -66,7 +66,7 @@ impl Histogram {
     }
 
     /// Records `n` observations of `value` in one shot.
-    pub fn record_n(&self, value: u64, n: u64) {
+    pub(crate) fn record_n(&self, value: u64, n: u64) {
         self.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
         self.sum
             .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
@@ -81,13 +81,13 @@ impl Histogram {
 
     /// Sum of all recorded values (saturating).
     #[must_use]
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Per-bucket counts, index = bit length of the recorded values.
     #[must_use]
-    pub fn buckets(&self) -> [u64; BUCKETS] {
+    pub(crate) fn buckets(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -119,17 +119,6 @@ impl Histogram {
         bucket_bound(BUCKETS - 1)
     }
 
-    /// Mean of recorded values (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
-    }
-
     /// Folds `other`'s buckets and totals into `self` — the mirror path
     /// a scrape uses to copy a live histogram into a registry.
     pub fn merge_from(&self, other: &Histogram) {
@@ -140,16 +129,6 @@ impl Histogram {
         }
         self.sum.fetch_add(other.sum(), Ordering::Relaxed);
         self.count.fetch_add(other.count(), Ordering::Relaxed);
-    }
-
-    /// Resets every bucket and the totals to zero. Not atomic as a
-    /// whole — callers quiesce writers first (tests, arm boundaries).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 }
 
@@ -197,14 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn count_sum_mean() {
+    fn count_and_sum() {
         let h = Histogram::new();
         h.record(10);
         h.record(20);
         h.record_n(30, 2);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 90);
-        assert!((h.mean() - 22.5).abs() < 1e-9);
     }
 
     #[test]
@@ -242,16 +220,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let h = Histogram::new();
-        h.record(42);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.quantile(0.5), 0);
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!
 //! * [`Registry`] — a process-wide (or per-engine) metric registry.
 //!   Registration is the cold path behind a mutex; the hot path is an
-//!   [`Arc`](std::sync::Arc) handle to an atomic [`Counter`], [`Gauge`],
+//!   [`Arc`](std::sync::Arc) handle to an atomic `Counter`, `Gauge`,
 //!   or log2-bucketed [`Histogram`] incremented with `Relaxed` atomics
 //!   (one `fetch_add` per event, no locks, no allocation).
-//! * [`Snapshot`] — a point-in-time copy of every registered metric in
-//!   deterministic (sorted) order, with [`Snapshot::diff`] for interval
-//!   deltas.
-//! * [`TraceRing`] — a bounded ring of time-keyed span/event records for
+//! * `Snapshot` — a point-in-time copy of every registered metric in
+//!   deterministic (sorted) order.
+//! * [`TraceRing`] — a bounded ring of time-keyed event records for
 //!   postmortem dumps. Time is a bare `u64` of nanoseconds: `SimTime`
 //!   inside the simulator, monotonic `Instant` deltas in the service.
 //!   Observation never draws randomness or reorders work, so an
@@ -23,23 +22,18 @@
 //!   caller supplies, e.g. `agr_bench::stamp`), Prometheus text
 //!   exposition v0, and the `--viz-json` JSONL event-stream schema the
 //!   checked-in replay page loads.
-//! * [`Name`]/[`Interner`] — metric names that keep the `&'static str`
-//!   fast path but admit dynamically built names (per-adversary,
-//!   per-cell) without `Box::leak`.
 //!
 //! The crate is deliberately std-only so every layer of the workspace —
 //! including the deterministic sim — can depend on it without pulling
 //! anything else in.
 
 pub mod export;
-pub mod hist;
-pub mod interner;
-pub mod registry;
-pub mod trace;
+mod hist;
+mod registry;
+mod trace;
 pub mod viz;
 
 pub use hist::Histogram;
-pub use interner::{Interner, Name};
-pub use registry::{Counter, Gauge, MetricValue, Registry, Snapshot};
-pub use trace::{TraceEvent, TraceKind, TraceRing};
+pub use registry::Registry;
+pub use trace::TraceRing;
 pub use viz::{VizEvent, VizEventKind};

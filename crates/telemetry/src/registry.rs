@@ -12,7 +12,7 @@
 //! labels), which is what makes the JSON and Prometheus exporters
 //! reproducible and lets tests diff two snapshots field-for-field.
 
-use crate::hist::{Histogram, BUCKETS};
+use crate::hist::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,28 +56,23 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
 /// Sorted `key=value` labels identifying one instrument of a family.
-pub type Labels = Vec<(String, String)>;
+pub(crate) type Labels = Vec<(String, String)>;
 
 /// Identity of one instrument: family name plus sorted labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
+pub(crate) struct MetricKey {
     /// Family name, dot-separated (`als.serve.updates`).
-    pub name: String,
+    pub(crate) name: String,
     /// Sorted label pairs; empty for unlabelled metrics.
-    pub labels: Labels,
+    pub(crate) labels: Labels,
 }
 
 impl MetricKey {
@@ -102,7 +97,7 @@ enum Instrument {
 
 /// Point-in-time value of one instrument.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MetricValue {
+pub(crate) enum MetricValue {
     /// Counter total.
     Counter(u64),
     /// Gauge level.
@@ -122,62 +117,10 @@ pub enum MetricValue {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Sorted metric key → value.
-    pub metrics: BTreeMap<MetricKey, MetricValue>,
+    pub(crate) metrics: BTreeMap<MetricKey, MetricValue>,
 }
 
 impl Snapshot {
-    /// `self - earlier`, per metric: counters and histogram buckets
-    /// subtract (saturating), gauges keep the later level. Metrics
-    /// absent from `earlier` pass through unchanged.
-    #[must_use]
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let mut out = Snapshot::default();
-        for (key, now) in &self.metrics {
-            let value = match (now, earlier.metrics.get(key)) {
-                (MetricValue::Counter(n), Some(MetricValue::Counter(e))) => {
-                    MetricValue::Counter(n.saturating_sub(*e))
-                }
-                (
-                    MetricValue::Histogram {
-                        buckets: nb,
-                        sum: ns,
-                        count: nc,
-                    },
-                    Some(MetricValue::Histogram {
-                        buckets: eb,
-                        sum: es,
-                        count: ec,
-                    }),
-                ) => MetricValue::Histogram {
-                    buckets: nb
-                        .iter()
-                        .zip(eb.iter().chain(std::iter::repeat(&0)))
-                        .map(|(n, e)| n.saturating_sub(*e))
-                        .collect(),
-                    sum: ns.saturating_sub(*es),
-                    count: nc.saturating_sub(*ec),
-                },
-                (now, _) => now.clone(),
-            };
-            out.metrics.insert(key.clone(), value);
-        }
-        out
-    }
-
-    /// Number of distinct metric families (unique names, labels folded).
-    #[must_use]
-    pub fn family_count(&self) -> usize {
-        let mut last: Option<&str> = None;
-        let mut n = 0;
-        for key in self.metrics.keys() {
-            if last != Some(key.name.as_str()) {
-                n += 1;
-                last = Some(key.name.as_str());
-            }
-        }
-        n
-    }
-
     /// Looks up an unlabelled counter's value (None if absent or not a
     /// counter).
     #[must_use]
@@ -293,7 +236,7 @@ impl Registry {
         }
     }
 
-    /// Copies every instrument into a sorted [`Snapshot`].
+    /// Copies every instrument into a sorted `Snapshot`.
     ///
     /// # Panics
     ///
@@ -316,26 +259,7 @@ impl Registry {
         }
         out
     }
-
-    /// Number of registered instruments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry mutex was poisoned.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.instruments.lock().expect("registry poisoned").len()
-    }
-
-    /// Whether no instruments are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
-
-/// Re-export of the bucket count for snapshot consumers.
-pub const HISTOGRAM_BUCKETS: usize = BUCKETS;
 
 #[cfg(test)]
 mod tests {
@@ -349,7 +273,7 @@ mod tests {
         a.add(3);
         b.inc();
         assert_eq!(a.get(), 4);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.snapshot().metrics.len(), 1);
     }
 
     #[test]
@@ -361,7 +285,6 @@ mod tests {
         n1.add(2);
         let snap = reg.snapshot();
         assert_eq!(snap.metrics.len(), 2);
-        assert_eq!(snap.family_count(), 1);
     }
 
     #[test]
@@ -370,36 +293,6 @@ mod tests {
         let reg = Registry::new();
         let _ = reg.counter("x");
         let _ = reg.gauge("x");
-    }
-
-    #[test]
-    fn snapshot_diff_subtracts_counters_keeps_gauges() {
-        let reg = Registry::new();
-        let c = reg.counter("ops");
-        let g = reg.gauge("depth");
-        let h = reg.histogram("lat");
-        c.add(10);
-        g.set(5);
-        h.record(100);
-        let before = reg.snapshot();
-        c.add(7);
-        g.set(2);
-        h.record(100);
-        h.record(3);
-        let after = reg.snapshot();
-        let delta = after.diff(&before);
-        assert_eq!(delta.counter("ops"), Some(7));
-        assert_eq!(
-            delta.metrics.get(&MetricKey::new("depth", &[])),
-            Some(&MetricValue::Gauge(2))
-        );
-        match delta.metrics.get(&MetricKey::new("lat", &[])) {
-            Some(MetricValue::Histogram { count, sum, .. }) => {
-                assert_eq!(*count, 2);
-                assert_eq!(*sum, 103);
-            }
-            other => panic!("expected histogram delta, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sim-time-aware tracing: a bounded ring of span/event records.
+//! Sim-time-aware tracing: a bounded ring of event records.
 //!
 //! Time is a bare `u64` of nanoseconds, deliberately unit-free at this
 //! layer: the sim feeds it `SimTime::as_nanos()` (virtual time), the
@@ -15,41 +15,18 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// What a trace record marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A point event.
-    Event,
-    /// A span opening (matched by name with a later `SpanEnd`).
-    SpanStart,
-    /// A span closing.
-    SpanEnd,
-}
-
-impl TraceKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            TraceKind::Event => "event",
-            TraceKind::SpanStart => "span_start",
-            TraceKind::SpanEnd => "span_end",
-        }
-    }
-}
-
 /// One record in the ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Nanoseconds — sim time in the sim, monotonic offset in services.
     pub t_nanos: u64,
-    /// Record kind.
-    pub kind: TraceKind,
     /// Subsystem that emitted the record (`sim.mac`, `als.serve`, ...).
-    pub target: &'static str,
+    pub(crate) target: &'static str,
     /// Human-readable payload.
     pub message: String,
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s.
+/// A bounded ring buffer of `TraceEvent`s.
 #[derive(Debug)]
 pub struct TraceRing {
     events: VecDeque<TraceEvent>,
@@ -71,57 +48,20 @@ impl TraceRing {
 
     /// Pushes a point event, evicting the oldest record when full.
     pub fn event(&mut self, t_nanos: u64, target: &'static str, message: impl Into<String>) {
-        self.push(TraceEvent {
-            t_nanos,
-            kind: TraceKind::Event,
-            target,
-            message: message.into(),
-        });
-    }
-
-    /// Pushes a span-start marker.
-    pub fn span_start(&mut self, t_nanos: u64, target: &'static str, message: impl Into<String>) {
-        self.push(TraceEvent {
-            t_nanos,
-            kind: TraceKind::SpanStart,
-            target,
-            message: message.into(),
-        });
-    }
-
-    /// Pushes a span-end marker.
-    pub fn span_end(&mut self, t_nanos: u64, target: &'static str, message: impl Into<String>) {
-        self.push(TraceEvent {
-            t_nanos,
-            kind: TraceKind::SpanEnd,
-            target,
-            message: message.into(),
-        });
-    }
-
-    fn push(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
         }
-        self.events.push_back(event);
+        self.events.push_back(TraceEvent {
+            t_nanos,
+            target,
+            message: message.into(),
+        });
         self.pushed += 1;
     }
 
     /// Records currently retained, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
-    }
-
-    /// Retained record count (≤ capacity).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the ring is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Total records ever pushed, including evicted ones.
@@ -139,9 +79,8 @@ impl TraceRing {
         for e in &self.events {
             let _ = writeln!(
                 out,
-                "{{\"t_ns\":{},\"kind\":\"{}\",\"target\":\"{}\",\"msg\":{}}}",
+                "{{\"t_ns\":{},\"kind\":\"event\",\"target\":\"{}\",\"msg\":{}}}",
                 e.t_nanos,
-                e.kind.as_str(),
                 e.target,
                 crate::export::json_string(&e.message),
             );
@@ -160,23 +99,10 @@ mod tests {
         for i in 0..5u64 {
             ring.event(i, "test", format!("e{i}"));
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.events().count(), 3);
         assert_eq!(ring.total_pushed(), 5);
         let times: Vec<u64> = ring.events().map(|e| e.t_nanos).collect();
         assert_eq!(times, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn spans_bracket_events() {
-        let mut ring = TraceRing::new(8);
-        ring.span_start(10, "als.batch", "flush");
-        ring.event(11, "als.batch", "frames=17");
-        ring.span_end(12, "als.batch", "flush");
-        let kinds: Vec<TraceKind> = ring.events().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![TraceKind::SpanStart, TraceKind::Event, TraceKind::SpanEnd]
-        );
     }
 
     #[test]
@@ -195,6 +121,6 @@ mod tests {
         let mut ring = TraceRing::new(0);
         ring.event(1, "t", "a");
         ring.event(2, "t", "b");
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.events().count(), 1);
     }
 }

@@ -42,7 +42,7 @@ pub enum VizEventKind {
 impl VizEventKind {
     /// Wire spelling used in the JSONL stream.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             VizEventKind::Tx => "tx",
             VizEventKind::Rx => "rx",
@@ -55,7 +55,7 @@ impl VizEventKind {
 
     /// Parses the wire spelling.
     #[must_use]
-    pub fn parse(s: &str) -> Option<VizEventKind> {
+    pub(crate) fn parse(s: &str) -> Option<VizEventKind> {
         Some(match s {
             "tx" => VizEventKind::Tx,
             "rx" => VizEventKind::Rx,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local gate: formatting, lints, the full test suite, smoke sweeps
+# Local gate: formatting, lints, docs, the full test suite, smoke sweeps
 # through the parallel runner, the cluster and telemetry smokes, and one
 # traced run of the benchmark. Everything runs offline.
 set -euo pipefail
@@ -10,6 +10,11 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# The public surface is meant to be small enough to read in cargo doc:
+# a link to a private or deleted item fails here, not in a browser.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> cargo test"
 cargo test --offline --workspace -q
