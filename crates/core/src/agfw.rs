@@ -32,6 +32,7 @@ use crate::packet::{
 use crate::pseudonym::{Pseudonym, PseudonymGenerator};
 use agr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use agr_crypto::trapdoor::Trapdoor;
+use agr_geom::planar;
 use agr_sim::{
     AdversaryRole, Ctx, FlowTag, MacAddr, MacOutcome, NodeId, Protocol, SimConfig, SimTime,
 };
@@ -48,57 +49,34 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoMode {
     /// Model the cost, skip the arithmetic.
-    Modeled {
-        /// Time to seal a trapdoor at the source (paper: 0.5 ms).
-        encrypt_delay: SimTime,
-        /// Time per trapdoor-opening attempt (paper: 8.5 ms).
-        decrypt_delay: SimTime,
-    },
+    Modeled,
     /// Perform genuine RSA trapdoor operations *and* model the paper's
     /// device timings (2026 hardware is far faster than a 2005 laptop, so
     /// wall-clock crypto time must not leak into simulated latency).
-    Real {
-        /// Simulated seal time.
-        encrypt_delay: SimTime,
-        /// Simulated open-attempt time.
-        decrypt_delay: SimTime,
-    },
+    Real,
 }
 
-impl CryptoMode {
-    /// The paper's measured RSA-512 timings: 0.5 ms encrypt, 8.5 ms
-    /// decrypt "for a portable computer processor".
-    #[must_use]
-    pub(crate) fn paper_modeled() -> Self {
-        CryptoMode::Modeled {
-            encrypt_delay: SimTime::from_micros(500),
-            decrypt_delay: SimTime::from_micros(8_500),
-        }
-    }
+/// The paper's measured RSA-512 seal time "for a portable computer
+/// processor": 0.5 ms.
+const ENCRYPT_DELAY: SimTime = SimTime::from_micros(500);
+/// The paper's measured RSA-512 time per trapdoor-opening attempt: 8.5 ms.
+const DECRYPT_DELAY: SimTime = SimTime::from_micros(8_500);
 
+impl CryptoMode {
     /// Real RSA with the paper's timing model.
     #[must_use]
     pub fn paper_real() -> Self {
-        CryptoMode::Real {
-            encrypt_delay: SimTime::from_micros(500),
-            decrypt_delay: SimTime::from_micros(8_500),
-        }
+        CryptoMode::Real
     }
 
+    /// Simulated time to seal a trapdoor at the source, in either mode.
     fn encrypt_delay(self) -> SimTime {
-        match self {
-            CryptoMode::Modeled { encrypt_delay, .. } | CryptoMode::Real { encrypt_delay, .. } => {
-                encrypt_delay
-            }
-        }
+        ENCRYPT_DELAY
     }
 
+    /// Simulated time per trapdoor-opening attempt, in either mode.
     fn decrypt_delay(self) -> SimTime {
-        match self {
-            CryptoMode::Modeled { decrypt_delay, .. } | CryptoMode::Real { decrypt_delay, .. } => {
-                decrypt_delay
-            }
-        }
+        DECRYPT_DELAY
     }
 }
 
@@ -247,7 +225,7 @@ impl Default for AgfwConfig {
             ack_timeout: SimTime::from_millis(25),
             max_retransmits: 5,
             piggyback_acks: false,
-            crypto: CryptoMode::paper_modeled(),
+            crypto: CryptoMode::Modeled,
             recovery: false,
             predictive: false,
             location: LocationMode::Oracle,
@@ -473,7 +451,7 @@ impl Agfw {
     #[must_use]
     pub fn new(id: NodeId, config: AgfwConfig, sim: &SimConfig, _rng: &mut impl Rng) -> Self {
         assert!(
-            matches!(config.crypto, CryptoMode::Modeled { .. }),
+            config.crypto == CryptoMode::Modeled,
             "CryptoMode::Real requires Agfw::with_keys"
         );
         Self::build(id, config, sim, None, None, None)
@@ -616,11 +594,11 @@ impl Agfw {
         src_loc: agr_geom::Point,
     ) -> Option<TrapdoorWire> {
         match self.config.crypto {
-            CryptoMode::Modeled { .. } => Some(TrapdoorWire::Modeled {
+            CryptoMode::Modeled => Some(TrapdoorWire::Modeled {
                 dest,
                 nonce: ctx.rng().random(),
             }),
-            CryptoMode::Real { .. } => {
+            CryptoMode::Real => {
                 let dir = self.directory.as_ref().expect("Real mode has directory");
                 let dest_key = dir.public_key(u64::from(dest.0))?.clone();
                 Trapdoor::seal(&dest_key, u64::from(self.my_id.0), src_loc, ctx.rng())
@@ -698,20 +676,17 @@ impl Agfw {
     ) {
         if decrement_ttl {
             if data.ttl == 0 {
-                ctx.count("agfw.drop.ttl");
-                self.pending_acks.remove(&data.uid);
-                self.forward_seen.remove(&data.uid);
+                self.give_up(ctx, data.uid, "agfw.drop.ttl");
                 return;
             }
             data.ttl -= 1;
         }
         let me = ctx.my_pos();
-        let now = ctx.now();
 
         // Perimeter mode: resume greedy as soon as we are closer to the
         // destination than the point where recovery started.
         if let AgfwMode::Perimeter { entry, prev } = data.mode {
-            if me.distance_sq(data.dst_loc) < entry.distance_sq(data.dst_loc) {
+            if planar::can_resume_greedy(me, entry, data.dst_loc) {
                 data.mode = AgfwMode::Greedy;
             } else {
                 self.perimeter_step(ctx, data, entry, prev);
@@ -719,15 +694,9 @@ impl Agfw {
             }
         }
 
-        match self.ant.next_hop_excluding(
-            me,
-            data.dst_loc,
-            now,
-            self.config.selection,
-            self.suspicion_threshold(),
-        ) {
-            Some(hop) => {
-                data.next = hop.pseudonym;
+        match self.greedy_hop(me, data.dst_loc, ctx.now()) {
+            Some(next) => {
+                data.next = next;
                 ctx.count("agfw.forward");
                 self.send_data(ctx, data);
             }
@@ -746,14 +715,27 @@ impl Agfw {
                 let dst_loc = data.dst_loc;
                 self.perimeter_step(ctx, data, me, dst_loc);
             }
-            None => {
-                // Forwarding stops; "recovery mode could be further
-                // considered" (Algorithm 3.2).
-                self.pending_acks.remove(&data.uid);
-                self.forward_seen.remove(&data.uid);
-                ctx.count("agfw.drop.local_max");
-            }
+            // Forwarding stops; "recovery mode could be further
+            // considered" (Algorithm 3.2).
+            None => self.give_up(ctx, data.uid, "agfw.drop.local_max"),
         }
+    }
+
+    /// The greedy next hop from `me` towards `target` under the configured
+    /// selection strategy and suspicion cutoff.
+    fn greedy_hop(
+        &self,
+        me: agr_geom::Point,
+        target: agr_geom::Point,
+        now: SimTime,
+    ) -> Option<Pseudonym> {
+        self.ant.next_hop_excluding(
+            me,
+            target,
+            now,
+            self.config.selection,
+            self.suspicion_threshold(),
+        )
     }
 
     /// One hop of anonymous perimeter routing: right-hand rule over the
@@ -766,14 +748,13 @@ impl Agfw {
         prev: agr_geom::Point,
     ) {
         let me = ctx.my_pos();
-        let now = ctx.now();
-        let planar_set = self
+        let threshold = self.suspicion_threshold();
+        match self
             .ant
-            .planar_fresh_excluding(me, now, self.suspicion_threshold());
-        let positions: Vec<agr_geom::Point> = planar_set.iter().map(|e| e.loc).collect();
-        match agr_geom::planar::right_hand_next(me, prev, &positions) {
-            Some(i) => {
-                data.next = planar_set[i].pseudonym;
+            .perimeter_next_excluding(me, prev, ctx.now(), threshold)
+        {
+            Some(next) => {
+                data.next = next;
                 data.mode = AgfwMode::Perimeter { entry, prev: me };
                 ctx.count("agfw.forward.perimeter");
                 self.send_data(ctx, data);
@@ -783,12 +764,16 @@ impl Agfw {
                 ctx.count("agfw.last_attempt");
                 self.send_data(ctx, data);
             }
-            None => {
-                self.pending_acks.remove(&data.uid);
-                self.forward_seen.remove(&data.uid);
-                ctx.count("agfw.drop.no_planar");
-            }
+            None => self.give_up(ctx, data.uid, "agfw.drop.no_planar"),
         }
+    }
+
+    /// Forgets a data packet this node can route no further, counting the
+    /// reason under `reason`.
+    fn give_up(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, uid: u64, reason: &'static str) {
+        self.pending_acks.remove(&uid);
+        self.forward_seen.remove(&uid);
+        ctx.count(reason);
     }
 
     /// Runs the committed-forwarder logic of Algorithm 3.2 on `data`.
@@ -843,9 +828,6 @@ impl Agfw {
             PendingOp::SendAfterEncrypt { data } => {
                 // The source is a committed forwarder that skips the
                 // trapdoor check on its own packet.
-                let me = ctx.my_pos();
-                let in_region = me.within_range(data.dst_loc, self.comm_range);
-                let _ = in_region;
                 self.forward_or_last_attempt(ctx, data, true);
             }
             PendingOp::AfterDecrypt {
@@ -1186,9 +1168,10 @@ impl Agfw {
     fn als_handoff(&mut self, ctx: &mut Ctx<'_, AgfwPacket>) {
         let my_pos = ctx.my_pos();
         let now = ctx.now();
-        let selection = self.config.selection;
-        let threshold = self.suspicion_threshold();
-        let Some(als) = &mut self.als else { return };
+        // Taken out for the loop, which consults the ANT through `self`.
+        let Some(mut als) = self.als.take() else {
+            return;
+        };
         let mut outgoing = Vec::new();
         for (&cell, server) in als.servers.iter_mut() {
             if server.is_empty() {
@@ -1196,11 +1179,7 @@ impl Agfw {
             }
             let target_loc = als.ssa.grid().cell_center(cell);
             // Still the local maximum for this anchor: records stay put.
-            if self
-                .ant
-                .next_hop_excluding(my_pos, target_loc, now, selection, threshold)
-                .is_none()
-            {
+            if self.greedy_hop(my_pos, target_loc, now).is_none() {
                 continue;
             }
             let records = server.take_records();
@@ -1224,6 +1203,7 @@ impl Agfw {
             }
         }
         als.servers.retain(|_, s| !s.is_empty());
+        self.als = Some(als);
         for mut msg in outgoing {
             msg.uid = ctx.rng().random();
             ctx.count("als.handoff");
@@ -1430,16 +1410,9 @@ impl Agfw {
     /// forwarding attempt at local maxima.
     fn als_route_hop(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, mut msg: AlsNetMessage) {
         let me = ctx.my_pos();
-        let now = ctx.now();
-        match self.ant.next_hop_excluding(
-            me,
-            msg.target_loc,
-            now,
-            self.config.selection,
-            self.suspicion_threshold(),
-        ) {
-            Some(hop) => {
-                msg.next = hop.pseudonym;
+        match self.greedy_hop(me, msg.target_loc, ctx.now()) {
+            Some(next) => {
+                msg.next = next;
                 ctx.count("als.forward");
                 self.send_als(ctx, msg);
             }
@@ -1791,13 +1764,7 @@ mod tests {
         assert_eq!(c.hello_interval, SimTime::from_secs(1));
         assert_eq!(c.rotate_every, 1);
         assert!(c.nl_ack);
-        assert_eq!(
-            c.crypto,
-            CryptoMode::Modeled {
-                encrypt_delay: SimTime::from_micros(500),
-                decrypt_delay: SimTime::from_micros(8500),
-            }
-        );
+        assert_eq!(c.crypto, CryptoMode::Modeled);
     }
 
     #[test]
@@ -1819,8 +1786,9 @@ mod tests {
 
     #[test]
     fn crypto_mode_delays() {
-        let m = CryptoMode::paper_modeled();
-        assert_eq!(m.encrypt_delay(), SimTime::from_micros(500));
-        assert_eq!(m.decrypt_delay(), SimTime::from_micros(8500));
+        for m in [CryptoMode::Modeled, CryptoMode::paper_real()] {
+            assert_eq!(m.encrypt_delay(), SimTime::from_micros(500));
+            assert_eq!(m.decrypt_delay(), SimTime::from_micros(8500));
+        }
     }
 }

@@ -275,36 +275,38 @@ impl AnonymousNeighborTable {
         self.suspicion.retain(|p, _| self.entries.contains_key(p));
     }
 
-    /// The Gabriel-planarised subset of *fresh* entries, for anonymous
-    /// perimeter recovery (the §6 extension): fresh entries only, so that
-    /// a neighbor's stale aliases do not witness away its live edge.
-    /// Restricted to entries whose suspicion score is below
-    /// `suspicion_threshold` (an infinite threshold excludes nobody).
+    /// Live entries whose suspicion score is below `suspicion_threshold`
+    /// (an infinite threshold excludes nobody), optionally only those
+    /// heard within the freshness window.
+    fn candidates(
+        &self,
+        now: SimTime,
+        fresh_only: bool,
+        suspicion_threshold: f64,
+    ) -> impl Iterator<Item = AntEntry> + '_ {
+        self.live(now).filter(move |e| {
+            (!fresh_only || now.saturating_sub(e.heard_at) < self.fresh_window)
+                && self.suspicion(e.pseudonym) < suspicion_threshold
+        })
+    }
+
+    /// The anonymous perimeter hop (the §6 extension) from `self_pos`,
+    /// sweeping from `from`: the right-hand rule over the
+    /// Gabriel-planarised *fresh* entries, so that a neighbor's stale
+    /// aliases do not witness away its live edge. Restricted to entries
+    /// whose suspicion score is below `suspicion_threshold`.
     #[must_use]
-    pub(crate) fn planar_fresh_excluding(
+    pub(crate) fn perimeter_next_excluding(
         &self,
         self_pos: Point,
+        from: Point,
         now: SimTime,
         suspicion_threshold: f64,
-    ) -> Vec<AntEntry> {
-        let fresh: Vec<AntEntry> = self
-            .live(now)
-            .filter(|e| now.saturating_sub(e.heard_at) < self.fresh_window)
-            .filter(|e| self.suspicion(e.pseudonym) < suspicion_threshold)
-            .collect();
-        let mut kept: Vec<AntEntry> = fresh
-            .iter()
-            .filter(|candidate| {
-                let witnesses = fresh
-                    .iter()
-                    .filter(|w| w.pseudonym != candidate.pseudonym)
-                    .map(|w| w.loc);
-                planar::gabriel_edge(self_pos, candidate.loc, witnesses)
-            })
-            .copied()
-            .collect();
-        kept.sort_by_key(|a| a.pseudonym); // determinism
-        kept
+    ) -> Option<Pseudonym> {
+        let fresh = self
+            .candidates(now, true, suspicion_threshold)
+            .map(|e| (e.pseudonym, e.loc));
+        planar::perimeter_next(self_pos, from, fresh)
     }
 
     /// Chooses the next-hop entry for a packet at `self_pos` heading to
@@ -319,12 +321,14 @@ impl AnonymousNeighborTable {
         strategy: SelectionStrategy,
     ) -> Option<AntEntry> {
         self.next_hop_excluding(self_pos, dst_loc, now, strategy, f64::INFINITY)
+            .and_then(|pseudonym| self.entries.get(&pseudonym).copied())
     }
 
-    /// [`Self::next_hop`] restricted to entries whose suspicion score is
-    /// below `suspicion_threshold` — the hardened selection rule. An
-    /// infinite threshold excludes nobody and reproduces `next_hop`
-    /// exactly, which is what keeps defense-off runs byte-identical.
+    /// The pseudonym [`Self::next_hop`] would choose, restricted to
+    /// entries whose suspicion score is below `suspicion_threshold` — the
+    /// hardened selection rule. An infinite threshold excludes nobody and
+    /// reproduces `next_hop` exactly, which is what keeps defense-off runs
+    /// byte-identical.
     #[must_use]
     pub(crate) fn next_hop_excluding(
         &self,
@@ -333,36 +337,18 @@ impl AnonymousNeighborTable {
         now: SimTime,
         strategy: SelectionStrategy,
         suspicion_threshold: f64,
-    ) -> Option<AntEntry> {
-        let my_dist = self_pos.distance_sq(dst_loc);
+    ) -> Option<Pseudonym> {
         // Entries that advertised a velocity are judged at their
         // *predicted* position (§3.1.1's movement-prediction refinement).
-        let progressing = |e: &AntEntry| {
-            e.predicted_loc(now).distance_sq(dst_loc) < my_dist
-                && self.suspicion(e.pseudonym) < suspicion_threshold
-        };
-        let closest = |it: &mut dyn Iterator<Item = AntEntry>| {
-            // Tie-break on the pseudonym so selection is independent of
-            // hash-map iteration order (bit-for-bit reproducible runs).
-            it.min_by(|a, b| {
-                a.predicted_loc(now)
-                    .distance_sq(dst_loc)
-                    .partial_cmp(&b.predicted_loc(now).distance_sq(dst_loc))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.pseudonym.cmp(&b.pseudonym))
-            })
+        let closest = |fresh_only| {
+            let candidates = self
+                .candidates(now, fresh_only, suspicion_threshold)
+                .map(|e| (e.pseudonym, e.predicted_loc(now)));
+            planar::greedy_next(self_pos, dst_loc, candidates).map(|(pseudonym, _)| pseudonym)
         };
         match strategy {
-            SelectionStrategy::NaiveClosest => closest(&mut self.live(now).filter(progressing)),
-            SelectionStrategy::FreshnessAware => {
-                let fresh = closest(
-                    &mut self
-                        .live(now)
-                        .filter(progressing)
-                        .filter(|e| now.saturating_sub(e.heard_at) < self.fresh_window),
-                );
-                fresh.or_else(|| closest(&mut self.live(now).filter(progressing)))
-            }
+            SelectionStrategy::NaiveClosest => closest(false),
+            SelectionStrategy::FreshnessAware => closest(true).or_else(|| closest(false)),
         }
     }
 }
@@ -605,28 +591,24 @@ mod tests {
         t.observe(n(1), Point::new(80.0, 0.0), now); // best hop
         t.observe(n(2), Point::new(50.0, 0.0), now); // runner-up
         t.suspect(n(1), 1.0);
-        let got = t
-            .next_hop_excluding(
-                Point::ORIGIN,
-                dst,
-                now,
-                SelectionStrategy::NaiveClosest,
-                1.0,
-            )
-            .unwrap();
-        assert_eq!(got.pseudonym, n(2), "suspect must be routed around");
+        let got = t.next_hop_excluding(
+            Point::ORIGIN,
+            dst,
+            now,
+            SelectionStrategy::NaiveClosest,
+            1.0,
+        );
+        assert_eq!(got, Some(n(2)), "suspect must be routed around");
         // Decay below the threshold restores the suspect.
         t.absolve(n(1), 0.5);
-        let got = t
-            .next_hop_excluding(
-                Point::ORIGIN,
-                dst,
-                now,
-                SelectionStrategy::NaiveClosest,
-                1.0,
-            )
-            .unwrap();
-        assert_eq!(got.pseudonym, n(1));
+        let got = t.next_hop_excluding(
+            Point::ORIGIN,
+            dst,
+            now,
+            SelectionStrategy::NaiveClosest,
+            1.0,
+        );
+        assert_eq!(got, Some(n(1)));
         // An infinite threshold reproduces plain next_hop exactly.
         t.suspect(n(1), 99.0);
         assert_eq!(
@@ -638,6 +620,7 @@ mod tests {
                 f64::INFINITY
             ),
             t.next_hop(Point::ORIGIN, dst, now, SelectionStrategy::NaiveClosest)
+                .map(|e| e.pseudonym)
         );
     }
 
@@ -655,15 +638,19 @@ mod tests {
     }
 
     #[test]
-    fn planar_excluding_drops_suspects() {
+    fn perimeter_excluding_skips_suspects() {
         let mut t = ant();
         let now = SimTime::from_millis(1500);
         t.observe(n(1), Point::new(10.0, 0.0), now);
         t.observe(n(2), Point::new(0.0, 10.0), now);
+        // Arrived from the west: the sweep meets east (n(1)) before north.
+        let west = Point::new(-10.0, 0.0);
+        let next = |t: &AnonymousNeighborTable, threshold| {
+            t.perimeter_next_excluding(Point::ORIGIN, west, now, threshold)
+        };
         t.suspect(n(1), 1.0);
-        let kept = t.planar_fresh_excluding(Point::ORIGIN, now, 1.0);
-        assert!(kept.iter().all(|e| e.pseudonym != n(1)));
-        assert!(kept.iter().any(|e| e.pseudonym == n(2)));
+        assert_eq!(next(&t, f64::INFINITY), Some(n(1)));
+        assert_eq!(next(&t, 1.0), Some(n(2)), "suspect must be routed around");
     }
 
     #[test]

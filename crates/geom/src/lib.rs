@@ -3,8 +3,8 @@
 //! Everything in the reproduction that reasons about *where nodes are* goes
 //! through this crate: node positions and movement ([`Point`], [`Vec2`]),
 //! deployment areas ([`Rect`]), the DLM location-service grid ([`Grid`]),
-//! and the planar-graph predicates used by GPSR perimeter mode
-//! ([`planar`]).
+//! and the forwarding kernel GPSR and AGFW both route with ([`planar`]):
+//! greedy selection, Gabriel planarisation and the right-hand rule.
 //!
 //! Distances are in **metres** and the coordinate system is the usual
 //! Cartesian plane (x to the right, y up), matching the paper's

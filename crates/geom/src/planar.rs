@@ -1,4 +1,12 @@
-//! Planar-graph predicates and the right-hand rule for perimeter routing.
+//! The geographic forwarding kernel: greedy selection, Gabriel
+//! planarisation and the right-hand rule for perimeter routing.
+//!
+//! GPSR and AGFW make every forwarding decision here. Each protocol hands
+//! in its neighbors as `(key, position)` pairs, where the key is whatever
+//! it addresses a next hop by — GPSR a node id, AGFW a pseudonym — and the
+//! key breaks every tie, so a decision never depends on the order a hash
+//! map yields the neighbors. What stays in the protocols is which
+//! neighbors they offer and at which positions.
 //!
 //! GPSR's perimeter mode (the recovery strategy the paper names as the
 //! natural extension of AGFW, §6) routes around voids on a *planarised*
@@ -19,20 +27,7 @@ use crate::{Point, Vec2};
 /// `others` should be the union of `u`'s neighbors (excluding `u` and `v`
 /// themselves); extra points are harmless since they only make the test
 /// more conservative.
-///
-/// # Examples
-///
-/// ```
-/// use agr_geom::{planar, Point};
-///
-/// let u = Point::new(0.0, 0.0);
-/// let v = Point::new(10.0, 0.0);
-/// // A witness in the diametral circle removes the edge...
-/// assert!(!planar::gabriel_edge(u, v, [Point::new(5.0, 1.0)]));
-/// // ...a witness outside keeps it.
-/// assert!(planar::gabriel_edge(u, v, [Point::new(5.0, 6.0)]));
-/// ```
-pub fn gabriel_edge<I>(u: Point, v: Point, others: I) -> bool
+fn gabriel_edge<I>(u: Point, v: Point, others: I) -> bool
 where
     I: IntoIterator<Item = Point>,
 {
@@ -85,9 +80,161 @@ fn sweep_key(back: Vec2, to_candidate: Vec2) -> f64 {
     }
 }
 
+/// Greedy next-hop selection: among `neighbors`, the one closest to `dst`
+/// that is *strictly* closer to `dst` than `here`, ties broken on the
+/// smaller key.
+///
+/// Returns `None` when no neighbor makes strict progress: the packet is
+/// at a *local maximum*, where greedy forwarding fails.
+///
+/// # Examples
+///
+/// ```
+/// use agr_geom::{planar, Point};
+///
+/// let dst = Point::new(100.0, 0.0);
+/// let neighbors = [(1, Point::new(10.0, 0.0)), (2, Point::new(50.0, 0.0))];
+/// let next = planar::greedy_next(Point::ORIGIN, dst, neighbors);
+/// assert_eq!(next, Some((2, Point::new(50.0, 0.0))));
+/// ```
+#[must_use]
+pub fn greedy_next<K, I>(here: Point, dst: Point, neighbors: I) -> Option<(K, Point)>
+where
+    K: Ord + Copy,
+    I: IntoIterator<Item = (K, Point)>,
+{
+    let my_dist = here.distance_sq(dst);
+    neighbors
+        .into_iter()
+        .map(|(key, pos)| (key, pos, pos.distance_sq(dst)))
+        .filter(|&(_, _, dist)| dist < my_dist)
+        .min_by(|a, b| {
+            a.2.partial_cmp(&b.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        })
+        .map(|(key, pos, _)| (key, pos))
+}
+
+/// Gabriel-graph planarisation of `here`'s neighbor set: the neighbors
+/// whose edge from `here` survives, with every *other* neighbor (matched
+/// by key) as a witness. The input order is kept.
+///
+/// # Examples
+///
+/// ```
+/// use agr_geom::{planar, Point};
+///
+/// let far = (1, Point::new(100.0, 0.0));
+/// // A witness inside the diametral circle of (here, far) removes the
+/// // long edge and keeps its own short one...
+/// let near = (2, Point::new(50.0, 5.0));
+/// assert_eq!(planar::gabriel_neighbors(Point::ORIGIN, &[far, near]), vec![near]);
+/// // ...a witness outside keeps both.
+/// let aside = (2, Point::new(50.0, 60.0));
+/// assert_eq!(planar::gabriel_neighbors(Point::ORIGIN, &[far, aside]), vec![far, aside]);
+/// ```
+#[must_use]
+pub fn gabriel_neighbors<K: Copy + Eq>(here: Point, neighbors: &[(K, Point)]) -> Vec<(K, Point)> {
+    neighbors
+        .iter()
+        .filter(|&&(key, pos)| {
+            let witnesses = neighbors.iter().filter(|w| w.0 != key).map(|w| w.1);
+            gabriel_edge(here, pos, witnesses)
+        })
+        .copied()
+        .collect()
+}
+
+/// One perimeter-mode hop: the right-hand-rule neighbor on the
+/// Gabriel-planarised neighbor set, sweeping from the direction of
+/// `from` (see [`right_hand_next`]).
+///
+/// The set is sorted by key first, so a sweep tie goes to the smaller
+/// key. Returns `None` when no planar neighbor exists.
+#[must_use]
+pub fn perimeter_next<K, I>(here: Point, from: Point, neighbors: I) -> Option<K>
+where
+    K: Ord + Copy,
+    I: IntoIterator<Item = (K, Point)>,
+{
+    let mut neighbors: Vec<(K, Point)> = neighbors.into_iter().collect();
+    neighbors.sort_by_key(|&(key, _)| key);
+    let planar = gabriel_neighbors(here, &neighbors);
+    let positions: Vec<Point> = planar.iter().map(|&(_, pos)| pos).collect();
+    right_hand_next(here, from, &positions).map(|i| planar[i].0)
+}
+
+/// True if a packet in perimeter mode may return to greedy forwarding at
+/// `here`: it is strictly closer to `dst` than `entry`, the point where
+/// it entered perimeter mode.
+#[must_use]
+pub fn can_resume_greedy(here: Point, entry: Point, dst: Point) -> bool {
+    here.distance_sq(dst) < entry.distance_sq(dst)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn p(x: f64, y: f64) -> Point {
+        Point::new(x, y)
+    }
+
+    fn greedy_key(here: Point, dst: Point, neighbors: &[(u32, Point)]) -> Option<u32> {
+        greedy_next(here, dst, neighbors.iter().copied()).map(|(key, _)| key)
+    }
+
+    #[test]
+    fn greedy_picks_closest_to_destination() {
+        let dst = p(100.0, 0.0);
+        let neighbors = [(1, p(10.0, 0.0)), (2, p(50.0, 0.0)), (3, p(30.0, 0.0))];
+        assert_eq!(greedy_key(Point::ORIGIN, dst, &neighbors), Some(2));
+    }
+
+    #[test]
+    fn greedy_requires_strict_progress() {
+        // All neighbors are farther from dst than we are: local maximum.
+        let dst = p(100.0, 0.0);
+        let neighbors = [(1, p(70.0, 0.0)), (2, p(90.0, 30.0))];
+        assert_eq!(greedy_key(p(90.0, 0.0), dst, &neighbors), None);
+    }
+
+    #[test]
+    fn greedy_neighbor_at_equal_distance_is_not_progress() {
+        let dst = p(100.0, 0.0);
+        assert_eq!(greedy_key(p(50.0, 0.0), dst, &[(1, p(50.0, 0.0))]), None);
+    }
+
+    #[test]
+    fn greedy_without_neighbors_fails() {
+        assert_eq!(greedy_key(Point::ORIGIN, p(1.0, 1.0), &[]), None);
+    }
+
+    #[test]
+    fn greedy_destination_neighbor_wins() {
+        let dst = p(100.0, 0.0);
+        let neighbors = [(1, p(99.0, 0.0)), (2, p(100.0, 0.0))];
+        assert_eq!(greedy_key(Point::ORIGIN, dst, &neighbors), Some(2));
+    }
+
+    #[test]
+    fn greedy_tie_goes_to_smaller_key_in_any_order() {
+        // Three candidates on one circle around dst, at equal distance.
+        let dst = p(100.0, 0.0);
+        let tied = [(7, p(90.0, 0.0)), (3, p(110.0, 0.0)), (5, p(100.0, 10.0))];
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let neighbors = order.map(|i| tied[i]);
+            assert_eq!(greedy_key(Point::ORIGIN, dst, &neighbors), Some(3));
+        }
+    }
 
     #[test]
     fn gabriel_keeps_edge_with_no_witnesses() {
@@ -105,6 +252,41 @@ mod tests {
         let v = Point::new(10.0, 0.0);
         let w = Point::new(5.0, 5.0);
         assert!(gabriel_edge(u, v, [w]));
+    }
+
+    #[test]
+    fn planarisation_removes_witnessed_edges() {
+        // Neighbor 2 sits inside the diametral circle of (me, neighbor 1):
+        // the GG drops the long edge, keeps the short one.
+        let kept = gabriel_neighbors(Point::ORIGIN, &[(1, p(100.0, 0.0)), (2, p(50.0, 5.0))]);
+        assert_eq!(kept, vec![(2, p(50.0, 5.0))]);
+    }
+
+    #[test]
+    fn perimeter_walks_counterclockwise_around_void() {
+        // Square void: me at origin, neighbors north and east; coming
+        // "from" a point due west, the sweep goes west → south → east and
+        // picks the east neighbor first.
+        let neighbors = [(1, p(0.0, 100.0)), (2, p(100.0, 0.0))];
+        assert_eq!(
+            perimeter_next(Point::ORIGIN, p(-100.0, 0.0), neighbors),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn perimeter_without_neighbors_gives_none() {
+        let none: [(u32, Point); 0] = [];
+        assert_eq!(perimeter_next(Point::ORIGIN, p(1.0, 0.0), none), None);
+    }
+
+    #[test]
+    fn resume_rule_is_strict() {
+        let dst = p(100.0, 0.0);
+        let entry = p(50.0, 0.0);
+        assert!(can_resume_greedy(p(60.0, 0.0), entry, dst));
+        assert!(!can_resume_greedy(p(50.0, 0.0), entry, dst));
+        assert!(!can_resume_greedy(p(40.0, 0.0), entry, dst));
     }
 
     #[test]

@@ -11,6 +11,12 @@ fn arb_area_point(area: Rect) -> impl Strategy<Value = Point> {
     (0.0..=1.0f64, 0.0..=1.0f64).prop_map(move |(u, v)| area.point_at(u, v))
 }
 
+/// Up to 14 neighbors in the paper's area, keyed by index.
+fn arb_neighbors() -> impl Strategy<Value = Vec<(u32, Point)>> {
+    proptest::collection::vec(arb_area_point(Rect::with_size(1500.0, 300.0)), 0..15)
+        .prop_map(|ps| (0..).zip(ps).collect())
+}
+
 proptest! {
     #[test]
     fn distance_symmetric(a in arb_point(), b in arb_point()) {
@@ -96,5 +102,61 @@ proptest! {
         if let Some(i) = planar::right_hand_next(here, from, &cands) {
             prop_assert!(i < cands.len());
         }
+    }
+
+    #[test]
+    fn greedy_choice_is_closest_progressing(
+        me in arb_point(),
+        dst in arb_point(),
+        neighbors in arb_neighbors(),
+    ) {
+        match planar::greedy_next(me, dst, neighbors.iter().copied()) {
+            Some((_, chosen)) => {
+                prop_assert!(chosen.distance_sq(dst) < me.distance_sq(dst));
+                for (_, n) in &neighbors {
+                    prop_assert!(chosen.distance_sq(dst) <= n.distance_sq(dst) + 1e-9);
+                }
+            }
+            None => {
+                // No neighbor makes progress.
+                for (_, n) in &neighbors {
+                    prop_assert!(n.distance_sq(dst) >= me.distance_sq(dst));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn planarisation_yields_subset(
+        me in arb_point(),
+        neighbors in arb_neighbors(),
+    ) {
+        let planar = planar::gabriel_neighbors(me, &neighbors);
+        prop_assert!(planar.len() <= neighbors.len());
+        for p in &planar {
+            prop_assert!(neighbors.contains(p));
+        }
+    }
+
+    #[test]
+    fn perimeter_next_hop_is_a_planar_neighbor(
+        me in arb_point(),
+        prev in arb_point(),
+        neighbors in arb_neighbors(),
+    ) {
+        if let Some(next) = planar::perimeter_next(me, prev, neighbors.iter().copied()) {
+            let planar = planar::gabriel_neighbors(me, &neighbors);
+            prop_assert!(planar.iter().any(|&(key, _)| key == next));
+        }
+    }
+
+    #[test]
+    fn resume_rule_is_a_strict_distance_test(
+        me in arb_point(),
+        entry in arb_point(),
+        dst in arb_point(),
+    ) {
+        let resumed = planar::can_resume_greedy(me, entry, dst);
+        prop_assert_eq!(resumed, me.distance_sq(dst) < entry.distance_sq(dst));
     }
 }

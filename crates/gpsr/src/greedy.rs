@@ -4,10 +4,11 @@
 //! the destination" (§2), with the standard strict-progress condition:
 //! the chosen neighbor must be strictly closer to the destination than the
 //! forwarder itself, otherwise the packet is at a *local maximum* and
-//! greedy forwarding fails.
+//! greedy forwarding fails. The rule itself is the shared kernel
+//! [`agr_geom::planar::greedy_next`], ties broken on the node id.
 
 use crate::neighbor::Neighbor;
-use agr_geom::Point;
+use agr_geom::{planar, Point};
 
 /// Picks the greedy next hop among `neighbors` for a packet at `self_pos`
 /// heading to `dst_loc`.
@@ -19,74 +20,12 @@ pub fn next_hop<I>(self_pos: Point, dst_loc: Point, neighbors: I) -> Option<Neig
 where
     I: IntoIterator<Item = Neighbor>,
 {
-    let my_dist = self_pos.distance_sq(dst_loc);
-    neighbors
-        .into_iter()
-        .filter(|n| n.pos.distance_sq(dst_loc) < my_dist)
-        .min_by(|a, b| {
-            // Tie-break on the id so selection is independent of hash-map
-            // iteration order (bit-for-bit reproducible runs).
-            a.pos
-                .distance_sq(dst_loc)
-                .partial_cmp(&b.pos.distance_sq(dst_loc))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-        })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use agr_sim::{NodeId, SimTime};
-
-    fn n(id: u32, x: f64, y: f64) -> Neighbor {
-        Neighbor {
-            id: NodeId(id),
-            pos: Point::new(x, y),
-            heard_at: SimTime::ZERO,
-        }
-    }
-
-    #[test]
-    fn picks_closest_to_destination() {
-        let dst = Point::new(100.0, 0.0);
-        let chosen = next_hop(
-            Point::ORIGIN,
-            dst,
-            vec![n(1, 10.0, 0.0), n(2, 50.0, 0.0), n(3, 30.0, 0.0)],
-        )
-        .unwrap();
-        assert_eq!(chosen.id, NodeId(2));
-    }
-
-    #[test]
-    fn requires_strict_progress() {
-        let dst = Point::new(100.0, 0.0);
-        // All neighbors are farther from dst than we are: local maximum.
-        let got = next_hop(
-            Point::new(90.0, 0.0),
-            dst,
-            vec![n(1, 70.0, 0.0), n(2, 90.0, 30.0)],
-        );
-        assert!(got.is_none());
-    }
-
-    #[test]
-    fn neighbor_at_equal_distance_is_not_progress() {
-        let dst = Point::new(100.0, 0.0);
-        let got = next_hop(Point::new(50.0, 0.0), dst, vec![n(1, 50.0, 0.0)]);
-        assert!(got.is_none());
-    }
-
-    #[test]
-    fn empty_table_fails() {
-        assert!(next_hop(Point::ORIGIN, Point::new(1.0, 1.0), vec![]).is_none());
-    }
-
-    #[test]
-    fn destination_neighbor_wins() {
-        let dst = Point::new(100.0, 0.0);
-        let chosen = next_hop(Point::ORIGIN, dst, vec![n(1, 99.0, 0.0), n(2, 100.0, 0.0)]).unwrap();
-        assert_eq!(chosen.id, NodeId(2));
-    }
+    // `heard_at` rides along in the key; ids are unique in a table, so it
+    // never decides a tie.
+    let keyed = neighbors.into_iter().map(|n| ((n.id, n.heard_at), n.pos));
+    planar::greedy_next(self_pos, dst_loc, keyed).map(|((id, heard_at), pos)| Neighbor {
+        id,
+        pos,
+        heard_at,
+    })
 }

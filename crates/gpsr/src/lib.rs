@@ -12,14 +12,17 @@
 //!   geographically closest to the destination, strictly closer than
 //!   yourself. Packets are MAC *unicasts* — RTS/CTS/DATA/ACK — addressed
 //!   to the chosen neighbor's MAC address.
-//! * **Perimeter recovery** ([`perimeter`]): when greedy hits a local
-//!   maximum, route around the void on the Gabriel-planarised neighbor
-//!   graph by the right-hand rule. The paper's §6 names this the natural
-//!   extension of the anonymous scheme; we implement it for the baseline
-//!   and as an AGFW ablation.
+//! * **Perimeter recovery** ([`GpsrConfig::with_perimeter`]): when greedy
+//!   hits a local maximum, route around the void on the Gabriel-planarised
+//!   neighbor graph by the right-hand rule. The paper's §6 names this the
+//!   natural extension of the anonymous scheme; we implement it for the
+//!   baseline and as an AGFW ablation.
 //!
-//! The [`Gpsr`] type implements [`agr_sim::Protocol`] and runs on the
-//! `agr-sim` MANET simulator.
+//! Both rules are [`agr_geom::planar`]'s forwarding kernel, the same code
+//! AGFW routes with; this crate supplies the identified neighbor table and
+//! the perimeter-mode state carried in each packet. The [`Gpsr`] type
+//! implements [`agr_sim::Protocol`] and runs on the `agr-sim` MANET
+//! simulator.
 //!
 //! # Examples
 //!
@@ -43,7 +46,6 @@
 pub mod greedy;
 mod neighbor;
 pub mod packet;
-pub mod perimeter;
 mod protocol;
 
 pub use neighbor::{Neighbor, NeighborTable};

@@ -3,7 +3,7 @@
 use crate::greedy;
 use crate::neighbor::NeighborTable;
 use crate::packet::{DataHeader, GpsrPacket, RoutingMode, BEACON_BYTES};
-use crate::perimeter;
+use agr_geom::planar;
 use agr_sim::{Ctx, FlowTag, MacAddr, MacDst, MacOutcome, NodeId, Protocol, SimTime};
 use rand::Rng;
 
@@ -98,76 +98,67 @@ impl Gpsr {
             return;
         }
 
-        if let RoutingMode::Perimeter {
-            entry,
-            prev,
-            first_edge,
-        } = header.mode
-        {
-            if perimeter::can_resume_greedy(my_pos, entry, header.dst_loc) {
+        // Perimeter mode continues until the packet is strictly closer to
+        // the destination than where it entered; otherwise route greedily,
+        // entering perimeter mode at a local maximum. The right-hand rule
+        // for the first perimeter hop sweeps from the direction of the
+        // destination.
+        let (entry, from, first_edge, counter) = match header.mode {
+            RoutingMode::Perimeter {
+                entry,
+                prev,
+                first_edge,
+            } if !planar::can_resume_greedy(my_pos, entry, header.dst_loc) => {
+                (entry, prev, first_edge, "gpsr.forward.perimeter")
+            }
+            _ => {
                 header.mode = RoutingMode::Greedy;
-            } else {
-                let mut neighbors: Vec<_> = self.table.live(now).collect();
-                neighbors.sort_by_key(|n| n.id);
-                let Some(next) = perimeter::next_hop(my_pos, prev, &neighbors) else {
-                    ctx.count("gpsr.drop.no_route");
-                    return;
-                };
-                let edge = (me, next.id);
-                if perimeter::is_loop(edge, first_edge) {
-                    ctx.count("gpsr.drop.unreachable");
-                    return;
+                match greedy::next_hop(my_pos, header.dst_loc, self.table.live(now)) {
+                    Some(next) => {
+                        ctx.count("gpsr.forward.greedy");
+                        ctx.mac_unicast(
+                            MacAddr::from(next.id),
+                            GpsrPacket::Data(header),
+                            header.wire_bytes(),
+                        );
+                        return;
+                    }
+                    None if self.config.perimeter => {
+                        (my_pos, header.dst_loc, None, "gpsr.forward.perimeter_enter")
+                    }
+                    None => {
+                        ctx.count("gpsr.drop.local_max");
+                        return;
+                    }
                 }
-                header.mode = RoutingMode::Perimeter {
-                    entry,
-                    prev: my_pos,
-                    first_edge: Some(first_edge.unwrap_or(edge)),
-                };
-                ctx.count("gpsr.forward.perimeter");
-                ctx.mac_unicast(
-                    MacAddr::from(next.id),
-                    GpsrPacket::Data(header),
-                    header.wire_bytes(),
-                );
-                return;
             }
+        };
+        let neighbors = self.table.live(now).map(|n| (n.id, n.pos));
+        let Some(next) = planar::perimeter_next(my_pos, from, neighbors) else {
+            ctx.count("gpsr.drop.no_route");
+            return;
+        };
+        // Loop detection, simplified from the GPSR paper (recorded in
+        // DESIGN.md): instead of full face-change bookkeeping, a packet
+        // about to re-traverse the *first edge* it took in perimeter mode,
+        // in the same direction, has an unreachable destination and is
+        // dropped.
+        let edge = (me, next);
+        if first_edge == Some(edge) {
+            ctx.count("gpsr.drop.unreachable");
+            return;
         }
-
-        match greedy::next_hop(my_pos, header.dst_loc, self.table.live(now)) {
-            Some(next) => {
-                ctx.count("gpsr.forward.greedy");
-                ctx.mac_unicast(
-                    MacAddr::from(next.id),
-                    GpsrPacket::Data(header),
-                    header.wire_bytes(),
-                );
-            }
-            None if self.config.perimeter => {
-                // Local maximum: enter perimeter mode. The right-hand rule
-                // for the first perimeter hop sweeps from the direction of
-                // the destination.
-                let mut neighbors: Vec<_> = self.table.live(now).collect();
-                neighbors.sort_by_key(|n| n.id);
-                let Some(next) = perimeter::next_hop(my_pos, header.dst_loc, &neighbors) else {
-                    ctx.count("gpsr.drop.no_route");
-                    return;
-                };
-                header.mode = RoutingMode::Perimeter {
-                    entry: my_pos,
-                    prev: my_pos,
-                    first_edge: Some((me, next.id)),
-                };
-                ctx.count("gpsr.forward.perimeter_enter");
-                ctx.mac_unicast(
-                    MacAddr::from(next.id),
-                    GpsrPacket::Data(header),
-                    header.wire_bytes(),
-                );
-            }
-            None => {
-                ctx.count("gpsr.drop.local_max");
-            }
-        }
+        header.mode = RoutingMode::Perimeter {
+            entry,
+            prev: my_pos,
+            first_edge: Some(first_edge.unwrap_or(edge)),
+        };
+        ctx.count(counter);
+        ctx.mac_unicast(
+            MacAddr::from(next),
+            GpsrPacket::Data(header),
+            header.wire_bytes(),
+        );
     }
 }
 

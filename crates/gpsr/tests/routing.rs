@@ -146,6 +146,8 @@ fn unreachable_destination_is_dropped_not_looped() {
         "drops {drops} < sent {}",
         stats.data_sent
     );
+    // The first-edge rule is what ends the orbit.
+    assert!(stats.counter("gpsr.drop.unreachable") > 0);
 }
 
 #[test]
