@@ -33,18 +33,13 @@ pub enum Event {
         /// Generation guard compared against the MAC's current guard.
         guard: u64,
     },
-    /// A node's transmission ends.
+    /// A node's transmission ends. The one entry per frame: its handler
+    /// also ends the frame's carrier at every node in carrier-sense range,
+    /// in ascending node order, handing each deliverable, uncorrupted
+    /// frame to that node's MAC.
     TxEnd {
         /// The transmitter.
         node: NodeId,
-    },
-    /// A carrier sensed by `node` ends; if it carried a deliverable,
-    /// uncorrupted frame, the frame is handed to the MAC.
-    RxEnd {
-        /// The sensing/receiving node.
-        node: NodeId,
-        /// Identifies the pending-reception entry.
-        rx_id: u64,
     },
     /// Periodic refresh of the PHY's spatial neighbor index. Scheduled in
     /// every run (regardless of index mode) so the event stream — and
@@ -93,8 +88,9 @@ impl PartialOrd for Scheduled {
 /// A time-ordered event queue with FIFO tie-breaking.
 ///
 /// Events scheduled for the same instant pop in scheduling order, which
-/// makes runs deterministic and gives natural causality (a transmitter's
-/// `TxEnd` precedes its receivers' `RxEnd`s).
+/// makes runs deterministic and gives natural causality (whatever a
+/// frame's receivers schedule for its end instant pops after the frame's
+/// `TxEnd`, which resolves all of their carriers).
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,

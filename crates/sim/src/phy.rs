@@ -31,6 +31,10 @@ pub(crate) struct PhyState<PKT> {
     pub(crate) idle_since: SimTime,
     /// Carriers currently overlapping this node, deliverable or not.
     pub(crate) pending: Vec<PendingRx<PKT>>,
+    /// Every node in carrier-sense range of this node's current
+    /// transmission, ascending. Each holds one [`PendingRx`] keyed by this
+    /// node until the transmission's end resolves them all.
+    pub(crate) receivers: Vec<u32>,
 }
 
 impl<PKT> PhyState<PKT> {
@@ -40,6 +44,7 @@ impl<PKT> PhyState<PKT> {
             sensed: 0,
             idle_since: SimTime::ZERO,
             pending: Vec::new(),
+            receivers: Vec::new(),
         }
     }
 
@@ -51,28 +56,19 @@ impl<PKT> PhyState<PKT> {
 }
 
 /// A carrier overlapping a node.
+///
+/// A node holds at most one per transmitter: all of a transmission's
+/// carriers end together, before that transmitter can start another.
 #[derive(Debug)]
 pub(crate) struct PendingRx<PKT> {
-    pub(crate) rx_id: u64,
-    /// Ground-truth transmitter of this carrier. The MAC never sees it
-    /// (frames may be source-less broadcasts); the fault layer keys its
-    /// per-directed-link loss channels on it.
+    /// Ground-truth transmitter of this carrier, which also identifies it.
+    /// The MAC never sees it (frames may be source-less broadcasts); the
+    /// fault layer keys its per-directed-link loss channels on it.
     pub(crate) tx: usize,
     /// The frame, kept only when it was decodable at start.
     pub(crate) frame: Option<MacFrame<PKT>>,
     /// Set when another carrier or the node's own transmission overlapped.
     pub(crate) corrupted: bool,
-}
-
-/// Result of starting a transmission.
-#[derive(Debug)]
-pub(crate) struct TxStart {
-    /// When the transmission ends.
-    pub(crate) end: SimTime,
-    /// Nodes whose medium transitioned idle → busy.
-    pub(crate) went_busy: Vec<usize>,
-    /// `(node, rx_id)` carrier-end notifications to schedule at `end`.
-    pub(crate) rx_ends: Vec<(usize, u64)>,
 }
 
 /// Result of a carrier ending at a node.
@@ -95,7 +91,9 @@ pub(crate) struct Phy<PKT> {
     pub(crate) comm_range: f64,
     pub(crate) cs_range: f64,
     pub(crate) states: Vec<PhyState<PKT>>,
-    next_rx_id: u64,
+    /// Nodes whose medium went idle → busy at the last `start_tx`,
+    /// ascending. Scratch: overwritten by every transmission.
+    pub(crate) went_busy: Vec<usize>,
 }
 
 impl<PKT: Clone> Phy<PKT> {
@@ -104,11 +102,15 @@ impl<PKT: Clone> Phy<PKT> {
             comm_range,
             cs_range,
             states: (0..nodes).map(|_| PhyState::new()).collect(),
-            next_rx_id: 0,
+            went_busy: Vec::new(),
         }
     }
 
-    /// Node `tx` starts transmitting `frame` for `airtime`.
+    /// Node `tx` starts transmitting `frame` for `airtime`; returns when
+    /// the transmission ends.
+    ///
+    /// Fills `states[tx].receivers` with every node that senses the
+    /// carrier and `went_busy` with those whose medium was idle.
     ///
     /// `candidates` lists `(node, position)` pairs — a *superset* of the
     /// nodes within carrier-sense range of `tx_pos`, in ascending node
@@ -128,7 +130,7 @@ impl<PKT: Clone> Phy<PKT> {
         airtime: SimTime,
         now: SimTime,
         candidates: &[(usize, Point)],
-    ) -> TxStart {
+    ) -> SimTime {
         debug_assert!(
             self.states[tx].transmitting.is_none(),
             "already transmitting"
@@ -144,8 +146,9 @@ impl<PKT: Clone> Phy<PKT> {
         }
         self.states[tx].transmitting = Some(end);
 
-        let mut went_busy = Vec::new();
-        let mut rx_ends = Vec::new();
+        let mut receivers = std::mem::take(&mut self.states[tx].receivers);
+        debug_assert!(receivers.is_empty(), "previous carriers still pending");
+        self.went_busy.clear();
         for &(j, pos) in candidates {
             if j == tx {
                 continue;
@@ -163,14 +166,11 @@ impl<PKT: Clone> Phy<PKT> {
             }
             state.sensed += 1;
             if !was_busy {
-                went_busy.push(j);
+                self.went_busy.push(j);
             }
             let decodable =
                 dist <= self.comm_range && state.transmitting.is_none() && !had_carriers;
-            let rx_id = self.next_rx_id;
-            self.next_rx_id += 1;
             state.pending.push(PendingRx {
-                rx_id,
                 tx,
                 frame: if dist <= self.comm_range && state.transmitting.is_none() {
                     Some(frame.clone())
@@ -179,22 +179,19 @@ impl<PKT: Clone> Phy<PKT> {
                 },
                 corrupted: !decodable,
             });
-            rx_ends.push((j, rx_id));
+            receivers.push(j as u32);
         }
-        TxStart {
-            end,
-            went_busy,
-            rx_ends,
-        }
+        self.states[tx].receivers = receivers;
+        end
     }
 
-    /// The carrier identified by `rx_id` ends at node `j`.
-    pub(crate) fn rx_end(&mut self, j: usize, rx_id: u64, now: SimTime) -> RxEndOutcome<PKT> {
+    /// The carrier from transmitter `tx` ends at node `j`.
+    pub(crate) fn rx_end(&mut self, j: usize, tx: usize, now: SimTime) -> RxEndOutcome<PKT> {
         let state = &mut self.states[j];
         let idx = state
             .pending
             .iter()
-            .position(|p| p.rx_id == rx_id)
+            .position(|p| p.tx == tx)
             .expect("carrier end without pending entry");
         let pending = state.pending.swap_remove(idx);
         debug_assert!(state.sensed > 0);
@@ -257,66 +254,80 @@ mod tests {
         xs.iter().map(|&x| Point::new(x, 0.0)).collect()
     }
 
-    /// Full-scan candidate list, as the linear index mode produces.
-    fn candidates(pos: &[Point]) -> Vec<(usize, Point)> {
-        pos.iter().copied().enumerate().collect()
+    /// Starts `tx`'s transmission against a full-scan candidate list, as
+    /// the linear index mode produces it; returns its end.
+    fn start(phy: &mut Phy<u32>, tx: usize, pos: &[Point], airtime_us: u64, at_us: u64) -> SimTime {
+        let candidates: Vec<(usize, Point)> = pos.iter().copied().enumerate().collect();
+        phy.start_tx(
+            tx,
+            pos[tx],
+            frame(),
+            SimTime::from_micros(airtime_us),
+            SimTime::from_micros(at_us),
+            &candidates,
+        )
+    }
+
+    /// Ends every carrier of `tx`'s transmission in receiver order, as the
+    /// world does inside the transmitter's `TxEnd`.
+    fn end_carriers(
+        phy: &mut Phy<u32>,
+        tx: usize,
+        end: SimTime,
+    ) -> Vec<(usize, RxEndOutcome<u32>)> {
+        let receivers = std::mem::take(&mut phy.states[tx].receivers);
+        receivers
+            .into_iter()
+            .map(|j| (j as usize, phy.rx_end(j as usize, tx, end)))
+            .collect()
+    }
+
+    /// The outcome at node `j` among a transmission's carrier ends.
+    fn at(outcomes: &[(usize, RxEndOutcome<u32>)], j: usize) -> &RxEndOutcome<u32> {
+        &outcomes
+            .iter()
+            .find(|(r, _)| *r == j)
+            .expect("no carrier at node")
+            .1
     }
 
     #[test]
     fn in_range_reception_succeeds() {
         let mut phy = phy(2);
         let pos = line_positions(&[0.0, 200.0]);
-        let start = phy.start_tx(
-            0,
-            pos[0],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
-        assert_eq!(start.went_busy, vec![1]);
-        assert_eq!(start.rx_ends.len(), 1);
-        let (j, rx_id) = start.rx_ends[0];
-        let out = phy.rx_end(j, rx_id, start.end);
+        let end = start(&mut phy, 0, &pos, 100, 0);
+        assert_eq!(phy.went_busy, vec![1]);
+        assert_eq!(phy.states[0].receivers, vec![1]);
+        let outcomes = end_carriers(&mut phy, 0, end);
+        let out = at(&outcomes, 1);
         assert!(out.frame.is_some());
+        assert_eq!(out.tx, 0);
         assert!(!out.collided);
         assert!(out.went_idle);
-        assert!(phy.tx_end(0, start.end));
+        assert!(phy.tx_end(0, end));
     }
 
     #[test]
     fn cs_range_senses_but_cannot_decode() {
         let mut phy = phy(2);
         let pos = line_positions(&[0.0, 400.0]); // beyond 250, within 550
-        let start = phy.start_tx(
-            0,
-            pos[0],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
-        assert_eq!(start.went_busy, vec![1]);
-        let (j, rx_id) = start.rx_ends[0];
-        let out = phy.rx_end(j, rx_id, start.end);
+        let end = start(&mut phy, 0, &pos, 100, 0);
+        assert_eq!(phy.went_busy, vec![1]);
+        assert_eq!(phy.states[0].receivers, vec![1]);
+        let outcomes = end_carriers(&mut phy, 0, end);
+        let out = at(&outcomes, 1);
         assert!(out.frame.is_none());
         assert!(!out.collided, "undecodable energy is not a collision");
     }
 
     #[test]
     fn out_of_cs_range_unaffected() {
-        let mut phy = phy(2);
-        let pos = line_positions(&[0.0, 600.0]);
-        let start = phy.start_tx(
-            0,
-            pos[0],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
-        assert!(start.went_busy.is_empty());
-        assert!(start.rx_ends.is_empty());
+        let mut phy = phy(3);
+        let pos = line_positions(&[0.0, 600.0, 500.0]);
+        start(&mut phy, 0, &pos, 100, 0);
+        assert_eq!(phy.went_busy, vec![2]);
+        assert_eq!(phy.states[0].receivers, vec![2], "600 m is out of cs-range");
+        assert!(phy.states[1].pending.is_empty());
     }
 
     #[test]
@@ -326,33 +337,16 @@ mod tests {
         // the classic collision at the middle node.
         let mut phy = Phy::<u32>::new(250.0, 300.0, 3);
         let pos = line_positions(&[0.0, 240.0, 480.0]);
-        let s1 = phy.start_tx(
-            0,
-            pos[0],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
-        let s2 = phy.start_tx(
-            2,
-            pos[2],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::from_micros(10),
-            &candidates(&pos),
-        );
+        let end1 = start(&mut phy, 0, &pos, 100, 0);
+        let end2 = start(&mut phy, 2, &pos, 100, 10);
+        assert_eq!(phy.states[0].receivers, vec![1]);
+        assert_eq!(phy.states[2].receivers, vec![1]);
         // Node 1 hears both; both are corrupted.
-        for (j, rx_id) in s1.rx_ends.iter().chain(&s2.rx_ends) {
-            if *j == 1 {
-                let end = if s1.rx_ends.contains(&(*j, *rx_id)) {
-                    s1.end
-                } else {
-                    s2.end
-                };
-                let out = phy.rx_end(*j, *rx_id, end);
-                assert!(out.frame.is_none(), "collided frame must not deliver");
-            }
+        for (tx, end) in [(0, end1), (2, end2)] {
+            let outcomes = end_carriers(&mut phy, tx, end);
+            let out = at(&outcomes, 1);
+            assert!(out.frame.is_none(), "collided frame must not deliver");
+            assert!(out.collided);
         }
     }
 
@@ -361,89 +355,45 @@ mod tests {
         let mut phy = phy(2);
         let pos = line_positions(&[0.0, 100.0]);
         // Both transmit simultaneously: neither receives.
-        let s1 = phy.start_tx(
-            0,
-            pos[0],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
-        let s2 = phy.start_tx(
-            1,
-            pos[1],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
-        let (j1, r1) = s1.rx_ends[0];
-        let (j2, r2) = s2.rx_ends[0];
-        assert!(phy.rx_end(j1, r1, s1.end).frame.is_none());
-        assert!(phy.rx_end(j2, r2, s2.end).frame.is_none());
+        let end1 = start(&mut phy, 0, &pos, 100, 0);
+        let end2 = start(&mut phy, 1, &pos, 100, 0);
+        assert!(at(&end_carriers(&mut phy, 0, end1), 1).frame.is_none());
+        assert!(at(&end_carriers(&mut phy, 1, end2), 0).frame.is_none());
     }
 
     #[test]
     fn second_carrier_corrupts_first() {
         let mut phy = phy(3);
         let pos = line_positions(&[0.0, 100.0, 200.0]);
-        let s1 = phy.start_tx(
-            0,
-            pos[0],
-            frame(),
-            SimTime::from_micros(200),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
+        let end1 = start(&mut phy, 0, &pos, 200, 0);
         // Node 2 starts while node 1 is receiving from node 0.
-        let s2 = phy.start_tx(
-            2,
-            pos[2],
-            frame(),
-            SimTime::from_micros(200),
-            SimTime::from_micros(50),
-            &candidates(&pos),
-        );
-        let first_at_1 = s1.rx_ends.iter().find(|(j, _)| *j == 1).unwrap();
-        let out = phy.rx_end(first_at_1.0, first_at_1.1, s1.end);
+        let end2 = start(&mut phy, 2, &pos, 200, 50);
+        // Node 1 holds one carrier per transmitter.
+        let txs: Vec<usize> = phy.states[1].pending.iter().map(|p| p.tx).collect();
+        assert_eq!(txs, vec![0, 2]);
+        let outcomes = end_carriers(&mut phy, 0, end1);
+        let out = at(&outcomes, 1);
         assert!(out.frame.is_none());
         assert!(out.collided);
         // And the second frame is corrupted at node 1 too.
-        let second_at_1 = s2.rx_ends.iter().find(|(j, _)| *j == 1).unwrap();
-        let out2 = phy.rx_end(second_at_1.0, second_at_1.1, s2.end);
-        assert!(out2.frame.is_none());
+        let outcomes = end_carriers(&mut phy, 2, end2);
+        assert!(at(&outcomes, 1).frame.is_none());
     }
 
     #[test]
     fn busy_tracking_counts_carriers() {
         let mut phy = phy(3);
         let pos = line_positions(&[0.0, 100.0, 200.0]);
-        let s1 = phy.start_tx(
-            0,
-            pos[0],
-            frame(),
-            SimTime::from_micros(100),
-            SimTime::ZERO,
-            &candidates(&pos),
-        );
+        let end1 = start(&mut phy, 0, &pos, 100, 0);
         assert!(phy.states[1].busy());
-        let s2 = phy.start_tx(
-            2,
-            pos[2],
-            frame(),
-            SimTime::from_micros(300),
-            SimTime::from_micros(10),
-            &candidates(&pos),
-        );
+        let end2 = start(&mut phy, 2, &pos, 300, 10);
         // Carrier from 0 ends; node 1 still senses node 2.
-        let first_at_1 = s1.rx_ends.iter().find(|(j, _)| *j == 1).unwrap();
-        let out = phy.rx_end(first_at_1.0, first_at_1.1, s1.end);
-        assert!(!out.went_idle);
+        let outcomes = end_carriers(&mut phy, 0, end1);
+        assert!(!at(&outcomes, 1).went_idle);
         assert!(phy.states[1].busy());
         // When 2's carrier ends the medium finally clears.
-        let second_at_1 = s2.rx_ends.iter().find(|(j, _)| *j == 1).unwrap();
-        let out2 = phy.rx_end(second_at_1.0, second_at_1.1, s2.end);
-        assert!(out2.went_idle);
-        assert_eq!(phy.states[1].idle_since, s2.end);
+        let outcomes = end_carriers(&mut phy, 2, end2);
+        assert!(at(&outcomes, 1).went_idle);
+        assert_eq!(phy.states[1].idle_since, end2);
     }
 }

@@ -84,17 +84,24 @@ impl NeighborGrid {
     /// A superset of every node within `cell_size − slack` of `center`;
     /// callers must re-check exact distances.
     pub fn candidates(&self, center: Point) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.candidates_into(center, &mut out);
+        out
+    }
+
+    /// [`NeighborGrid::candidates`] into a caller-owned buffer, which is
+    /// cleared first.
+    pub(crate) fn candidates_into(&self, center: Point, out: &mut Vec<usize>) {
         let CellId { col, row } = self.grid.cell_of(center);
         let cols = self.grid.cols();
         let rows = self.grid.rows();
-        let mut out = Vec::new();
+        out.clear();
         for r in row.saturating_sub(1)..=(row + 1).min(rows - 1) {
             for c in col.saturating_sub(1)..=(col + 1).min(cols - 1) {
                 out.extend_from_slice(&self.buckets[(r as usize) * (cols as usize) + c as usize]);
             }
         }
         out.sort_unstable();
-        out
     }
 }
 

@@ -6,7 +6,7 @@
 //! and cryptographic operations without the simulator knowing about them.
 
 use crate::time::SimTime;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Per-flow delivery breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,15 +40,20 @@ pub struct Stats {
     pub data_sent: u64,
     /// Data packets delivered to their destinations (first copy only).
     pub data_delivered: u64,
-    /// Events dispatched by the engine's run loop — a deterministic
-    /// measure of simulation work (wall-clock independent).
+    /// Events dispatched by the engine's run loop plus carrier ends (one
+    /// per node in carrier-sense range of each frame, resolved inside the
+    /// frame's `TxEnd`) — a deterministic measure of simulation work
+    /// (wall-clock independent).
     pub events_processed: u64,
     /// End-to-end latency of each delivered packet.
     latencies: Vec<SimTime>,
     /// Named event counters.
     counters: BTreeMap<&'static str, u64>,
-    /// Duplicate-delivery guard: (flow, seq) pairs already delivered.
-    delivered_keys: HashSet<(u32, u32)>,
+    /// Duplicate-delivery guard: bit `seq` of `delivered_seqs[flow]` is
+    /// set once `(flow, seq)` was delivered. A flow numbers its packets
+    /// from 0 up, so one bit per packet sent holds the set; a caller that
+    /// keeps many runs' `Stats` keeps this for each of them.
+    delivered_seqs: Vec<Vec<u64>>,
     /// Per-flow breakdown.
     flows: BTreeMap<u32, FlowStats>,
 }
@@ -71,9 +76,19 @@ impl Stats {
     ///
     /// Returns `true` if this was the first delivery.
     pub(crate) fn record_delivered(&mut self, flow: u32, seq: u32, latency: SimTime) -> bool {
-        if !self.delivered_keys.insert((flow, seq)) {
+        let flow_idx = flow as usize;
+        if self.delivered_seqs.len() <= flow_idx {
+            self.delivered_seqs.resize_with(flow_idx + 1, Vec::new);
+        }
+        let words = &mut self.delivered_seqs[flow_idx];
+        let (word, bit) = (seq as usize / 64, 1u64 << (seq % 64));
+        if words.len() <= word {
+            words.resize(word + 1, 0);
+        }
+        if words[word] & bit != 0 {
             return false;
         }
+        words[word] |= bit;
         self.data_delivered += 1;
         self.flows.entry(flow).or_default().delivered += 1;
         self.latencies.push(latency);
@@ -190,6 +205,14 @@ mod tests {
         assert!(!s.record_delivered(0, 1, SimTime::from_millis(9)));
         assert_eq!(s.data_delivered, 2);
         assert_eq!(s.delivery_fraction(), 0.5);
+        // Keys are (flow, seq): the same seq on another flow, and seqs on
+        // either side of a 64-bit word, are distinct packets.
+        for (flow, seq) in [(3, 1), (0, 64), (0, 63), (0, 1000)] {
+            s.record_sent(flow);
+            assert!(s.record_delivered(flow, seq, SimTime::from_millis(1)));
+            assert!(!s.record_delivered(flow, seq, SimTime::from_millis(1)));
+        }
+        assert_eq!(s.data_delivered, 6);
     }
 
     #[test]

@@ -162,6 +162,11 @@ pub(crate) struct Inner<PKT> {
     mob_rngs: Vec<StdRng>,
     /// Spatial index over bucketed node positions (`PhyIndexMode::Grid`).
     grid: Option<NeighborGrid>,
+    /// Scratch for [`Inner::phy_candidates`]: the index's raw node ids,
+    /// then the `(node, position)` list handed to the PHY. Reused by every
+    /// transmission.
+    candidate_ids: Vec<usize>,
+    candidates: Vec<(usize, Point)>,
     phy: Phy<PKT>,
     macs: Vec<Mac<PKT>>,
     upcalls: VecDeque<Upcall<PKT>>,
@@ -266,18 +271,21 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         let recorder = config.record_frames.then(RecordingObserver::new);
         Inner {
             now: SimTime::ZERO,
-            // Steady state holds a handful of events per node (a MAC
-            // wake-up, a TxEnd, the RxEnds fanned out to its in-range
-            // neighbors, protocol timers); 32 × nodes covers the paper's
-            // densities with slack, so the heap never reallocates
-            // mid-run.
-            queue: EventQueue::with_capacity(n * 32),
+            // A node holds a few events at a time (a MAC wake-up, a TxEnd,
+            // protocol timers); a frame's carrier ends ride inside its
+            // TxEnd. The benchmark's sims peak at 2.1 (AGFW, 150 nodes),
+            // 1.6 (GPSR, 150) and 2.6 (AANT, 50) events per node, so
+            // 8 × nodes leaves 3× headroom and the heap does not
+            // reallocate mid-run.
+            queue: EventQueue::with_capacity(n * 8),
             rng,
             stats: Stats::new(),
             config,
             mobility,
             mob_rngs,
             grid,
+            candidate_ids: Vec::new(),
+            candidates: Vec::new(),
             phy,
             macs,
             // Drained to empty after every dispatched event, so the
@@ -312,25 +320,32 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         self.mobility[i].velocity_at(self.now)
     }
 
-    /// Current positions of the nodes the PHY must consider for a
-    /// transmission from `tx_pos` — every node for the linear mode, the
-    /// 3×3-cell neighborhood for the grid mode. Ascending node order in
-    /// both cases, so downstream event ordering is mode-independent.
+    /// Fills `self.candidates` with the current positions of the nodes
+    /// the PHY must consider for a transmission from `tx_pos` — every node
+    /// for the linear mode, the 3×3-cell neighborhood for the grid mode.
+    /// Ascending node order in both cases, so downstream event ordering
+    /// is mode-independent.
     ///
     /// Churned-down nodes are excluded: a dead radio neither decodes nor
     /// senses energy, so a down node's MAC sees a permanently idle medium
     /// for the outage's duration.
-    fn phy_candidates(&mut self, tx: usize, tx_pos: Point) -> Vec<(usize, Point)> {
-        let ids: Vec<usize> = match self.grid.as_ref().map(|g| g.candidates(tx_pos)) {
-            Some(ids) => ids
-                .into_iter()
-                .filter(|&j| j != tx && self.node_up[j])
-                .collect(),
-            None => (0..self.config.num_nodes)
-                .filter(|&j| j != tx && self.node_up[j])
-                .collect(),
-        };
-        ids.into_iter().map(|j| (j, self.position_of(j))).collect()
+    fn phy_candidates(&mut self, tx: usize, tx_pos: Point) {
+        let mut ids = std::mem::take(&mut self.candidate_ids);
+        match &self.grid {
+            Some(grid) => grid.candidates_into(tx_pos, &mut ids),
+            None => {
+                ids.clear();
+                ids.extend(0..self.config.num_nodes);
+            }
+        }
+        self.candidates.clear();
+        for &j in &ids {
+            if j != tx && self.node_up[j] {
+                let pos = self.position_of(j);
+                self.candidates.push((j, pos));
+            }
+        }
+        self.candidate_ids = ids;
     }
 
     // ---------------------------------------------------------------
@@ -641,12 +656,12 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         // machine runs (and unicasts burn their retries), but no carrier
         // reaches the channel and the eavesdropper records no frame.
         let radio_up = self.node_up[n];
-        let candidates = if radio_up {
-            self.phy_candidates(n, tx_pos)
+        if radio_up {
+            self.phy_candidates(n, tx_pos);
         } else {
             self.stats.count("fault.tx_while_down");
-            Vec::new()
-        };
+            self.candidates.clear();
+        }
         let end = self.now + airtime;
         if frame.nav_until == SimTime::ZERO {
             frame.nav_until = end + reserve;
@@ -675,27 +690,20 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
                 recorder.on_frame(&record);
             }
         }
-        let start = self
+        let end = self
             .phy
-            .start_tx(n, tx_pos, frame, airtime, self.now, &candidates);
+            .start_tx(n, tx_pos, frame, airtime, self.now, &self.candidates);
         self.macs[n].state = MacState::Tx(kind);
+        // One entry for the whole transmission: its carrier ends are
+        // resolved inside this TxEnd (see World::end_transmission).
         self.queue.push(
-            start.end,
+            end,
             Event::TxEnd {
                 node: NodeId(n as u32),
             },
         );
-        for (j, rx_id) in start.rx_ends {
-            self.queue.push(
-                start.end,
-                Event::RxEnd {
-                    node: NodeId(j as u32),
-                    rx_id,
-                },
-            );
-        }
-        for j in start.went_busy {
-            self.mac_on_medium_busy(j);
+        for k in 0..self.phy.went_busy.len() {
+            self.mac_on_medium_busy(self.phy.went_busy[k]);
         }
     }
 
@@ -934,8 +942,9 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         }
     }
 
-    pub(crate) fn handle_rx_end(&mut self, n: usize, rx_id: u64) {
-        let out = self.phy.rx_end(n, rx_id, self.now);
+    /// The carrier from transmitter `tx` ends at node `n`.
+    pub(crate) fn handle_rx_end(&mut self, n: usize, tx: usize) {
+        let out = self.phy.rx_end(n, tx, self.now);
         if out.collided {
             self.stats.count("phy.collision");
         }
@@ -1266,11 +1275,33 @@ impl<P: Protocol> World<P> {
             Event::MacInternal { node, guard } => {
                 self.inner.mac_internal(node.0 as usize, guard);
             }
-            Event::TxEnd { node } => self.inner.handle_tx_end(node.0 as usize),
-            Event::RxEnd { node, rx_id } => self.inner.handle_rx_end(node.0 as usize, rx_id),
+            Event::TxEnd { node } => self.end_transmission(node.0 as usize),
             Event::PhyRefresh => self.inner.phy_refresh(),
             Event::Fault { node, up } => self.inner.handle_fault(node.0 as usize, up),
         }
+    }
+
+    /// Transmitter `tx`'s frame ends: its own MAC first, then the carrier
+    /// at each receiver in the order `start_tx` listed them, draining
+    /// upcalls between steps as `run_until` does between events. Each
+    /// carrier end counts as one processed event.
+    ///
+    /// This is the order separate queue entries would pop in: a frame's
+    /// carrier ends share its end instant and would be scheduled right
+    /// after its `TxEnd`, so FIFO tie-breaking runs them back to back, and
+    /// anything they schedule pops after the last of them. No
+    /// transmission starts in between, since only a queued MAC wake-up
+    /// starts one, so `tx`'s receiver list is stable throughout.
+    fn end_transmission(&mut self, tx: usize) {
+        self.inner.handle_tx_end(tx);
+        let mut receivers = std::mem::take(&mut self.inner.phy.states[tx].receivers);
+        for &j in &receivers {
+            self.drain_upcalls();
+            self.inner.stats.events_processed += 1;
+            self.inner.handle_rx_end(j as usize, tx);
+        }
+        receivers.clear();
+        self.inner.phy.states[tx].receivers = receivers;
     }
 
     fn app_send(&mut self, flow_idx: usize, seq: u32) {

@@ -147,3 +147,116 @@ fn mismatched_positions_rejected() {
     config.initial_positions = Some(vec![Point::ORIGIN]);
     let _ = World::new(config, |_, _, _| Echo::new());
 }
+
+/// What a node saw, in callback order across the whole world.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Sent(u32),
+    Received(u32),
+    Timer(u32),
+}
+
+/// Broadcasts each application packet and logs every callback into a
+/// log shared by all nodes; a node listed in `timer_on_receive` sets a
+/// zero-delay timer when it receives.
+struct Logger {
+    log: std::rc::Rc<std::cell::RefCell<Vec<(SimTime, Seen)>>>,
+    timer_on_receive: bool,
+}
+
+impl Protocol for Logger {
+    type Packet = Pkt;
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Pkt>, _kind: u64) {
+        let seen = Seen::Timer(ctx.my_id().0);
+        self.log.borrow_mut().push((ctx.now(), seen));
+    }
+
+    fn on_app_send(&mut self, ctx: &mut Ctx<'_, Pkt>, _dest: NodeId, tag: FlowTag) {
+        ctx.mac_broadcast(Pkt(tag), 64);
+    }
+
+    fn on_receive(&mut self, ctx: &mut Ctx<'_, Pkt>, _pkt: &Pkt, _from: Option<MacAddr>) {
+        let seen = Seen::Received(ctx.my_id().0);
+        self.log.borrow_mut().push((ctx.now(), seen));
+        if self.timer_on_receive {
+            ctx.set_timer(SimTime::ZERO, 0);
+        }
+    }
+
+    fn on_mac_result(&mut self, ctx: &mut Ctx<'_, Pkt>, _outcome: agr_sim::MacOutcome<Pkt>) {
+        let seen = Seen::Sent(ctx.my_id().0);
+        self.log.borrow_mut().push((ctx.now(), seen));
+    }
+}
+
+/// Node 0 broadcasts one frame at 0.5 s. Node 1 is 400 m away: inside
+/// carrier-sense range (550 m), outside decode range (250 m). Nodes 2
+/// and 3 decode it, and node 3 holds the frame's last carrier.
+fn one_broadcast(timer_node: Option<u32>) -> World<Logger> {
+    let xs = [200.0, 600.0, 100.0, 300.0];
+    let mut config = SimConfig::static_topology(
+        xs.iter().map(|&x| Point::new(x, 0.0)).collect(),
+        SimTime::from_secs(1),
+    );
+    config.flows = vec![FlowConfig {
+        src: NodeId(0),
+        dst: NodeId(3),
+        start: SimTime::from_millis(500),
+        interval: SimTime::from_secs(1),
+        payload_bytes: 64,
+        stop: SimTime::from_millis(600),
+    }];
+    let log = std::rc::Rc::default();
+    World::new(config, move |id, _, _| Logger {
+        log: std::rc::Rc::clone(&log),
+        timer_on_receive: Some(id.0) == timer_node,
+    })
+}
+
+fn log_of(world: &World<Logger>) -> Vec<(SimTime, Seen)> {
+    world.protocol(NodeId(0)).log.borrow().clone()
+}
+
+#[test]
+fn a_frames_tx_end_resolves_every_carrier_in_receiver_order() {
+    let mut world = one_broadcast(None);
+    let _ = world.run();
+    let log = log_of(&world);
+    let end = log.first().expect("the broadcast completed").0;
+    assert_eq!(
+        log,
+        vec![
+            (end, Seen::Sent(0)),
+            (end, Seen::Received(2)),
+            (end, Seen::Received(3)),
+        ],
+        "the transmitter's MacResult, then receivers in ascending order"
+    );
+
+    // Everything at the frame's end instant: its TxEnd plus one carrier
+    // end per node in carrier-sense range (1, 2 and 3).
+    let mut world = one_broadcast(None);
+    world.run_until(end - SimTime::from_nanos(1));
+    let before = world.stats().events_processed;
+    world.run_until(end);
+    assert_eq!(world.stats().events_processed - before, 1 + 3);
+}
+
+#[test]
+fn a_zero_delay_timer_set_by_a_receiver_fires_after_every_carrier_end() {
+    // Node 2 holds the frame's first decodable carrier and node 3 its last.
+    let mut world = one_broadcast(Some(2));
+    let _ = world.run();
+    let log = log_of(&world);
+    let end = log.first().expect("the broadcast completed").0;
+    assert_eq!(
+        log,
+        vec![
+            (end, Seen::Sent(0)),
+            (end, Seen::Received(2)),
+            (end, Seen::Received(3)),
+            (end, Seen::Timer(2)),
+        ]
+    );
+}
