@@ -8,6 +8,7 @@
 use agr_geom::Point;
 use agr_sim::{NodeId, SimTime};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 /// One neighbor entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +37,10 @@ pub struct Neighbor {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NeighborTable {
-    entries: HashMap<NodeId, Neighbor>,
+    /// Keyed by simulated node ids, and every reader breaks ties on the
+    /// id, so a fixed-key hasher loses nothing; it spares each node's
+    /// construction a random seed.
+    entries: HashMap<NodeId, Neighbor, BuildHasherDefault<DefaultHasher>>,
     timeout: SimTime,
 }
 
@@ -45,7 +49,7 @@ impl NeighborTable {
     #[must_use]
     pub fn new(timeout: SimTime) -> Self {
         NeighborTable {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             timeout,
         }
     }

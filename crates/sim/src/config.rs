@@ -132,22 +132,6 @@ impl Default for MobilityParams {
     }
 }
 
-/// How the PHY finds the nodes a transmission can reach.
-///
-/// Both modes produce bit-identical simulations: the grid index returns a
-/// superset of the carrier-sense disk (in ascending node order) and the
-/// PHY re-checks exact distances, so the receiver set, the event schedule
-/// and every statistic match the linear scan exactly. `Grid` only changes
-/// the *cost* of each transmission from O(N) to O(neighborhood).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PhyIndexMode {
-    /// Scan all N nodes per transmission (the original behaviour).
-    Linear,
-    /// Uniform-grid bucket index probed over 3×3 cells (default).
-    #[default]
-    Grid,
-}
-
 /// One constant-bit-rate application flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowConfig {
@@ -194,8 +178,6 @@ pub struct SimConfig {
     /// (a *global passive eavesdropper*). Costs memory proportional to
     /// the frame count; off by default.
     pub record_frames: bool,
-    /// How the PHY locates potential receivers (see [`PhyIndexMode`]).
-    pub phy_index: PhyIndexMode,
     /// Deterministic fault schedule: per-link loss, node churn, and
     /// stale-beacon injection (see `crate::fault`). The default plan
     /// injects nothing and leaves runs bit-identical to a fault-free
@@ -221,7 +203,6 @@ impl Default for SimConfig {
             flows: Vec::new(),
             initial_positions: None,
             record_frames: false,
-            phy_index: PhyIndexMode::default(),
             fault: FaultPlan::default(),
             adversary: AdversaryPlan::default(),
         }

@@ -41,10 +41,10 @@ pub enum Event {
         /// The transmitter.
         node: NodeId,
     },
-    /// Periodic refresh of the PHY's spatial neighbor index. Scheduled in
-    /// every run (regardless of index mode) so the event stream — and
-    /// therefore the FIFO tie-break sequence — is identical whether the
-    /// index is consulted or not.
+    /// Periodic refresh of the position snapshot that filters the PHY's
+    /// receiver scan, once per simulated second from 1 s on. It takes part
+    /// in the FIFO tie-break sequence like any other event, so every run
+    /// schedules it.
     PhyRefresh,
     /// A scheduled fault transition from the run's
     /// [`crate::fault::FaultPlan`]: `node`'s radio recovers (`up`) or

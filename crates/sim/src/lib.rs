@@ -76,7 +76,7 @@ mod time;
 mod world;
 
 pub use adversary::{AdversaryMix, AdversaryPlan, AdversaryRole};
-pub use config::{FlowConfig, MacParams, MobilityParams, PhyIndexMode, SimConfig};
+pub use config::{FlowConfig, MacParams, MobilityParams, SimConfig};
 pub use fault::{ChurnEvent, FaultPlan, GilbertElliott, LinkChannel, LossModel};
 pub use obs::TelemetryObserver;
 pub use protocol::{FlowTag, MacDst, MacOutcome, Protocol};

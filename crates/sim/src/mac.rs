@@ -26,14 +26,16 @@ use crate::protocol::MacDst;
 use crate::time::SimTime;
 use crate::MacAddr;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 /// MAC frame types.
 ///
 /// Data payloads are held behind a shared [`Arc`] handle: a broadcast
 /// heard by N neighbors (and a unicast's RTS/CTS retry chain) costs O(1)
-/// payload clones instead of O(N·retries) — every copy the MAC, the PHY
-/// fan-out, and the eavesdropper trace make is a reference-count bump.
+/// payload clones instead of O(N·retries) — every copy the MAC and the
+/// eavesdropper trace make is a reference-count bump, and the PHY
+/// fan-out makes none: receivers borrow the transmitter's one frame.
 #[derive(Debug, Clone)]
 pub(crate) enum MacFrameKind<PKT> {
     /// Request-to-send (unicast reservation).
@@ -127,8 +129,10 @@ pub(crate) struct Mac<PKT> {
     pub(crate) guard: u64,
     /// Next MAC sequence number to assign.
     pub(crate) next_seq: u16,
-    /// Last sequence number accepted from each source (dedup).
-    pub(crate) dedup: HashMap<MacAddr, u16>,
+    /// Last sequence number accepted from each source (dedup). The keys
+    /// are the simulator's own MAC addresses, so a fixed-key hasher loses
+    /// nothing, and it spares `World::new` a random seed per node.
+    pub(crate) dedup: HashMap<MacAddr, u16, BuildHasherDefault<DefaultHasher>>,
     /// Frame to transmit after SIFS, with its kind and precomputed
     /// airtime (valid in `Sifs`).
     pub(crate) pending_response: Option<(MacFrame<PKT>, TxKind, SimTime)>,
@@ -147,7 +151,7 @@ impl<PKT> Mac<PKT> {
             nav_until: SimTime::ZERO,
             guard: 0,
             next_seq: 0,
-            dedup: HashMap::new(),
+            dedup: HashMap::default(),
             pending_response: None,
         }
     }

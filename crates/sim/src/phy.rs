@@ -23,27 +23,29 @@ use agr_geom::Point;
 /// Per-node radio state.
 #[derive(Debug)]
 pub(crate) struct PhyState<PKT> {
-    /// End time of this node's own transmission, if transmitting.
-    pub(crate) transmitting: Option<SimTime>,
     /// Number of foreign carriers currently sensed (within cs-range).
     pub(crate) sensed: u32,
+    /// Bumped whenever a carrier starts at this node or the node starts
+    /// transmitting: either corrupts every reception in progress here.
+    /// A reception is intact iff this is unchanged since its own start.
+    epoch: u32,
     /// When the medium last became idle at this node.
     pub(crate) idle_since: SimTime,
-    /// Carriers currently overlapping this node, deliverable or not.
-    pub(crate) pending: Vec<PendingRx<PKT>>,
-    /// Every node in carrier-sense range of this node's current
-    /// transmission, ascending. Each holds one [`PendingRx`] keyed by this
-    /// node until the transmission's end resolves them all.
-    pub(crate) receivers: Vec<u32>,
+    /// The frame this node has on the air, while it transmits: the one
+    /// copy every receiver's carrier end reads.
+    pub(crate) tx_frame: Option<MacFrame<PKT>>,
+    /// The carrier of this node's current transmission at every node in
+    /// carrier-sense range, ascending by node; empty when not transmitting.
+    pub(crate) receivers: Vec<Carrier>,
 }
 
 impl<PKT> PhyState<PKT> {
     fn new() -> Self {
         PhyState {
-            transmitting: None,
             sensed: 0,
+            epoch: 0,
             idle_since: SimTime::ZERO,
-            pending: Vec::new(),
+            tx_frame: None,
             receivers: Vec::new(),
         }
     }
@@ -51,35 +53,30 @@ impl<PKT> PhyState<PKT> {
     /// True if the physical medium is busy at this node (own transmission
     /// or any sensed carrier).
     pub(crate) fn busy(&self) -> bool {
-        self.transmitting.is_some() || self.sensed > 0
+        self.tx_frame.is_some() || self.sensed > 0
     }
 }
 
-/// A carrier overlapping a node.
-///
-/// A node holds at most one per transmitter: all of a transmission's
-/// carriers end together, before that transmitter can start another.
-#[derive(Debug)]
-pub(crate) struct PendingRx<PKT> {
-    /// Ground-truth transmitter of this carrier, which also identifies it.
-    /// The MAC never sees it (frames may be source-less broadcasts); the
-    /// fault layer keys its per-directed-link loss channels on it.
-    pub(crate) tx: usize,
-    /// The frame, kept only when it was decodable at start.
-    pub(crate) frame: Option<MacFrame<PKT>>,
-    /// Set when another carrier or the node's own transmission overlapped.
-    pub(crate) corrupted: bool,
+/// One transmission's carrier at one node in carrier-sense range.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Carrier {
+    /// The node the carrier reaches.
+    pub(crate) node: u32,
+    /// Whether the frame was decodable at start: in communication range
+    /// of a node that was not itself transmitting.
+    kept: bool,
+    /// Whether it was also the only carrier at the node when it started.
+    clean: bool,
+    /// The node's `epoch` just after this carrier started.
+    epoch: u32,
 }
 
 /// Result of a carrier ending at a node.
 #[derive(Debug)]
-pub(crate) struct RxEndOutcome<PKT> {
-    /// The successfully received frame, if any.
-    pub(crate) frame: Option<MacFrame<PKT>>,
-    /// Ground-truth transmitter of the carrier (for per-link fault
-    /// channels).
-    pub(crate) tx: usize,
-    /// True if the frame existed but was corrupted by a collision.
+pub(crate) struct RxEndOutcome {
+    /// True if the node decoded the transmitter's frame.
+    pub(crate) decoded: bool,
+    /// True if the frame was kept but corrupted by a collision.
     pub(crate) collided: bool,
     /// True if the node's medium transitioned busy → idle.
     pub(crate) went_idle: bool,
@@ -94,28 +91,33 @@ pub(crate) struct Phy<PKT> {
     /// Nodes whose medium went idle → busy at the last `start_tx`,
     /// ascending. Scratch: overwritten by every transmission.
     pub(crate) went_busy: Vec<usize>,
+    /// Emptied receiver lists of ended transmissions, reused by the next
+    /// ones: the buffers number the transmissions ever on the air at
+    /// once, not the nodes.
+    pub(crate) spare: Vec<Vec<Carrier>>,
 }
 
-impl<PKT: Clone> Phy<PKT> {
+impl<PKT> Phy<PKT> {
     pub(crate) fn new(comm_range: f64, cs_range: f64, nodes: usize) -> Self {
         Phy {
             comm_range,
             cs_range,
             states: (0..nodes).map(|_| PhyState::new()).collect(),
             went_busy: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
     /// Node `tx` starts transmitting `frame` for `airtime`; returns when
     /// the transmission ends.
     ///
-    /// Fills `states[tx].receivers` with every node that senses the
-    /// carrier and `went_busy` with those whose medium was idle.
+    /// Stores `frame` in `states[tx].tx_frame`, fills `states[tx].receivers`
+    /// with the carrier at every node that senses it and `went_busy` with
+    /// those whose medium was idle.
     ///
     /// `candidates` lists `(node, position)` pairs — a *superset* of the
     /// nodes within carrier-sense range of `tx_pos`, in ascending node
-    /// order (entries for `tx` itself are ignored). The caller produces it
-    /// either by a full scan or from a spatial index; exact distances are
+    /// order (entries for `tx` itself are ignored). Exact distances are
     /// re-checked here, so any superset yields the same receiver set and,
     /// because of the ordering, the same event schedule.
     ///
@@ -131,23 +133,22 @@ impl<PKT: Clone> Phy<PKT> {
         now: SimTime,
         candidates: &[(usize, Point)],
     ) -> SimTime {
-        debug_assert!(
-            self.states[tx].transmitting.is_none(),
-            "already transmitting"
-        );
+        debug_assert!(self.states[tx].tx_frame.is_none(), "already transmitting");
         debug_assert!(
             candidates.windows(2).all(|w| w[0].0 < w[1].0),
             "candidates must be in ascending node order"
         );
         let end = now + airtime;
         // Transmitting while receiving corrupts whatever was arriving.
-        for p in &mut self.states[tx].pending {
-            p.corrupted = true;
-        }
-        self.states[tx].transmitting = Some(end);
+        let state = &mut self.states[tx];
+        state.epoch = state.epoch.wrapping_add(1);
+        state.tx_frame = Some(frame);
 
-        let mut receivers = std::mem::take(&mut self.states[tx].receivers);
-        debug_assert!(receivers.is_empty(), "previous carriers still pending");
+        debug_assert!(
+            state.receivers.is_empty(),
+            "previous carriers still pending"
+        );
+        let mut receivers = self.spare.pop().unwrap_or_default();
         self.went_busy.clear();
         for &(j, pos) in candidates {
             if j == tx {
@@ -158,73 +159,52 @@ impl<PKT: Clone> Phy<PKT> {
             if dist > self.cs_range {
                 continue;
             }
-            let was_busy = state.busy();
-            // Any new carrier corrupts receptions already in progress.
-            let had_carriers = state.sensed > 0;
-            for p in &mut state.pending {
-                p.corrupted = true;
-            }
-            state.sensed += 1;
-            if !was_busy {
+            if !state.busy() {
                 self.went_busy.push(j);
             }
-            let decodable =
-                dist <= self.comm_range && state.transmitting.is_none() && !had_carriers;
-            state.pending.push(PendingRx {
-                tx,
-                frame: if dist <= self.comm_range && state.transmitting.is_none() {
-                    Some(frame.clone())
-                } else {
-                    None
-                },
-                corrupted: !decodable,
+            let kept = dist <= self.comm_range && state.tx_frame.is_none();
+            let clean = kept && state.sensed == 0;
+            // Any new carrier corrupts receptions already in progress.
+            state.epoch = state.epoch.wrapping_add(1);
+            state.sensed += 1;
+            receivers.push(Carrier {
+                node: j as u32,
+                kept,
+                clean,
+                epoch: state.epoch,
             });
-            receivers.push(j as u32);
         }
         self.states[tx].receivers = receivers;
         end
     }
 
-    /// The carrier from transmitter `tx` ends at node `j`.
-    pub(crate) fn rx_end(&mut self, j: usize, tx: usize, now: SimTime) -> RxEndOutcome<PKT> {
-        let state = &mut self.states[j];
-        let idx = state
-            .pending
-            .iter()
-            .position(|p| p.tx == tx)
-            .expect("carrier end without pending entry");
-        let pending = state.pending.swap_remove(idx);
+    /// `carrier` ends at its node.
+    pub(crate) fn rx_end(&mut self, carrier: Carrier, now: SimTime) -> RxEndOutcome {
+        let state = &mut self.states[carrier.node as usize];
         debug_assert!(state.sensed > 0);
         state.sensed -= 1;
         let went_idle = !state.busy();
         if went_idle {
             state.idle_since = now;
         }
-        let collided = pending.frame.is_some() && pending.corrupted;
-        let frame = if pending.corrupted {
-            None
-        } else {
-            pending.frame
-        };
+        let decoded = carrier.clean && state.epoch == carrier.epoch;
         RxEndOutcome {
-            frame,
-            tx: pending.tx,
-            collided,
+            decoded,
+            collided: carrier.kept && !decoded,
             went_idle,
         }
     }
 
-    /// Node `n`'s own transmission ends. Returns true if its medium
-    /// transitioned to idle.
-    pub(crate) fn tx_end(&mut self, n: usize, now: SimTime) -> bool {
+    /// Node `n`'s own transmission ends: takes its frame off the air and
+    /// returns it, with whether `n`'s medium transitioned to idle.
+    pub(crate) fn tx_end(&mut self, n: usize, now: SimTime) -> (MacFrame<PKT>, bool) {
         let state = &mut self.states[n];
-        debug_assert!(state.transmitting.is_some(), "tx_end without transmission");
-        state.transmitting = None;
+        let frame = state.tx_frame.take().expect("tx_end without transmission");
         let went_idle = !state.busy();
         if went_idle {
             state.idle_since = now;
         }
-        went_idle
+        (frame, went_idle)
     }
 }
 
@@ -232,11 +212,16 @@ impl<PKT: Clone> Phy<PKT> {
 mod tests {
     use super::*;
     use crate::mac::{MacFrame, MacFrameKind};
+    use std::sync::Arc;
 
     fn frame() -> MacFrame<u32> {
+        broadcast_of(Arc::new(7))
+    }
+
+    fn broadcast_of(payload: Arc<u32>) -> MacFrame<u32> {
         MacFrame {
             kind: MacFrameKind::Data {
-                payload: std::sync::Arc::new(7),
+                payload,
                 broadcast: true,
             },
             src: None,
@@ -254,8 +239,8 @@ mod tests {
         xs.iter().map(|&x| Point::new(x, 0.0)).collect()
     }
 
-    /// Starts `tx`'s transmission against a full-scan candidate list, as
-    /// the linear index mode produces it; returns its end.
+    /// Starts `tx`'s transmission against a full-scan candidate list;
+    /// returns its end.
     fn start(phy: &mut Phy<u32>, tx: usize, pos: &[Point], airtime_us: u64, at_us: u64) -> SimTime {
         let candidates: Vec<(usize, Point)> = pos.iter().copied().enumerate().collect();
         phy.start_tx(
@@ -268,22 +253,24 @@ mod tests {
         )
     }
 
-    /// Ends every carrier of `tx`'s transmission in receiver order, as the
-    /// world does inside the transmitter's `TxEnd`.
-    fn end_carriers(
-        phy: &mut Phy<u32>,
-        tx: usize,
-        end: SimTime,
-    ) -> Vec<(usize, RxEndOutcome<u32>)> {
+    /// Ends `tx`'s transmission and then every carrier of it in receiver
+    /// order, as the world does inside the transmitter's `TxEnd`.
+    fn end_carriers(phy: &mut Phy<u32>, tx: usize, end: SimTime) -> Vec<(usize, RxEndOutcome)> {
+        let _ = phy.tx_end(tx, end);
         let receivers = std::mem::take(&mut phy.states[tx].receivers);
         receivers
             .into_iter()
-            .map(|j| (j as usize, phy.rx_end(j as usize, tx, end)))
+            .map(|c| (c.node as usize, phy.rx_end(c, end)))
             .collect()
     }
 
+    /// The nodes `tx`'s current transmission reaches.
+    fn receiver_nodes(phy: &Phy<u32>, tx: usize) -> Vec<u32> {
+        phy.states[tx].receivers.iter().map(|c| c.node).collect()
+    }
+
     /// The outcome at node `j` among a transmission's carrier ends.
-    fn at(outcomes: &[(usize, RxEndOutcome<u32>)], j: usize) -> &RxEndOutcome<u32> {
+    fn at(outcomes: &[(usize, RxEndOutcome)], j: usize) -> &RxEndOutcome {
         &outcomes
             .iter()
             .find(|(r, _)| *r == j)
@@ -297,14 +284,38 @@ mod tests {
         let pos = line_positions(&[0.0, 200.0]);
         let end = start(&mut phy, 0, &pos, 100, 0);
         assert_eq!(phy.went_busy, vec![1]);
-        assert_eq!(phy.states[0].receivers, vec![1]);
+        assert_eq!(receiver_nodes(&phy, 0), vec![1]);
         let outcomes = end_carriers(&mut phy, 0, end);
         let out = at(&outcomes, 1);
-        assert!(out.frame.is_some());
-        assert_eq!(out.tx, 0);
+        assert!(out.decoded);
         assert!(!out.collided);
         assert!(out.went_idle);
-        assert!(phy.tx_end(0, end));
+        assert!(!phy.states[0].busy());
+        assert_eq!(phy.states[0].idle_since, end);
+    }
+
+    #[test]
+    fn one_held_frame_serves_every_decoder() {
+        let mut phy = phy(4);
+        let pos = line_positions(&[0.0, 100.0, 200.0, 240.0]);
+        let payload = Arc::new(7);
+        let end = phy.start_tx(
+            0,
+            pos[0],
+            broadcast_of(Arc::clone(&payload)),
+            SimTime::from_micros(100),
+            SimTime::ZERO,
+            &pos.iter().copied().enumerate().collect::<Vec<_>>(),
+        );
+        assert_eq!(receiver_nodes(&phy, 0), vec![1, 2, 3]);
+        assert_eq!(
+            Arc::strong_count(&payload),
+            2,
+            "the transmitter holds the frame; receivers hold no copy"
+        );
+        let outcomes = end_carriers(&mut phy, 0, end);
+        assert!(outcomes.iter().all(|(_, out)| out.decoded));
+        assert_eq!(Arc::strong_count(&payload), 1);
     }
 
     #[test]
@@ -313,10 +324,10 @@ mod tests {
         let pos = line_positions(&[0.0, 400.0]); // beyond 250, within 550
         let end = start(&mut phy, 0, &pos, 100, 0);
         assert_eq!(phy.went_busy, vec![1]);
-        assert_eq!(phy.states[0].receivers, vec![1]);
+        assert_eq!(receiver_nodes(&phy, 0), vec![1]);
         let outcomes = end_carriers(&mut phy, 0, end);
         let out = at(&outcomes, 1);
-        assert!(out.frame.is_none());
+        assert!(!out.decoded);
         assert!(!out.collided, "undecodable energy is not a collision");
     }
 
@@ -326,8 +337,8 @@ mod tests {
         let pos = line_positions(&[0.0, 600.0, 500.0]);
         start(&mut phy, 0, &pos, 100, 0);
         assert_eq!(phy.went_busy, vec![2]);
-        assert_eq!(phy.states[0].receivers, vec![2], "600 m is out of cs-range");
-        assert!(phy.states[1].pending.is_empty());
+        assert_eq!(receiver_nodes(&phy, 0), vec![2], "600 m is out of cs-range");
+        assert_eq!(phy.states[1].sensed, 0);
     }
 
     #[test]
@@ -339,13 +350,13 @@ mod tests {
         let pos = line_positions(&[0.0, 240.0, 480.0]);
         let end1 = start(&mut phy, 0, &pos, 100, 0);
         let end2 = start(&mut phy, 2, &pos, 100, 10);
-        assert_eq!(phy.states[0].receivers, vec![1]);
-        assert_eq!(phy.states[2].receivers, vec![1]);
+        assert_eq!(receiver_nodes(&phy, 0), vec![1]);
+        assert_eq!(receiver_nodes(&phy, 2), vec![1]);
         // Node 1 hears both; both are corrupted.
         for (tx, end) in [(0, end1), (2, end2)] {
             let outcomes = end_carriers(&mut phy, tx, end);
             let out = at(&outcomes, 1);
-            assert!(out.frame.is_none(), "collided frame must not deliver");
+            assert!(!out.decoded, "collided frame must not deliver");
             assert!(out.collided);
         }
     }
@@ -357,8 +368,8 @@ mod tests {
         // Both transmit simultaneously: neither receives.
         let end1 = start(&mut phy, 0, &pos, 100, 0);
         let end2 = start(&mut phy, 1, &pos, 100, 0);
-        assert!(at(&end_carriers(&mut phy, 0, end1), 1).frame.is_none());
-        assert!(at(&end_carriers(&mut phy, 1, end2), 0).frame.is_none());
+        assert!(!at(&end_carriers(&mut phy, 0, end1), 1).decoded);
+        assert!(!at(&end_carriers(&mut phy, 1, end2), 0).decoded);
     }
 
     #[test]
@@ -368,16 +379,17 @@ mod tests {
         let end1 = start(&mut phy, 0, &pos, 200, 0);
         // Node 2 starts while node 1 is receiving from node 0.
         let end2 = start(&mut phy, 2, &pos, 200, 50);
-        // Node 1 holds one carrier per transmitter.
-        let txs: Vec<usize> = phy.states[1].pending.iter().map(|p| p.tx).collect();
-        assert_eq!(txs, vec![0, 2]);
+        // Node 1 senses one carrier per transmitter.
+        assert_eq!(phy.states[1].sensed, 2);
+        assert_eq!(receiver_nodes(&phy, 0), vec![1, 2]);
+        assert_eq!(receiver_nodes(&phy, 2), vec![0, 1]);
         let outcomes = end_carriers(&mut phy, 0, end1);
         let out = at(&outcomes, 1);
-        assert!(out.frame.is_none());
+        assert!(!out.decoded);
         assert!(out.collided);
         // And the second frame is corrupted at node 1 too.
         let outcomes = end_carriers(&mut phy, 2, end2);
-        assert!(at(&outcomes, 1).frame.is_none());
+        assert!(!at(&outcomes, 1).decoded);
     }
 
     #[test]

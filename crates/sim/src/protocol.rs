@@ -73,8 +73,8 @@ pub enum MacOutcome<PKT> {
 /// and reception.
 pub trait Protocol: Sized {
     /// The protocol's network-layer packet type, carried opaquely by the
-    /// MAC behind a shared handle: a broadcast heard by N receivers bumps
-    /// a reference count N times instead of deep-cloning N times.
+    /// MAC behind a shared handle: a broadcast heard by N receivers is
+    /// lent to each of them, never cloned.
     type Packet: Clone + std::fmt::Debug + 'static;
 
     /// Called once at simulation start (schedule beacons here).

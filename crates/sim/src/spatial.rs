@@ -1,5 +1,11 @@
 //! Incremental uniform-grid index over node positions.
 //!
+//! The simulator no longer uses this index: on the paper's 1500 m × 300 m
+//! strip it has 3 × 1 cells, so every probe returned every node, and the
+//! world now filters its receiver scan against a position snapshot
+//! instead (`world::may_sense`). It remains because the benchmark's
+//! `sim.spatial.*` probes time it.
+//!
 //! `crate::phy`'s `start_tx` must find every node within carrier-sense
 //! range of a transmitter. A linear scan costs O(N) per transmission; this
 //! index buckets nodes into square cells at least as large as the
@@ -23,9 +29,8 @@ use agr_geom::{CellId, Grid, Point, Rect};
 /// A bucketed snapshot of node positions supporting conservative
 /// neighborhood queries.
 ///
-/// Public so the bench crate can measure the grid query against a linear
-/// scan; simulation code reaches it only through
-/// [`crate::config::PhyIndexMode`].
+/// Public so the benchmark can time the grid query; the simulator itself
+/// no longer uses it.
 #[derive(Debug)]
 pub struct NeighborGrid {
     grid: Grid,

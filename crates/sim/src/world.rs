@@ -3,9 +3,12 @@
 //! Layering per event:
 //!
 //! ```text
-//! event ──> Inner (PHY + MAC logic, pure state) ──> Upcall queue
-//!                                                        │
-//! protocols[i].on_receive / on_mac_result  <── drained ──┘
+//! event ──> Inner (PHY + MAC logic, pure state) ──> MAC-outcome queue
+//!   │                                                     │
+//!   │                 protocols[i].on_mac_result  <── drained
+//!   │
+//!   └─ TxEnd: per carrier end, Inner decodes the held frame
+//!             ──> protocols[j].on_receive(&payload)   (direct, by borrow)
 //! ```
 //!
 //! Protocol callbacks get a [`Ctx`] borrowing `Inner`, so they can enqueue
@@ -14,14 +17,13 @@
 //! aligned.
 
 use crate::adversary::AdversaryRole;
-use crate::config::{PhyIndexMode, SimConfig};
+use crate::config::SimConfig;
 use crate::engine::{Event, EventQueue};
 use crate::fault::LinkChannel;
 use crate::mac::{Mac, MacFrame, MacFrameKind, MacState, OutPkt, TxKind};
 use crate::mobility::MobilityState;
-use crate::phy::Phy;
+use crate::phy::{Carrier, Phy};
 use crate::protocol::{FlowTag, MacDst, MacOutcome, Protocol};
-use crate::spatial::NeighborGrid;
 use crate::stats::Stats;
 use crate::time::SimTime;
 use crate::{MacAddr, NodeId};
@@ -33,10 +35,24 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Seconds between refreshes of the PHY's spatial index. The index's cell
-/// size includes `max_speed × PHY_REFRESH_S` of slack, so bucketed
+/// Seconds between refreshes of the PHY's position snapshot. The receiver
+/// scan's filter allows `max_speed × PHY_REFRESH_S` of slack, so snapshot
 /// positions may go this stale without missing a carrier-sense neighbor.
 const PHY_REFRESH_S: u64 = 1;
+
+/// The receiver scan's filter: whether a node whose position at the last
+/// PHY refresh was `snap` may lie within `cs_range` of a transmitter at
+/// `tx_pos`, at any instant up to and including the next refresh.
+///
+/// Positions are pure functions of time and no node moves faster than
+/// `max_speed`, so a node's true position is within `max_speed ×
+/// PHY_REFRESH_S` of its snapshot; one more metre absorbs rounding. A
+/// `false` here therefore proves the node out of carrier-sense range,
+/// and the PHY re-checks the exact distance of every node it keeps.
+fn may_sense(snap: Point, tx_pos: Point, cs_range: f64, max_speed: f64) -> bool {
+    let reach = cs_range + max_speed * PHY_REFRESH_S as f64 + 1.0;
+    snap.distance_sq(tx_pos) <= reach * reach
+}
 
 /// What kind of frame a [`FrameRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,20 +148,6 @@ impl<PKT: Clone> FrameObserver<PKT> for RecordingObserver<PKT> {
     }
 }
 
-/// Deferred protocol callback produced while processing an event.
-#[derive(Debug)]
-enum Upcall<PKT> {
-    Receive {
-        node: usize,
-        packet: Arc<PKT>,
-        from: Option<MacAddr>,
-    },
-    MacResult {
-        node: usize,
-        outcome: MacOutcome<PKT>,
-    },
-}
-
 /// Everything except the protocol instances.
 pub(crate) struct Inner<PKT> {
     now: SimTime,
@@ -157,19 +159,19 @@ pub(crate) struct Inner<PKT> {
     /// Per-node mobility RNGs, seeded in node order from the master RNG.
     /// Giving each waypoint state machine its own stream makes a node's
     /// position a pure function of time — independent of *when* or *how
-    /// often* positions are queried — which is what lets the spatial index
-    /// refresh buckets without perturbing the simulation.
+    /// often* positions are queried — which is what lets the receiver scan
+    /// skip far nodes without perturbing the simulation.
     mob_rngs: Vec<StdRng>,
-    /// Spatial index over bucketed node positions (`PhyIndexMode::Grid`).
-    grid: Option<NeighborGrid>,
-    /// Scratch for [`Inner::phy_candidates`]: the index's raw node ids,
-    /// then the `(node, position)` list handed to the PHY. Reused by every
-    /// transmission.
-    candidate_ids: Vec<usize>,
+    /// Every node's position at the last PHY refresh, read by
+    /// [`may_sense`] in the receiver scan.
+    snap: Vec<Point>,
+    /// Scratch for [`Inner::phy_candidates`]: the `(node, position)` list
+    /// handed to the PHY. Reused by every transmission.
     candidates: Vec<(usize, Point)>,
     phy: Phy<PKT>,
     macs: Vec<Mac<PKT>>,
-    upcalls: VecDeque<Upcall<PKT>>,
+    /// MAC outcomes awaiting [`Protocol::on_mac_result`], by node.
+    upcalls: VecDeque<(usize, MacOutcome<PKT>)>,
     /// The compatibility trace behind [`World::frames`], active iff
     /// [`SimConfig::record_frames`] — now just one observer among many.
     recorder: Option<RecordingObserver<PKT>>,
@@ -181,6 +183,7 @@ pub(crate) struct Inner<PKT> {
     fault_rngs: Vec<StdRng>,
     /// Per-receiver loss-channel state, keyed by transmitter: one
     /// [`LinkChannel`] per *directed* link, created lazily on first use.
+    /// Empty unless the plan has a loss model.
     links: Vec<HashMap<usize, LinkChannel>>,
     /// Radio-up flag per node; churn events toggle it.
     node_up: Vec<bool>,
@@ -189,14 +192,16 @@ pub(crate) struct Inner<PKT> {
     churn_generation: u64,
     /// Per-flow churn generation at last counted heal.
     flow_heal_gen: Vec<u64>,
-    /// Per-node stale advertised fix: `(taken_at, position)`.
+    /// Per-node stale advertised fix: `(taken_at, position)`. Empty
+    /// unless the plan injects stale fixes.
     beacon_fixes: Vec<Option<(SimTime, Point)>>,
     /// Per-node adversary RNGs, seeded in node order from the master RNG
     /// *after* the fault family — only when the adversary plan names
     /// somebody, so adversary-free runs consume exactly the RNG stream of
     /// a build without adversary support.
     adv_rngs: Vec<StdRng>,
-    /// Dense role lookup (`adv_roles[node]`), derived from the plan.
+    /// Dense role lookup (`adv_roles[node]`), derived from the plan;
+    /// empty when the plan compromises nobody.
     adv_roles: Vec<Option<AdversaryRole>>,
 }
 
@@ -226,17 +231,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         let mob_rngs = (0..n)
             .map(|_| StdRng::seed_from_u64(rng.random()))
             .collect();
-        let grid = match config.phy_index {
-            PhyIndexMode::Grid => {
-                // Cell side covers the carrier-sense disk plus the maximum
-                // drift a node accumulates between bucket refreshes (see
-                // crate::spatial for the coverage argument).
-                let slack = config.mobility.max_speed * PHY_REFRESH_S as f64;
-                let cell = config.radio.cs_range + slack + 1.0;
-                Some(NeighborGrid::new(config.area, cell, &init_positions))
-            }
-            PhyIndexMode::Linear => None,
-        };
         let phy = Phy::new(config.radio.comm_range, config.radio.cs_range, n);
         let macs = (0..n)
             .map(|i| Mac::new(MacAddr(i as u32), config.mac.cw_min))
@@ -261,12 +255,28 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
                 .map(|_| StdRng::seed_from_u64(rng.random()))
                 .collect()
         };
-        let mut adv_roles: Vec<Option<AdversaryRole>> = vec![None; n];
+        let mut adv_roles: Vec<Option<AdversaryRole>> = if config.adversary.is_none() {
+            Vec::new()
+        } else {
+            vec![None; n]
+        };
         for (node, role) in &config.adversary.roles {
             let idx = node.0 as usize;
             assert!(idx < n, "adversary plan names node {idx} out of {n}");
             adv_roles[idx] = Some(*role);
         }
+        // Per-link loss channels and stale fixes likewise exist only when
+        // the plan injects those faults.
+        let links = if config.fault.loss.is_none() {
+            Vec::new()
+        } else {
+            (0..n).map(|_| HashMap::new()).collect()
+        };
+        let beacon_fixes = if config.fault.stale.is_none() {
+            Vec::new()
+        } else {
+            vec![None; n]
+        };
         let flow_count = config.flows.len();
         let recorder = config.record_frames.then(RecordingObserver::new);
         Inner {
@@ -283,24 +293,23 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             config,
             mobility,
             mob_rngs,
-            grid,
-            candidate_ids: Vec::new(),
+            // A node's position at time zero is its initial position.
+            snap: init_positions,
             candidates: Vec::new(),
             phy,
             macs,
-            // Drained to empty after every dispatched event, so the
-            // VecDeque's buffer is reused for the whole run; one event
-            // yields at most one upcall per in-range neighbor, and a
-            // carrier-sense disk never covers more than the network.
-            upcalls: VecDeque::with_capacity(n.min(64)),
+            // Drained after every event and before every carrier end, and
+            // each of those steps reports at most one MAC outcome, so the
+            // queue never holds more than one and never reallocates.
+            upcalls: VecDeque::with_capacity(1),
             recorder,
             observers: Vec::new(),
             fault_rngs,
-            links: (0..n).map(|_| HashMap::new()).collect(),
+            links,
             node_up: vec![true; n],
             churn_generation: 0,
             flow_heal_gen: vec![0; flow_count],
-            beacon_fixes: vec![None; n],
+            beacon_fixes,
             adv_rngs,
             adv_roles,
         }
@@ -321,31 +330,24 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
     }
 
     /// Fills `self.candidates` with the current positions of the nodes
-    /// the PHY must consider for a transmission from `tx_pos` — every node
-    /// for the linear mode, the 3×3-cell neighborhood for the grid mode.
-    /// Ascending node order in both cases, so downstream event ordering
-    /// is mode-independent.
+    /// the PHY must consider for a transmission from `tx_pos`, in
+    /// ascending node order: every node but those [`may_sense`] proves
+    /// out of carrier-sense range from the snapshot, whose positions are
+    /// never computed.
     ///
     /// Churned-down nodes are excluded: a dead radio neither decodes nor
     /// senses energy, so a down node's MAC sees a permanently idle medium
     /// for the outage's duration.
     fn phy_candidates(&mut self, tx: usize, tx_pos: Point) {
-        let mut ids = std::mem::take(&mut self.candidate_ids);
-        match &self.grid {
-            Some(grid) => grid.candidates_into(tx_pos, &mut ids),
-            None => {
-                ids.clear();
-                ids.extend(0..self.config.num_nodes);
-            }
-        }
+        let cs_range = self.config.radio.cs_range;
+        let max_speed = self.config.mobility.max_speed;
         self.candidates.clear();
-        for &j in &ids {
-            if j != tx && self.node_up[j] {
+        for j in 0..self.config.num_nodes {
+            if j != tx && self.node_up[j] && may_sense(self.snap[j], tx_pos, cs_range, max_speed) {
                 let pos = self.position_of(j);
                 self.candidates.push((j, pos));
             }
         }
-        self.candidate_ids = ids;
     }
 
     // ---------------------------------------------------------------
@@ -364,13 +366,18 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         channel.transmit(&model, &mut self.fault_rngs[rx])
     }
 
+    /// The adversary role node `n` plays, if any.
+    fn adversary_role(&self, n: usize) -> Option<AdversaryRole> {
+        self.adv_roles.get(n).copied().flatten()
+    }
+
     /// Whether node `n`, acting as an adversarial relay, drops the packet
     /// it just accepted. Blackholes always drop; grayholes draw exactly
     /// one Bernoulli sample from the node's adversary RNG per decision
     /// (keeping the draw count a pure function of accepted traffic);
     /// every other role forwards honestly.
     fn adversary_drops(&mut self, n: usize) -> bool {
-        match self.adv_roles[n] {
+        match self.adversary_role(n) {
             Some(AdversaryRole::Blackhole) => {
                 self.stats.count("adv.blackhole_drop");
                 true
@@ -404,7 +411,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
     fn beacon_position_of(&mut self, n: usize) -> Point {
         // A spoofer lies about its position outright; the lie takes
         // precedence over any stale-fix schedule.
-        if let Some(AdversaryRole::Spoofer { fake }) = self.adv_roles[n] {
+        if let Some(AdversaryRole::Spoofer { fake }) = self.adversary_role(n) {
             self.stats.count("adv.spoofed_beacon");
             return fake;
         }
@@ -425,18 +432,12 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         }
     }
 
-    /// Re-buckets every node at its current position and schedules the
-    /// next refresh tick. In linear mode only the tick is kept (so both
-    /// modes see the same event stream); positions are pure functions of
-    /// time, so skipping the queries has no observable effect.
+    /// Re-snapshots every node at its current position and schedules the
+    /// next refresh tick. Positions are pure functions of time, so the
+    /// queries themselves have no observable effect.
     pub(crate) fn phy_refresh(&mut self) {
-        if self.grid.is_some() {
-            for i in 0..self.config.num_nodes {
-                let p = self.position_of(i);
-                if let Some(grid) = &mut self.grid {
-                    grid.update(i, p);
-                }
-            }
+        for i in 0..self.config.num_nodes {
+            self.snap[i] = self.position_of(i);
         }
         self.queue.push(
             self.now + SimTime::from_secs(PHY_REFRESH_S),
@@ -707,8 +708,10 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         }
     }
 
-    pub(crate) fn handle_tx_end(&mut self, n: usize) {
-        let went_idle = self.phy.tx_end(n, self.now);
+    /// Node `n`'s transmission ends at its own MAC; returns the frame it
+    /// had on the air.
+    pub(crate) fn handle_tx_end(&mut self, n: usize) -> MacFrame<PKT> {
+        let (frame, went_idle) = self.phy.tx_end(n, self.now);
         let state = self.macs[n].state.clone();
         match state {
             MacState::Tx(TxKind::Rts) => {
@@ -741,13 +744,13 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             }
             MacState::Tx(TxKind::Broadcast) => {
                 let pkt = self.macs[n].queue.pop_front().expect("broadcast head");
-                self.upcalls.push_back(Upcall::MacResult {
-                    node: n,
-                    outcome: MacOutcome::Sent {
+                self.upcalls.push_back((
+                    n,
+                    MacOutcome::Sent {
                         dst: MacDst::Broadcast,
                         packet: pkt.payload,
                     },
-                });
+                ));
                 self.macs[n].state = MacState::Idle;
                 if !self.macs[n].queue.is_empty() {
                     self.mac_begin_contention(n);
@@ -766,6 +769,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         if went_idle {
             self.mac_on_medium_idle(n);
         }
+        frame
     }
 
     fn mac_retry(&mut self, n: usize, limit: u32) {
@@ -777,13 +781,13 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             let cw_min = self.config.mac.cw_min;
             self.macs[n].reset_contention(cw_min);
             self.macs[n].state = MacState::Idle;
-            self.upcalls.push_back(Upcall::MacResult {
-                node: n,
-                outcome: MacOutcome::Failed {
+            self.upcalls.push_back((
+                n,
+                MacOutcome::Failed {
                     dst: pkt.dst,
                     packet: pkt.payload,
                 },
-            });
+            ));
             if !self.macs[n].queue.is_empty() {
                 self.mac_begin_contention(n);
             }
@@ -801,13 +805,13 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         let cw_min = self.config.mac.cw_min;
         self.macs[n].reset_contention(cw_min);
         self.macs[n].state = MacState::Idle;
-        self.upcalls.push_back(Upcall::MacResult {
-            node: n,
-            outcome: MacOutcome::Sent {
+        self.upcalls.push_back((
+            n,
+            MacOutcome::Sent {
                 dst: pkt.dst,
                 packet: pkt.payload,
             },
-        });
+        ));
         if !self.macs[n].queue.is_empty() {
             self.mac_begin_contention(n);
         }
@@ -841,19 +845,22 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         }
     }
 
-    fn mac_handle_frame(&mut self, n: usize, frame: MacFrame<PKT>) {
+    /// Node `n`'s MAC takes a decoded `frame`; returns the payload to hand
+    /// up to the protocol, if any. Borrowed from the transmitter's one
+    /// held copy, so a frame's decoders share one payload allocation.
+    fn mac_handle_frame<'f>(&mut self, n: usize, frame: &'f MacFrame<PKT>) -> Option<&'f PKT> {
         let my_addr = self.macs[n].addr;
         let addressed = frame.dst == Some(my_addr);
         let broadcast = frame.dst.is_none();
         if !addressed && !broadcast {
             // Overheard someone else's exchange: virtual carrier sense.
             self.mac_set_nav(n, frame.nav_until);
-            return;
+            return None;
         }
-        match frame.kind {
+        match &frame.kind {
             MacFrameKind::Rts => {
                 if self.macs[n].nav_busy(self.now) {
-                    return; // reserved medium: stay silent, sender retries
+                    return None; // reserved medium: stay silent, sender retries
                 }
                 let cts = MacFrame {
                     kind: MacFrameKind::Cts,
@@ -864,6 +871,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
                 };
                 let airtime = self.config.radio.control_airtime(self.config.mac.cts_bytes);
                 self.mac_queue_response(n, cts, TxKind::Response, airtime);
+                None
             }
             MacFrameKind::Cts => {
                 if self.macs[n].state == MacState::WaitCts {
@@ -897,74 +905,75 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
                         },
                     );
                 }
+                None
             }
             MacFrameKind::Ack => {
                 if self.macs[n].state == MacState::WaitAck {
                     self.macs[n].cancel_wakeup();
                     self.mac_finish_success(n);
                 }
+                None
             }
             MacFrameKind::Data {
                 payload,
-                broadcast: is_bcast,
+                broadcast: true,
+            } => Some(payload),
+            MacFrameKind::Data {
+                payload,
+                broadcast: false,
             } => {
-                if is_bcast {
-                    self.upcalls.push_back(Upcall::Receive {
-                        node: n,
-                        packet: payload,
-                        from: frame.src,
-                    });
-                } else {
-                    let dup = frame
-                        .src
-                        .map(|s| self.macs[n].is_duplicate(s, frame.seq))
-                        .unwrap_or(false);
-                    if !dup {
-                        self.upcalls.push_back(Upcall::Receive {
-                            node: n,
-                            packet: payload,
-                            from: frame.src,
-                        });
-                    } else {
-                        self.stats.count("mac.duplicate");
-                    }
-                    let ack = MacFrame {
-                        kind: MacFrameKind::Ack,
-                        src: Some(my_addr),
-                        dst: frame.src,
-                        nav_until: SimTime::ZERO,
-                        seq: frame.seq,
-                    };
-                    let airtime = self.config.radio.control_airtime(self.config.mac.ack_bytes);
-                    self.mac_queue_response(n, ack, TxKind::Response, airtime);
+                let dup = frame
+                    .src
+                    .is_some_and(|s| self.macs[n].is_duplicate(s, frame.seq));
+                if dup {
+                    self.stats.count("mac.duplicate");
                 }
+                let ack = MacFrame {
+                    kind: MacFrameKind::Ack,
+                    src: Some(my_addr),
+                    dst: frame.src,
+                    nav_until: SimTime::ZERO,
+                    seq: frame.seq,
+                };
+                let airtime = self.config.radio.control_airtime(self.config.mac.ack_bytes);
+                self.mac_queue_response(n, ack, TxKind::Response, airtime);
+                (!dup).then_some(&**payload)
             }
         }
     }
 
-    /// The carrier from transmitter `tx` ends at node `n`.
-    pub(crate) fn handle_rx_end(&mut self, n: usize, tx: usize) {
-        let out = self.phy.rx_end(n, tx, self.now);
+    /// The `carrier` of transmitter `tx`'s `frame` ends at its node `n`;
+    /// returns the payload node `n`'s protocol receives, if any.
+    pub(crate) fn handle_rx_end<'f>(
+        &mut self,
+        carrier: Carrier,
+        tx: usize,
+        frame: &'f MacFrame<PKT>,
+    ) -> Option<&'f PKT> {
+        let n = carrier.node as usize;
+        let out = self.phy.rx_end(carrier, self.now);
         if out.collided {
             self.stats.count("phy.collision");
         }
-        if let Some(frame) = out.frame {
+        let mut packet = None;
+        if out.decoded {
             if !self.node_up[n] {
                 // Carrier began before this radio failed; the frame
                 // completes into a dead receiver.
                 self.stats.count("fault.drop.churn_rx");
-            } else if self.fault_erases(n, out.tx) {
+            } else if self.fault_erases(n, tx) {
                 // Bit errors: the carrier was sensed (the MAC's medium
                 // bookkeeping above is untouched) but the frame is lost.
                 let cause = self.config.fault.loss.drop_counter();
                 self.stats.count(cause);
             } else {
-                self.mac_handle_frame(n, frame);
+                packet = self.mac_handle_frame(n, frame);
             }
         }
         if out.went_idle {
             self.mac_on_medium_idle(n);
         }
+        packet
     }
 }
 
@@ -1024,7 +1033,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     /// captured beacons.
     #[must_use]
     pub fn adversary_role(&self) -> Option<AdversaryRole> {
-        self.inner.adv_roles[self.node]
+        self.inner.adversary_role(self.node)
     }
 
     /// Ask the adversary machinery whether this node drops a packet it
@@ -1151,7 +1160,6 @@ impl<P: Protocol> World<P> {
                 .queue
                 .push(flow.start, Event::AppSend { flow: idx, seq: 0 });
         }
-        // Scheduled in both index modes so the event streams match.
         inner
             .queue
             .push(SimTime::from_secs(PHY_REFRESH_S), Event::PhyRefresh);
@@ -1283,7 +1291,7 @@ impl<P: Protocol> World<P> {
 
     /// Transmitter `tx`'s frame ends: its own MAC first, then the carrier
     /// at each receiver in the order `start_tx` listed them, draining
-    /// upcalls between steps as `run_until` does between events. Each
+    /// MAC outcomes between steps as `run_until` does between events. Each
     /// carrier end counts as one processed event.
     ///
     /// This is the order separate queue entries would pop in: a frame's
@@ -1292,16 +1300,30 @@ impl<P: Protocol> World<P> {
     /// anything they schedule pops after the last of them. No
     /// transmission starts in between, since only a queued MAC wake-up
     /// starts one, so `tx`'s receiver list is stable throughout.
+    ///
+    /// Every receiver reads the one frame the transmitter held. A decoded
+    /// payload goes straight to `on_receive`, right after the carrier end
+    /// that decoded it: that carrier end queued no MAC outcome (a data
+    /// frame completes no exchange of the receiver's own), and protocol
+    /// callbacks queue none either, so this is exactly where draining a
+    /// queued delivery would have run it.
     fn end_transmission(&mut self, tx: usize) {
-        self.inner.handle_tx_end(tx);
+        let frame = self.inner.handle_tx_end(tx);
         let mut receivers = std::mem::take(&mut self.inner.phy.states[tx].receivers);
-        for &j in &receivers {
+        for &carrier in &receivers {
             self.drain_upcalls();
             self.inner.stats.events_processed += 1;
-            self.inner.handle_rx_end(j as usize, tx);
+            if let Some(packet) = self.inner.handle_rx_end(carrier, tx, &frame) {
+                let j = carrier.node as usize;
+                let mut ctx = Ctx {
+                    inner: &mut self.inner,
+                    node: j,
+                };
+                self.protocols[j].on_receive(&mut ctx, packet, frame.src);
+            }
         }
         receivers.clear();
-        self.inner.phy.states[tx].receivers = receivers;
+        self.inner.phy.spare.push(receivers);
     }
 
     fn app_send(&mut self, flow_idx: usize, seq: u32) {
@@ -1335,23 +1357,105 @@ impl<P: Protocol> World<P> {
     }
 
     fn drain_upcalls(&mut self) {
-        while let Some(up) = self.inner.upcalls.pop_front() {
-            match up {
-                Upcall::Receive { node, packet, from } => {
-                    let mut ctx = Ctx {
-                        inner: &mut self.inner,
-                        node,
-                    };
-                    self.protocols[node].on_receive(&mut ctx, packet.as_ref(), from);
-                }
-                Upcall::MacResult { node, outcome } => {
-                    let mut ctx = Ctx {
-                        inner: &mut self.inner,
-                        node,
-                    };
-                    self.protocols[node].on_mac_result(&mut ctx, outcome);
+        while let Some((node, outcome)) = self.inner.upcalls.pop_front() {
+            let mut ctx = Ctx {
+                inner: &mut self.inner,
+                node,
+            };
+            self.protocols[node].on_mac_result(&mut ctx, outcome);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{MobilityParams, RadioParams};
+    use agr_geom::Rect;
+
+    #[test]
+    fn may_sense_allows_one_refresh_of_drift_and_a_metre() {
+        let tx = Point::ORIGIN;
+        // 550 m carrier sense + 20 m/s × 1 s + 1 m.
+        assert!(may_sense(Point::new(550.0, 0.0), tx, 550.0, 20.0));
+        assert!(may_sense(Point::new(0.0, 571.0), tx, 550.0, 20.0));
+        assert!(!may_sense(Point::new(571.01, 0.0), tx, 550.0, 20.0));
+        assert!(!may_sense(Point::new(-3000.0, 0.0), tx, 550.0, 20.0));
+    }
+
+    /// Moves `n` random-waypoint nodes across `area`, every leg at
+    /// `max_speed` with no pause, and checks the receiver scan's filter
+    /// against exact positions: a snapshot at each refresh instant, then
+    /// a transmission from every node at instants up to and including the
+    /// next refresh. The last of those pops before that refresh's
+    /// `PhyRefresh`, so it still reads the old snapshot. Returns how many
+    /// (transmitter, node) pairs the filter skipped.
+    fn check_snapshot_coverage(area: Rect, n: usize, seed: u64) -> usize {
+        let cs_range = RadioParams::default().cs_range;
+        let params = MobilityParams {
+            min_speed: 20.0,
+            max_speed: 20.0,
+            pause: SimTime::ZERO,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nodes: Vec<(MobilityState, StdRng)> = (0..n)
+            .map(|_| {
+                let start = area.point_at(rng.random_range(0.0..=1.0), rng.random_range(0.0..=1.0));
+                (
+                    MobilityState::new(start),
+                    StdRng::seed_from_u64(rng.random()),
+                )
+            })
+            .collect();
+        let mut positions_at = |t: SimTime| -> Vec<Point> {
+            nodes
+                .iter_mut()
+                .map(|(m, r)| m.position_at(t, &params, area, r))
+                .collect()
+        };
+        let mut skipped = 0;
+        for refresh_s in [1, 9, 40] {
+            let refresh = SimTime::from_secs(refresh_s);
+            let next = refresh + SimTime::from_secs(PHY_REFRESH_S);
+            let snap = positions_at(refresh);
+            for t in [
+                refresh,
+                refresh + SimTime::from_nanos(1),
+                refresh + SimTime::from_millis(250),
+                refresh + SimTime::from_millis(500),
+                next - SimTime::from_nanos(1),
+                next,
+            ] {
+                let exact = positions_at(t);
+                for (i, &tx_pos) in exact.iter().enumerate() {
+                    for (j, &pos) in exact.iter().enumerate() {
+                        let kept = may_sense(snap[j], tx_pos, cs_range, params.max_speed);
+                        assert!(
+                            kept || i == j || pos.distance(tx_pos) > cs_range,
+                            "seed {seed}, t {t}: node {j} is {:.1} m from transmitter {i} \
+                             but its snapshot was filtered out",
+                            pos.distance(tx_pos)
+                        );
+                        skipped += usize::from(!kept);
+                    }
                 }
             }
+        }
+        skipped
+    }
+
+    #[test]
+    fn snapshot_filter_keeps_every_node_in_carrier_sense_range() {
+        for seed in 0..3 {
+            // The paper's strip, at Figure 1's densest point.
+            let strip = check_snapshot_coverage(Rect::with_size(1500.0, 300.0), 150, seed);
+            // A field wider than carrier sense in both directions.
+            let field = check_snapshot_coverage(Rect::with_size(3000.0, 3000.0), 100, seed);
+            // Not vacuous: on both the filter does skip nodes.
+            assert!(
+                strip > 0 && field > 0,
+                "seed {seed}: {strip} / {field} skipped"
+            );
         }
     }
 }

@@ -1,9 +1,7 @@
 //! Property-based tests: simulator invariants over randomised scenarios.
 
 use agr_geom::Point;
-use agr_sim::{
-    Ctx, FlowConfig, FlowTag, MacAddr, NodeId, PhyIndexMode, Protocol, SimConfig, SimTime, World,
-};
+use agr_sim::{Ctx, FlowConfig, FlowTag, MacAddr, NodeId, Protocol, SimConfig, SimTime, World};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -216,31 +214,5 @@ proptest! {
                 _ => prop_assert!(false, "packet presence mismatch"),
             }
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(100))]
-
-    /// The grid spatial index must be an *exact* optimisation: over random
-    /// mobile layouts, every statistic — deliveries, latencies, counters,
-    /// even the number of engine events — matches the linear all-nodes
-    /// scan bit for bit.
-    #[test]
-    fn grid_phy_matches_linear_scan(seed in any::<u64>(), flows in arb_flows(12)) {
-        prop_assume!(!flows.is_empty());
-        let run = |mode: PhyIndexMode| {
-            let mut config = SimConfig::default();
-            config.num_nodes = 12;
-            config.duration = SimTime::from_secs(15);
-            config.seed = seed;
-            config.flows = flows.clone();
-            config.phy_index = mode;
-            let mut world = World::new(config, |_, _, _| Bcast);
-            world.run()
-        };
-        let grid = run(PhyIndexMode::Grid);
-        let linear = run(PhyIndexMode::Linear);
-        prop_assert_eq!(grid, linear);
     }
 }

@@ -260,3 +260,67 @@ fn a_zero_delay_timer_set_by_a_receiver_fires_after_every_carrier_end() {
         ]
     );
 }
+
+/// Logs every reception as `(node, payload address)`, and the address of
+/// the payload the transmitter's MAC hands back with `Sent`.
+struct AddrLogger {
+    log: std::rc::Rc<std::cell::RefCell<Vec<(u32, *const Pkt)>>>,
+}
+
+impl Protocol for AddrLogger {
+    type Packet = Pkt;
+
+    fn on_app_send(&mut self, ctx: &mut Ctx<'_, Pkt>, _dest: NodeId, tag: FlowTag) {
+        ctx.mac_broadcast(Pkt(tag), 64);
+    }
+
+    fn on_receive(&mut self, ctx: &mut Ctx<'_, Pkt>, pkt: &Pkt, _from: Option<MacAddr>) {
+        self.log.borrow_mut().push((ctx.my_id().0, pkt));
+    }
+
+    fn on_mac_result(&mut self, ctx: &mut Ctx<'_, Pkt>, outcome: agr_sim::MacOutcome<Pkt>) {
+        if let agr_sim::MacOutcome::Sent { packet, .. } = outcome {
+            let sent = std::sync::Arc::as_ptr(&packet);
+            self.log.borrow_mut().push((ctx.my_id().0, sent));
+        }
+    }
+}
+
+#[test]
+fn a_broadcast_heard_by_k_decoders_reaches_k_protocols_through_one_payload() {
+    // Node 0 at 500 m broadcasts once. Nodes 1, 3, 5 and 6 are within the
+    // 250 m decode range; node 2 only senses the carrier and node 4 is
+    // beyond carrier sense. Node ids are not in distance order.
+    let xs = [500.0, 700.0, 1000.0, 300.0, 1400.0, 520.0, 260.0];
+    let mut config = SimConfig::static_topology(
+        xs.iter().map(|&x| Point::new(x, 0.0)).collect(),
+        SimTime::from_secs(1),
+    );
+    config.flows = vec![FlowConfig {
+        src: NodeId(0),
+        dst: NodeId(1),
+        start: SimTime::from_millis(500),
+        interval: SimTime::from_secs(1),
+        payload_bytes: 64,
+        stop: SimTime::from_millis(600),
+    }];
+    let log = std::rc::Rc::default();
+    let mut world = World::new(config, |_, _, _| AddrLogger {
+        log: std::rc::Rc::clone(&log),
+    });
+    let _ = world.run();
+    let log = log.borrow();
+    let nodes: Vec<u32> = log.iter().map(|&(node, _)| node).collect();
+    assert_eq!(
+        nodes,
+        vec![0, 1, 3, 5, 6],
+        "the transmitter's Sent, then one on_receive per decoder, ascending"
+    );
+    let sent = log[0].1;
+    for &(node, payload) in &log[1..] {
+        assert!(
+            std::ptr::eq(payload, sent),
+            "node {node} received a copy, not the transmitted payload"
+        );
+    }
+}

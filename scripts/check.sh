@@ -109,8 +109,28 @@ if ! bash benchmark/run.sh traced --seed 1 --seconds 1 --out "$TRACED" >"$TRACED
     exit 1
 fi
 
-# Allocations per event are a property of the code, not the host, so it
-# is the one number gated: literal ceilings at 1.5x the seed-1 values
+# Exact counts: the seed-1 values in results/BENCHMARK_exact.json (config
+# hash, events, frames, collisions, frames and bytes on air, protocol
+# counters) must come back bit for bit. Behaviour drift fails here; host
+# speed never does.
+EXACT=results/BENCHMARK_exact.json
+drift=$(jq -r --slurpfile traced "$TRACED" '
+    .workloads | to_entries[] | .key as $w
+    | ($traced[0].workloads | map(select(.workload == $w)) | first) as $run
+    | .value | to_entries[]
+    | (if .key == "config_hash" then $run.stamp.config_hash
+       else $run.per_layer[.key].value end) as $got
+    | select($got != .value)
+    | "\($w) \(.key): expected \(.value), got \($got)"' "$EXACT")
+if [ -n "$drift" ]; then
+    echo "exact-count drift against $EXACT:" >&2
+    echo "$drift" >&2
+    exit 1
+fi
+echo "    exact counts match $EXACT"
+
+# Allocations per event are a property of the code, not the host, but not
+# bit-stable between identical runs, so they are gated by literal ceilings at 1.5x the seed-1 values
 # this command measured once transmissions stopped allocating
 # (sim_agfw_dense 0.0145, sim_gpsr_dense 0.0041, sim_aant_crypto 1.345).
 # Catches a clone or per-call buffer sneaking back into a hot path. The
