@@ -80,14 +80,15 @@ impl Aant {
         }
     }
 
-    /// Attaches a shared ring-verify memoization cache.
+    /// Attaches a shared memo of the last ring-verify verdict.
     ///
     /// A hello broadcast reaches every neighbor in radio range, and each
-    /// one verifies the *same* `(message, ring, signature)` triple; with a
-    /// cache shared across a simulation's nodes only the first receiver
-    /// pays the RSA operations. Sharing verdicts is sound because
-    /// verification is a pure function of public bytes — no per-verifier
-    /// secret enters the computation.
+    /// one verifies the *same* `(message, ring, signature)` triple, one
+    /// receiver after another; with one memo shared across a simulation's
+    /// nodes only the first receiver pays the RSA operations, and the rest
+    /// compare the triple with the memoized one. Sharing verdicts is sound
+    /// because verification is a pure function of public bytes — no
+    /// per-verifier secret enters the computation.
     #[must_use]
     pub(crate) fn with_verify_cache(mut self, cache: Arc<VerifyCache>) -> Self {
         self.verify_cache = Some(cache);
@@ -97,12 +98,12 @@ impl Aant {
     /// The canonical byte encoding of a hello, signed and verified by both
     /// ends.
     #[must_use]
-    pub(crate) fn hello_message(n: Pseudonym, loc: Point, ts: SimTime) -> Vec<u8> {
-        let mut m = Vec::with_capacity(6 + 16 + 8);
-        m.extend_from_slice(&n.0);
-        m.extend_from_slice(&loc.x.to_be_bytes());
-        m.extend_from_slice(&loc.y.to_be_bytes());
-        m.extend_from_slice(&ts.as_nanos().to_be_bytes());
+    pub(crate) fn hello_message(n: Pseudonym, loc: Point, ts: SimTime) -> [u8; 30] {
+        let mut m = [0u8; 30];
+        m[..6].copy_from_slice(&n.0);
+        m[6..14].copy_from_slice(&loc.x.to_be_bytes());
+        m[14..22].copy_from_slice(&loc.y.to_be_bytes());
+        m[22..].copy_from_slice(&ts.as_nanos().to_be_bytes());
         m
     }
 
@@ -174,9 +175,9 @@ impl Aant {
         if auth.ring_ids.is_empty() {
             return (false, false);
         }
-        // Borrowed ring: the common cache-hit path previously cloned every
-        // ring key (modulus, exponent, and any warmed Montgomery context)
-        // only to hash them; references make the hit path allocation-light.
+        // Borrowed ring: the common memo-hit path compares ring keys
+        // without cloning them (modulus, exponent, warmed Montgomery
+        // context).
         let mut ring: Vec<&RsaPublicKey> = Vec::with_capacity(auth.ring_ids.len());
         for &id in &auth.ring_ids {
             match self.directory.public_key(id) {

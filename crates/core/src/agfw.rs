@@ -533,11 +533,12 @@ impl Agfw {
         }
     }
 
-    /// Attaches a shared ring-verify memoization cache to this node's
-    /// AANT verifier (no-op without AANT). Typically one cache is shared
-    /// by every node of a world, so a hello's signature is verified once
-    /// per broadcast instead of once per neighbor; cache hits surface as
-    /// the `crypto.ring_verify_hits` counter.
+    /// Attaches a shared memo of the last ring-verify verdict to this
+    /// node's AANT verifier (no-op without AANT). Typically one memo is
+    /// shared by every node of a world: the receivers of one hello decode
+    /// it back to back, so its signature is verified once per broadcast
+    /// instead of once per neighbor. Memo hits surface as the
+    /// `crypto.ring_verify_hits` counter.
     #[must_use]
     pub fn with_ring_verify_cache(mut self, cache: Arc<agr_crypto::ring_sig::VerifyCache>) -> Self {
         self.aant = self.aant.map(|a| a.with_verify_cache(cache));

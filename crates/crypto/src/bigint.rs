@@ -827,46 +827,19 @@ impl Montgomery {
     /// CIOS Montgomery product into the scratch accumulator: on return
     /// `t[..len]` holds the canonical `a * b * R^{-1} mod n` and
     /// `t[len..]` is zero. `a` and `b` must be exactly `len` limbs.
+    ///
+    /// The RSA-512 widths (4 limbs for a CRT half, 8 for the modulus) get
+    /// the body with a literal width, which LLVM unrolls; every other
+    /// width runs the same body with the width known only at run time.
     fn mont_mul_t(&self, a: &[u64], b: &[u64], t: &mut [u64; MAX_LIMBS + 2]) {
         let n = self.n.as_slice();
-        let len = n.len();
-        debug_assert_eq!(a.len(), len);
-        debug_assert_eq!(b.len(), len);
-        t[..len + 2].fill(0);
-        for &ai in a {
-            // t += ai * b
-            let mut carry: u64 = 0;
-            for j in 0..len {
-                let cur = u128::from(t[j]) + u128::from(ai) * u128::from(b[j]) + u128::from(carry);
-                t[j] = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let cur = u128::from(t[len]) + u128::from(carry);
-            t[len] = cur as u64;
-            t[len + 1] += (cur >> 64) as u64;
-            // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n0inv);
-            let cur = u128::from(t[0]) + u128::from(m) * u128::from(n[0]);
-            let mut carry = (cur >> 64) as u64;
-            for j in 1..len {
-                let cur = u128::from(t[j]) + u128::from(m) * u128::from(n[j]) + u128::from(carry);
-                t[j - 1] = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let cur = u128::from(t[len]) + u128::from(carry);
-            t[len - 1] = cur as u64;
-            let cur2 = u128::from(t[len + 1]) + (cur >> 64);
-            t[len] = cur2 as u64;
-            t[len + 1] = (cur2 >> 64) as u64;
+        debug_assert_eq!(a.len(), n.len());
+        debug_assert_eq!(b.len(), n.len());
+        match n.len() {
+            4 => cios(4, n, self.n0inv, a, b, t),
+            8 => cios(8, n, self.n0inv, a, b, t),
+            len => cios(len, n, self.n0inv, a, b, t),
         }
-        // Conditional final subtraction: result in t[0..=len] is < 2n,
-        // reduce to the canonical residue.
-        let overflow = t[len] != 0;
-        if overflow || ge(&t[..len], n) {
-            sub_in_place(&mut t[..len], n, overflow);
-        }
-        t[len] = 0;
-        t[len + 1] = 0;
     }
 
     /// CIOS Montgomery product `a * b * R^{-1} mod n`, allocating its
@@ -1059,6 +1032,50 @@ impl Montgomery {
         let out = self.mont_mul_vec(&acc, &one);
         BigUint::from_limb_slice(&out)
     }
+}
+
+/// The CIOS body of [`Montgomery::mont_mul_t`] for a `len`-limb modulus
+/// `n`. Always inlined, so a call with a literal `len` compiles to a loop
+/// of known trip count and fixed-length slices without bounds checks.
+#[inline(always)]
+fn cios(len: usize, n: &[u64], n0inv: u64, a: &[u64], b: &[u64], t: &mut [u64; MAX_LIMBS + 2]) {
+    let (n, a, b) = (&n[..len], &a[..len], &b[..len]);
+    let t = &mut t[..len + 2];
+    t.fill(0);
+    for &ai in a {
+        // t += ai * b
+        let mut carry: u64 = 0;
+        for j in 0..len {
+            let cur = u128::from(t[j]) + u128::from(ai) * u128::from(b[j]) + u128::from(carry);
+            t[j] = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        let cur = u128::from(t[len]) + u128::from(carry);
+        t[len] = cur as u64;
+        t[len + 1] += (cur >> 64) as u64;
+        // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
+        let m = t[0].wrapping_mul(n0inv);
+        let cur = u128::from(t[0]) + u128::from(m) * u128::from(n[0]);
+        let mut carry = (cur >> 64) as u64;
+        for j in 1..len {
+            let cur = u128::from(t[j]) + u128::from(m) * u128::from(n[j]) + u128::from(carry);
+            t[j - 1] = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        let cur = u128::from(t[len]) + u128::from(carry);
+        t[len - 1] = cur as u64;
+        let cur2 = u128::from(t[len + 1]) + (cur >> 64);
+        t[len] = cur2 as u64;
+        t[len + 1] = (cur2 >> 64) as u64;
+    }
+    // Conditional final subtraction: result in t[0..=len] is < 2n,
+    // reduce to the canonical residue.
+    let overflow = t[len] != 0;
+    if overflow || ge(&t[..len], n) {
+        sub_in_place(&mut t[..len], n, overflow);
+    }
+    t[len] = 0;
+    t[len + 1] = 0;
 }
 
 /// A lazily-built, shareable [`Montgomery`] context for one fixed modulus.

@@ -41,7 +41,7 @@ pub struct Feistel {
     /// Per-round PRF subkeys, derived once at construction. The ring
     /// signature evaluates `E_k` `k+1` times per sign/verify under one
     /// key, so hoisting the `(key, round)` absorption out of
-    /// `round_output` saves a hash invocation per counter block.
+    /// `xor_round_output` saves a hash invocation per counter block.
     round_keys: Vec<[u8; 32]>,
 }
 
@@ -94,10 +94,7 @@ impl Feistel {
         for round in 0..self.rounds {
             let (left, right) = block.split_at_mut(half);
             // (L, R) <- (R, L xor F(round, R))
-            let f = self.round_output(round, right);
-            for (l, fb) in left.iter_mut().zip(&f) {
-                *l ^= fb;
-            }
+            self.xor_round_output(round, right, left);
             left.swap_with_slice(right);
         }
     }
@@ -113,27 +110,22 @@ impl Feistel {
         for round in (0..self.rounds).rev() {
             let (left, right) = block.split_at_mut(half);
             left.swap_with_slice(right);
-            let f = self.round_output(round, right);
-            for (l, fb) in left.iter_mut().zip(&f) {
-                *l ^= fb;
-            }
+            self.xor_round_output(round, right, left);
         }
     }
 
-    /// Round function: a SHA-256-in-counter-mode PRF expanded to half a
-    /// block, keyed by the precomputed per-round subkey.
-    fn round_output(&self, round: u32, input: &[u8]) -> Vec<u8> {
+    /// XORs the round function into `out`: a SHA-256-in-counter-mode PRF
+    /// of `input`, keyed by the precomputed per-round subkey, whose 32-byte
+    /// digests land straight on successive 32-byte pieces of `out` (the
+    /// last digest truncated to fit).
+    fn xor_round_output(&self, round: u32, input: &[u8], out: &mut [u8]) {
         let round_key = &self.round_keys[round as usize];
-        let half = self.block_len / 2;
-        let mut out = Vec::with_capacity(half);
-        let mut counter: u32 = 0;
-        while out.len() < half {
+        for (counter, piece) in (0u32..).zip(out.chunks_mut(32)) {
             let digest = Sha256::digest_parts(&[round_key, &counter.to_le_bytes(), input]);
-            let need = half - out.len();
-            out.extend_from_slice(&digest[..need.min(32)]);
-            counter += 1;
+            for (o, d) in piece.iter_mut().zip(&digest) {
+                *o ^= d;
+            }
         }
-        out
     }
 }
 
@@ -155,6 +147,43 @@ mod tests {
             assert_ne!(block, original, "len {len}: ciphertext equals plaintext");
             c.decrypt_block(&mut block);
             assert_eq!(block, original, "len {len}: roundtrip failed");
+        }
+    }
+
+    /// Ciphertexts computed by the round function this file used before it
+    /// XORed digests in place (one `Vec` per round): a 72-byte block (the
+    /// ring-signature domain of RSA-512) and a 264-byte block (2048-bit).
+    #[test]
+    fn known_answers() {
+        let cases: [(usize, &str); 2] = [
+            (
+                72,
+                concat!(
+                    "761f07159aacf581fe54e5a9eb81931cfaf793fb68a2347bc5914df6395e1a76",
+                    "e781cdb7696915a6eab0480c26af1fed2b567fc4bf2d3efc4771d3370b85dcbe",
+                    "0299275e0f224a17",
+                ),
+            ),
+            (
+                264,
+                concat!(
+                    "a72a84bb704589df037dcd1b4996daba9a05eb40537f333fde1c035d2e874759",
+                    "5bde7f374a4db1cacd0c1841f945a840f671720eea91f94cf666f24d58d3a58c",
+                    "029409e07389cd1ba6518861eb71f7cedf4bcddb66678d95fa853b8c43ccddc0",
+                    "66a33d72b61a70dc5a86ab250b65757234d44e2385dd5e669e9540daff31dba6",
+                    "f24ba65c18576ad2b9c0f82aaf957a5130a73d3ccc169aa8fd89214c78e53ffa",
+                    "82edc18582182198b4fa7ebe29616ff4088aa077ecb342ecb6cedae902d7c8a6",
+                    "769a7f78a8efe83b0f1bbf0b512a5ba91457754374fef7d3a6b7e9a6a895a171",
+                    "982a03f92021e13637832d339e4ad17964d101f61d70b45ac06e3aaeaa464c0e",
+                    "a5a200518e36b25c",
+                ),
+            ),
+        ];
+        for (len, hex) in cases {
+            let mut block: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            cipher(len).encrypt_block(&mut block);
+            let got: String = block.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{len}-byte block");
         }
     }
 

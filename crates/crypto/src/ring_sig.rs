@@ -37,7 +37,6 @@ use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::sha256::Sha256;
 use rand::Rng;
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Extra domain bits above the largest ring modulus.
@@ -118,7 +117,6 @@ pub fn ring_sign<K: Borrow<RsaPublicKey>, R: Rng + ?Sized>(
     // Random glue value v.
     let mut v = vec![0u8; domain.block_len];
     rng.fill(&mut v[..]);
-    mask_to_domain(&mut v, &domain);
 
     // Forward pass: a = E_k(y_{s-1} xor ... E_k(y_1 xor v)).
     let mut a = v.clone();
@@ -198,89 +196,77 @@ pub fn ring_verify<K: Borrow<RsaPublicKey>>(
     }
 }
 
-/// Content-keyed memoization of [`ring_verify`] verdicts.
+/// Memo of the last [`ring_verify`] verdict.
 ///
-/// Ring verification is a pure function of `(message, ring, signature)`:
-/// the verdict depends on nothing else, so it can be memoized under a
-/// digest of exactly those bytes. The payoff is the broadcast fan-out of
-/// an authenticated hello — every neighbor in radio range verifies the
-/// *same* triple, and with a shared cache only the first receiver pays
-/// the `ring_size` modular exponentiations; the rest pay one SHA-256.
+/// Ring verification is a pure function of `(message, ring, signature)`,
+/// so a verdict can be reused for an identical triple. The payoff is the
+/// broadcast fan-out of an authenticated hello: every neighbor in radio
+/// range verifies the *same* triple, and a simulator decodes one
+/// broadcast at all of its receivers back to back, before the next frame
+/// ends. With one memo shared by every node, only the first receiver pays
+/// the `ring_size` modular exponentiations; the rest pay a comparison.
 ///
-/// The cache stores `BadSignature` verdicts too (an attacker replaying a
-/// forged hello costs one verification total, not one per receiver), but
-/// *structural* failures — empty ring, shape mismatch — are rejected
-/// before the cache is consulted, exactly as [`ring_verify`] rejects
-/// them.
+/// The memo holds one triple and compares it byte for byte (message, each
+/// ring key's modulus and exponent, glue value and every `x_i`), so a hit
+/// rests on equality, not on a hash. A triple that differs in anything is
+/// verified and replaces the memo; a replay of an older hello is therefore
+/// verified again, with the same verdict.
 ///
-/// Interior mutability (a [`Mutex`]) keeps the sharing API simple
-/// (`Arc<VerifyCache>`); uncontended lock acquisition is noise next to
-/// even one RSA operation.
+/// `BadSignature` verdicts are memoized too (a forged hello costs one
+/// verification per broadcast, not one per receiver), but *structural*
+/// failures — empty ring, shape mismatch — are rejected before the memo is
+/// consulted, exactly as [`ring_verify`] rejects them.
+///
+/// Interior mutability (one [`Mutex`]) keeps the sharing API simple
+/// (`Arc<VerifyCache>`); the lock is not held while verifying.
 #[derive(Debug, Default)]
 pub struct VerifyCache {
-    verdicts: Mutex<HashMap<[u8; 32], bool>>,
+    last: Mutex<Option<Verified>>,
+}
+
+/// The triple [`VerifyCache`] last verified, and its verdict.
+#[derive(Debug)]
+struct Verified {
+    message: Vec<u8>,
+    /// `(modulus, exponent)` of each ring member, in ring order.
+    ring: Vec<(BigUint, BigUint)>,
+    signature: RingSignature,
+    valid: bool,
+}
+
+impl Verified {
+    fn matches<K: Borrow<RsaPublicKey>>(
+        &self,
+        message: &[u8],
+        ring: &[K],
+        signature: &RingSignature,
+    ) -> bool {
+        self.message == message
+            && self.signature == *signature
+            && self.ring.len() == ring.len()
+            && self.ring.iter().zip(ring).all(|((n, e), key)| {
+                let key = key.borrow();
+                n == key.modulus() && e == key.exponent()
+            })
+    }
 }
 
 impl VerifyCache {
-    /// Creates an empty cache.
+    /// Creates an empty memo.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of distinct `(message, ring, signature)` triples cached.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.verdicts.lock().expect("cache lock poisoned").len()
-    }
-
-    /// True if nothing has been cached yet.
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Digest of everything the verdict depends on. Each variable-length
-    /// component is length-prefixed so distinct triples cannot collide by
-    /// concatenation. One byte buffer is reused for every big integer.
-    fn digest<K: Borrow<RsaPublicKey>>(
-        message: &[u8],
-        ring: &[K],
-        signature: &RingSignature,
-    ) -> [u8; 32] {
-        fn part(h: &mut Sha256, bytes: &[u8]) {
-            h.update(&(bytes.len() as u64).to_be_bytes());
-            h.update(bytes);
-        }
-        fn part_big(h: &mut Sha256, buf: &mut Vec<u8>, value: &BigUint) {
-            buf.clear();
-            value.append_bytes_be(buf);
-            part(h, buf);
-        }
-        let mut h = Sha256::new();
-        let mut buf = Vec::new();
-        for key in ring {
-            let key = key.borrow();
-            part_big(&mut h, &mut buf, key.modulus());
-            part_big(&mut h, &mut buf, key.exponent());
-        }
-        part(&mut h, message);
-        part(&mut h, &signature.v);
-        for x in &signature.xs {
-            part_big(&mut h, &mut buf, x);
-        }
-        h.finalize()
-    }
-
-    /// [`ring_verify`] through the cache.
+    /// [`ring_verify`] through the memo.
     ///
     /// Returns `(verdict, hit)`: the verdict [`ring_verify`] would return,
-    /// and whether it came from the cache instead of being recomputed.
+    /// and whether it came from the memo instead of being recomputed.
     ///
     /// # Errors
     ///
-    /// Exactly the errors of [`ring_verify`]; a cached rejection surfaces
-    /// as [`CryptoError::BadSignature`].
+    /// Exactly the errors of [`ring_verify`]; a memoized rejection
+    /// surfaces as [`CryptoError::BadSignature`].
     pub fn verify<K: Borrow<RsaPublicKey>>(
         &self,
         message: &[u8],
@@ -288,7 +274,7 @@ impl VerifyCache {
         signature: &RingSignature,
     ) -> (Result<(), CryptoError>, bool) {
         // Structural checks are cheap and keep malformed input out of the
-        // digest space.
+        // memo.
         if ring.is_empty() {
             return (Err(CryptoError::BadRing("empty ring")), false);
         }
@@ -298,25 +284,30 @@ impl VerifyCache {
                 false,
             );
         }
-        let digest = Self::digest(message, ring, signature);
-        if let Some(&valid) = self
-            .verdicts
-            .lock()
-            .expect("cache lock poisoned")
-            .get(&digest)
-        {
-            let verdict = if valid {
-                Ok(())
-            } else {
-                Err(CryptoError::BadSignature)
-            };
-            return (verdict, true);
+        if let Some(last) = self.last.lock().expect("memo lock poisoned").as_ref() {
+            if last.matches(message, ring, signature) {
+                let verdict = if last.valid {
+                    Ok(())
+                } else {
+                    Err(CryptoError::BadSignature)
+                };
+                return (verdict, true);
+            }
         }
         let verdict = ring_verify(message, ring, signature);
-        self.verdicts
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(digest, verdict.is_ok());
+        let entry = Verified {
+            message: message.to_vec(),
+            ring: ring
+                .iter()
+                .map(|key| {
+                    let key = key.borrow();
+                    (key.modulus().clone(), key.exponent().clone())
+                })
+                .collect(),
+            signature: signature.clone(),
+            valid: verdict.is_ok(),
+        };
+        *self.last.lock().expect("memo lock poisoned") = Some(entry);
         (verdict, false)
     }
 }
@@ -376,11 +367,6 @@ impl Domain {
             .expect("value < 2^b fits in block");
     }
 }
-
-/// Clears the high bits of `block` so the value is < 2^bits. Since the
-/// domain is a whole number of bytes this is the identity, but it keeps the
-/// invariant explicit if `DOMAIN_SLACK_BITS` ever changes.
-fn mask_to_domain(_block: &mut [u8], _domain: &Domain) {}
 
 fn xor_into(acc: &mut [u8], other: &[u8]) {
     debug_assert_eq!(acc.len(), other.len());
@@ -569,7 +555,6 @@ mod tests {
         let (keys, pubs) = make_ring(3, 128, 24);
         let sig = ring_sign(b"hello", &pubs, 1, &keys[1], &mut rng(25)).unwrap();
         let cache = VerifyCache::new();
-        assert!(cache.is_empty());
 
         let (v1, hit1) = cache.verify(b"hello", &pubs, &sig);
         assert_eq!(v1, Ok(()));
@@ -585,7 +570,103 @@ mod tests {
         let (b2, bh2) = cache.verify(b"tampered", &pubs, &sig);
         assert_eq!(b2, Err(CryptoError::BadSignature));
         assert!(bh2);
-        assert_eq!(cache.len(), 2);
+
+        // The memo holds the last triple only: the first one is verified
+        // again, to the same verdict.
+        assert_eq!(cache.verify(b"hello", &pubs, &sig), (Ok(()), false));
+    }
+
+    #[test]
+    fn verify_cache_serves_a_cached_forgery_as_bad_signature() {
+        // A forged hello replayed to every receiver of one broadcast: the
+        // first pays the verification, the rest get the rejection.
+        let (keys, pubs) = make_ring(3, 128, 35);
+        let mut forged = ring_sign(b"hello", &pubs, 0, &keys[0], &mut rng(36)).unwrap();
+        forged.v[0] ^= 1;
+        let cache = VerifyCache::new();
+        assert_eq!(
+            cache.verify(b"hello", &pubs, &forged),
+            (Err(CryptoError::BadSignature), false)
+        );
+        for _ in 0..3 {
+            assert_eq!(
+                cache.verify(b"hello", &pubs, &forged),
+                (Err(CryptoError::BadSignature), true)
+            );
+        }
+    }
+
+    #[test]
+    fn verify_cache_recomputes_a_triple_differing_in_one_part() {
+        let (keys, pubs) = make_ring(3, 128, 37);
+        let (_, other_pubs) = make_ring(1, 128, 38);
+        let mut r = rng(39);
+        let sig = ring_sign(b"hello", &pubs, 1, &keys[1], &mut r).unwrap();
+        let mut one_x = sig.clone();
+        one_x.xs[2] = one_x.xs[2].add_ref(&BigUint::one());
+        let mut one_key = pubs.clone();
+        one_key[0] = other_pubs[0].clone();
+        // Same message and ring, another valid signature.
+        let resigned = ring_sign(b"hello", &pubs, 2, &keys[2], &mut r).unwrap();
+
+        let cache = VerifyCache::new();
+        // Memoize the original triple, then verify the variant.
+        let variant = |message: &[u8], ring: &[RsaPublicKey], signature: &RingSignature| {
+            assert_eq!(cache.verify(b"hello", &pubs, &sig).0, Ok(()));
+            assert_eq!(cache.verify(b"hello", &pubs, &sig), (Ok(()), true));
+            let (verdict, hit) = cache.verify(message, ring, signature);
+            assert!(!hit, "a differing triple must be recomputed");
+            verdict
+        };
+        let bad = Err(CryptoError::BadSignature);
+        assert_eq!(variant(b"hello", &pubs, &one_x), bad);
+        assert_eq!(variant(b"hello", &one_key, &sig), bad);
+        assert_eq!(variant(b"hellp", &pubs, &sig), bad);
+        assert_eq!(variant(b"hello", &pubs, &resigned), Ok(()));
+    }
+
+    /// The bytes (`v`, then each `x_i` as a block) of a signature over a
+    /// fixed ring of four RSA-512 keys, as computed before SHA-256, the
+    /// Feistel round function and the Montgomery product were rewritten.
+    #[test]
+    fn ring_sign_known_answer() {
+        let mut r = rng(0x4b41_5400);
+        let keys: Vec<RsaKeyPair> = (0..4)
+            .map(|_| RsaKeyPair::generate(512, &mut r).unwrap())
+            .collect();
+        let pubs: Vec<RsaPublicKey> = keys.iter().map(|k| k.public().clone()).collect();
+        let sig = ring_sign(
+            b"known-answer hello",
+            &pubs,
+            2,
+            &keys[2],
+            &mut rng(0x4b41_5401),
+        )
+        .unwrap();
+        let block = sig.v.len();
+        let mut bytes = sig.v.clone();
+        for x in &sig.xs {
+            bytes.extend_from_slice(&x.to_bytes_be_padded(block).unwrap());
+        }
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "3251dcd88ad93c3ecc95e3b80a561516498c2047d98fa31049b0d2a34910ddbe",
+                "70d1bac5e01798a90a9bc5de2d0796acc2d7c59d8d94f54d92fb16ffcf15cd0e",
+                "71d71d2cc61f4fa9d21279bed4cc3090f6d3f1fc540aa083e4ce5a6a4d3fb371",
+                "872fb1304403ff4d5e6a883ac98ff05dc04fa495371b9bd5c2a2dc43be9316fc",
+                "d5a8c93068ec15924182c32b0977f1413b83e00880bca19193a666206eea113c",
+                "a40163deb0450a9ecc4903d5e4f7de9d039b3ed547fac9f240f22c50ca986694",
+                "579bf78c0b11c4edbc9adde2329053de8a2075db38f0246da811fbae2eab701f",
+                "71430b2f0eed07df9c5bea47d3b3be189dacbdabc609053ad9b498fac2a29939",
+                "74543e0b22ff8369b3ee52ce4398e51d9798e110c7c974a8c5efee92318b0768",
+                "0c7c9035852d0a1ee1d3a382deea5104e7c093ce0298bf65a24127080cc5247e",
+                "22bc84691a09fb27a39624f8c38bc7bfe887ee35394c8ab628c94cdaca0b75a8",
+                "dbe1d832a757c8a2",
+            )
+        );
+        ring_verify(b"known-answer hello", &pubs, &sig).unwrap();
     }
 
     #[test]
@@ -607,6 +688,7 @@ mod tests {
         let (keys, pubs) = make_ring(2, 128, 29);
         let sig = ring_sign(b"m", &pubs, 0, &keys[0], &mut rng(30)).unwrap();
         let cache = VerifyCache::new();
+        assert_eq!(cache.verify(b"m", &pubs, &sig), (Ok(()), false));
         assert!(matches!(
             cache.verify(b"m", &[] as &[RsaPublicKey], &sig),
             (Err(CryptoError::BadRing(_)), false)
@@ -615,7 +697,8 @@ mod tests {
             cache.verify(b"m", &pubs[..1], &sig),
             (Err(CryptoError::BadRing(_)), false)
         ));
-        assert!(cache.is_empty());
+        // The malformed calls left the memo alone.
+        assert_eq!(cache.verify(b"m", &pubs, &sig), (Ok(()), true));
     }
 
     #[test]
@@ -636,7 +719,7 @@ mod tests {
     #[test]
     fn borrowed_ring_matches_owned_ring() {
         // A ring of references must behave exactly like a ring of owned
-        // keys: signatures interchange and cache digests coincide.
+        // keys: signatures interchange and the memo matches either.
         let (keys, pubs) = make_ring(3, 128, 33);
         let refs: Vec<&RsaPublicKey> = pubs.iter().collect();
         let mut r = rng(34);

@@ -130,16 +130,14 @@ impl Sha256 {
                 self.buffer_len = 0;
             }
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut buf = [0u8; 64];
-            buf.copy_from_slice(block);
-            self.compress(&buf);
-            input = rest;
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            self.compress(block.try_into().expect("64-byte chunk"));
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffer_len = tail.len();
         }
     }
 
@@ -147,13 +145,18 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length. A buffer
+        // with fewer than 8 bytes free after the 0x80 takes a second block.
+        let mut block = self.buffer;
+        let len = self.buffer_len;
+        block[len] = 0x80;
+        block[len + 1..].fill(0);
+        if len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -191,48 +194,62 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        // The message schedule lives in a rolling 16-word window: round
+        // `i >= 16` overwrites `w[i - 16]`, the oldest word, with `w[i]`.
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        // One round. Instead of shifting all eight working variables, a
+        // round writes only the new `a` (into the slot `h` held) and the
+        // new `e` (into `d`'s slot); the next round names the slots one
+        // position rotated, so eight rounds bring the names back home.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                let i = $i;
+                let wi = if i < 16 { w[i] } else { schedule(&mut w, i) };
+                let t1 = $h
+                    .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                    .wrapping_add(($e & $f) ^ (!$e & $g))
+                    .wrapping_add(K[i])
+                    .wrapping_add(wi);
+                let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                    .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(t2);
+            };
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for i in (0..64).step_by(8) {
+            round!(a, b, c, d, e, f, g, h, i);
+            round!(h, a, b, c, d, e, f, g, i + 1);
+            round!(g, h, a, b, c, d, e, f, i + 2);
+            round!(f, g, h, a, b, c, d, e, i + 3);
+            round!(e, f, g, h, a, b, c, d, i + 4);
+            round!(d, e, f, g, h, a, b, c, i + 5);
+            round!(c, d, e, f, g, h, a, b, i + 6);
+            round!(b, c, d, e, f, g, h, a, i + 7);
+        }
+        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
+}
+
+/// Message schedule word `w[i]` for round `i >= 16`, computed in place
+/// of `w[i - 16]` in the rolling window (indices are taken mod 16).
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], i: usize) -> u32 {
+    let w15 = w[(i + 1) & 15];
+    let w2 = w[(i + 14) & 15];
+    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+    let word = w[i & 15]
+        .wrapping_add(s0)
+        .wrapping_add(w[(i + 9) & 15])
+        .wrapping_add(s1);
+    w[i & 15] = word;
+    word
 }
 
 impl Default for Sha256 {
@@ -298,6 +315,81 @@ mod tests {
             Sha256::to_hex(&Sha256::digest(&data)),
             "d53eda7a637c99cc7fb566d96e9fa109bf15c478410a3f5eb4d4c4e26cd081f6"
         );
+    }
+
+    /// Digests of `0, 1, 2, …` (mod 256) at every padding edge, computed
+    /// by the byte-at-a-time padding and 64-word schedule this file used
+    /// before its compression loop was unrolled.
+    #[test]
+    fn known_answers_at_padding_edges() {
+        let pattern = |len: usize| -> Vec<u8> { (0..=255u8).cycle().take(len).collect() };
+        let cases: [(usize, &str); 11] = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                1,
+                "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+            ),
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                65,
+                "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+            (
+                128,
+                "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5",
+            ),
+            (
+                1000,
+                "a8af099bf2e878609558dbf69d8f88f4a31040a8cf84b549a0cfa912f12ffc3f",
+            ),
+        ];
+        for (len, hex) in cases {
+            assert_eq!(
+                Sha256::to_hex(&Sha256::digest(&pattern(len))),
+                hex,
+                "length {len}"
+            );
+        }
+        // The 1000-byte message again, fed in odd-sized pieces that cross
+        // block boundaries at every offset parity.
+        let data = pattern(1000);
+        let mut h = Sha256::new();
+        let mut rest = &data[..];
+        for size in [1usize, 3, 7, 13, 31, 55, 63, 65, 119].iter().cycle() {
+            let (piece, tail) = rest.split_at((*size).min(rest.len()));
+            h.update(piece);
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(Sha256::to_hex(&h.finalize()), cases[10].1);
     }
 
     #[test]

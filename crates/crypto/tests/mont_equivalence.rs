@@ -4,8 +4,11 @@
 //! must be *bit-identical* to the frozen `Vec<u64>` reference path
 //! ([`Montgomery::pow_reference`]) — that identity is what keeps every
 //! golden event stream byte-stable across the perf rewrite. These tests
-//! pin it across random 512/1024/2048-bit operands, including operands
-//! shorter than the modulus (top limbs zero) and `base >= modulus`.
+//! pin it across random 192/256/512/1024/2048-bit operands, including
+//! operands shorter than the modulus (top limbs zero) and
+//! `base >= modulus`. 256 and 512 bits are the two widths the Montgomery
+//! product specialises (an RSA-512 CRT half and the modulus); 192 bits
+//! (3 limbs) runs the run-time-width body.
 
 use agr_crypto::bigint::{BigUint, MontScratch, Montgomery};
 use proptest::prelude::*;
@@ -67,7 +70,7 @@ proptest! {
 
 #[test]
 fn edge_operands_match_reference_at_all_widths() {
-    for bits in [512u32, 1024, 2048] {
+    for bits in [192u32, 256, 512, 1024, 2048] {
         let m = modulus(bits);
         let m_minus_1 = m.checked_sub(&BigUint::one()).unwrap();
         let bases = [
@@ -95,10 +98,10 @@ fn edge_operands_match_reference_at_all_widths() {
 
 #[test]
 fn scratch_survives_modulus_width_changes() {
-    // One arena reused across 512 -> 2048 -> 512-bit moduli must not
-    // leak state between widths.
+    // One arena reused across wide, specialised and run-time-width moduli
+    // must not leak state between widths.
     let mut scratch = MontScratch::new();
-    for bits in [512u32, 2048, 512, 1024] {
+    for bits in [512u32, 2048, 256, 192, 512, 1024] {
         let m = modulus(bits);
         let mont = Montgomery::new(&m);
         let base = m.checked_sub(&BigUint::from_u64(7)).unwrap();
