@@ -18,9 +18,8 @@
 //!   fanned out to every owner of its cell and acknowledged per replica,
 //!   with jittered-exponential retry rounds under a per-op deadline; a
 //!   query walks the read-eligible owners in rendezvous order and takes
-//!   the first answer (optionally hedging a second owner after a
-//!   latency-derived delay). Health is tracked in-band by a
-//!   heartbeat-driven [`FailureDetector`]: answered frames are liveness
+//!   the first answer. Health is tracked in-band by a heartbeat-driven
+//!   [`FailureDetector`]: answered frames are liveness
 //!   acks, awaited-but-absent answers are misses, a recovered node is
 //!   `Rejoining` — written to but not read from — until its cells verify
 //!   against a healthy replica over digest probes. Every decision is a
@@ -519,7 +518,7 @@ impl Cluster {
     }
 
     /// A ring-aware replicated client with explicit deadlines, retry,
-    /// hedging, heartbeat, and chaos configuration.
+    /// heartbeat, and chaos configuration.
     ///
     /// # Errors
     ///
@@ -703,16 +702,12 @@ impl Drop for Cluster {
 /// the deterministic trace).
 pub(crate) const ACK_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Floor of the hedging delay (and its value before any latency samples
-/// exist).
-const HEDGE_MIN: Duration = Duration::from_millis(1);
-
-/// Receive-poll granularity of a client's peer sockets — the latency
-/// floor of noticing an answer, and the holdback flush cadence under
-/// chaos reordering.
+/// Receive-poll granularity of a client's peer sockets: how often a
+/// blocked wait wakes to re-check its deadline, and the cadence at which
+/// chaos reordering flushes held-back frames.
 const CLIENT_RECV_POLL: Duration = Duration::from_millis(5);
 
-/// Deadlines, retry, hedging, heartbeat, and chaos knobs of a
+/// Deadlines, retry, heartbeat, and chaos knobs of a
 /// [`ClusterClient`]. Every timing knob is explicit configuration —
 /// nothing is monkey-patched after construction — so a client's whole
 /// behavior is pinned by `(config, op stream, fault schedule)`.
@@ -733,10 +728,6 @@ pub struct ClientConfig {
     pub ping_every: u64,
     /// Answer wait for heartbeat pings and readmission digest probes.
     pub ping_timeout: Duration,
-    /// Hedge reads: when the first read-eligible owner has not answered
-    /// within a p99-derived delay, fan the query to the second owner and
-    /// take whichever answers first.
-    pub hedge: bool,
     /// Seeded packet chaos on every peer transport (`None` = clean
     /// network). Per-peer streams are decorrelated from this seed.
     pub chaos: Option<ChaosNetConfig>,
@@ -755,7 +746,6 @@ impl Default for ClientConfig {
             retry_cap: Duration::from_millis(160),
             ping_every: 64,
             ping_timeout: Duration::from_millis(250),
-            hedge: false,
             chaos: None,
             readmit_cells: Vec::new(),
         }
@@ -767,10 +757,6 @@ impl Default for ClientConfig {
 pub struct ClientStats {
     /// Retry rounds across all operations.
     pub retries: u64,
-    /// Queries that fanned out a hedge request.
-    pub hedged: u64,
-    /// Hedged queries the *second* owner answered first.
-    pub hedge_wins: u64,
     /// `Busy` (admission-shed) answers received.
     pub busy: u64,
     /// Operations that exhausted their deadline unresolved.
@@ -812,9 +798,6 @@ pub struct QueryOutcome {
     pub answered: u32,
 }
 
-/// Recent-latency window backing the hedge delay estimate.
-const LATENCY_WINDOW: usize = 256;
-
 /// A ring-aware client running replicated operations against a
 /// [`Cluster`] (or any fleet of ALS servers on known addresses).
 ///
@@ -825,9 +808,9 @@ const LATENCY_WINDOW: usize = 256;
 /// and must pass the [`ClientConfig::readmit_cells`] digest check
 /// before reads trust it. Every operation runs under
 /// [`ClientConfig::op_deadline`] with jittered-exponential retry
-/// rounds, and reads can hedge to a second owner. All timing decisions
-/// are pure functions of `(config, op counter, answer stream)`, so a
-/// seeded chaos run reproduces the same detector history every time.
+/// rounds. All timing decisions are pure functions of `(config, op
+/// counter, answer stream)`, so a seeded chaos run reproduces the same
+/// detector history every time.
 pub struct ClusterClient {
     ring: Ring,
     replication: usize,
@@ -837,8 +820,6 @@ pub struct ClusterClient {
     next_uid: u64,
     ops: u64,
     stats: ClientStats,
-    latencies: Vec<u64>,
-    latency_next: usize,
     /// Reused wire-encode buffer: every outgoing frame is encoded into
     /// this one allocation instead of a fresh `Vec` per send.
     encode_buf: Vec<u8>,
@@ -855,7 +836,7 @@ fn remaining(deadline: Instant) -> Option<Duration> {
 }
 
 impl ClusterClient {
-    /// Connects with explicit deadline/retry/hedging/chaos config.
+    /// Connects with explicit deadline/retry/chaos config.
     ///
     /// Each peer socket gets its own chaos stream, reseeded from
     /// `config.chaos` and the node index, so per-peer fault schedules
@@ -895,8 +876,6 @@ impl ClusterClient {
             next_uid: 1,
             ops: 0,
             stats: ClientStats::default(),
-            latencies: Vec::new(),
-            latency_next: 0,
             encode_buf: Vec::new(),
         })
     }
@@ -932,19 +911,6 @@ impl ClusterClient {
             return false;
         }
         true
-    }
-
-    /// One non-blocking-ish receive attempt (bounded by the socket's
-    /// poll interval) for the `uid`-matched answer from `node`.
-    fn poll_kind(&mut self, node: usize, uid: u64) -> Option<AlsNetKind> {
-        match self.peers[node].recv() {
-            Ok(bytes) => match decode_packet(&bytes) {
-                Ok(AgfwPacket::Als(m)) if m.uid == uid => Some(m.kind),
-                // Stale answer to an abandoned request, or noise: drop.
-                _ => None,
-            },
-            Err(_) => None,
-        }
     }
 
     /// Waits for the `uid`-matched answer from `node`, up to `timeout`.
@@ -989,28 +955,6 @@ impl ClusterClient {
             return;
         };
         std::thread::sleep(delay.min(budget));
-    }
-
-    fn push_latency(&mut self, elapsed: Duration) {
-        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        if self.latencies.len() < LATENCY_WINDOW {
-            self.latencies.push(micros);
-        } else {
-            self.latencies[self.latency_next] = micros;
-            self.latency_next = (self.latency_next + 1) % LATENCY_WINDOW;
-        }
-    }
-
-    /// Hedging delay: the p99 of recent time-to-answer samples, clamped
-    /// to `[HEDGE_MIN, ack_timeout]`.
-    fn hedge_delay(&self) -> Duration {
-        if self.latencies.is_empty() {
-            return HEDGE_MIN;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let idx = (sorted.len() * 99 / 100).min(sorted.len() - 1);
-        Duration::from_micros(sorted[idx]).clamp(HEDGE_MIN, self.config.ack_timeout)
     }
 
     /// Runs the heartbeat when the op counter says one is due.
@@ -1198,11 +1142,6 @@ impl ClusterClient {
     /// authoritatively misses is a genuine miss. Rounds that end with
     /// unanswered owners retry with fresh uids and jittered backoff
     /// until the op deadline.
-    ///
-    /// With [`ClientConfig::hedge`] and at least two eligible owners,
-    /// the round instead races the first two owners: the second is
-    /// asked only after the p99-derived `ClusterClient::hedge_delay`
-    /// passes unanswered.
     pub fn query(&mut self, cell: CellId, index: &[u8]) -> QueryOutcome {
         self.ops += 1;
         self.heartbeat_if_due();
@@ -1222,15 +1161,7 @@ impl ClusterClient {
                 // detector trusts, ask everyone anyway.
                 walk.clone_from(&owners);
             }
-            if self.config.hedge && walk.len() >= 2 {
-                if let Some(outcome) =
-                    self.hedged_round(cell, index, &walk, deadline, &mut answered)
-                {
-                    return outcome;
-                }
-            } else if let Some(outcome) =
-                self.walk_round(cell, index, &walk, deadline, &mut answered)
-            {
+            if let Some(outcome) = self.walk_round(cell, index, &walk, deadline, &mut answered) {
                 return outcome;
             }
             if Instant::now() >= deadline {
@@ -1264,7 +1195,6 @@ impl ClusterClient {
         deadline: Instant,
         answered: &mut u32,
     ) -> Option<QueryOutcome> {
-        let started = Instant::now();
         let mut round_misses = 0usize;
         for &node in walk {
             let Some(budget) = remaining(deadline) else {
@@ -1278,7 +1208,6 @@ impl ClusterClient {
             match self.wait_kind(node, uid, budget.min(self.config.ack_timeout)) {
                 Some(AlsNetKind::Reply { payload }) => {
                     self.detector.record_ack(node);
-                    self.push_latency(started.elapsed());
                     return Some(QueryOutcome {
                         payload: Some(payload),
                         answered: *answered + 1,
@@ -1304,126 +1233,6 @@ impl ClusterClient {
             });
         }
         None
-    }
-
-    /// One hedged round racing `walk[0]` and (after the hedge delay)
-    /// `walk[1]`. Same contract as [`ClusterClient::walk_round`].
-    fn hedged_round(
-        &mut self,
-        cell: CellId,
-        index: &[u8],
-        walk: &[usize],
-        deadline: Instant,
-        answered: &mut u32,
-    ) -> Option<QueryOutcome> {
-        let (first, second) = (walk[0], walk[1]);
-        let started = Instant::now();
-        let uid_first = self.fresh_uid();
-        if !self.send_kind(first, uid_first, Self::request_kind(cell, index)) {
-            self.detector.record_miss(first);
-            return None;
-        }
-        let hedge_at = started + self.hedge_delay();
-        let mut first_missed = false;
-        // Phase 1: the primary alone, until the hedge delay lapses (or
-        // it answers Miss/Busy, which also hands over to the hedge).
-        loop {
-            if let Some(kind) = self.poll_kind(first, uid_first) {
-                self.detector.record_ack(first);
-                match kind {
-                    AlsNetKind::Reply { payload } => {
-                        self.push_latency(started.elapsed());
-                        return Some(QueryOutcome {
-                            payload: Some(payload),
-                            answered: *answered + 1,
-                        });
-                    }
-                    AlsNetKind::Miss => {
-                        *answered += 1;
-                        first_missed = true;
-                        break;
-                    }
-                    AlsNetKind::Busy => {
-                        self.stats.busy += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            if Instant::now() >= hedge_at.min(deadline) {
-                break;
-            }
-        }
-        // Phase 2: fan to the second owner, race whatever is pending.
-        self.stats.hedged += 1;
-        let uid_second = self.fresh_uid();
-        if !self.send_kind(second, uid_second, Self::request_kind(cell, index)) {
-            self.detector.record_miss(second);
-            if !first_missed {
-                self.detector.record_miss(first);
-            }
-            return None;
-        }
-        let stop_at = (started + self.config.ack_timeout).min(deadline);
-        let mut second_missed = false;
-        loop {
-            if !first_missed {
-                if let Some(kind) = self.poll_kind(first, uid_first) {
-                    self.detector.record_ack(first);
-                    match kind {
-                        AlsNetKind::Reply { payload } => {
-                            self.push_latency(started.elapsed());
-                            return Some(QueryOutcome {
-                                payload: Some(payload),
-                                answered: *answered + 1,
-                            });
-                        }
-                        AlsNetKind::Miss => {
-                            *answered += 1;
-                            first_missed = true;
-                        }
-                        AlsNetKind::Busy => self.stats.busy += 1,
-                        _ => {}
-                    }
-                }
-            }
-            if !second_missed {
-                if let Some(kind) = self.poll_kind(second, uid_second) {
-                    self.detector.record_ack(second);
-                    match kind {
-                        AlsNetKind::Reply { payload } => {
-                            self.stats.hedge_wins += 1;
-                            self.push_latency(started.elapsed());
-                            return Some(QueryOutcome {
-                                payload: Some(payload),
-                                answered: *answered + 1,
-                            });
-                        }
-                        AlsNetKind::Miss => {
-                            *answered += 1;
-                            second_missed = true;
-                        }
-                        AlsNetKind::Busy => self.stats.busy += 1,
-                        _ => {}
-                    }
-                }
-            }
-            if first_missed && second_missed {
-                return Some(QueryOutcome {
-                    payload: None,
-                    answered: *answered,
-                });
-            }
-            if Instant::now() >= stop_at {
-                if !first_missed {
-                    self.detector.record_miss(first);
-                }
-                if !second_missed {
-                    self.detector.record_miss(second);
-                }
-                return None;
-            }
-        }
     }
 
     /// Queries one specific node directly (bypassing the ring and the

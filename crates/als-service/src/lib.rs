@@ -39,7 +39,7 @@
 //!   R-way replicated writes, digest-probe/chunked-push anti-entropy,
 //!   deterministic kill/restart chaos schedules, and a ring-aware
 //!   client with a heartbeat-driven failure detector, per-op deadlines,
-//!   jittered retries, and hedged reads.
+//!   and jittered retries.
 //! * [`chaos_net`] — a deterministic fault-injecting [`transport::Transport`]
 //!   decorator: seeded drop/duplicate/reorder on any transport, keyed to
 //!   frame counters so chaos runs are bit-identical at a fixed seed.

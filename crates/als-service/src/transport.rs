@@ -464,9 +464,9 @@ impl UdpClient {
 
     /// Binds an ephemeral local socket connected to `server`, with an
     /// explicit receive-poll granularity — how long each [`Transport::recv`]
-    /// waits before reporting `TimedOut`. Clients that interleave waits
-    /// across several sockets (hedged reads) want this much shorter than
-    /// the serve-loop default.
+    /// waits before reporting `TimedOut`. The replicated client sets it
+    /// shorter than the serve-loop default, so chaos reordering flushes
+    /// held-back frames promptly.
     ///
     /// # Errors
     ///

@@ -51,7 +51,10 @@
 //! writes it missed while down, strictly cheaper than the full refill
 //! an unjournaled node needs.
 //!
-//! Set `CHAOS_SEED=<n>` to run a single seed (the CI chaos matrix).
+//! The two tests that boot a ring wait on wall-clock UDP timeouts, so
+//! they are `#[ignore]`d and run with `--include-ignored` (in
+//! `scripts/check.sh` and CI). Set `CHAOS_SEED=<n>` to run a single seed
+//! (the CI chaos matrix).
 
 use agr_als_service::chaos_net::ChaosNetConfig;
 use agr_als_service::cluster::{
@@ -128,7 +131,6 @@ fn chaos_client(seed: u64) -> ClientConfig {
         ping_timeout: Duration::from_millis(250),
         chaos: Some(ChaosNetConfig::standard(seed ^ 0x00C1_1E57)),
         readmit_cells: cells(),
-        ..ClientConfig::default()
     }
 }
 
@@ -366,6 +368,7 @@ fn seeds() -> Vec<u64> {
 }
 
 #[test]
+#[ignore = "boots a UDP ring and waits on wall-clock UDP timeouts (~2 min); run with --include-ignored until the virtual-time cluster (ROADMAP item 4) replaces it"]
 fn seeded_chaos_runs_uphold_durability_availability_and_replay_identically() {
     for seed in seeds() {
         let first = run(seed);
@@ -431,6 +434,7 @@ fn different_seeds_schedule_different_chaos() {
 /// tops off the writes it missed while down — strictly fewer records
 /// over the wire than the full refill an unjournaled node needs.
 #[test]
+#[ignore = "boots a UDP ring and waits on wall-clock UDP timeouts (~2 min); run with --include-ignored until the virtual-time cluster (ROADMAP item 4) replaces it"]
 fn journal_replay_recovers_strictly_cheaper_than_refill() {
     let seed = 7u64;
     let universe = cells();

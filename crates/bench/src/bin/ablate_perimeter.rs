@@ -23,7 +23,7 @@ fn main() {
         ProtocolKind::Agfw(AgfwConfig::default()),
         ProtocolKind::Agfw(AgfwConfig::with_recovery()),
     ];
-    let (rows, _) = run_matrix(&kinds, &nodes, &params);
+    let rows = run_matrix(&kinds, &nodes, &params);
     let mut table = Table::new(vec![
         "nodes",
         "GPSR-Greedy",

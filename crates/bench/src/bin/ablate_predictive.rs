@@ -43,7 +43,7 @@ fn main() {
             }));
         }
     }
-    let (results, _) = run_matrix(&kinds, &[nodes], &params);
+    let results = run_matrix(&kinds, &[nodes], &params);
 
     let mut table = Table::new(vec![
         "hello interval (s)",

@@ -61,13 +61,12 @@ fn main() {
         "watch_fired",
         "rerouted",
     ]);
-    let mut perf = None;
     for (i, &fraction) in fracs.iter().enumerate() {
         let params = SweepParams {
             adversary: (fraction > 0.0).then(|| AdversaryMix::blackholes(fraction)),
             ..base.clone()
         };
-        let (results, phase_perf) = run_matrix(&protocols, &[nodes], &params);
+        let results = run_matrix(&protocols, &[nodes], &params);
         let plain = &results[0][0];
         let hard = &results[1][0];
         table.row(vec![
@@ -89,21 +88,9 @@ fn main() {
             plain.delivery_fraction,
             hard.delivery_fraction
         );
-        match &mut perf {
-            None => perf = Some(phase_perf),
-            Some(p) => p.merge(phase_perf),
-        }
     }
     println!("Adversary sweep — delivery fraction vs blackhole fraction (nodes={nodes})");
     println!("{table}");
     let path = table.save_csv("adversary_sweep");
     eprintln!("saved {}", path.display());
-    if let Some(perf) = perf {
-        eprintln!(
-            "wall_clock={:.1}s jobs={} throughput={:.0} events/s",
-            perf.wall_s,
-            perf.jobs,
-            perf.events_per_sec()
-        );
-    }
 }

@@ -56,13 +56,12 @@ fn main() {
         "retx(ACK)",
         "recovered(ACK)",
     ]);
-    let mut perf = None;
     for (i, &loss) in losses.iter().enumerate() {
         let params = SweepParams {
             fault: FaultPlan::uniform_loss(loss),
             ..base.clone()
         };
-        let (results, phase_perf) = run_matrix(&protocols, &[nodes], &params);
+        let results = run_matrix(&protocols, &[nodes], &params);
         let ack = &results[0][0];
         let noack = &results[1][0];
         table.row(vec![
@@ -82,21 +81,9 @@ fn main() {
             ack.delivery_fraction,
             noack.delivery_fraction
         );
-        match &mut perf {
-            None => perf = Some(phase_perf),
-            Some(p) => p.merge(phase_perf),
-        }
     }
     println!("Fault sweep — delivery fraction vs per-link uniform loss (nodes={nodes})");
     println!("{table}");
     let path = table.save_csv("fault_sweep");
     eprintln!("saved {}", path.display());
-    if let Some(perf) = perf {
-        eprintln!(
-            "wall_clock={:.1}s jobs={} throughput={:.0} events/s",
-            perf.wall_s,
-            perf.jobs,
-            perf.events_per_sec()
-        );
-    }
 }

@@ -38,7 +38,7 @@ fn main() {
         "sd(noACK)",
         "sd(ACK)",
     ]);
-    let (results, perf) = run_matrix(&protocols, &nodes, &params);
+    let results = run_matrix(&protocols, &nodes, &params);
     for (i, &n) in nodes.iter().enumerate() {
         table.row(vec![
             n.to_string(),
@@ -54,10 +54,4 @@ fn main() {
     println!("{table}");
     let path = table.save_csv("fig1a");
     eprintln!("saved {}", path.display());
-    eprintln!(
-        "wall_clock={:.1}s jobs={} throughput={:.0} events/s",
-        perf.wall_s,
-        perf.jobs,
-        perf.events_per_sec()
-    );
 }

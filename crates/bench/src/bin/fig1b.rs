@@ -29,7 +29,7 @@ fn main() {
         ProtocolKind::GpsrGreedy,
         ProtocolKind::Agfw(AgfwConfig::default()),
     ];
-    let (mut results, perf) = run_matrix(&protocols, &nodes, &params);
+    let mut results = run_matrix(&protocols, &nodes, &params);
     let agfw = results.pop().expect("agfw sweep");
     let gpsr = results.pop().expect("gpsr sweep");
     let mut table = Table::new(vec![
@@ -52,10 +52,4 @@ fn main() {
     println!("{table}");
     let path = table.save_csv("fig1b");
     eprintln!("saved {}", path.display());
-    eprintln!(
-        "wall_clock={:.1}s jobs={} throughput={:.0} events/s",
-        perf.wall_s,
-        perf.jobs,
-        perf.events_per_sec()
-    );
 }

@@ -27,7 +27,6 @@ use agr_bench::stamp;
 use agr_bench::viz::run_point_observed;
 use agr_sim::{AdversaryMix, FaultPlan, SimTime};
 use agr_telemetry::export::snapshot_to_json;
-use std::time::Instant;
 
 #[derive(Debug)]
 struct Args {
@@ -165,7 +164,6 @@ fn main() {
         fault,
         adversary: (args.blackhole > 0.0).then(|| AdversaryMix::blackholes(args.blackhole)),
     };
-    let started = Instant::now();
     // Attach observers only when an export was asked for: the observed
     // run is deterministic either way, but the bare path stays the
     // byte-for-byte twin of the sweep binaries.
@@ -175,7 +173,6 @@ fn main() {
         Some(run) => run.stats.clone(),
         None => run_point(&kind, args.nodes, args.seed, &params),
     };
-    let wall_s = started.elapsed().as_secs_f64();
     println!(
         "protocol={} nodes={} duration={}s seed={}",
         args.protocol, args.nodes, args.duration_s, args.seed
@@ -193,7 +190,6 @@ fn main() {
         stats.latency_quantile(0.95).as_millis_f64()
     );
     println!("worst_flow_delivery={:.4}", stats.worst_flow_delivery());
-    println!("wall_clock={wall_s:.2}s");
     if args.counters {
         for (name, value) in stats.counters() {
             println!("counter {name} = {value}");

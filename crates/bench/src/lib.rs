@@ -38,11 +38,7 @@ pub mod report;
 pub mod runner;
 pub mod stamp;
 pub mod viz;
-pub mod zipf;
 
 pub use report::Table;
-pub use runner::{
-    jobs, par_map, run_matrix, run_point, run_sweep, sweep, PointResult, ProtocolKind, SweepParams,
-    SweepPerf,
-};
+pub use runner::{jobs, par_map, run_matrix, run_point, PointResult, ProtocolKind, SweepParams};
 pub use viz::{run_point_observed, ObservedRun};

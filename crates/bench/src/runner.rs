@@ -2,10 +2,10 @@
 //! over several seeds, and aggregates the two §5 metrics.
 //!
 //! Sweeps fan their (protocol × node count × seed) points over a scoped
-//! thread pool ([`run_matrix`] / [`run_sweep`]); every point is an
-//! independent deterministic simulation, and results are aggregated in
-//! task order, so the output is bit-identical whatever the worker count
-//! (`AGR_JOBS`, default: available parallelism).
+//! thread pool ([`run_matrix`]); every point is an independent
+//! deterministic simulation, and results are aggregated in task order,
+//! so the output is bit-identical whatever the worker count (`AGR_JOBS`,
+//! default: available parallelism).
 
 use agr_core::agfw::{Agfw, AgfwConfig};
 use agr_gpsr::{Gpsr, GpsrConfig};
@@ -13,7 +13,6 @@ use agr_sim::{AdversaryMix, FaultPlan, SimConfig, SimTime, Stats, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::str::FromStr;
-use std::time::Instant;
 
 /// Which protocol a sweep point runs.
 // Boxing the AgfwConfig would cost `Copy`, which sweep matrices rely on;
@@ -311,38 +310,6 @@ pub fn jobs() -> usize {
     parse_jobs(std::env::var("AGR_JOBS").ok().as_deref()).unwrap_or_else(|e| exit_malformed(&e))
 }
 
-/// Wall-clock record of a whole sweep: what the sweep binaries' closing
-/// stderr line prints.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPerf {
-    /// Worker threads used.
-    pub jobs: usize,
-    /// End-to-end wall-clock seconds for the sweep.
-    pub wall_s: f64,
-    /// Engine events dispatched across all points.
-    pub events: u64,
-}
-
-impl SweepPerf {
-    /// Aggregate simulation throughput (events per wall-clock second).
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.events as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Folds another phase's record into this one (wall-clocks add:
-    /// phases run back to back).
-    pub fn merge(&mut self, other: SweepPerf) {
-        self.jobs = self.jobs.max(other.jobs);
-        self.wall_s += other.wall_s;
-        self.events += other.events;
-    }
-}
-
 /// Runs every (protocol × node count × seed) point of the matrix on a
 /// worker pool of [`jobs`] threads and aggregates per (protocol, nodes).
 ///
@@ -354,7 +321,7 @@ pub fn run_matrix(
     kinds: &[ProtocolKind],
     nodes_list: &[usize],
     params: &SweepParams,
-) -> (Vec<Vec<PointResult>>, SweepPerf) {
+) -> Vec<Vec<PointResult>> {
     run_matrix_jobs(kinds, nodes_list, params, jobs())
 }
 
@@ -366,7 +333,7 @@ pub fn run_matrix_jobs(
     nodes_list: &[usize],
     params: &SweepParams,
     jobs: usize,
-) -> (Vec<Vec<PointResult>>, SweepPerf) {
+) -> Vec<Vec<PointResult>> {
     let tasks: Vec<(ProtocolKind, usize, u64)> = kinds
         .iter()
         .flat_map(|&kind| {
@@ -375,15 +342,11 @@ pub fn run_matrix_jobs(
                 .flat_map(move |&nodes| (1..=params.seeds).map(move |seed| (kind, nodes, seed)))
         })
         .collect();
-    let started = Instant::now();
-    let runs: Vec<Stats> = par_map(&tasks, jobs, |&(kind, nodes, seed)| {
+    let mut runs = par_map(&tasks, jobs, |&(kind, nodes, seed)| {
         run_point(&kind, nodes, seed, params)
-    });
-    let wall_s = started.elapsed().as_secs_f64();
-    let events = runs.iter().map(|s| s.events_processed).sum();
-
-    let mut runs = runs.into_iter();
-    let results = kinds
+    })
+    .into_iter();
+    kinds
         .iter()
         .map(|kind| {
             nodes_list
@@ -414,34 +377,7 @@ pub fn run_matrix_jobs(
                 })
                 .collect()
         })
-        .collect();
-    (
-        results,
-        SweepPerf {
-            jobs,
-            wall_s,
-            events,
-        },
-    )
-}
-
-/// Runs a full density sweep for one protocol on the worker pool.
-#[must_use]
-pub fn run_sweep(
-    kind: &ProtocolKind,
-    nodes_list: &[usize],
-    params: &SweepParams,
-) -> (Vec<PointResult>, SweepPerf) {
-    let (mut results, perf) = run_matrix(std::slice::from_ref(kind), nodes_list, params);
-    (results.pop().expect("one protocol"), perf)
-}
-
-/// Runs a full density sweep for one protocol, averaging over seeds.
-///
-/// Compatibility wrapper over [`run_sweep`] that drops the perf record.
-#[must_use]
-pub fn sweep(kind: &ProtocolKind, nodes_list: &[usize], params: &SweepParams) -> Vec<PointResult> {
-    run_sweep(kind, nodes_list, params).0
+        .collect()
 }
 
 #[cfg(test)]
@@ -492,10 +428,11 @@ mod tests {
             seeds: 1,
             ..SweepParams::default()
         };
-        let points = sweep(&ProtocolKind::GpsrGreedy, &[50], &params);
+        let points = run_matrix(&[ProtocolKind::GpsrGreedy], &[50], &params);
         assert_eq!(points.len(), 1);
-        assert!(points[0].delivery_fraction > 0.0);
-        assert_eq!(points[0].per_seed_delivery.len(), 1);
+        assert_eq!(points[0].len(), 1);
+        assert!(points[0][0].delivery_fraction > 0.0);
+        assert_eq!(points[0][0].per_seed_delivery.len(), 1);
     }
 
     #[test]
@@ -541,11 +478,9 @@ mod tests {
             ..SweepParams::default()
         };
         let kinds = [ProtocolKind::GpsrGreedy];
-        let (serial, _) = run_matrix_jobs(&kinds, &[50], &params, 1);
-        let (parallel, perf) = run_matrix_jobs(&kinds, &[50], &params, 4);
+        let serial = run_matrix_jobs(&kinds, &[50], &params, 1);
+        let parallel = run_matrix_jobs(&kinds, &[50], &params, 4);
         assert_eq!(serial, parallel);
-        assert_eq!(perf.jobs, 4);
-        assert!(perf.events > 0);
     }
 
     /// ISSUE-2 determinism regression: the serial-vs-parallel property
@@ -573,8 +508,8 @@ mod tests {
             ProtocolKind::Agfw(AgfwConfig::default()),
             ProtocolKind::GpsrGreedy,
         ];
-        let (serial, _) = run_matrix_jobs(&kinds, &[50], &params, 1);
-        let (parallel, _) = run_matrix_jobs(&kinds, &[50], &params, 4);
+        let serial = run_matrix_jobs(&kinds, &[50], &params, 1);
+        let parallel = run_matrix_jobs(&kinds, &[50], &params, 4);
         assert_eq!(serial, parallel);
         // The plan actually bit: every run recorded burst-loss drops.
         for point in serial.iter().flatten() {
@@ -607,7 +542,7 @@ mod tests {
             ProtocolKind::Agfw(AgfwConfig::default()),
             ProtocolKind::Agfw(AgfwConfig::without_ack()),
         ];
-        let (results, _) = run_matrix_jobs(&kinds, &[50], &params, 4);
+        let results = run_matrix_jobs(&kinds, &[50], &params, 4);
         let ack = &results[0][0];
         let noack = &results[1][0];
         assert!(

@@ -1,6 +1,6 @@
-//! Provenance stamping for the files bench binaries write: the commit
-//! SHA and a UTC timestamp, so `simulate --metrics-json` snapshots and
-//! `cluster_harness` results are attributable to a code state.
+//! Provenance stamping for the telemetry snapshots bench binaries
+//! write: the commit SHA and a UTC timestamp, so a `simulate
+//! --metrics-json` snapshot is attributable to a code state.
 //!
 //! Hand-rolled: the workspace is offline and carries no date or serde
 //! dependency.
@@ -9,7 +9,7 @@
 /// `"unknown"` outside a git checkout (results are only comparable
 /// against a known code state, so every record carries it).
 #[must_use]
-pub fn git_sha() -> String {
+fn git_sha() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
         .output()
@@ -25,7 +25,7 @@ pub fn git_sha() -> String {
 /// from [`std::time::SystemTime`] alone (the workspace carries no date
 /// dependency).
 #[must_use]
-pub fn iso_timestamp() -> String {
+fn iso_timestamp() -> String {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -34,9 +34,10 @@ pub fn iso_timestamp() -> String {
 }
 
 /// Civil-date conversion (days → y/m/d via the standard era/day-of-era
-/// decomposition), exposed for testing against known instants.
+/// decomposition), separate from the clock so it tests against known
+/// instants.
 #[must_use]
-pub fn iso_from_unix(secs: u64) -> String {
+fn iso_from_unix(secs: u64) -> String {
     let days = (secs / 86_400) as i64;
     let rem = secs % 86_400;
     let (hh, mm, ss) = (rem / 3600, (rem % 3600) / 60, rem % 60);

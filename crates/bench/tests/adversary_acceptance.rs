@@ -128,7 +128,7 @@ fn defenses_heal_twenty_percent_blackholes() {
         ProtocolKind::Agfw(AgfwConfig::default()),
         ProtocolKind::Agfw(AgfwConfig::hardened()),
     ];
-    let (results, _) = run_matrix_jobs(&kinds, &[50], &params, 4);
+    let results = run_matrix_jobs(&kinds, &[50], &params, 4);
     let plain = &results[0][0];
     let hard = &results[1][0];
     assert!(
@@ -181,8 +181,8 @@ fn adversarial_matrix_identical_serial_vs_four_jobs() {
         ProtocolKind::Agfw(AgfwConfig::default()),
         ProtocolKind::GpsrGreedy,
     ];
-    let (serial, _) = run_matrix_jobs(&kinds, &[50], &params, 1);
-    let (parallel, _) = run_matrix_jobs(&kinds, &[50], &params, 4);
+    let serial = run_matrix_jobs(&kinds, &[50], &params, 1);
+    let parallel = run_matrix_jobs(&kinds, &[50], &params, 4);
     assert_eq!(serial, parallel);
     // The plan actually bit: every run recorded blackhole drops.
     for point in serial.iter().flatten() {

@@ -21,8 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> fingerprint tests (adversary_acceptance, telemetry_determinism)"
 cargo test --offline -q -p agr-bench --test adversary_acceptance --test telemetry_determinism
 
-echo "==> cargo test"
-cargo test --offline --workspace -q
+# --include-ignored: the two cluster_conformance tests that boot a UDP
+# ring wait on wall-clock timeouts (~2 min), so tier-1 skips them and
+# this gate runs them.
+echo "==> cargo test (ignored tests included)"
+cargo test --offline --workspace -q -- --include-ignored
 
 # benchmark/ is its own workspace, so nothing above compiles or tests
 # it: this both runs its unit tests (JSON, Zipf, exact percentiles,
@@ -56,7 +59,7 @@ AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 \
 
 # Cluster smoke: a 3-node loopback UDP ring under seeded packet chaos
 # (drop/duplicate/reorder on every client and sync path) with one
-# kill/restart cycle under zipfian load. The binary itself asserts the
+# kill/restart cycle under uniformly keyed load. The binary itself asserts the
 # invariants that matter — anti-entropy re-converges the restarted
 # (empty) node over the lossy network, the chaos window degrades at
 # least one write, and queries over fully-acked keys stay >= 99%
@@ -67,8 +70,7 @@ AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 \
 # quiesce that never converges, a socket wait without a deadline), not
 # on a slow machine.
 echo "==> ALS cluster smoke (cluster_harness --smoke, 3 nodes, packet chaos, 1 kill/restart)"
-timeout 240 cargo run --offline --release -q -p agr-bench --bin cluster_harness -- \
-    --smoke --out "$SMOKE_RESULTS/BENCH_cluster_smoke.json"
+timeout 240 cargo run --offline --release -q -p agr-bench --bin cluster_harness -- --smoke
 
 # Telemetry smoke, two halves. (1) A clean 1-node ring must answer a UDP
 # stats scrape with a valid Prometheus exposition of >= 20 metric
