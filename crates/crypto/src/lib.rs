@@ -43,7 +43,11 @@
 //! # Ok::<(), agr_crypto::CryptoError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one `unsafe` island is the SHA-256 backend
+// dispatch in `sha256`, which carries an explicit `allow` to call the
+// SHA-extension kernel after CPUID says it may; everything else in the
+// crate still refuses unsafe code at compile time.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bigint;

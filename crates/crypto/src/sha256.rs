@@ -5,6 +5,10 @@
 //! (§3.1.1), the server-selection mapping `ssa(x)` of the location service
 //! (§3.3), and — in our ring-signature instantiation — key derivation for
 //! the combining function. SHA-256 serves all three.
+//!
+//! The compression function runs on the x86-64 SHA extensions when the
+//! CPU has them and on a portable body otherwise; the two are tested
+//! against each other, and no digest depends on which one ran.
 
 /// Streaming SHA-256 hasher.
 ///
@@ -193,7 +197,27 @@ impl Sha256 {
         s
     }
 
+    /// One compression, on the x86-64 SHA extensions when the CPU has
+    /// them and on [`Sha256::compress_portable`] otherwise. Both bodies
+    /// compute the same function, so the choice never shows in a digest.
+    #[allow(unsafe_code)]
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if !portable_only()
+            && std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: `ni::compress` needs sha, sse2, ssse3 and sse4.1; the
+            // CPU reports sha and sse4.1, and sse4.1 implies ssse3 and sse2.
+            unsafe { ni::compress(&mut self.state, block) };
+            return;
+        }
+        self.compress_portable(block);
+    }
+
+    /// The portable compression body: the fallback where the CPU lacks
+    /// the SHA extensions, and the oracle the fast body is tested against.
+    fn compress_portable(&mut self, block: &[u8; 64]) {
         // The message schedule lives in a rolling 16-word window: round
         // `i >= 16` overwrites `w[i - 16]`, the oldest word, with `w[i]`.
         let mut w = [0u32; 16];
@@ -236,6 +260,18 @@ impl Sha256 {
     }
 }
 
+/// Whether this test thread has pinned hashing to the portable body.
+#[cfg(all(test, target_arch = "x86_64"))]
+fn portable_only() -> bool {
+    tests::PORTABLE_ONLY.with(std::cell::Cell::get)
+}
+
+#[cfg(all(not(test), target_arch = "x86_64"))]
+#[inline(always)]
+fn portable_only() -> bool {
+    false
+}
+
 /// Message schedule word `w[i]` for round `i >= 16`, computed in place
 /// of `w[i - 16]` in the rolling window (indices are taken mod 16).
 #[inline(always)]
@@ -252,6 +288,95 @@ fn schedule(w: &mut [u32; 16], i: usize) -> u32 {
     word
 }
 
+/// The compression function on the x86-64 SHA extensions.
+///
+/// `sha256rnds2` runs two rounds on the working variables split across
+/// two registers, `ABEF` and `CDGH` (most significant lane first), with
+/// the two rounds' `W + K` words in the low lanes of its third operand;
+/// `sha256msg1` and `sha256msg2` compute four message-schedule words at a
+/// time. Every intrinsic here takes and returns values, so the function
+/// needs no `unsafe` inside; only calling it on a CPU without the
+/// features would be unsound, which the caller's detection rules out.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut m = [0u32; 16];
+        for (word, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+        let [a, b, c, d, e, f, g, h] = *state;
+        let (abef_in, cdgh_in) = (lanes(f, e, b, a), lanes(h, g, d, c));
+        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+
+        // The message schedule lives in four registers of four words
+        // each; a new quad overwrites the oldest, so the names rotate.
+        let mut w0 = lanes(m[0], m[1], m[2], m[3]);
+        let mut w1 = lanes(m[4], m[5], m[6], m[7]);
+        let mut w2 = lanes(m[8], m[9], m[10], m[11]);
+        let mut w3 = lanes(m[12], m[13], m[14], m[15]);
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for quad in (4..16).step_by(4) {
+            w0 = schedule4(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, quad);
+            w1 = schedule4(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, quad + 1);
+            w2 = schedule4(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, quad + 2);
+            w3 = schedule4(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, quad + 3);
+        }
+        let abef = _mm_add_epi32(abef, abef_in);
+        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        // `as u32` reinterprets the extracted lane's bits.
+        *state = [
+            _mm_extract_epi32(abef, 3) as u32,
+            _mm_extract_epi32(abef, 2) as u32,
+            _mm_extract_epi32(cdgh, 3) as u32,
+            _mm_extract_epi32(cdgh, 2) as u32,
+            _mm_extract_epi32(abef, 1) as u32,
+            _mm_extract_epi32(abef, 0) as u32,
+            _mm_extract_epi32(cdgh, 1) as u32,
+            _mm_extract_epi32(cdgh, 0) as u32,
+        ];
+    }
+
+    /// Rounds `4 * quad .. 4 * quad + 4` on message words `w`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, quad: usize) {
+        let k = &K[4 * quad..4 * quad + 4];
+        let wk = _mm_add_epi32(w, lanes(k[0], k[1], k[2], k[3]));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+
+    /// The four schedule words after `w0 .. w3` (oldest first).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule4(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Four lanes, the first argument in the least significant one.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lanes(x0: u32, x1: u32, x2: u32, x3: u32) -> __m128i {
+        // `as i32` reinterprets the bits; the intrinsic takes signed lanes.
+        _mm_set_epi32(x3 as i32, x2 as i32, x1 as i32, x0 as i32)
+    }
+}
+
 impl Default for Sha256 {
     fn default() -> Self {
         Sha256::new()
@@ -261,6 +386,49 @@ impl Default for Sha256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set by `vectors_on_portable_body`: this test thread hashes on
+        /// `compress_portable` whatever the CPU offers.
+        pub(super) static PORTABLE_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The known-answer tests below run on the compression the CPU
+    /// selects; this runs them again on the portable body, so the
+    /// fallback stays covered on hosts with the SHA extensions.
+    #[test]
+    fn vectors_on_portable_body() {
+        PORTABLE_ONLY.with(|p| p.set(true));
+        empty_string();
+        abc();
+        two_block_message();
+        million_a();
+        exactly_56_bytes_padding_edge();
+        exactly_64_bytes();
+        known_answers_at_padding_edges();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The selected compression equals the portable one on any chaining
+        /// state, not only the states real messages reach. On a host with
+        /// the SHA extensions this is the fast body against its oracle.
+        #[test]
+        fn selected_compression_matches_portable(
+            words in collection::vec(any::<u32>(), 8),
+            block in any::<[u8; 64]>(),
+        ) {
+            let state: [u32; 8] = words.try_into().expect("8 words");
+            let mut selected = Sha256 { state, ..Sha256::new() };
+            let mut portable = selected.clone();
+            selected.compress(&block);
+            portable.compress_portable(&block);
+            prop_assert_eq!(selected.state, portable.state);
+        }
+    }
 
     // FIPS 180-4 / NIST CAVP test vectors.
     #[test]

@@ -11,6 +11,21 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Crates that use `unsafe` at all deny it crate-wide and allow it in
+# exactly two islands: als-service's `mmsg` FFI module and crypto's
+# SHA-256 backend dispatch. A third island, or a second `allow` in one of
+# these files, fails here instead of slipping past the `deny`.
+echo "==> unsafe islands (only als-service mmsg and crypto sha256)"
+islands=$(grep -rnE --include='*.rs' '(allow|expect)\([^)]*unsafe_code' crates/ || true)
+expected=$'crates/als-service/src/lib.rs\ncrates/crypto/src/sha256.rs'
+if [ "$(cut -d: -f1 <<<"$islands" | sort)" != "$expected" ]; then
+    echo "unsafe islands changed; expected one allow each in:" >&2
+    echo "$expected" >&2
+    echo "found:" >&2
+    echo "${islands:-(none)}" >&2
+    exit 1
+fi
+
 # The public surface is meant to be small enough to read in cargo doc:
 # a link to a private or deleted item fails here, not in a browser.
 echo "==> cargo doc -D warnings"
