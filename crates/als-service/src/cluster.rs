@@ -1268,8 +1268,9 @@ impl ClusterClient {
     /// Scrapes one node's telemetry registry over the wire: sends an
     /// empty `StatsDump` request and returns the Prometheus text the
     /// node answers with. Retries with fresh uids until the node
-    /// answers or the op deadline lapses.
-    pub fn scrape_stats(&mut self, node: usize) -> Option<String> {
+    /// answers or the op deadline lapses. Only the scrape test calls it.
+    #[cfg(test)]
+    fn scrape_stats(&mut self, node: usize) -> Option<String> {
         self.ops += 1;
         let deadline = Instant::now() + self.config.op_deadline;
         let salt = self.next_uid;

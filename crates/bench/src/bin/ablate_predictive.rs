@@ -10,19 +10,9 @@
 //! cargo run --release -p agr-bench --bin ablate_predictive
 //! ```
 
-use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_sim::SimTime;
-
-/// Mean retransmissions per data packet across a point's seeds.
-fn retx_per_pkt(point: &PointResult) -> f64 {
-    point
-        .stats
-        .iter()
-        .map(|s| s.counter("agfw.retransmit") as f64 / s.data_sent.max(1) as f64)
-        .sum::<f64>()
-        / point.stats.len() as f64
-}
 
 fn main() {
     let params = SweepParams::from_env_with_duration(SimTime::from_secs(300));
@@ -59,7 +49,7 @@ fn main() {
             (*label).into(),
             format!("{:.3}", point.delivery_fraction),
             format!("{:.2}", point.latency_ms),
-            format!("{:.2}", retx_per_pkt(point)),
+            format!("{:.2}", point.retx_per_pkt()),
         ]);
     }
     println!("Ablation: velocity-predictive ANT (paper S3.1.1), 50 nodes, <=20 m/s");

@@ -13,19 +13,9 @@
 //! cargo run --release -p agr-bench --bin ablate_pseudonym
 //! ```
 
-use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_core::SelectionStrategy;
-
-/// Mean retransmissions per data packet across a point's seeds.
-fn retx_per_pkt(point: &PointResult) -> f64 {
-    point
-        .stats
-        .iter()
-        .map(|s| s.counter("agfw.retransmit") as f64 / s.data_sent.max(1) as f64)
-        .sum::<f64>()
-        / point.stats.len() as f64
-}
 
 fn main() {
     let params = SweepParams::from_env_with_duration(agr_sim::SimTime::from_secs(300));
@@ -64,7 +54,7 @@ fn main() {
             (*label).into(),
             format!("{:.3}", point.delivery_fraction),
             format!("{:.2}", point.latency_ms),
-            format!("{:.2}", retx_per_pkt(point)),
+            format!("{:.2}", point.retx_per_pkt()),
         ]);
     }
     println!("Ablation: ANT selection strategy x pseudonym rotation (50 nodes)");

@@ -22,14 +22,9 @@
 //! Like every sweep, results are bit-identical at any `AGR_JOBS`.
 
 use agr_bench::runner::{env_list, node_counts};
-use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_sim::AdversaryMix;
-
-/// Sum of a named counter across a point's per-seed stats.
-fn counter_sum(point: &PointResult, name: &str) -> u64 {
-    point.stats.iter().map(|s| s.counter(name)).sum()
-}
 
 fn main() {
     let base = SweepParams::from_env();
@@ -75,11 +70,11 @@ fn main() {
             format!("{:.3}", hard.delivery_fraction),
             format!("{:.3}", plain.delivery_stddev()),
             format!("{:.3}", hard.delivery_stddev()),
-            counter_sum(plain, "adv.blackhole_drop").to_string(),
-            counter_sum(hard, "adv.blackhole_drop").to_string(),
-            counter_sum(hard, "defense.suspected").to_string(),
-            counter_sum(hard, "defense.watch_fired").to_string(),
-            counter_sum(hard, "defense.rerouted").to_string(),
+            plain.counter_sum("adv.blackhole_drop").to_string(),
+            hard.counter_sum("adv.blackhole_drop").to_string(),
+            hard.counter_sum("defense.suspected").to_string(),
+            hard.counter_sum("defense.watch_fired").to_string(),
+            hard.counter_sum("defense.rerouted").to_string(),
         ]);
         eprintln!(
             "  fraction={fraction:.2} done ({}/{}): plain {:.3}, hardened {:.3}",

@@ -19,14 +19,9 @@
 //! Like every sweep, results are bit-identical at any `AGR_JOBS`.
 
 use agr_bench::runner::{env_list, node_counts};
-use agr_bench::{run_matrix, PointResult, ProtocolKind, SweepParams, Table};
+use agr_bench::{run_matrix, ProtocolKind, SweepParams, Table};
 use agr_core::agfw::AgfwConfig;
 use agr_sim::FaultPlan;
-
-/// Sum of a named counter across a point's per-seed stats.
-fn counter_sum(point: &PointResult, name: &str) -> u64 {
-    point.stats.iter().map(|s| s.counter(name)).sum()
-}
 
 fn main() {
     let base = SweepParams::from_env();
@@ -70,9 +65,9 @@ fn main() {
             format!("{:.3}", noack.delivery_fraction),
             format!("{:.3}", ack.delivery_stddev()),
             format!("{:.3}", noack.delivery_stddev()),
-            counter_sum(ack, "fault.drop.uniform").to_string(),
-            counter_sum(ack, "agfw.retransmit").to_string(),
-            counter_sum(ack, "agfw.ack_recovered").to_string(),
+            ack.counter_sum("fault.drop.uniform").to_string(),
+            ack.counter_sum("agfw.retransmit").to_string(),
+            ack.counter_sum("agfw.ack_recovered").to_string(),
         ]);
         eprintln!(
             "  loss={loss:.2} done ({}/{}): ACK {:.3}, noACK {:.3}",

@@ -5,14 +5,16 @@
 //!
 //! | Artifact | Binary | What it reproduces |
 //! |----------|--------|--------------------|
-//! | Figure 1(a) | `fig1a` | delivery fraction vs node count: GPSR-Greedy, AGFW(no ACK), AGFW(ACK) |
-//! | Figure 1(b) | `fig1b` | end-to-end latency vs node count: GPSR-Greedy vs AGFW(ACK) |
+//! | Figure 1(a) + (b) | `fig1` | delivery fraction (a) and end-to-end latency (b) vs node count: GPSR-Greedy, AGFW(no ACK), AGFW(ACK); CSVs and SVGs from one sweep |
 //! | §5.1 crypto claims | `table_crypto` | RSA-512 trapdoor size and timings |
 //! | §4 ring overhead | `table_ring` | hello bytes and sign/verify cost vs ring size |
 //! | §3.3 ALS overhead | `table_als` | DLM vs ALS vs ALS-no-index message costs |
+//! | §5 ALS prediction | `table_als_net` | oracle vs live networked ALS: delivery, latency, control overhead |
 //! | §3.1.1 ablation | `ablate_pseudonym` | naive vs freshness-aware selection × rotation rate |
+//! | §3.1.1 refinement | `ablate_predictive` | velocity-predictive ANT across hello intervals |
 //! | §6 extension | `ablate_perimeter` | greedy-only vs perimeter recovery at low density |
 //! | §4 quantified | `privacy_eval` | identity–location exposure and tracking, GPSR vs AGFW |
+//! | §2 local sniffers | `privacy_sniffers` | exposure and tracking vs sniffer coverage, GPSR vs AGFW |
 //! | §3.2 reliability | `fault_sweep` | delivery vs injected per-link loss, NL-ACK on vs off |
 //! | threat-model extension | `adversary_sweep` | delivery vs blackhole fraction, defenses on vs off |
 //!

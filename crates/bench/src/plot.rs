@@ -1,13 +1,14 @@
 //! Dependency-free SVG line charts for the reproduced figures.
 //!
-//! The experiment binaries emit CSVs; [`LineChart`] turns them into
-//! self-contained SVG files so the repository ships visual counterparts
-//! of the paper's Figure 1 panels (`cargo run -p agr-bench --bin
-//! plot_figs`).
+//! [`LineChart`] turns columns of a result [`Table`] into a
+//! self-contained SVG file, so the repository ships visual counterparts
+//! of the paper's Figure 1 panels next to their CSVs (`cargo run -p
+//! agr-bench --bin fig1`).
 
+use crate::report::{results_file, Table};
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Colour palette for up to six series.
 const COLORS: [&str; 6] = [
@@ -69,6 +70,31 @@ impl LineChart {
     #[must_use]
     pub fn with_series(mut self, series: Series) -> Self {
         self.series.push(series);
+        self
+    }
+
+    /// Adds one series per column of `table` named in `columns`, plotted
+    /// against column `x`, with the numbers as the table prints them
+    /// (parsed back from its cells), so the chart and the CSV cannot
+    /// disagree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named column is missing or not numeric.
+    #[must_use]
+    pub fn with_columns(mut self, table: &Table, x: &str, columns: &[&str]) -> Self {
+        let x = table
+            .column(x)
+            .unwrap_or_else(|| panic!("no numeric column '{x}'"));
+        for &name in columns {
+            let y = table
+                .column(name)
+                .unwrap_or_else(|| panic!("no numeric column '{name}'"));
+            self.series.push(Series {
+                name: name.to_string(),
+                points: x.iter().copied().zip(y).collect(),
+            });
+        }
         self
     }
 
@@ -214,15 +240,15 @@ impl LineChart {
         svg
     }
 
-    /// Writes the SVG under `results/<name>.svg` and returns the path.
+    /// Writes the SVG next to the CSVs: `results/<name>.svg`, or under
+    /// `AGR_RESULTS_DIR` when set (see [`Table::save_csv`]). Returns the
+    /// path.
     ///
     /// # Panics
     ///
     /// Panics on I/O errors.
     pub fn save_svg(&self, name: &str) -> PathBuf {
-        let dir = Path::new("results");
-        fs::create_dir_all(dir).expect("create results dir");
-        let path = dir.join(format!("{name}.svg"));
+        let path = results_file(&format!("{name}.svg"));
         fs::write(&path, self.to_svg()).expect("write svg");
         path
     }
@@ -304,6 +330,38 @@ mod tests {
             })
             .to_svg();
         assert!(svg.contains("a&lt;b &amp; c&gt;"));
+    }
+
+    #[test]
+    fn columns_chart_the_printed_numbers() {
+        let mut table = Table::new(vec!["nodes", "a", "b"]);
+        table.row(vec!["50".into(), format!("{:.3}", 0.91234), "0.5".into()]);
+        table.row(vec!["75".into(), "0.8".into(), "0.4".into()]);
+        let chart = LineChart::new("t", "x", "y").with_columns(&table, "nodes", &["a"]);
+        assert_eq!(
+            chart.series,
+            vec![Series {
+                name: "a".into(),
+                points: vec![(50.0, 0.912), (75.0, 0.8)],
+            }]
+        );
+    }
+
+    /// Both writers resolve one results directory, so a smoke run with
+    /// `AGR_RESULTS_DIR` set cannot touch the checked-in figures. The
+    /// only test in this crate that sets the variable.
+    #[test]
+    fn svg_and_csv_land_in_agr_results_dir() {
+        let dir = std::env::temp_dir().join(format!("agr-results-dir-{}", std::process::id()));
+        std::env::set_var("AGR_RESULTS_DIR", &dir);
+        let svg = demo_chart().save_svg("chart");
+        let csv = Table::new(vec!["x"]).save_csv("table");
+        std::env::remove_var("AGR_RESULTS_DIR");
+        assert_eq!(svg, dir.join("chart.svg"));
+        assert_eq!(csv, dir.join("table.csv"));
+        assert_eq!(fs::read_to_string(&svg).unwrap(), demo_chart().to_svg());
+        assert_eq!(fs::read_to_string(&csv).unwrap(), "x\n");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

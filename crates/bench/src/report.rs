@@ -85,23 +85,43 @@ impl Table {
         out
     }
 
-    /// Writes the CSV under `results/<name>.csv` (creating the directory)
-    /// and returns the path. `AGR_RESULTS_DIR` overrides the directory, so
-    /// smoke runs (CI, `scripts/check.sh`) can write somewhere disposable
-    /// instead of clobbering the checked-in full-settings tables.
+    /// The numbers in the column headed `header`, parsed back from their
+    /// cells: what a reader of the CSV sees, not the unrounded values the
+    /// cells were formatted from. `None` if there is no such column or a
+    /// cell is not a number.
+    #[must_use]
+    pub(crate) fn column(&self, header: &str) -> Option<Vec<f64>> {
+        let i = self.headers.iter().position(|h| h == header)?;
+        self.rows.iter().map(|row| row[i].parse().ok()).collect()
+    }
+
+    /// Writes the CSV to `results/<name>.csv`, or under `AGR_RESULTS_DIR`
+    /// when set, and returns the path.
     ///
     /// # Panics
     ///
     /// Panics on I/O errors — these binaries exist to produce the file.
     pub fn save_csv(&self, name: &str) -> PathBuf {
-        let dir = std::env::var_os("AGR_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results"));
-        fs::create_dir_all(&dir).expect("create results dir");
-        let path = dir.join(format!("{name}.csv"));
+        let path = results_file(&format!("{name}.csv"));
         fs::write(&path, self.to_csv()).expect("write csv");
         path
     }
+}
+
+/// The path of `file` in the results directory, which this creates:
+/// `results/`, or `AGR_RESULTS_DIR` when set, so smoke runs (CI,
+/// `scripts/check.sh`) can write somewhere disposable instead of
+/// clobbering the checked-in full-settings tables and figures.
+///
+/// # Panics
+///
+/// Panics if the directory cannot be created.
+#[must_use]
+pub(crate) fn results_file(file: &str) -> PathBuf {
+    let dir =
+        std::env::var_os("AGR_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from);
+    fs::create_dir_all(&dir).expect("create results dir");
+    dir.join(file)
 }
 
 impl std::fmt::Display for Table {
@@ -160,6 +180,18 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
+    }
+
+    #[test]
+    fn column_reads_back_the_printed_numbers() {
+        let mut t = Table::new(vec!["nodes", "delivery"]);
+        t.row(vec!["50".into(), format!("{:.3}", 0.98765)]);
+        t.row(vec!["75".into(), "0.5".into()]);
+        assert_eq!(t.column("nodes"), Some(vec![50.0, 75.0]));
+        assert_eq!(t.column("delivery"), Some(vec![0.988, 0.5]));
+        assert_eq!(t.column("latency"), None);
+        t.row(vec!["100".into(), "n/a".into()]);
+        assert_eq!(t.column("delivery"), None);
     }
 
     #[test]

@@ -220,6 +220,22 @@ impl PointResult {
     pub fn latency_stddev(&self) -> f64 {
         stddev(&self.per_seed_latency_ms)
     }
+
+    /// Sum of the named counter across the per-seed stats.
+    #[must_use]
+    pub fn counter_sum(&self, name: &str) -> u64 {
+        self.stats.iter().map(|s| s.counter(name)).sum()
+    }
+
+    /// Mean AGFW retransmissions per data packet across the seeds.
+    #[must_use]
+    pub fn retx_per_pkt(&self) -> f64 {
+        self.stats
+            .iter()
+            .map(|s| s.counter("agfw.retransmit") as f64 / s.data_sent.max(1) as f64)
+            .sum::<f64>()
+            / self.stats.len() as f64
+    }
 }
 
 fn stddev(xs: &[f64]) -> f64 {
@@ -557,11 +573,7 @@ mod tests {
             noack.delivery_fraction
         );
         // Retransmission did the work: recoveries were recorded.
-        let recovered: u64 = ack
-            .stats
-            .iter()
-            .map(|s| s.counter("agfw.ack_recovered"))
-            .sum();
+        let recovered = ack.counter_sum("agfw.ack_recovered");
         assert!(recovered > 0, "no hop ever needed a retransmission");
     }
 

@@ -30,6 +30,7 @@ use crate::packet::{
     AckRef, AgfwData, AgfwMode, AgfwPacket, AlsNetKind, AlsNetMessage, AlsPair, TrapdoorWire,
 };
 use crate::pseudonym::{Pseudonym, PseudonymGenerator};
+use crate::{FixedMap, FixedSet};
 use agr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use agr_crypto::trapdoor::Trapdoor;
 use agr_geom::planar;
@@ -37,7 +38,7 @@ use agr_sim::{
     AdversaryRole, Ctx, FlowTag, MacAddr, MacOutcome, NodeId, Protocol, SimConfig, SimTime,
 };
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How trapdoor cryptography is realised.
@@ -358,13 +359,14 @@ struct AlsState {
     ssa: ServerSelection,
     /// Server role: records stored per cell while this node sits in (or
     /// is the surrogate for) that cell. Records are handed off when the
-    /// node leaves the cell.
-    servers: HashMap<agr_geom::CellId, AlsServer>,
+    /// node leaves the cell. Ordered, because the handoff loop draws
+    /// message uids from the node's RNG as it walks the cells.
+    servers: BTreeMap<agr_geom::CellId, AlsServer>,
     /// Requester role: decrypted locations, with their retrieval time.
-    loc_cache: HashMap<NodeId, (agr_geom::Point, SimTime)>,
-    pending_queries: HashMap<NodeId, PendingQuery>,
+    loc_cache: FixedMap<NodeId, (agr_geom::Point, SimTime)>,
+    pending_queries: FixedMap<NodeId, PendingQuery>,
     /// Duplicate suppression for geo-routed service messages.
-    seen: HashMap<u64, SimTime>,
+    seen: FixedMap<u64, SimTime>,
     /// Who might query this node — "the updating node has to identify
     /// all its possible senders" (§3.3, the paper's stated limitation).
     anticipated: Vec<NodeId>,
@@ -384,31 +386,31 @@ pub struct Agfw {
     keys: Option<Arc<RsaKeyPair>>,
     directory: Option<Arc<KeyDirectory>>,
     aant: Option<Aant>,
-    pending_ops: HashMap<u64, PendingOp>,
+    pending_ops: FixedMap<u64, PendingOp>,
     next_op: u64,
-    pending_acks: HashMap<u64, PendingAck>,
+    pending_acks: FixedMap<u64, PendingAck>,
     /// Packets this node has taken responsibility for (forwarded and/or
     /// delivered), for duplicate suppression and re-ACKing.
-    handled: HashMap<u64, HandledState>,
+    handled: FixedMap<u64, HandledState>,
     ack_backlog: Vec<AckRef>,
     ack_flush_scheduled: bool,
     als: Option<AlsState>,
     /// Forward-watch state: ACKed hops awaiting an overheard onward
     /// transmission (empty unless the defense is enabled).
-    watched: HashMap<u64, WatchedHop>,
+    watched: FixedMap<u64, WatchedHop>,
     /// uids of our own in-flight packets whose onward copy we already
     /// overheard. The hop ACK normally *follows* (or rides on) that
     /// copy, so without this record every honestly-forwarded hop would
     /// arm a watch no later event could clear (empty unless the defense
     /// is enabled).
-    forward_seen: HashSet<u64>,
+    forward_seen: FixedSet<u64>,
     /// Real-mode trapdoors this node already failed to open. A trapdoor
     /// is bound to one destination key, so a failed open can never
     /// succeed later at the same node — retransmissions and repeated
     /// last-attempt broadcasts of the same packet skip the RSA decrypt
     /// (the modelled *time* cost is still charged; see
     /// [`Agfw::trapdoor_opens`]). Always empty in Modeled mode.
-    trapdoor_misses: HashSet<Trapdoor>,
+    trapdoor_misses: FixedSet<Trapdoor>,
 }
 
 impl Agfw {
@@ -502,10 +504,10 @@ impl Agfw {
                 anticipated.retain(|&s| s != id);
                 Some(AlsState {
                     ssa: ServerSelection::new(sim.area, ALS_CELL_SIZE),
-                    servers: HashMap::new(),
-                    loc_cache: HashMap::new(),
-                    pending_queries: HashMap::new(),
-                    seen: HashMap::new(),
+                    servers: BTreeMap::new(),
+                    loc_cache: FixedMap::default(),
+                    pending_queries: FixedMap::default(),
+                    seen: FixedMap::default(),
                     anticipated,
                 })
             }
@@ -520,16 +522,16 @@ impl Agfw {
             keys,
             directory,
             aant,
-            pending_ops: HashMap::new(),
+            pending_ops: FixedMap::default(),
             next_op: 0,
-            pending_acks: HashMap::new(),
-            handled: HashMap::new(),
+            pending_acks: FixedMap::default(),
+            handled: FixedMap::default(),
             ack_backlog: Vec::new(),
             ack_flush_scheduled: false,
             als,
-            watched: HashMap::new(),
-            forward_seen: HashSet::new(),
-            trapdoor_misses: HashSet::new(),
+            watched: FixedMap::default(),
+            forward_seen: FixedSet::default(),
+            trapdoor_misses: FixedSet::default(),
         }
     }
 

@@ -12,9 +12,9 @@
 //! can be ablated.
 
 use crate::pseudonym::Pseudonym;
+use crate::FixedMap;
 use agr_geom::{planar, Point, Vec2};
 use agr_sim::SimTime;
-use std::collections::HashMap;
 
 /// Next-hop selection strategy over the ANT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,7 +81,7 @@ impl AntEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnonymousNeighborTable {
-    entries: HashMap<Pseudonym, AntEntry>,
+    entries: FixedMap<Pseudonym, AntEntry>,
     timeout: SimTime,
     fresh_window: SimTime,
     /// Per-pseudonym-slot suspicion score, fed by NL-ACK outcomes and the
@@ -90,10 +90,10 @@ pub struct AnonymousNeighborTable {
     /// re-heard under the same pseudonym, and are garbage-collected in
     /// [`Self::prune`] once the slot's entry has expired (rotated-away
     /// pseudonyms never return).
-    suspicion: HashMap<Pseudonym, f64>,
+    suspicion: FixedMap<Pseudonym, f64>,
     /// Replay/duplicate dedup window: the newest accepted hello timestamp
     /// per pseudonym slot (bounded — pruned with the entries).
-    hello_ts: HashMap<Pseudonym, SimTime>,
+    hello_ts: FixedMap<Pseudonym, SimTime>,
 }
 
 impl AnonymousNeighborTable {
@@ -103,11 +103,11 @@ impl AnonymousNeighborTable {
     #[must_use]
     pub fn new(timeout: SimTime, fresh_window: SimTime) -> Self {
         AnonymousNeighborTable {
-            entries: HashMap::new(),
+            entries: FixedMap::default(),
             timeout,
             fresh_window,
-            suspicion: HashMap::new(),
-            hello_ts: HashMap::new(),
+            suspicion: FixedMap::default(),
+            hello_ts: FixedMap::default(),
         }
     }
 

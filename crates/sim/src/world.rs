@@ -32,6 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -184,7 +185,7 @@ pub(crate) struct Inner<PKT> {
     /// Per-receiver loss-channel state, keyed by transmitter: one
     /// [`LinkChannel`] per *directed* link, created lazily on first use.
     /// Empty unless the plan has a loss model.
-    links: Vec<HashMap<usize, LinkChannel>>,
+    links: Vec<HashMap<usize, LinkChannel, BuildHasherDefault<DefaultHasher>>>,
     /// Radio-up flag per node; churn events toggle it.
     node_up: Vec<bool>,
     /// Bumped on every churn recovery; deliveries compare against it to
@@ -270,7 +271,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         let links = if config.fault.loss.is_none() {
             Vec::new()
         } else {
-            (0..n).map(|_| HashMap::new()).collect()
+            (0..n).map(|_| HashMap::default()).collect()
         };
         let beacon_fixes = if config.fault.stale.is_none() {
             Vec::new()

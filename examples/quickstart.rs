@@ -62,6 +62,6 @@ fn main() {
     );
     println!(
         "No packet carried a sender identity, a receiver identity, or a MAC address.\n\
-         Reproduce the full Figure 1: cargo run --release -p agr-bench --bin fig1a"
+         Reproduce the full Figure 1: cargo run --release -p agr-bench --bin fig1"
     );
 }
