@@ -16,9 +16,6 @@
 //! * `pseudonym_change` — AGFW only: a hello whose pseudonym differs
 //!   from the same transmitter's previous hello. This is the on-air view
 //!   of §3.1.1 rotation, exactly what a tracking adversary sees.
-//!
-//! The schema also defines `drop`/`deliver`/`suspicion` for other
-//! producers; the on-air observers cannot see those events.
 
 use crate::runner::{paper_config, ProtocolKind, SweepParams};
 use agr_core::agfw::Agfw;
@@ -30,10 +27,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Trace-ring capacity for observed runs: enough tail to see what was
-/// on the air before a failure without holding the whole run.
-const TRACE_CAPACITY: usize = 4096;
 
 /// The common frame-to-event mapping shared by both protocols.
 fn push_frame_event(
@@ -163,10 +156,6 @@ pub struct ObservedRun {
     pub events: Vec<VizEvent>,
     /// The telemetry registry the frames were folded into.
     pub registry: Arc<Registry>,
-    /// The retained tail of the sim-time trace ring, as JSONL.
-    pub trace_jsonl: String,
-    /// Total trace records pushed (including evicted ones).
-    pub trace_pushed: u64,
 }
 
 impl ObservedRun {
@@ -232,7 +221,7 @@ where
     P: Protocol,
     V: FrameObserver<P::Packet> + 'static,
 {
-    let telemetry = Rc::new(RefCell::new(TelemetryObserver::new(TRACE_CAPACITY)));
+    let telemetry = Rc::new(RefCell::new(TelemetryObserver::new()));
     let viz = Rc::new(RefCell::new(viz));
     world.attach_observer(Box::new(Rc::clone(&telemetry)));
     world.attach_observer(Box::new(Rc::clone(&viz)));
@@ -250,8 +239,6 @@ where
         stats,
         events,
         registry: Arc::clone(telemetry.registry()),
-        trace_jsonl: telemetry.trace().to_jsonl(),
-        trace_pushed: telemetry.trace().total_pushed(),
     }
 }
 
@@ -294,8 +281,6 @@ mod tests {
         // The telemetry registry saw the same frames the viz stream did.
         let snap = run.registry.snapshot();
         assert!(snap.counter("sim.frames.total").unwrap_or(0) > 0);
-        assert!(run.trace_pushed > 0);
-        assert!(!run.trace_jsonl.is_empty());
     }
 
     #[test]

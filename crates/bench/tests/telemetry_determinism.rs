@@ -1,4 +1,4 @@
-//! Telemetry is observation-only: attaching the metric/trace observer
+//! Telemetry is observation-only: attaching the metric observer
 //! and the viz-event collector to a run must leave its outcome
 //! byte-identical. Pinned two ways:
 //!
@@ -138,9 +138,6 @@ fn observed_stream_is_schema_valid_and_consistent() {
         "default AGFW rotates pseudonyms; the on-air observer must see it"
     );
     assert!(snap.counter("sim.frames.total").unwrap_or(0) >= data_frames);
-    // The trace ring saw the same run (bounded, so ≤ its capacity).
-    assert!(run.trace_pushed >= snap.counter("sim.frames.total").unwrap_or(0));
-    assert!(!run.trace_jsonl.is_empty());
     // The JSONL rendering of the whole stream validates line by line.
     for line in run.events_jsonl().lines() {
         validate_jsonl_line(line).expect("rendered stream must validate");

@@ -1,17 +1,14 @@
-//! Telemetry observers: streaming frame consumers that fold the on-air
-//! trace into an [`agr_telemetry::Registry`] and a sim-time
-//! [`agr_telemetry::TraceRing`].
+//! The telemetry observer: a streaming frame consumer that folds the
+//! on-air trace into an [`agr_telemetry::Registry`].
 //!
-//! Both observers are **observation-only**: they read the
-//! [`FrameRecord`] handed to every [`FrameObserver`], draw no
-//! randomness, and touch no simulator state, so attaching them leaves a
-//! run byte-identical to a bare one (pinned by the bench crate's
-//! `telemetry_determinism` tests against the adversary-acceptance
-//! goldens).
+//! It is **observation-only**: it reads the [`FrameRecord`] handed to
+//! every [`FrameObserver`], draws no randomness, and touches no
+//! simulator state, so attaching it leaves a run byte-identical to a
+//! bare one (pinned by the bench crate's `telemetry_determinism` tests
+//! against the adversary-acceptance goldens).
 //!
 //! Attach with [`crate::World::attach_observer`], keeping a clone of the
-//! `Rc<RefCell<_>>` to read the accumulated registry and trace after the
-//! run:
+//! `Rc<RefCell<_>>` to read the accumulated registry after the run:
 //!
 //! ```
 //! use agr_sim::{SimConfig, SimTime, TelemetryObserver, World};
@@ -38,7 +35,7 @@
 //! config.num_nodes = 4;
 //! config.duration = SimTime::from_secs(5);
 //! let mut world = World::new(config, |_, _, _| Idle);
-//! let telemetry = Rc::new(RefCell::new(TelemetryObserver::new(1024)));
+//! let telemetry = Rc::new(RefCell::new(TelemetryObserver::new()));
 //! world.attach_observer(Box::new(Rc::clone(&telemetry)));
 //! let _stats = world.run();
 //! let snapshot = telemetry.borrow().registry().snapshot();
@@ -46,7 +43,7 @@
 //! ```
 
 use crate::world::{FrameObserver, FrameRecord, FrameType};
-use agr_telemetry::{Registry, TraceRing};
+use agr_telemetry::Registry;
 use std::sync::Arc;
 
 /// Metric name for one frame type.
@@ -59,54 +56,28 @@ fn frame_counter(frame_type: FrameType) -> &'static str {
     }
 }
 
-/// Short label for trace messages.
-fn frame_label(frame_type: FrameType) -> &'static str {
-    match frame_type {
-        FrameType::Rts => "rts",
-        FrameType::Cts => "cts",
-        FrameType::Ack => "ack",
-        FrameType::Data => "data",
-    }
-}
-
-/// Folds every transmitted frame into a metric registry and a bounded
-/// sim-time trace ring.
+/// Folds every transmitted frame into a metric registry.
 ///
 /// Counters: `sim.frames.total` plus one `sim.frames.{rts,cts,ack,data}`
 /// per frame type, and a `sim.frame_gap_nanos` histogram of inter-frame
-/// gaps in sim time (a cheap picture of channel utilisation). The trace
-/// ring records the most recent frames as point events keyed to
-/// `SimTime::as_nanos()`, so a postmortem dump shows what was on the air
-/// just before the interesting moment.
-#[derive(Debug)]
+/// gaps in sim time (a cheap picture of channel utilisation).
+#[derive(Debug, Default)]
 pub struct TelemetryObserver {
     registry: Arc<Registry>,
-    ring: TraceRing,
     last_t_nanos: Option<u64>,
 }
 
 impl TelemetryObserver {
-    /// Creates an observer whose trace ring retains `trace_capacity`
-    /// records (min 1).
+    /// Creates an observer with an empty registry.
     #[must_use]
-    pub fn new(trace_capacity: usize) -> TelemetryObserver {
-        TelemetryObserver {
-            registry: Registry::new(),
-            ring: TraceRing::new(trace_capacity),
-            last_t_nanos: None,
-        }
+    pub fn new() -> TelemetryObserver {
+        TelemetryObserver::default()
     }
 
     /// The registry frames are folded into.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// The sim-time trace ring (most recent frames, bounded).
-    #[must_use]
-    pub fn trace(&self) -> &TraceRing {
-        &self.ring
     }
 
     /// Folds one frame record (also the [`FrameObserver`] entry point).
@@ -120,11 +91,6 @@ impl TelemetryObserver {
                 .record(t.saturating_sub(last));
         }
         self.last_t_nanos = Some(t);
-        self.ring.event(
-            t,
-            "sim.frame",
-            format!("{} {}", frame_label(frame.frame_type), frame.tx_node),
-        );
     }
 }
 
@@ -155,30 +121,19 @@ mod tests {
 
     #[test]
     fn frames_fold_into_counters_and_trace() {
-        let mut obs = TelemetryObserver::new(8);
+        let mut obs = TelemetryObserver::new();
         obs.observe(&frame(1, 0, FrameType::Data));
         obs.observe(&frame(2, 1, FrameType::Ack));
         obs.observe(&frame(4, 0, FrameType::Data));
-        let snap = obs.registry().snapshot();
-        assert_eq!(snap.counter("sim.frames.total"), Some(3));
-        assert_eq!(snap.counter("sim.frames.data"), Some(2));
-        assert_eq!(snap.counter("sim.frames.ack"), Some(1));
-        // Two gaps were recorded: 1 ms and 2 ms.
-        assert_eq!(obs.registry().histogram("sim.frame_gap_nanos").count(), 2);
-        let messages: Vec<String> = obs.trace().events().map(|e| e.message.clone()).collect();
-        assert_eq!(messages, vec!["data n0", "ack n1", "data n0"]);
-        assert_eq!(obs.trace().events().next().unwrap().t_nanos, 1_000_000);
-    }
-
-    #[test]
-    fn trace_ring_stays_bounded() {
-        let mut obs = TelemetryObserver::new(2);
-        for i in 0..10 {
+        for i in 5..15 {
             obs.observe(&frame(i, 0, FrameType::Rts));
         }
-        assert_eq!(obs.trace().events().count(), 2);
-        assert_eq!(obs.trace().total_pushed(), 10);
         let snap = obs.registry().snapshot();
+        assert_eq!(snap.counter("sim.frames.total"), Some(13));
+        assert_eq!(snap.counter("sim.frames.data"), Some(2));
+        assert_eq!(snap.counter("sim.frames.ack"), Some(1));
         assert_eq!(snap.counter("sim.frames.rts"), Some(10));
+        // One gap per frame after the first.
+        assert_eq!(obs.registry().histogram("sim.frame_gap_nanos").count(), 12);
     }
 }

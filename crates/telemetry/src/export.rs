@@ -1,5 +1,7 @@
 //! Snapshot exporters: stamped JSON (with a round-trip parser) and
-//! Prometheus text exposition format v0.
+//! Prometheus text exposition format v0. The parser's reader is the
+//! crate's only JSON reader; [`crate::viz::validate_jsonl_line`] uses
+//! it too.
 //!
 //! The JSON is hand-rolled like the bench bins' result files — no
 //! serde anywhere in the workspace — and is versioned so a
@@ -101,14 +103,15 @@ pub fn snapshot_to_json(snap: &Snapshot, meta: &[(&str, &str)]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON reader — just enough to round-trip the exporter's own
-// output (and reject anything else), keeping the workspace serde-free.
+// Minimal JSON reader — just enough to read the exporter's own output
+// and the viz stream's lines (and reject anything else), keeping the
+// workspace serde-free.
 // ---------------------------------------------------------------------
 
-/// A parsed JSON value (subset: no floats, no bools/null — the snapshot
-/// format emits none).
+/// A parsed JSON value (subset: no exponents, no bools/null — neither
+/// format emits them).
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub(crate) enum Json {
     Str(String),
     /// Integers carry their sign separately so u64 counters above
     /// `i64::MAX` survive.
@@ -116,8 +119,22 @@ enum Json {
         neg: bool,
         mag: u64,
     },
+    /// A number with a fraction part (the viz stream's `x`/`y`).
+    Frac(f64),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
+}
+
+/// Parses one complete JSON document: a single value, with nothing but
+/// whitespace after it.
+pub(crate) fn parse_document(text: &str) -> Result<Json, String> {
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.skip_ws();
+    if reader.pos < reader.bytes.len() {
+        return Err(format!("trailing input at byte {}", reader.pos));
+    }
+    Ok(value)
 }
 
 struct Reader<'a> {
@@ -231,22 +248,40 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let neg = self.bytes.get(self.pos) == Some(&b'-');
-        if neg {
-            self.pos += 1;
-        }
+    /// Advances past a run of ASCII digits, returning how many.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
         while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
             self.pos += 1;
         }
-        if self.pos == start {
+        self.pos - start
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        let sign = self.pos;
+        let neg = self.bytes.get(self.pos) == Some(&b'-');
+        if neg {
+            self.pos += 1;
+        }
+        if self.digits() == 0 {
             return Err("empty number".to_string());
         }
-        let digits =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        let mag: u64 = digits.parse().map_err(|_| format!("bad number {digits}"))?;
+        let int_end = self.pos;
+        if self.bytes.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err("empty fraction".to_string());
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[sign..self.pos]).map_err(|e| e.to_string())?;
+        if self.pos > int_end {
+            let v: f64 = text.parse().map_err(|_| format!("bad number {text}"))?;
+            return Ok(Json::Frac(v));
+        }
+        let mag: u64 = text[usize::from(neg)..]
+            .parse()
+            .map_err(|_| format!("bad number {text}"))?;
         Ok(Json::Num { neg, mag })
     }
 
@@ -298,7 +333,7 @@ fn obj_get<'j>(fields: &'j [(String, Json)], key: &str) -> Option<&'j Json> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn as_u64(v: &Json) -> Result<u64, String> {
+pub(crate) fn as_u64(v: &Json) -> Result<u64, String> {
     match v {
         Json::Num { neg: false, mag } => Ok(*mag),
         other => Err(format!("expected unsigned number, got {other:?}")),
@@ -325,9 +360,7 @@ fn as_i64(v: &Json) -> Result<i64, String> {
 ///
 /// Returns a description of the first malformed construct.
 pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
-    let mut reader = Reader::new(text);
-    let doc = reader.value()?;
-    let Json::Obj(fields) = doc else {
+    let Json::Obj(fields) = parse_document(text)? else {
         return Err("top level must be an object".to_string());
     };
     match obj_get(&fields, "format") {
@@ -559,6 +592,9 @@ mod tests {
         assert!(snapshot_from_json("{\"format\": \"other\", \"metrics\": []}").is_err());
         assert!(snapshot_from_json("[1, 2]").is_err());
         assert!(snapshot_from_json("{").is_err());
+        let json = snapshot_to_json(&sample_snapshot(), &[]);
+        assert!(snapshot_from_json(&format!("{json} trailing garbage")).is_err());
+        assert!(snapshot_from_json(&format!("{json}\n")).is_ok());
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! ```
 //!
 //! * `t_ns` — sim time in nanoseconds (u64).
-//! * `kind` — one of `tx`, `rx`, `drop`, `deliver`, `suspicion`,
-//!   `pseudonym_change`.
+//! * `kind` — one of `tx`, `rx`, `pseudonym_change` (the kinds an
+//!   on-air observer emits).
 //! * `node` — originating node id (u64; absent for world-level events).
 //! * `x`, `y` — position in meters at event time (absent when unknown).
-//! * `info` — free-form detail string (frame type, cause, ...).
+//! * `info` — free-form detail string (packet kind, new pseudonym).
 //!
 //! Producers build [`VizEvent`]s and render with
 //! [`VizEvent::to_json_line`]; consumers (and the smoke) check lines
 //! with [`validate_jsonl_line`].
 
-use crate::export::json_string;
+use crate::export::{as_u64, json_string, parse_document, Json};
 use std::fmt::Write as _;
 
 /// Event categories the replay page understands.
@@ -29,12 +29,6 @@ pub enum VizEventKind {
     Tx,
     /// A frame arrived at a radio.
     Rx,
-    /// A frame (or packet) was dropped.
-    Drop,
-    /// A data packet reached its destination.
-    Deliver,
-    /// An adversary (or trust layer) flagged a node.
-    Suspicion,
     /// A node rotated its pseudonym.
     PseudonymChange,
 }
@@ -46,9 +40,6 @@ impl VizEventKind {
         match self {
             VizEventKind::Tx => "tx",
             VizEventKind::Rx => "rx",
-            VizEventKind::Drop => "drop",
-            VizEventKind::Deliver => "deliver",
-            VizEventKind::Suspicion => "suspicion",
             VizEventKind::PseudonymChange => "pseudonym_change",
         }
     }
@@ -59,9 +50,6 @@ impl VizEventKind {
         Some(match s {
             "tx" => VizEventKind::Tx,
             "rx" => VizEventKind::Rx,
-            "drop" => VizEventKind::Drop,
-            "deliver" => VizEventKind::Deliver,
-            "suspicion" => VizEventKind::Suspicion,
             "pseudonym_change" => VizEventKind::PseudonymChange,
             _ => return None,
         })
@@ -79,7 +67,7 @@ pub struct VizEvent {
     pub node: Option<u64>,
     /// Position in meters at event time, if known.
     pub pos: Option<(f64, f64)>,
-    /// Free-form detail (frame type, drop cause, ...).
+    /// Free-form detail (packet kind, new pseudonym).
     pub info: String,
 }
 
@@ -108,126 +96,53 @@ impl VizEvent {
     }
 }
 
-/// Validates one JSONL line against the schema: must be a JSON object
-/// with a `t_ns` unsigned integer, a known `kind`, and — when present —
-/// numeric `node`/`x`/`y` and a string `info`.
+/// Validates one JSONL line against the schema: must be one JSON
+/// object with a `t_ns` unsigned integer, a known `kind`, and — when
+/// present — an unsigned integer `node`, numeric `x`/`y` (together) and
+/// a string `info`; no other fields, and nothing after the object.
 ///
 /// # Errors
 ///
 /// Returns a description of the first schema violation.
 pub fn validate_jsonl_line(line: &str) -> Result<VizEventKind, String> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|l| l.strip_suffix('}'))
-        .ok_or("line is not a JSON object")?;
-    let mut t_ns = None;
-    let mut kind = None;
-    let mut node_seen = false;
-    let mut x_seen = false;
-    let mut y_seen = false;
-    for (key, value) in split_fields(inner)? {
-        match key.as_str() {
-            "t_ns" => {
-                t_ns = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("t_ns not a u64: {value}"))?,
-                );
+    let Json::Obj(fields) = parse_document(line)? else {
+        return Err("line is not a JSON object".to_string());
+    };
+    let (mut t_ns, mut kind, mut x, mut y) = (false, None, false, false);
+    for (key, value) in &fields {
+        match (key.as_str(), value) {
+            ("t_ns" | "node", v) => {
+                as_u64(v).map_err(|e| format!("{key}: {e}"))?;
+                t_ns |= key == "t_ns";
             }
-            "kind" => {
-                let k = value
-                    .strip_prefix('"')
-                    .and_then(|v| v.strip_suffix('"'))
-                    .ok_or("kind must be a string")?;
+            ("kind", Json::Str(k)) => {
                 kind = Some(VizEventKind::parse(k).ok_or_else(|| format!("unknown kind {k:?}"))?);
             }
-            "node" => {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| format!("node not a u64: {value}"))?;
-                node_seen = true;
-            }
-            "x" | "y" => {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("{key} not a number: {value}"))?;
-                if key == "x" {
-                    x_seen = true;
-                } else {
-                    y_seen = true;
-                }
-            }
-            "info" => {
-                if !value.starts_with('"') || !value.ends_with('"') || value.len() < 2 {
-                    return Err("info must be a string".to_string());
-                }
-            }
-            other => return Err(format!("unknown field {other:?}")),
+            ("x", Json::Num { .. } | Json::Frac(_)) => x = true,
+            ("y", Json::Num { .. } | Json::Frac(_)) => y = true,
+            ("info", Json::Str(_)) => {}
+            (key, value) => return Err(format!("bad field {key:?}: {value:?}")),
         }
     }
-    if t_ns.is_none() {
+    if !t_ns {
         return Err("missing t_ns".to_string());
     }
-    if x_seen != y_seen {
+    if x != y {
         return Err("x and y must appear together".to_string());
     }
-    let _ = node_seen;
     kind.ok_or_else(|| "missing kind".to_string())
-}
-
-/// Splits the inside of a flat JSON object into `(key, raw value)`
-/// pairs, respecting string quoting/escapes (values are never nested
-/// objects or arrays in this schema).
-fn split_fields(inner: &str) -> Result<Vec<(String, String)>, String> {
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        let colon_key = rest.strip_prefix('"').ok_or("field keys must be quoted")?;
-        let key_end = colon_key.find('"').ok_or("unterminated key")?;
-        let key = &colon_key[..key_end];
-        let after_key = colon_key[key_end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or("missing colon")?;
-        let after_key = after_key.trim_start();
-        // Find end of value: quoted string (honoring escapes) or a bare
-        // token terminated by an unquoted comma.
-        let (value, tail) = if let Some(s) = after_key.strip_prefix('"') {
-            let mut escaped = false;
-            let mut end = None;
-            for (i, c) in s.char_indices() {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end.ok_or("unterminated string value")?;
-            (format!("\"{}\"", &s[..end]), s[end + 1..].trim_start())
-        } else {
-            match after_key.find(',') {
-                Some(i) => (after_key[..i].trim().to_string(), &after_key[i..]),
-                None => (after_key.trim().to_string(), ""),
-            }
-        };
-        fields.push((key.to_string(), value));
-        rest = tail.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(format!("trailing garbage: {rest:?}"));
-        }
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const KINDS: [VizEventKind; 3] = [
+        VizEventKind::Tx,
+        VizEventKind::Rx,
+        VizEventKind::PseudonymChange,
+    ];
 
     #[test]
     fn render_and_validate_round_trip() {
@@ -246,27 +161,17 @@ mod tests {
     fn minimal_event_validates() {
         let e = VizEvent {
             t_nanos: 0,
-            kind: VizEventKind::Deliver,
+            kind: VizEventKind::Rx,
             node: None,
             pos: None,
             info: String::new(),
         };
-        assert_eq!(
-            validate_jsonl_line(&e.to_json_line()),
-            Ok(VizEventKind::Deliver)
-        );
+        assert_eq!(validate_jsonl_line(&e.to_json_line()), Ok(VizEventKind::Rx));
     }
 
     #[test]
     fn every_kind_round_trips() {
-        for kind in [
-            VizEventKind::Tx,
-            VizEventKind::Rx,
-            VizEventKind::Drop,
-            VizEventKind::Deliver,
-            VizEventKind::Suspicion,
-            VizEventKind::PseudonymChange,
-        ] {
+        for kind in KINDS {
             assert_eq!(VizEventKind::parse(kind.as_str()), Some(kind));
         }
     }
@@ -280,23 +185,68 @@ mod tests {
         );
         assert!(validate_jsonl_line("{\"t_ns\":1}").is_err(), "missing kind");
         assert!(validate_jsonl_line("{\"t_ns\":1,\"kind\":\"warp\"}").is_err());
+        for retired in ["drop", "deliver", "suspicion"] {
+            let line = format!("{{\"t_ns\":1,\"kind\":\"{retired}\"}}");
+            assert!(validate_jsonl_line(&line).is_err(), "{retired}");
+        }
         assert!(validate_jsonl_line("{\"t_ns\":1,\"kind\":\"tx\",\"x\":1.0}").is_err());
         assert!(validate_jsonl_line("{\"t_ns\":-4,\"kind\":\"tx\"}").is_err());
+        assert!(validate_jsonl_line("{\"t_ns\":1.5,\"kind\":\"tx\"}").is_err());
+        assert!(validate_jsonl_line("{\"t_ns\":1,\"kind\":\"tx\",\"node\":-1}").is_err());
+        assert!(validate_jsonl_line("{\"t_ns\":1,\"kind\":\"tx\",\"node\":2.0}").is_err());
         assert!(validate_jsonl_line("{\"t_ns\":1,\"kind\":\"tx\",\"zzz\":3}").is_err());
+        assert!(validate_jsonl_line("{\"t_ns\":1,\"kind\":\"tx\"} trailing").is_err());
     }
 
     #[test]
     fn info_with_quotes_and_commas_survives() {
         let e = VizEvent {
             t_nanos: 5,
-            kind: VizEventKind::Drop,
+            kind: VizEventKind::Tx,
             node: Some(3),
             pos: None,
             info: "cause=\"fault, burst\"".to_string(),
         };
-        assert_eq!(
-            validate_jsonl_line(&e.to_json_line()),
-            Ok(VizEventKind::Drop)
-        );
+        assert_eq!(validate_jsonl_line(&e.to_json_line()), Ok(VizEventKind::Tx));
+    }
+
+    /// Info strings mixing the characters a renderer must escape —
+    /// quotes, backslashes, control characters — with commas and any
+    /// other Unicode scalar value.
+    fn info_string() -> impl Strategy<Value = String> {
+        collection::vec((0u8..5, any::<u32>()), 0..24).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(class, bits)| match class {
+                    0 => '"',
+                    1 => '\\',
+                    2 => ',',
+                    3 => char::from((bits % 0x20) as u8),
+                    _ => char::from_u32(bits % 0x11_0000).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn any_event_renders_a_valid_line(
+            t_nanos in any::<u64>(),
+            kind in (0..KINDS.len()).prop_map(|i| KINDS[i]),
+            node in (any::<bool>(), any::<u64>()).prop_map(|(some, n)| some.then_some(n)),
+            pos in (0u8..3, any::<u64>(), any::<u64>(), -1.0e6..1.0e6f64, -1.0e6..1.0e6f64),
+            info in info_string(),
+        ) {
+            // Whole-range bit patterns (huge, subnormal, negative zero)
+            // and everyday coordinates.
+            let pos = match pos {
+                (0, ..) => None,
+                (1, x, y, ..) => Some((f64::from_bits(x), f64::from_bits(y))),
+                (_, _, _, x, y) => Some((x, y)),
+            };
+            prop_assume!(pos.is_none_or(|(x, y)| x.is_finite() && y.is_finite()));
+            let line = VizEvent { t_nanos, kind, node, pos, info }.to_json_line();
+            prop_assert_eq!(validate_jsonl_line(&line), Ok(kind), "{}", line);
+        }
     }
 }

@@ -90,7 +90,7 @@ cargo run --offline --release -q -p agr-bench --bin simulate -- \
     --protocol agfw --nodes 50 --duration 60 --seed 1 --flows 10 --senders 5 \
     --viz-json "$VIZ_SMOKE" --metrics-json "$METRICS_SMOKE" >/dev/null
 test -s "$VIZ_SMOKE" || { echo "viz smoke: empty event stream" >&2; exit 1; }
-VIZ_RE='^\{"t_ns":[0-9]+,"kind":"(tx|rx|drop|deliver|suspicion|pseudonym_change)"(,"node":[0-9]+)?(,"x":-?[0-9]+\.[0-9]+,"y":-?[0-9]+\.[0-9]+)?(,"info":"([^"\\]|\\.)*")?\}$'
+VIZ_RE='^\{"t_ns":[0-9]+,"kind":"(tx|rx|pseudonym_change)"(,"node":[0-9]+)?(,"x":-?[0-9]+\.[0-9]+,"y":-?[0-9]+\.[0-9]+)?(,"info":"([^"\\]|\\.)*")?\}$'
 if grep -qEv "$VIZ_RE" "$VIZ_SMOKE"; then
     echo "viz smoke: schema-invalid JSONL line(s):" >&2
     grep -Ev "$VIZ_RE" "$VIZ_SMOKE" | head -3 >&2
