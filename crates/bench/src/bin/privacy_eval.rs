@@ -17,18 +17,18 @@ use agr_bench::runner::{jobs, paper_config, par_map, SweepParams};
 use agr_bench::Table;
 use agr_core::agfw::{Agfw, AgfwConfig};
 use agr_gpsr::{Gpsr, GpsrConfig};
-use agr_privacy::exposure::{AgfwExposureObserver, GpsrExposureObserver};
+use agr_privacy::disclosure::Discloses;
+use agr_privacy::exposure::Eavesdropper;
 use agr_privacy::metrics::anonymity_entropy;
 use agr_privacy::tracker::{
-    link_tracks, mean_time_to_confusion, mean_tracking_accuracy, AgfwSightingObserver,
-    GpsrSightingObserver, LinkingParams,
+    link_tracks, mean_time_to_confusion, mean_tracking_accuracy, LinkingParams,
 };
-use agr_sim::{NodeId, SimTime, World};
+use agr_sim::{NodeId, Protocol, SimTime, World};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Post-processed output of one run: the two table rows. Frames are
-/// folded into streaming observers on the worker that produced them;
+/// folded into a streaming eavesdropper on the worker that produced them;
 /// only row strings cross threads.
 struct RunRows {
     exposure: Vec<String>,
@@ -69,10 +69,17 @@ fn main() {
         .flat_map(|&n| [(n, false), (n, true)])
         .collect();
     let rows = par_map(&tasks, jobs(), |&(nodes, is_agfw)| {
+        let config = paper_config(nodes, seed, &params);
         if is_agfw {
-            agfw_rows(nodes, seed, &params)
+            let world = World::new(config, |id, cfg, rng| {
+                Agfw::new(id, AgfwConfig::default(), cfg, rng)
+            });
+            run_rows(world, nodes, is_agfw, &params)
         } else {
-            gpsr_rows(nodes, seed, &params)
+            let world = World::new(config, |_, _, rng| {
+                Gpsr::new(GpsrConfig::greedy_only(), rng)
+            });
+            run_rows(world, nodes, is_agfw, &params)
         }
     });
     for run in rows {
@@ -89,22 +96,21 @@ fn main() {
     eprintln!("saved {} and {}", p1.display(), p2.display());
 }
 
-/// Runs one GPSR scenario with streaming privacy observers attached —
-/// the trace is folded into aggregates on the fly, never materialised.
-fn gpsr_rows(nodes: usize, seed: u64, params: &SweepParams) -> RunRows {
-    let config = paper_config(nodes, seed, params);
-    let exposure_obs = Rc::new(RefCell::new(GpsrExposureObserver::new()));
-    let sighting_obs = Rc::new(RefCell::new(GpsrSightingObserver::new()));
-    let mut world = World::new(config, |_, _, rng| {
-        Gpsr::new(GpsrConfig::greedy_only(), rng)
-    });
-    world.attach_observer(Box::new(Rc::clone(&exposure_obs)));
-    world.attach_observer(Box::new(Rc::clone(&sighting_obs)));
+/// Runs one scenario with a streaming eavesdropper attached — the trace
+/// is folded into aggregates on the fly, never materialised.
+fn run_rows<P>(mut world: World<P>, nodes: usize, is_agfw: bool, params: &SweepParams) -> RunRows
+where
+    P: Protocol,
+    P::Packet: Discloses,
+{
+    let eavesdropper = Rc::new(RefCell::new(Eavesdropper::new()));
+    world.attach_observer(Box::new(Rc::clone(&eavesdropper)));
     world.run();
-    let report = exposure_obs.borrow().report();
+    let eavesdropper = eavesdropper.borrow();
+    let report = eavesdropper.report();
     let exposure = vec![
         nodes.to_string(),
-        "GPSR".into(),
+        if is_agfw { "AGFW" } else { "GPSR" }.into(),
         report.frames_observed.to_string(),
         report.identity_location_doublets.to_string(),
         format!("{:.2}", report.doublets_per_frame()),
@@ -112,64 +118,36 @@ fn gpsr_rows(nodes: usize, seed: u64, params: &SweepParams) -> RunRows {
         report.mac_source_disclosures.to_string(),
         report.pseudonym_sightings.to_string(),
     ];
-    // GPSR tracking is trivially perfect — identities ride on every
-    // beacon — but run the same linker for a like-for-like row.
-    let sighting_obs = sighting_obs.borrow();
-    let sightings = sighting_obs.sightings();
+    let sightings = eavesdropper.sightings();
     let tracks = link_tracks(sightings, &LinkingParams::default());
+    let (protocol, accuracy, ttc) = if is_agfw {
+        // Mean time-to-confusion over all victims.
+        let ttc = (0..nodes as u32)
+            .map(|i| mean_time_to_confusion(&tracks, NodeId(i)).as_secs_f64())
+            .sum::<f64>()
+            / nodes as f64;
+        (
+            "AGFW (pseudonyms)",
+            format!("{:.2}", mean_tracking_accuracy(&tracks)),
+            format!("{ttc:.0}"),
+        )
+    } else {
+        // GPSR tracking is trivially perfect — identities ride on every
+        // beacon — but the same linker runs for a like-for-like row.
+        (
+            "GPSR (ids in clear)",
+            "1.00 (by identity)".into(),
+            format!("{:.0} (whole run)", params.duration.as_secs_f64()),
+        )
+    };
     let (mean_set, entropy) = anonymity_stats(&mut world, nodes);
     let tracking = vec![
         nodes.to_string(),
-        "GPSR (ids in clear)".into(),
+        protocol.into(),
         sightings.len().to_string(),
         tracks.len().to_string(),
-        "1.00 (by identity)".into(),
-        format!("{:.0} (whole run)", params.duration.as_secs_f64()),
-        format!("{mean_set:.1}"),
-        format!("{entropy:.1}"),
-    ];
-    RunRows { exposure, tracking }
-}
-
-/// Runs one AGFW scenario with streaming privacy observers attached.
-fn agfw_rows(nodes: usize, seed: u64, params: &SweepParams) -> RunRows {
-    let config = paper_config(nodes, seed, params);
-    let exposure_obs = Rc::new(RefCell::new(AgfwExposureObserver::new()));
-    let sighting_obs = Rc::new(RefCell::new(AgfwSightingObserver::new()));
-    let mut world = World::new(config, |id, cfg, rng| {
-        Agfw::new(id, AgfwConfig::default(), cfg, rng)
-    });
-    world.attach_observer(Box::new(Rc::clone(&exposure_obs)));
-    world.attach_observer(Box::new(Rc::clone(&sighting_obs)));
-    world.run();
-    let report = exposure_obs.borrow().report();
-    let exposure = vec![
-        nodes.to_string(),
-        "AGFW".into(),
-        report.frames_observed.to_string(),
-        report.identity_location_doublets.to_string(),
-        format!("{:.2}", report.doublets_per_frame()),
-        report.identities_exposed.to_string(),
-        report.mac_source_disclosures.to_string(),
-        report.pseudonym_sightings.to_string(),
-    ];
-    let sighting_obs = sighting_obs.borrow();
-    let sightings = sighting_obs.sightings();
-    let tracks = link_tracks(sightings, &LinkingParams::default());
-    let accuracy = mean_tracking_accuracy(&tracks);
-    // Mean time-to-confusion over all victims.
-    let ttc: f64 = (0..nodes as u32)
-        .map(|i| mean_time_to_confusion(&tracks, NodeId(i)).as_secs_f64())
-        .sum::<f64>()
-        / nodes as f64;
-    let (mean_set, entropy) = anonymity_stats(&mut world, nodes);
-    let tracking = vec![
-        nodes.to_string(),
-        "AGFW (pseudonyms)".into(),
-        sightings.len().to_string(),
-        tracks.len().to_string(),
-        format!("{accuracy:.2}"),
-        format!("{ttc:.0}"),
+        accuracy,
+        ttc,
         format!("{mean_set:.1}"),
         format!("{entropy:.1}"),
     ];
@@ -179,7 +157,7 @@ fn agfw_rows(nodes: usize, seed: u64, params: &SweepParams) -> RunRows {
 /// Mean anonymity-set size and entropy of a transmission observed at a
 /// node position, given final node positions (adversary uncertainty = one
 /// radio range).
-fn anonymity_stats<P: agr_sim::Protocol>(world: &mut World<P>, nodes: usize) -> (f64, f64) {
+fn anonymity_stats<P: Protocol>(world: &mut World<P>, nodes: usize) -> (f64, f64) {
     let positions: Vec<_> = (0..nodes as u32)
         .map(|i| world.position_of(NodeId(i)))
         .collect();

@@ -14,32 +14,21 @@
 use agr_bench::runner::{jobs, paper_config, par_map, SweepParams};
 use agr_bench::Table;
 use agr_core::agfw::{Agfw, AgfwConfig};
+use agr_geom::Rect;
 use agr_gpsr::{Gpsr, GpsrConfig};
-use agr_privacy::exposure::{AgfwExposureObserver, GpsrExposureObserver};
+use agr_privacy::disclosure::Discloses;
+use agr_privacy::exposure::Eavesdropper;
 use agr_privacy::sniffer::{SnifferField, SnifferObserver};
-use agr_privacy::tracker::{
-    link_tracks, tracking_accuracy, AgfwSightingObserver, GpsrSightingObserver, LinkingParams,
-};
-use agr_sim::{NodeId, SimTime, World};
+use agr_privacy::tracker::{link_tracks, tracking_accuracy, LinkingParams};
+use agr_sim::{NodeId, Protocol, SimTime, World};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 const SNIFFER_COUNTS: [usize; 6] = [1, 2, 4, 8, 12, 24];
 
-/// Per-sniffer-count columns harvested from one protocol's run. Each
-/// count attaches its own pair of streaming [`SnifferObserver`]s, so the
-/// full trace is never materialised; only these scalars cross threads.
-enum TraceCols {
-    /// (coverage, doublets, identities, tracking accuracy) per count.
-    Gpsr(Vec<(f64, u64, u64, f64)>),
-    /// (doublets, tracking accuracy) per count.
-    Agfw(Vec<(u64, f64)>),
-}
-
 fn main() {
     let params = SweepParams::from_env_with_duration(SimTime::from_secs(300));
     let seed = 1;
-    let target = NodeId(0);
 
     // One run per protocol, fanned over the worker pool; the sniffer
     // fields post-process each trace on its own worker.
@@ -48,95 +37,18 @@ fn main() {
         let config = paper_config(50, seed, &params);
         let area = config.area;
         if is_agfw {
-            let mut world = World::new(config, |id, cfg, rng| {
+            let world = World::new(config, |id, cfg, rng| {
                 Agfw::new(id, AgfwConfig::default(), cfg, rng)
             });
-            // One (exposure, sighting) observer pair per coverage level,
-            // each behind its own sniffer field; all stream concurrently
-            // over the single run.
-            let observers: Vec<_> = SNIFFER_COUNTS
-                .iter()
-                .map(|&count| {
-                    let exposure = Rc::new(RefCell::new(SnifferObserver::new(
-                        SnifferField::grid(count, area, 250.0),
-                        AgfwExposureObserver::new(),
-                    )));
-                    let sightings = Rc::new(RefCell::new(SnifferObserver::new(
-                        SnifferField::grid(count, area, 250.0),
-                        AgfwSightingObserver::new(),
-                    )));
-                    world.attach_observer(Box::new(Rc::clone(&exposure)));
-                    world.attach_observer(Box::new(Rc::clone(&sightings)));
-                    (exposure, sightings)
-                })
-                .collect();
-            world.run();
-            let cols = observers
-                .iter()
-                .map(|(exposure, sightings)| {
-                    let report = exposure.borrow().inner().report();
-                    let sightings = sightings.borrow();
-                    let tracks =
-                        link_tracks(sightings.inner().sightings(), &LinkingParams::default());
-                    (
-                        report.identity_location_doublets,
-                        tracking_accuracy(&tracks, target),
-                    )
-                })
-                .collect();
-            TraceCols::Agfw(cols)
+            sniffer_columns(world, area)
         } else {
-            let mut world = World::new(config, |_, _, rng| {
+            let world = World::new(config, |_, _, rng| {
                 Gpsr::new(GpsrConfig::greedy_only(), rng)
             });
-            let observers: Vec<_> = SNIFFER_COUNTS
-                .iter()
-                .map(|&count| {
-                    let exposure = Rc::new(RefCell::new(SnifferObserver::new(
-                        SnifferField::grid(count, area, 250.0),
-                        GpsrExposureObserver::new(),
-                    )));
-                    let sightings = Rc::new(RefCell::new(SnifferObserver::new(
-                        SnifferField::grid(count, area, 250.0),
-                        GpsrSightingObserver::new(),
-                    )));
-                    world.attach_observer(Box::new(Rc::clone(&exposure)));
-                    world.attach_observer(Box::new(Rc::clone(&sightings)));
-                    (exposure, sightings)
-                })
-                .collect();
-            world.run();
-            let cols = observers
-                .iter()
-                .map(|(exposure, sightings)| {
-                    let exposure = exposure.borrow();
-                    let report = exposure.inner().report();
-                    let sightings = sightings.borrow();
-                    let tracks =
-                        link_tracks(sightings.inner().sightings(), &LinkingParams::default());
-                    (
-                        exposure.coverage_seen(),
-                        report.identity_location_doublets,
-                        report.identities_exposed,
-                        tracking_accuracy(&tracks, target),
-                    )
-                })
-                .collect();
-            TraceCols::Gpsr(cols)
+            sniffer_columns(world, area)
         }
     });
-    let mut gpsr_cols = None;
-    let mut agfw_cols = None;
-    for cols in outputs {
-        match cols {
-            TraceCols::Gpsr(c) => gpsr_cols = Some(c),
-            TraceCols::Agfw(c) => agfw_cols = Some(c),
-        }
-    }
-    let (gpsr_cols, agfw_cols) = (
-        gpsr_cols.expect("gpsr trace"),
-        agfw_cols.expect("agfw trace"),
-    );
+    let (gpsr_cols, agfw_cols) = (&outputs[0], &outputs[1]);
 
     let mut table = Table::new(vec![
         "sniffers",
@@ -149,7 +61,7 @@ fn main() {
     ]);
     for (i, count) in SNIFFER_COUNTS.iter().enumerate() {
         let (coverage, g_doublets, g_ids, g_acc) = gpsr_cols[i];
-        let (a_doublets, a_acc) = agfw_cols[i];
+        let (_, a_doublets, _, a_acc) = agfw_cols[i];
         table.row(vec![
             count.to_string(),
             format!("{:.0}%", coverage * 100.0),
@@ -168,4 +80,42 @@ fn main() {
     );
     let path = table.save_csv("privacy_sniffers");
     eprintln!("saved {}", path.display());
+}
+
+/// Runs one world with an eavesdropper per coverage level, each behind
+/// its own sniffer grid, all streaming over the single run; the full
+/// trace is never materialised. Returns, per level: the fraction of
+/// frames overheard, doublets, identities exposed, and tracking accuracy
+/// against node 0.
+fn sniffer_columns<P>(mut world: World<P>, area: Rect) -> Vec<(f64, u64, u64, f64)>
+where
+    P: Protocol,
+    P::Packet: Discloses,
+{
+    let sniffers: Vec<_> = SNIFFER_COUNTS
+        .iter()
+        .map(|&count| {
+            let sniffer = Rc::new(RefCell::new(SnifferObserver::new(
+                SnifferField::grid(count, area, 250.0),
+                Eavesdropper::new(),
+            )));
+            world.attach_observer(Box::new(Rc::clone(&sniffer)));
+            sniffer
+        })
+        .collect();
+    world.run();
+    sniffers
+        .iter()
+        .map(|sniffer| {
+            let sniffer = sniffer.borrow();
+            let report = sniffer.inner().report();
+            let tracks = link_tracks(sniffer.inner().sightings(), &LinkingParams::default());
+            (
+                sniffer.coverage_seen(),
+                report.identity_location_doublets,
+                report.identities_exposed,
+                tracking_accuracy(&tracks, NodeId(0)),
+            )
+        })
+        .collect()
 }

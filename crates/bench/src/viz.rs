@@ -1,6 +1,7 @@
-//! `--viz-json` event-stream export: protocol-aware [`FrameObserver`]s
-//! that turn an on-air trace into the replayable JSONL stream
-//! (`agr_telemetry::viz` schema) loaded by `viz/replay.html`.
+//! `--viz-json` event-stream export: one [`FrameObserver`] that turns an
+//! on-air trace into the replayable JSONL stream (`agr_telemetry::viz`
+//! schema) loaded by `viz/replay.html`. It reads payloads only through
+//! [`Discloses`], so it sees exactly what the privacy eavesdropper sees.
 //!
 //! Everything here is observation-only: the observers read frame
 //! records, draw no randomness, and touch no simulator state, so a run
@@ -19,8 +20,9 @@
 
 use crate::runner::{paper_config, ProtocolKind, SweepParams};
 use agr_core::agfw::Agfw;
-use agr_core::{AgfwPacket, Pseudonym};
-use agr_gpsr::{Gpsr, GpsrConfig, GpsrPacket};
+use agr_core::Pseudonym;
+use agr_gpsr::{Gpsr, GpsrConfig};
+use agr_privacy::disclosure::Discloses;
 use agr_sim::{FrameObserver, FrameRecord, FrameType, Protocol, Stats, TelemetryObserver, World};
 use agr_telemetry::{Registry, VizEvent, VizEventKind};
 use std::cell::RefCell;
@@ -28,122 +30,48 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// The common frame-to-event mapping shared by both protocols.
-fn push_frame_event(
-    events: &mut Vec<VizEvent>,
-    frame_type: FrameType,
-    t_nanos: u64,
-    node: u64,
-    pos: (f64, f64),
-    info: &str,
-) {
-    let kind = match frame_type {
-        FrameType::Data => VizEventKind::Tx,
-        FrameType::Ack => VizEventKind::Rx,
-        // RTS/CTS are channel-reservation chatter; replaying them adds
-        // volume, not insight.
-        FrameType::Rts | FrameType::Cts => return,
-    };
-    events.push(VizEvent {
-        t_nanos,
-        kind,
-        node: Some(node),
-        pos: Some(pos),
-        info: info.to_string(),
-    });
-}
-
-/// Viz-event collector for GPSR traces.
+/// Viz-event collector for any protocol whose packets declare their
+/// [`Discloses`], with on-air pseudonym-change detection: a frame whose
+/// announced pseudonym differs from the transmitter's previous one yields
+/// a `pseudonym_change` event.
 #[derive(Debug, Default)]
-pub struct GpsrVizObserver {
-    events: Vec<VizEvent>,
-}
-
-impl GpsrVizObserver {
-    /// An empty collector.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the collector, returning the event stream in
-    /// transmission order.
-    #[must_use]
-    pub fn into_events(self) -> Vec<VizEvent> {
-        self.events
-    }
-}
-
-impl FrameObserver<GpsrPacket> for GpsrVizObserver {
-    fn on_frame(&mut self, frame: &FrameRecord<GpsrPacket>) {
-        let info = match frame.packet.as_deref() {
-            Some(GpsrPacket::Beacon { .. }) => "beacon",
-            Some(GpsrPacket::Data(_)) => "data",
-            None => "mac",
-        };
-        push_frame_event(
-            &mut self.events,
-            frame.frame_type,
-            frame.time.as_nanos(),
-            u64::from(frame.tx_node.0),
-            (frame.tx_pos.x, frame.tx_pos.y),
-            info,
-        );
-    }
-}
-
-/// Viz-event collector for AGFW traces, with on-air pseudonym-change
-/// detection: a hello whose pseudonym differs from the transmitter's
-/// previous hello yields a `pseudonym_change` event.
-#[derive(Debug, Default)]
-pub struct AgfwVizObserver {
+struct VizObserver {
     events: Vec<VizEvent>,
     last_pseudonym: HashMap<u32, Pseudonym>,
 }
 
-impl AgfwVizObserver {
-    /// An empty collector.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the collector, returning the event stream in
-    /// transmission order.
-    #[must_use]
-    pub fn into_events(self) -> Vec<VizEvent> {
-        self.events
-    }
-}
-
-impl FrameObserver<AgfwPacket> for AgfwVizObserver {
-    fn on_frame(&mut self, frame: &FrameRecord<AgfwPacket>) {
+impl<PKT: Discloses> FrameObserver<PKT> for VizObserver {
+    fn on_frame(&mut self, frame: &FrameRecord<PKT>) {
         let t_nanos = frame.time.as_nanos();
-        let node = u64::from(frame.tx_node.0);
-        let pos = (frame.tx_pos.x, frame.tx_pos.y);
-        let info = match frame.packet.as_deref() {
-            Some(AgfwPacket::Hello { n, .. }) => {
-                match self.last_pseudonym.insert(frame.tx_node.0, *n) {
-                    Some(prev) if prev != *n => {
-                        let hex: String = n.0.iter().map(|b| format!("{b:02x}")).collect();
-                        self.events.push(VizEvent {
-                            t_nanos,
-                            kind: VizEventKind::PseudonymChange,
-                            node: Some(node),
-                            pos: Some(pos),
-                            info: hex,
-                        });
-                    }
-                    _ => {}
-                }
-                "hello"
+        let node = Some(u64::from(frame.tx_node.0));
+        let pos = Some((frame.tx_pos.x, frame.tx_pos.y));
+        let disclosure = frame.packet.as_deref().map(Discloses::disclosure);
+        if let Some(n) = disclosure.and_then(|d| d.pseudonym) {
+            match self.last_pseudonym.insert(frame.tx_node.0, n) {
+                Some(prev) if prev != n => self.events.push(VizEvent {
+                    t_nanos,
+                    kind: VizEventKind::PseudonymChange,
+                    node,
+                    pos,
+                    info: n.0.iter().map(|b| format!("{b:02x}")).collect(),
+                }),
+                _ => {}
             }
-            Some(AgfwPacket::Data(_)) => "data",
-            Some(AgfwPacket::NlAck { .. }) => "nl_ack",
-            Some(AgfwPacket::Als(_)) => "als",
-            None => "mac",
+        }
+        let kind = match frame.frame_type {
+            FrameType::Data => VizEventKind::Tx,
+            FrameType::Ack => VizEventKind::Rx,
+            // RTS/CTS are channel-reservation chatter; replaying them adds
+            // volume, not insight.
+            FrameType::Rts | FrameType::Cts => return,
         };
-        push_frame_event(&mut self.events, frame.frame_type, t_nanos, node, pos, info);
+        self.events.push(VizEvent {
+            t_nanos,
+            kind,
+            node,
+            pos,
+            info: disclosure.map_or("mac", |d| d.kind).to_string(),
+        });
     }
 }
 
@@ -184,54 +112,37 @@ pub fn run_point_observed(
 ) -> ObservedRun {
     let config = paper_config(nodes, seed, params);
     match kind {
-        ProtocolKind::GpsrGreedy => run_observed(
-            World::new(config, |_, _, rng| {
-                Gpsr::new(GpsrConfig::greedy_only(), rng)
-            }),
-            GpsrVizObserver::new(),
-            GpsrVizObserver::into_events,
-        ),
-        ProtocolKind::GpsrPerimeter => run_observed(
-            World::new(config, |_, _, rng| {
-                Gpsr::new(GpsrConfig::with_perimeter(), rng)
-            }),
-            GpsrVizObserver::new(),
-            GpsrVizObserver::into_events,
-        ),
+        ProtocolKind::GpsrGreedy => run_observed(World::new(config, |_, _, rng| {
+            Gpsr::new(GpsrConfig::greedy_only(), rng)
+        })),
+        ProtocolKind::GpsrPerimeter => run_observed(World::new(config, |_, _, rng| {
+            Gpsr::new(GpsrConfig::with_perimeter(), rng)
+        })),
         ProtocolKind::Agfw(agfw_config) => {
             let agfw_config = *agfw_config;
-            run_observed(
-                World::new(config, move |id, cfg, rng| {
-                    Agfw::new(id, agfw_config, cfg, rng)
-                }),
-                AgfwVizObserver::new(),
-                AgfwVizObserver::into_events,
-            )
+            run_observed(World::new(config, move |id, cfg, rng| {
+                Agfw::new(id, agfw_config, cfg, rng)
+            }))
         }
     }
 }
 
 /// Attaches the observers, runs the world, and collects the artifacts.
-fn run_observed<P, V>(
-    mut world: World<P>,
-    viz: V,
-    into_events: fn(V) -> Vec<VizEvent>,
-) -> ObservedRun
+fn run_observed<P>(mut world: World<P>) -> ObservedRun
 where
     P: Protocol,
-    V: FrameObserver<P::Packet> + 'static,
+    P::Packet: Discloses,
 {
     let telemetry = Rc::new(RefCell::new(TelemetryObserver::new()));
-    let viz = Rc::new(RefCell::new(viz));
+    let viz = Rc::new(RefCell::new(VizObserver::default()));
     world.attach_observer(Box::new(Rc::clone(&telemetry)));
     world.attach_observer(Box::new(Rc::clone(&viz)));
     let stats = world.run();
     drop(world); // release the observer boxes so the Rcs are unique
-    let events = into_events(
-        Rc::try_unwrap(viz)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|_| panic!("viz observer still shared after the run")),
-    );
+    let events = Rc::try_unwrap(viz)
+        .map(RefCell::into_inner)
+        .unwrap_or_else(|_| panic!("viz observer still shared after the run"))
+        .events;
     let telemetry = Rc::try_unwrap(telemetry)
         .map(RefCell::into_inner)
         .unwrap_or_else(|_| panic!("telemetry observer still shared after the run"));

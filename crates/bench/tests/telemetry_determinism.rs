@@ -10,6 +10,9 @@
 //! 2. Every viz event the observed run emits renders to a line the
 //!    schema validator accepts, and the telemetry registry agrees with
 //!    the stream about how many frames were on the air.
+//! 3. The rendered viz stream itself is pinned by length and FNV-1a
+//!    digest, so a change to what the on-air observer reports fails
+//!    here by name.
 
 use agr_bench::runner::{run_point, ProtocolKind, SweepParams};
 use agr_bench::viz::run_point_observed;
@@ -18,16 +21,21 @@ use agr_sim::{SimTime, Stats};
 use agr_telemetry::viz::validate_jsonl_line;
 use agr_telemetry::VizEventKind;
 
+/// FNV-1a, folded into `h` one byte at a time.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over the run's headline numbers and every named counter —
 /// the same digest `adversary_acceptance.rs` pins for bare runs.
 fn fingerprint(stats: &Stats) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut mix = |bytes: &[u8]| fnv1a(&mut h, bytes);
     mix(&stats.data_sent.to_be_bytes());
     mix(&stats.data_delivered.to_be_bytes());
     mix(&stats.events_processed.to_be_bytes());
@@ -52,7 +60,8 @@ fn short_params() -> SweepParams {
 
 /// Observed runs reproduce the adversary-acceptance golden fingerprints
 /// exactly: the telemetry observer and the viz collector draw no
-/// randomness and touch no simulator state.
+/// randomness and touch no simulator state. Their viz streams are
+/// pinned too, by byte length and FNV-1a digest of `events_jsonl()`.
 #[test]
 fn observed_runs_match_bare_goldens_exactly() {
     let params = short_params();
@@ -63,6 +72,7 @@ fn observed_runs_match_bare_goldens_exactly() {
             115,
             113,
             120_832,
+            (621_769, 0xbaac_a95d_9b7a_6bf6_u64),
         ),
         (
             ProtocolKind::GpsrGreedy,
@@ -70,10 +80,20 @@ fn observed_runs_match_bare_goldens_exactly() {
             115,
             115,
             144_652,
+            (316_696, 0xf9a4_2b7a_cbb0_b31f_u64),
         ),
     ];
-    for (kind, want_fp, want_sent, want_delivered, want_events) in cases {
+    for (kind, want_fp, want_sent, want_delivered, want_events, want_viz) in cases {
         let run = run_point_observed(&kind, 50, 1, &params);
+        let jsonl = run.events_jsonl();
+        let mut viz_digest = FNV_OFFSET;
+        fnv1a(&mut viz_digest, jsonl.as_bytes());
+        assert_eq!(
+            (jsonl.len(), viz_digest),
+            want_viz,
+            "{}: the viz stream's bytes changed",
+            kind.label()
+        );
         assert_eq!(
             run.stats.data_sent,
             want_sent,

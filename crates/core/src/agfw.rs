@@ -182,11 +182,6 @@ pub struct AgfwConfig {
     /// Enable network-layer acknowledgments and retransmission. Off is
     /// the paper's "simple form of AGFW" lower bound in Figure 1(a).
     pub nl_ack: bool,
-    /// How long a forwarder waits for the next hop's NL-ACK after its
-    /// broadcast leaves the MAC.
-    pub ack_timeout: SimTime,
-    /// Retransmissions before giving up on a hop.
-    pub max_retransmits: u32,
     /// Piggyback ACKs on outgoing data packets when possible (§3.2).
     pub piggyback_acks: bool,
     /// Trapdoor cryptography realisation.
@@ -213,6 +208,11 @@ const PSEUDONYM_MEMORY: usize = 2;
 const ACK_FLUSH_DELAY: SimTime = SimTime::from_millis(5);
 /// Initial TTL of data packets.
 const DATA_TTL: u8 = 64;
+/// How long a forwarder waits for the next hop's NL-ACK after its
+/// broadcast leaves the MAC.
+const ACK_TIMEOUT: SimTime = SimTime::from_millis(25);
+/// Retransmissions before giving up on a hop.
+pub const MAX_RETRANSMITS: u32 = 5;
 
 impl Default for AgfwConfig {
     fn default() -> Self {
@@ -223,8 +223,6 @@ impl Default for AgfwConfig {
             selection: SelectionStrategy::FreshnessAware,
             rotate_every: 1,
             nl_ack: true,
-            ack_timeout: SimTime::from_millis(25),
-            max_retransmits: 5,
             piggyback_acks: false,
             crypto: CryptoMode::Modeled,
             recovery: false,
@@ -647,13 +645,12 @@ impl Agfw {
             ctx.count_n("agfw.acks_piggybacked", data.acks.len() as u64);
         }
         if self.config.nl_ack {
-            let max_retx = self.config.max_retransmits;
             let entry = self
                 .pending_acks
                 .entry(data.uid)
                 .or_insert_with(|| PendingAck {
                     packet: Outbound::Data(data.clone()),
-                    retries_left: max_retx,
+                    retries_left: MAX_RETRANSMITS,
                     generation: 0,
                     used_next: Vec::new(),
                 });
@@ -904,14 +901,14 @@ impl Agfw {
                     self.ant.suspect(addressed, TIMEOUT_INCREMENT);
                     ctx.count("defense.suspected");
                 }
-                if retries_left + 1 < self.config.max_retransmits {
+                if retries_left + 1 < MAX_RETRANSMITS {
                     self.ant.remove(addressed);
                 }
                 if self.config.defense.enabled {
                     // Bounded exponential backoff with hash-derived jitter
                     // before re-selecting, instead of an immediate retry
                     // at a fixed cadence.
-                    let attempt = self.config.max_retransmits - retries_left - 1;
+                    let attempt = MAX_RETRANSMITS - retries_left - 1;
                     let delay = backoff_delay(BACKOFF_BASE, attempt, BACKOFF_CAP, uid);
                     ctx.count("defense.backoff");
                     self.schedule_op(ctx, delay, PendingOp::RetryHop { uid, generation });
@@ -986,7 +983,7 @@ impl Agfw {
             let pending = self.pending_acks.remove(&ack.uid).expect("checked above");
             let already_forwarded = self.forward_seen.remove(&ack.uid);
             ctx.count("agfw.hop_acked");
-            if pending.retries_left < self.config.max_retransmits {
+            if pending.retries_left < MAX_RETRANSMITS {
                 // The hop only succeeded because retransmission kicked
                 // in — the recovery the paper's §3.2 scheme exists for.
                 ctx.count("agfw.ack_recovered");
@@ -1466,13 +1463,12 @@ impl Agfw {
     /// per-hop broadcast loss).
     fn send_als(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, msg: AlsNetMessage) {
         if self.config.nl_ack && Self::als_acked(&msg.kind) {
-            let max_retx = self.config.max_retransmits;
             let entry = self
                 .pending_acks
                 .entry(msg.uid)
                 .or_insert_with(|| PendingAck {
                     packet: Outbound::Als(msg.clone()),
-                    retries_left: max_retx,
+                    retries_left: MAX_RETRANSMITS,
                     generation: 0,
                     used_next: Vec::new(),
                 });
@@ -1751,8 +1747,7 @@ impl Protocol for Agfw {
         };
         if let Some(p) = self.pending_acks.get(&uid) {
             let generation = p.generation;
-            let delay = self.config.ack_timeout;
-            self.schedule_op(ctx, delay, PendingOp::AckTimeout { uid, generation });
+            self.schedule_op(ctx, ACK_TIMEOUT, PendingOp::AckTimeout { uid, generation });
         }
     }
 }

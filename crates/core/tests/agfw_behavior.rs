@@ -5,9 +5,18 @@ use agr_core::agfw::{Agfw, AgfwConfig, CryptoMode};
 use agr_core::keys::KeyDirectory;
 use agr_core::AgfwPacket;
 use agr_geom::Point;
-use agr_sim::{FlowConfig, NodeId, SimConfig, SimTime, World};
+use agr_sim::{FlowConfig, NodeId, RecordingObserver, SimConfig, SimTime, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// Attaches a [`RecordingObserver`] that keeps the whole on-air trace.
+fn record(world: &mut World<Agfw>) -> Rc<RefCell<RecordingObserver<AgfwPacket>>> {
+    let trace = Rc::new(RefCell::new(RecordingObserver::new()));
+    world.attach_observer(Box::new(Rc::clone(&trace)));
+    trace
+}
 
 fn flow(src: u32, dst: u32, start_s: u64, stop_s: u64) -> FlowConfig {
     FlowConfig {
@@ -27,10 +36,10 @@ fn multi_hop_chain_delivers_anonymously() {
         .collect();
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(60));
     sim.flows = vec![flow(0, 4, 10, 55)];
-    sim.record_frames = true;
     let mut world = World::new(sim, |id, cfg, rng| {
         Agfw::new(id, AgfwConfig::default(), cfg, rng)
     });
+    let trace = record(&mut world);
     let stats = world.run();
     assert!(stats.data_sent >= 40);
     assert_eq!(
@@ -38,8 +47,9 @@ fn multi_hop_chain_delivers_anonymously() {
         "static chain with NL-ACK must not lose packets"
     );
     // Anonymity at the link layer: no frame ever discloses a source MAC.
-    assert!(!world.frames().is_empty());
-    for frame in world.frames() {
+    let trace = trace.borrow();
+    assert!(!trace.frames().is_empty());
+    for frame in trace.frames() {
         assert!(frame.src_mac.is_none(), "AGFW frame leaked a MAC address");
         assert!(frame.dst_mac.is_none(), "AGFW must only local-broadcast");
     }
@@ -298,11 +308,11 @@ fn anonymous_perimeter_recovery_routes_around_voids() {
     let run = |config: AgfwConfig| {
         let mut sim = SimConfig::static_topology(positions.clone(), SimTime::from_secs(60));
         sim.flows = vec![flow(0, 4, 10, 50)];
-        sim.record_frames = true;
         let mut world = World::new(sim, move |id, cfg, rng| Agfw::new(id, config, cfg, rng));
+        let trace = record(&mut world);
         let stats = world.run();
         // Anonymity preserved in both variants.
-        for frame in world.frames() {
+        for frame in trace.borrow().frames() {
             assert!(frame.src_mac.is_none());
         }
         stats
@@ -354,14 +364,14 @@ fn hello_packets_expose_no_identity() {
     // Sanity at the packet level: hellos carry pseudonyms that differ
     // between consecutive beacons of the same node.
     let positions = vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)];
-    let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(10));
-    sim.record_frames = true;
+    let sim = SimConfig::static_topology(positions, SimTime::from_secs(10));
     let mut world = World::new(sim, |id, cfg, rng| {
         Agfw::new(id, AgfwConfig::default(), cfg, rng)
     });
+    let trace = record(&mut world);
     let _ = world.run();
     let mut pseudonyms_node0 = Vec::new();
-    for frame in world.frames() {
+    for frame in trace.borrow().frames() {
         if frame.tx_node == NodeId(0) {
             if let Some(AgfwPacket::Hello { n, .. }) = frame.packet.as_deref() {
                 pseudonyms_node0.push(*n);

@@ -3,11 +3,12 @@
 //! "The location and identity is a basic doublet for distributing
 //! throughout the network ... it is also the explicit source of threats
 //! to location privacy" (§2). This module counts exactly those doublets
-//! in an eavesdropped trace.
+//! in an eavesdropped trace, as each packet type declares them in
+//! [`crate::disclosure`].
 
-use agr_core::AgfwPacket;
-use agr_gpsr::GpsrPacket;
-use agr_sim::{FrameObserver, FrameRecord, FrameType};
+use crate::disclosure::Discloses;
+use crate::tracker::Sighting;
+use agr_sim::{FrameObserver, FrameRecord};
 use std::collections::HashSet;
 
 /// What a global passive eavesdropper extracted from a trace.
@@ -41,45 +42,25 @@ impl ExposureReport {
     }
 }
 
-/// Streaming exposure accounting for GPSR traces.
+/// A passive eavesdropper: folds every frame it hears into an
+/// [`ExposureReport`] and the tracker's sighting list in one pass.
 ///
-/// Implements [`FrameObserver`], so it can be attached to a running world
-/// and consume each frame as it goes on the air instead of requiring the
-/// whole trace in memory.
+/// It reads a payload only through [`Discloses`], so one observer serves
+/// every protocol. Attach it to a running world (wrapped in
+/// `Rc<RefCell<_>>` to read it back), or behind a
+/// [`crate::sniffer::SnifferObserver`] for bounded coverage.
 #[derive(Debug, Default)]
-pub struct GpsrExposureObserver {
+pub struct Eavesdropper {
     report: ExposureReport,
     identities: HashSet<u64>,
+    sightings: Vec<Sighting>,
 }
 
-impl GpsrExposureObserver {
-    /// Creates an observer with an empty report.
+impl Eavesdropper {
+    /// Creates an eavesdropper that has heard nothing.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Accounts one eavesdropped frame.
-    pub(crate) fn observe(&mut self, frame: &FrameRecord<GpsrPacket>) {
-        self.report.frames_observed += 1;
-        if let Some(src) = frame.src_mac {
-            self.report.mac_source_disclosures += 1;
-            // The adversary localises the transmitter and reads its MAC:
-            // a doublet even without parsing the payload.
-            self.report.identity_location_doublets += 1;
-            self.identities.insert(u64::from(src.0));
-        }
-        match frame.packet.as_deref() {
-            Some(GpsrPacket::Beacon { id, .. }) => {
-                self.report.identity_location_doublets += 1;
-                self.identities.insert(u64::from(id.0));
-            }
-            Some(GpsrPacket::Data(header)) => {
-                self.report.identity_location_doublets += 1;
-                self.identities.insert(u64::from(header.dst.0));
-            }
-            None => {}
-        }
     }
 
     /// The report accumulated so far.
@@ -89,95 +70,52 @@ impl GpsrExposureObserver {
         report.identities_exposed = self.identities.len() as u64;
         report
     }
-}
 
-impl FrameObserver<GpsrPacket> for GpsrExposureObserver {
-    fn on_frame(&mut self, frame: &FrameRecord<GpsrPacket>) {
-        self.observe(frame);
-    }
-}
-
-/// Streaming exposure accounting for AGFW traces — see
-/// [`GpsrExposureObserver`].
-#[derive(Debug, Default)]
-pub struct AgfwExposureObserver {
-    report: ExposureReport,
-}
-
-impl AgfwExposureObserver {
-    /// Creates an observer with an empty report.
+    /// The beacon and hello sightings collected so far, in transmission
+    /// order.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn sightings(&self) -> &[Sighting] {
+        &self.sightings
     }
+}
 
-    /// Accounts one eavesdropped frame.
-    pub(crate) fn observe(&mut self, frame: &FrameRecord<AgfwPacket>) {
+impl<PKT: Discloses> FrameObserver<PKT> for Eavesdropper {
+    fn on_frame(&mut self, frame: &FrameRecord<PKT>) {
         self.report.frames_observed += 1;
-        if frame.src_mac.is_some() {
+        if let Some(src) = frame.src_mac {
             self.report.mac_source_disclosures += 1;
+            // The adversary localises the transmitter and reads its MAC:
+            // a doublet even without parsing the payload.
             self.report.identity_location_doublets += 1;
+            self.identities.insert(u64::from(src.0));
         }
-        match frame.packet.as_deref() {
-            Some(AgfwPacket::Hello { .. }) => {
-                self.report.pseudonym_sightings += 1;
-            }
-            Some(AgfwPacket::Data(_)) if frame.frame_type == FrameType::Data => {
-                // Data headers carry a location and a pseudonym — no
-                // identity. Counted as a sighting of the *next hop*.
-                self.report.pseudonym_sightings += 1;
-            }
-            _ => {}
+        let Some(disclosure) = frame.packet.as_deref().map(Discloses::disclosure) else {
+            return;
+        };
+        if let Some(id) = disclosure.identity {
+            self.report.identity_location_doublets += 1;
+            self.identities.insert(u64::from(id.0));
+        }
+        if disclosure.pseudonymous {
+            self.report.pseudonym_sightings += 1;
+        }
+        if let Some(pos) = disclosure.advertised {
+            self.sightings.push(Sighting {
+                time: frame.time,
+                pos,
+                truth: frame.tx_node,
+            });
         }
     }
-
-    /// The report accumulated so far.
-    #[must_use]
-    pub fn report(&self) -> ExposureReport {
-        self.report.clone()
-    }
-}
-
-impl FrameObserver<AgfwPacket> for AgfwExposureObserver {
-    fn on_frame(&mut self, frame: &FrameRecord<AgfwPacket>) {
-        self.observe(frame);
-    }
-}
-
-/// Analyses a GPSR trace.
-///
-/// Every beacon pairs the sender's identity with its position; every data
-/// header pairs the destination's identity with its location; every
-/// unicast frame's source MAC pairs the (localisable) transmitter with an
-/// identity. This is threat source 1) of §2.
-#[must_use]
-pub fn gpsr_exposure(frames: &[FrameRecord<GpsrPacket>]) -> ExposureReport {
-    let mut observer = GpsrExposureObserver::new();
-    for frame in frames {
-        observer.observe(frame);
-    }
-    observer.report()
-}
-
-/// Analyses an AGFW trace.
-///
-/// No frame carries an identity: the report's doublet count is
-/// structurally zero, while hello sightings (pseudonym + location) are
-/// tallied as the identity-free residue available for linking attacks.
-#[must_use]
-pub fn agfw_exposure(frames: &[FrameRecord<AgfwPacket>]) -> ExposureReport {
-    let mut observer = AgfwExposureObserver::new();
-    for frame in frames {
-        observer.observe(frame);
-    }
-    observer.report()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agr_core::{AgfwPacket, Pseudonym};
     use agr_geom::Point;
-    use agr_sim::{MacAddr, NodeId, SimTime};
+    use agr_gpsr::GpsrPacket;
+    use agr_sim::{FrameType, MacAddr, NodeId, SimTime};
 
     fn frame<PKT>(src_mac: Option<MacAddr>, packet: Option<PKT>, tx: u32) -> FrameRecord<PKT> {
         FrameRecord {
@@ -189,6 +127,14 @@ mod tests {
             frame_type: FrameType::Data,
             packet: packet.map(std::sync::Arc::new),
         }
+    }
+
+    fn hear<PKT: Discloses>(frames: &[FrameRecord<PKT>]) -> Eavesdropper {
+        let mut eavesdropper = Eavesdropper::new();
+        for f in frames {
+            eavesdropper.on_frame(f);
+        }
+        eavesdropper
     }
 
     #[test]
@@ -204,17 +150,19 @@ mod tests {
             );
             4
         ];
-        let report = gpsr_exposure(&frames);
+        let heard = hear(&frames);
+        let report = heard.report();
         assert_eq!(report.frames_observed, 4);
-        // Each beacon: one MAC doublet + one payload doublet.
+        // Each beacon: one MAC doublet + one payload doublet, both naming
+        // the same node.
         assert_eq!(report.identity_location_doublets, 8);
         assert_eq!(report.identities_exposed, 1);
         assert_eq!(report.doublets_per_frame(), 2.0);
+        assert_eq!(heard.sightings().len(), 4);
     }
 
     #[test]
     fn agfw_trace_has_zero_doublets() {
-        use agr_core::{AgfwPacket, Pseudonym};
         let frames = vec![
             frame(
                 None,
@@ -229,16 +177,18 @@ mod tests {
             );
             5
         ];
-        let report = agfw_exposure(&frames);
+        let heard = hear(&frames);
+        let report = heard.report();
         assert_eq!(report.identity_location_doublets, 0);
         assert_eq!(report.mac_source_disclosures, 0);
         assert_eq!(report.pseudonym_sightings, 5);
         assert_eq!(report.doublets_per_frame(), 0.0);
+        assert_eq!(heard.sightings().len(), 5);
     }
 
     #[test]
     fn empty_trace() {
-        let report = gpsr_exposure(&[]);
+        let report = hear::<GpsrPacket>(&[]).report();
         assert_eq!(report, ExposureReport::default());
         assert_eq!(report.doublets_per_frame(), 0.0);
     }

@@ -4,8 +4,11 @@
 //! claims *measurable* on simulation traces. A **global passive
 //! eavesdropper** (the strongest §2 adversary: every frame observed, with
 //! direction-finding hardware that localises each transmitter) is modelled
-//! by the simulator's frame log (`SimConfig::record_frames`); this crate
-//! answers three questions over such a trace:
+//! by an observer attached to the simulator (`World::attach_observer`)
+//! that sees every frame as it goes on the air. What each packet type
+//! discloses is declared once, in [`disclosure`]; the one
+//! [`exposure::Eavesdropper`] reads payloads only through it and answers
+//! three questions over the trace:
 //!
 //! 1. **Exposure** ([`exposure`]): how many identity–location doublets
 //!    does the protocol hand the adversary in cleartext? (GPSR: one per
@@ -25,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod disclosure;
 pub mod exposure;
 pub mod metrics;
 pub mod sniffer;

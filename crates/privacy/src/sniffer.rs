@@ -70,9 +70,8 @@ impl SnifferField {
 /// Streams a live frame feed through a [`SnifferField`]: frames the field
 /// overhears are forwarded to the wrapped observer, the rest are dropped.
 ///
-/// This composes with the streaming evaluators in [`crate::exposure`] and
-/// [`crate::tracker`], so bounded-coverage adversaries can be evaluated
-/// online without recording the full trace first.
+/// Wrapping an [`crate::exposure::Eavesdropper`] evaluates a
+/// bounded-coverage adversary online, without recording the trace first.
 #[derive(Debug)]
 pub struct SnifferObserver<O> {
     field: SnifferField,

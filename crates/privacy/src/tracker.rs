@@ -9,12 +9,11 @@
 //! accuracy is ~1.0 against GPSR (identities in cleartext) and degrades
 //! with node density against ANT pseudonyms.
 
-use agr_core::AgfwPacket;
 use agr_geom::Point;
-use agr_gpsr::GpsrPacket;
-use agr_sim::{FrameObserver, FrameRecord, NodeId, SimTime};
+use agr_sim::{NodeId, SimTime};
 
-/// One eavesdropped beacon/hello sighting.
+/// One eavesdropped beacon/hello sighting, as
+/// [`crate::exposure::Eavesdropper`] collects them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sighting {
     /// Observation time.
@@ -54,117 +53,6 @@ impl Default for LinkingParams {
             slack: 5.0,
         }
     }
-}
-
-/// Streams GPSR frames into a sighting list, one frame at a time.
-///
-/// Implements [`FrameObserver`] so the linking adversary can listen to a
-/// running world instead of needing the full trace recorded.
-#[derive(Debug, Default)]
-pub struct GpsrSightingObserver {
-    sightings: Vec<Sighting>,
-}
-
-impl GpsrSightingObserver {
-    /// Creates an empty collector.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the sighting (if any) carried by one frame.
-    pub(crate) fn observe(&mut self, f: &FrameRecord<GpsrPacket>) {
-        if let Some(GpsrPacket::Beacon { pos, .. }) = f.packet.as_deref() {
-            self.sightings.push(Sighting {
-                time: f.time,
-                pos: *pos,
-                truth: f.tx_node,
-            });
-        }
-    }
-
-    /// The sightings collected so far.
-    #[must_use]
-    pub fn sightings(&self) -> &[Sighting] {
-        &self.sightings
-    }
-
-    /// Consumes the collector, returning the sightings.
-    #[must_use]
-    pub(crate) fn into_sightings(self) -> Vec<Sighting> {
-        self.sightings
-    }
-}
-
-impl FrameObserver<GpsrPacket> for GpsrSightingObserver {
-    fn on_frame(&mut self, frame: &FrameRecord<GpsrPacket>) {
-        self.observe(frame);
-    }
-}
-
-/// Streams AGFW frames into a sighting list — see
-/// [`GpsrSightingObserver`].
-#[derive(Debug, Default)]
-pub struct AgfwSightingObserver {
-    sightings: Vec<Sighting>,
-}
-
-impl AgfwSightingObserver {
-    /// Creates an empty collector.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the sighting (if any) carried by one frame.
-    pub(crate) fn observe(&mut self, f: &FrameRecord<AgfwPacket>) {
-        if let Some(AgfwPacket::Hello { loc, .. }) = f.packet.as_deref() {
-            self.sightings.push(Sighting {
-                time: f.time,
-                pos: *loc,
-                truth: f.tx_node,
-            });
-        }
-    }
-
-    /// The sightings collected so far.
-    #[must_use]
-    pub fn sightings(&self) -> &[Sighting] {
-        &self.sightings
-    }
-
-    /// Consumes the collector, returning the sightings.
-    #[must_use]
-    pub(crate) fn into_sightings(self) -> Vec<Sighting> {
-        self.sightings
-    }
-}
-
-impl FrameObserver<AgfwPacket> for AgfwSightingObserver {
-    fn on_frame(&mut self, frame: &FrameRecord<AgfwPacket>) {
-        self.observe(frame);
-    }
-}
-
-/// Extracts beacon sightings from a GPSR trace (identity field ignored —
-/// this lets the same linker run on both protocols for a fair baseline).
-#[must_use]
-pub fn gpsr_sightings(frames: &[FrameRecord<GpsrPacket>]) -> Vec<Sighting> {
-    let mut observer = GpsrSightingObserver::new();
-    for f in frames {
-        observer.observe(f);
-    }
-    observer.into_sightings()
-}
-
-/// Extracts hello sightings from an AGFW trace.
-#[must_use]
-pub fn agfw_sightings(frames: &[FrameRecord<AgfwPacket>]) -> Vec<Sighting> {
-    let mut observer = AgfwSightingObserver::new();
-    for f in frames {
-        observer.observe(f);
-    }
-    observer.into_sightings()
 }
 
 /// Greedy nearest-feasible spatio-temporal linking.

@@ -174,10 +174,6 @@ pub struct SimConfig {
     /// Combine with a `MobilityParams` pause longer than the run for fully
     /// static topologies (used by tests and controlled experiments).
     pub initial_positions: Option<Vec<agr_geom::Point>>,
-    /// Record every transmitted frame for post-hoc adversary analysis
-    /// (a *global passive eavesdropper*). Costs memory proportional to
-    /// the frame count; off by default.
-    pub record_frames: bool,
     /// Deterministic fault schedule: per-link loss, node churn, and
     /// stale-beacon injection (see `crate::fault`). The default plan
     /// injects nothing and leaves runs bit-identical to a fault-free
@@ -202,7 +198,6 @@ impl Default for SimConfig {
             seed: 1,
             flows: Vec::new(),
             initial_positions: None,
-            record_frames: false,
             fault: FaultPlan::default(),
             adversary: AdversaryPlan::default(),
         }

@@ -70,10 +70,11 @@ pub enum FrameType {
 
 /// One transmission as seen by a global passive eavesdropper.
 ///
-/// Recorded when [`crate::SimConfig::record_frames`] is on. `tx_node` and
-/// `tx_pos` are *ground truth* (an adversary with direction-finding
-/// hardware can localise any transmitter); `src_mac` is what the frame
-/// itself discloses — `None` for AGFW's anonymous broadcasts.
+/// Handed to every [`FrameObserver`] as the frame goes on the air.
+/// `tx_node` and `tx_pos` are *ground truth* (an adversary with
+/// direction-finding hardware can localise any transmitter); `src_mac`
+/// is what the frame itself discloses — `None` for AGFW's anonymous
+/// broadcasts.
 #[derive(Debug, Clone)]
 pub struct FrameRecord<PKT> {
     /// Transmission start time.
@@ -95,10 +96,9 @@ pub struct FrameRecord<PKT> {
 
 /// A streaming consumer of transmitted frames.
 ///
-/// Observers see every frame the moment it goes on the air (same
-/// information as the grow-forever trace [`SimConfig::record_frames`]
-/// used to accumulate), so privacy evaluators can fold sightings online
-/// and a 900 s run no longer holds every packet in memory.
+/// Observers see every frame the moment it goes on the air — the view
+/// of a global passive eavesdropper — so privacy evaluators fold
+/// sightings online and a 900 s run never holds every packet in memory.
 ///
 /// Attach observers with [`World::attach_observer`] before running. To
 /// keep a handle on the observer's accumulated state, wrap it in
@@ -116,8 +116,8 @@ impl<PKT, T: FrameObserver<PKT>> FrameObserver<PKT> for Rc<RefCell<T>> {
     }
 }
 
-/// The compatibility observer: accumulates every frame, reproducing the
-/// pre-streaming `world.frames()` trace byte for byte.
+/// The observer that keeps a whole trace: every frame, in transmission
+/// order, sharing each payload with the simulator.
 #[derive(Debug)]
 pub struct RecordingObserver<PKT> {
     frames: Vec<FrameRecord<PKT>>,
@@ -173,9 +173,6 @@ pub(crate) struct Inner<PKT> {
     macs: Vec<Mac<PKT>>,
     /// MAC outcomes awaiting [`Protocol::on_mac_result`], by node.
     upcalls: VecDeque<(usize, MacOutcome<PKT>)>,
-    /// The compatibility trace behind [`World::frames`], active iff
-    /// [`SimConfig::record_frames`] — now just one observer among many.
-    recorder: Option<RecordingObserver<PKT>>,
     /// Streaming frame consumers ([`World::attach_observer`]).
     observers: Vec<Box<dyn FrameObserver<PKT>>>,
     /// Per-node fault RNGs, seeded in node order from the master RNG —
@@ -279,7 +276,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             vec![None; n]
         };
         let flow_count = config.flows.len();
-        let recorder = config.record_frames.then(RecordingObserver::new);
         Inner {
             now: SimTime::ZERO,
             // A node holds a few events at a time (a MAC wake-up, a TxEnd,
@@ -303,7 +299,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             // each of those steps reports at most one MAC outcome, so the
             // queue never holds more than one and never reallocates.
             upcalls: VecDeque::with_capacity(1),
-            recorder,
             observers: Vec::new(),
             fault_rngs,
             links,
@@ -669,7 +664,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             frame.nav_until = end + reserve;
         }
         self.stats.count("mac.tx_frames");
-        if radio_up && (self.recorder.is_some() || !self.observers.is_empty()) {
+        if radio_up && !self.observers.is_empty() {
             let (frame_type, packet) = match &frame.kind {
                 MacFrameKind::Rts => (FrameType::Rts, None),
                 MacFrameKind::Cts => (FrameType::Cts, None),
@@ -687,9 +682,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             };
             for obs in &mut self.observers {
                 obs.on_frame(&record);
-            }
-            if let Some(recorder) = &mut self.recorder {
-                recorder.on_frame(&record);
             }
         }
         let end = self
@@ -1247,25 +1239,10 @@ impl<P: Protocol> World<P> {
         self.inner.position_of(node.0 as usize)
     }
 
-    /// Every frame transmitted so far, when
-    /// [`crate::SimConfig::record_frames`] is enabled — the observation
-    /// trace of a global passive eavesdropper.
-    ///
-    /// Backed by a [`RecordingObserver`]; long-running analyses that only
-    /// need online aggregates should attach a streaming
-    /// [`FrameObserver`] instead and leave recording off.
-    #[must_use]
-    pub fn frames(&self) -> &[FrameRecord<P::Packet>] {
-        self.inner
-            .recorder
-            .as_ref()
-            .map_or(&[], RecordingObserver::frames)
-    }
-
     /// Attaches a streaming [`FrameObserver`] that sees every subsequent
-    /// transmission (attach before [`World::run`] to see them all).
-    /// Observers are orthogonal to [`crate::SimConfig::record_frames`]:
-    /// they stream regardless, and recording stays off unless asked for.
+    /// transmission (attach before [`World::run`] to see them all). This
+    /// is the only way to watch the air; a [`RecordingObserver`] keeps the
+    /// whole trace.
     pub fn attach_observer(&mut self, observer: Box<dyn FrameObserver<P::Packet>>) {
         self.inner.observers.push(observer);
     }

@@ -167,52 +167,3 @@ proptest! {
         prop_assert!(stats.data_sent > 0);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// A streaming [`RecordingObserver`] attached via `attach_observer`
-    /// reproduces the legacy `world.frames()` trace exactly: same order,
-    /// same fields, and the *same shared packet handles* (no copies made
-    /// anywhere on the recording path).
-    #[test]
-    fn attached_observer_matches_recorded_trace(seed in any::<u64>(), flows in arb_flows(8)) {
-        prop_assume!(!flows.is_empty());
-        use agr_sim::RecordingObserver;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        use std::sync::Arc;
-        let mut config = SimConfig::default();
-        config.num_nodes = 8;
-        config.duration = SimTime::from_secs(15);
-        config.seed = seed;
-        config.flows = flows;
-        config.record_frames = true;
-        let mut world = World::new(config, |_, _, _| Ucast);
-        let stream: Rc<RefCell<RecordingObserver<Pkt>>> =
-            Rc::new(RefCell::new(RecordingObserver::new()));
-        world.attach_observer(Box::new(Rc::clone(&stream)));
-        let _ = world.run();
-        let recorded = world.frames();
-        let streamed = stream.borrow();
-        let streamed = streamed.frames();
-        prop_assert_eq!(recorded.len(), streamed.len());
-        prop_assert!(!recorded.is_empty(), "unicast traffic must put frames on the air");
-        for (r, s) in recorded.iter().zip(streamed) {
-            prop_assert_eq!(r.time, s.time);
-            prop_assert_eq!(r.tx_node, s.tx_node);
-            prop_assert_eq!(r.tx_pos, s.tx_pos);
-            prop_assert_eq!(r.src_mac, s.src_mac);
-            prop_assert_eq!(r.dst_mac, s.dst_mac);
-            prop_assert_eq!(r.frame_type, s.frame_type);
-            match (&r.packet, &s.packet) {
-                (Some(a), Some(b)) => prop_assert!(
-                    Arc::ptr_eq(a, b),
-                    "recorder and observer must share one payload allocation"
-                ),
-                (None, None) => {}
-                _ => prop_assert!(false, "packet presence mismatch"),
-            }
-        }
-    }
-}

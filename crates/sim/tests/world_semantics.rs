@@ -2,7 +2,12 @@
 //! recording, timers, and the `Ctx` surface.
 
 use agr_geom::{Point, Vec2};
-use agr_sim::{Ctx, FlowConfig, FlowTag, MacAddr, NodeId, Protocol, SimConfig, SimTime, World};
+use agr_sim::{
+    Ctx, FlowConfig, FlowTag, MacAddr, NodeId, Protocol, RecordingObserver, SimConfig, SimTime,
+    World,
+};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[derive(Clone, Debug)]
 struct Pkt(FlowTag);
@@ -102,20 +107,18 @@ fn velocity_is_zero_for_static_nodes() {
     );
 }
 
+/// Frames are kept only by an attached [`RecordingObserver`].
 #[test]
 fn frames_empty_unless_recording() {
     let mut world = World::new(two_node_config(10), |_, _, _| Echo::new());
+    let recorder = Rc::new(RefCell::new(RecordingObserver::new()));
+    world.attach_observer(Box::new(Rc::clone(&recorder)));
     let _ = world.run();
-    assert!(world.frames().is_empty(), "recording must be opt-in");
-
-    let mut config = two_node_config(10);
-    config.record_frames = true;
-    let mut world = World::new(config, |_, _, _| Echo::new());
-    let _ = world.run();
-    assert!(!world.frames().is_empty());
+    let recorder = recorder.borrow();
+    assert!(!recorder.frames().is_empty());
     // Every record carries a plausible ground-truth position.
     let area = agr_geom::Rect::with_size(1500.0, 300.0);
-    for frame in world.frames() {
+    for frame in recorder.frames() {
         assert!(area.contains(frame.tx_pos));
     }
 }

@@ -11,32 +11,43 @@
 
 use agr::core::agfw::{Agfw, AgfwConfig};
 use agr::gpsr::{Gpsr, GpsrConfig};
-use agr::privacy::exposure::{agfw_exposure, gpsr_exposure};
+use agr::privacy::disclosure::Discloses;
+use agr::privacy::exposure::Eavesdropper;
 use agr::privacy::tracker::{
-    agfw_sightings, gpsr_sightings, link_tracks, mean_time_to_confusion, mean_tracking_accuracy,
-    tracking_accuracy, LinkingParams,
+    link_tracks, mean_time_to_confusion, mean_tracking_accuracy, tracking_accuracy, LinkingParams,
 };
-use agr::sim::{NodeId, SimConfig, SimTime, World};
+use agr::sim::{NodeId, Protocol, SimConfig, SimTime, World};
 use rand::SeedableRng;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn scenario(seed: u64) -> SimConfig {
     let mut traffic_rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut config = SimConfig::default();
     config.duration = SimTime::from_secs(180);
     config.seed = seed;
-    config.record_frames = true; // arm the eavesdropper
     config.with_cbr_traffic(15, 10, SimTime::from_secs(1), 64, &mut traffic_rng)
+}
+
+/// Arms a global passive eavesdropper on `world` and runs it.
+fn eavesdrop<P: Protocol>(mut world: World<P>) -> Eavesdropper
+where
+    P::Packet: Discloses,
+{
+    let eavesdropper = Rc::new(RefCell::new(Eavesdropper::new()));
+    world.attach_observer(Box::new(Rc::clone(&eavesdropper)));
+    let _ = world.run();
+    eavesdropper.take()
 }
 
 fn main() {
     let target = NodeId(0);
 
     println!("== GPSR under a global passive eavesdropper ==");
-    let mut world = World::new(scenario(3), |_, _, rng| {
+    let heard = eavesdrop(World::new(scenario(3), |_, _, rng| {
         Gpsr::new(GpsrConfig::greedy_only(), rng)
-    });
-    let _ = world.run();
-    let report = gpsr_exposure(world.frames());
+    }));
+    let report = heard.report();
     println!(
         "  {} frames observed -> {} identity-location doublets ({:.2}/frame)",
         report.frames_observed,
@@ -49,7 +60,7 @@ fn main() {
     );
     // With identities in the clear, "tracking" is just reading the id
     // field — but even treating beacons as anonymous, linking works:
-    let tracks = link_tracks(&gpsr_sightings(world.frames()), &LinkingParams::default());
+    let tracks = link_tracks(heard.sightings(), &LinkingParams::default());
     println!(
         "  trajectory of {target}: trivially recoverable (ids in clear); \
          even id-blind linking reaches {:.0}% accuracy\n",
@@ -57,11 +68,10 @@ fn main() {
     );
 
     println!("== AGFW under the same eavesdropper ==");
-    let mut world = World::new(scenario(3), |id, cfg, rng| {
+    let heard = eavesdrop(World::new(scenario(3), |id, cfg, rng| {
         Agfw::new(id, AgfwConfig::default(), cfg, rng)
-    });
-    let _ = world.run();
-    let report = agfw_exposure(world.frames());
+    }));
+    let report = heard.report();
     println!(
         "  {} frames observed -> {} identity-location doublets",
         report.frames_observed, report.identity_location_doublets
@@ -70,7 +80,7 @@ fn main() {
         "  {} pseudonym sightings (locations without identities)",
         report.pseudonym_sightings
     );
-    let tracks = link_tracks(&agfw_sightings(world.frames()), &LinkingParams::default());
+    let tracks = link_tracks(heard.sightings(), &LinkingParams::default());
     let acc = tracking_accuracy(&tracks, target);
     let mean_acc = mean_tracking_accuracy(&tracks);
     let ttc = mean_time_to_confusion(&tracks, target);

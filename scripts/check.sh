@@ -77,6 +77,17 @@ echo "==> smoke perimeter ablation (greedy vs perimeter recovery, 1 seed, 60 sim
 AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 \
     cargo run --offline --release -q -p agr-bench --bin ablate_perimeter
 
+# The privacy tables at their defaults (~3.5 s together) must reproduce
+# the checked-in files byte for byte: every eavesdropper reads payloads
+# through agr-privacy's `Discloses`, so a change to what a packet type
+# declares, or to how the observers fold it, fails here.
+echo "==> privacy tables (privacy_eval, privacy_sniffers at defaults) reproduce results/"
+AGR_RESULTS_DIR="$SMOKE_RESULTS" cargo run --offline --release -q -p agr-bench --bin privacy_eval >/dev/null
+AGR_RESULTS_DIR="$SMOKE_RESULTS" cargo run --offline --release -q -p agr-bench --bin privacy_sniffers >/dev/null
+for f in privacy_exposure.csv privacy_tracking.csv privacy_sniffers.csv; do
+    cmp "$SMOKE_RESULTS/$f" "results/$f" || { echo "privacy tables: $f differs from results/" >&2; exit 1; }
+done
+
 # Telemetry smoke: `simulate --viz-json` must produce a non-empty JSONL
 # event stream where every line matches the agr-telemetry viz schema,
 # and `--metrics-json` a stamped registry snapshot. The schema regex

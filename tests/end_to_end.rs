@@ -3,17 +3,32 @@
 //! facade.
 
 use agr::core::aant::AantConfig;
+use agr::core::agfw::MAX_RETRANSMITS;
 use agr::core::agfw::{Agfw, AgfwConfig, CryptoMode};
 use agr::core::als::{self, AlsServer};
 use agr::core::dlm::ServerSelection;
 use agr::core::keys::KeyDirectory;
 use agr::geom::{Point, Rect};
 use agr::gpsr::{Gpsr, GpsrConfig};
-use agr::privacy::exposure::{agfw_exposure, gpsr_exposure};
-use agr::privacy::tracker::{agfw_sightings, link_tracks, mean_tracking_accuracy, LinkingParams};
-use agr::sim::{SimConfig, SimTime, World};
+use agr::privacy::disclosure::Discloses;
+use agr::privacy::exposure::Eavesdropper;
+use agr::privacy::tracker::{link_tracks, mean_tracking_accuracy, LinkingParams};
+use agr::sim::{Protocol, SimConfig, SimTime, World};
 use rand::SeedableRng;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
+
+/// Runs `world` with a global passive eavesdropper attached.
+fn eavesdrop<P: Protocol>(mut world: World<P>) -> Eavesdropper
+where
+    P::Packet: Discloses,
+{
+    let eavesdropper = Rc::new(RefCell::new(Eavesdropper::new()));
+    world.attach_observer(Box::new(Rc::clone(&eavesdropper)));
+    let _ = world.run();
+    eavesdropper.take()
+}
 
 fn scenario(seed: u64, secs: u64) -> SimConfig {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -82,11 +97,11 @@ fn nl_ack_ablation_under_ten_percent_loss() {
     assert!(acked.counter("agfw.ack_recovered") > 0);
     assert!(acked.counter("agfw.retransmit") > 0);
     assert_eq!(unacked.counter("agfw.retransmit"), 0);
-    // max_retransmits is respected: every broadcast is an original or
-    // one of at most `max_retransmits` retries of an original.
+    // MAX_RETRANSMITS is respected: every broadcast is an original or
+    // one of at most `MAX_RETRANSMITS` retries of an original.
     let retx = acked.counter("agfw.retransmit");
     let originals = acked.counter("agfw.data_broadcast") - retx;
-    let cap = u64::from(AgfwConfig::default().max_retransmits);
+    let cap = u64::from(MAX_RETRANSMITS);
     assert!(
         retx <= cap * originals,
         "unbounded retry: {retx} retransmits of {originals} originals (cap {cap})"
@@ -97,21 +112,18 @@ fn nl_ack_ablation_under_ten_percent_loss() {
 fn anonymity_is_structural_not_statistical() {
     // Identical scenario, both protocols, one eavesdropper: GPSR leaks
     // identity-location doublets with every frame, AGFW leaks none.
-    let mut config = scenario(5, 90);
-    config.record_frames = true;
-    let mut gpsr = World::new(config.clone(), |_, _, rng| {
+    let config = scenario(5, 90);
+    let g = eavesdrop(World::new(config.clone(), |_, _, rng| {
         Gpsr::new(GpsrConfig::greedy_only(), rng)
-    });
-    let _ = gpsr.run();
-    let g = gpsr_exposure(gpsr.frames());
+    }))
+    .report();
     assert!(g.identity_location_doublets > 1000);
     assert!(g.identities_exposed >= 40);
 
-    let mut agfw = World::new(config, |id, cfg, rng| {
+    let a = eavesdrop(World::new(config, |id, cfg, rng| {
         Agfw::new(id, AgfwConfig::default(), cfg, rng)
-    });
-    let _ = agfw.run();
-    let a = agfw_exposure(agfw.frames());
+    }))
+    .report();
     assert_eq!(a.identity_location_doublets, 0);
     assert_eq!(a.mac_source_disclosures, 0);
     assert!(a.pseudonym_sightings > 1000);
@@ -121,15 +133,12 @@ fn anonymity_is_structural_not_statistical() {
 fn tracking_attack_degrades_under_pseudonyms() {
     // The residual risk quantified: spatio-temporal linking of AGFW
     // hellos reconstructs only part of a trajectory in a 50-node network.
-    let mut config = scenario(6, 120);
-    config.record_frames = true;
-    let mut agfw = World::new(config, |id, cfg, rng| {
+    let heard = eavesdrop(World::new(scenario(6, 120), |id, cfg, rng| {
         Agfw::new(id, AgfwConfig::default(), cfg, rng)
-    });
-    let _ = agfw.run();
-    let sightings = agfw_sightings(agfw.frames());
+    }));
+    let sightings = heard.sightings();
     assert!(sightings.len() > 1000);
-    let tracks = link_tracks(&sightings, &LinkingParams::default());
+    let tracks = link_tracks(sightings, &LinkingParams::default());
     let acc = mean_tracking_accuracy(&tracks);
     assert!(
         acc < 0.95,
