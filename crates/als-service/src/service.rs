@@ -682,7 +682,6 @@ mod tests {
         let hello = AgfwPacket::Hello {
             n: Pseudonym([5; 6]),
             loc: Point::ORIGIN,
-            vel: None,
             ts: agr_sim::SimTime::ZERO,
             auth: None,
         };

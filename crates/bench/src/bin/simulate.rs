@@ -7,8 +7,8 @@
 //!     --flows 30 --senders 20 --speed 20 --counters
 //! ```
 //!
-//! Protocols: `gpsr` (greedy), `gpsr-perimeter`, `agfw` (NL-ACK),
-//! `agfw-noack`, `agfw-recovery`, `agfw-predictive`, `agfw-hardened`.
+//! Protocols: `gpsr` (greedy), `agfw` (NL-ACK), `agfw-noack`,
+//! `agfw-hardened`.
 //!
 //! The run is delegated to the shared runner (`run_point`), so a point
 //! simulated here is byte-for-byte the same point a sweep binary would
@@ -73,7 +73,7 @@ impl Default for Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: simulate [--protocol gpsr|gpsr-perimeter|agfw|agfw-noack|agfw-recovery|agfw-predictive|agfw-hardened]\n\
+        "usage: simulate [--protocol gpsr|agfw|agfw-noack|agfw-hardened]\n\
          \x20               [--nodes N] [--duration SECONDS] [--seed N]\n\
          \x20               [--flows N] [--senders N] [--interval MS] [--payload BYTES]\n\
          \x20               [--speed M_PER_S] [--pause SECONDS] [--counters]\n\

@@ -81,7 +81,6 @@ fn main() {
         let hello = AgfwPacket::Hello {
             n,
             loc,
-            vel: None,
             ts,
             auth: Some(auth.clone()),
         };

@@ -11,8 +11,6 @@
 //! | §3.3 ALS overhead | `table_als` | DLM vs ALS vs ALS-no-index message costs |
 //! | §5 ALS prediction | `table_als_net` | oracle vs live networked ALS: delivery, latency, control overhead |
 //! | §3.1.1 ablation | `ablate_pseudonym` | naive vs freshness-aware selection × rotation rate |
-//! | §3.1.1 refinement | `ablate_predictive` | velocity-predictive ANT across hello intervals |
-//! | §6 extension | `ablate_perimeter` | greedy-only vs perimeter recovery at low density |
 //! | §4 quantified | `privacy_eval` | identity–location exposure and tracking, GPSR vs AGFW |
 //! | §2 local sniffers | `privacy_sniffers` | exposure and tracking vs sniffer coverage, GPSR vs AGFW |
 //! | §3.2 reliability | `fault_sweep` | delivery vs injected per-link loss, NL-ACK on vs off |

@@ -22,8 +22,6 @@ use std::str::FromStr;
 pub enum ProtocolKind {
     /// GPSR with greedy forwarding only (the paper's baseline).
     GpsrGreedy,
-    /// GPSR with perimeter recovery (§6 extension).
-    GpsrPerimeter,
     /// AGFW with the given configuration.
     Agfw(AgfwConfig),
 }
@@ -34,11 +32,8 @@ impl ProtocolKind {
     pub fn label(&self) -> &'static str {
         match self {
             ProtocolKind::GpsrGreedy => "GPSR-Greedy",
-            ProtocolKind::GpsrPerimeter => "GPSR-Perimeter",
             ProtocolKind::Agfw(c) if c.defense.enabled => "AGFW-Hardened",
             ProtocolKind::Agfw(c) if !c.nl_ack => "AGFW-noACK",
-            ProtocolKind::Agfw(c) if c.recovery => "AGFW-Recovery",
-            ProtocolKind::Agfw(c) if c.predictive => "AGFW-Predictive",
             ProtocolKind::Agfw(_) => "AGFW-ACK",
         }
     }
@@ -48,11 +43,8 @@ impl ProtocolKind {
     pub fn from_name(name: &str) -> Option<Self> {
         Some(match name {
             "gpsr" => ProtocolKind::GpsrGreedy,
-            "gpsr-perimeter" => ProtocolKind::GpsrPerimeter,
             "agfw" => ProtocolKind::Agfw(AgfwConfig::default()),
             "agfw-noack" => ProtocolKind::Agfw(AgfwConfig::without_ack()),
-            "agfw-recovery" => ProtocolKind::Agfw(AgfwConfig::with_recovery()),
-            "agfw-predictive" => ProtocolKind::Agfw(AgfwConfig::predictive()),
             "agfw-hardened" => ProtocolKind::Agfw(AgfwConfig::hardened()),
             _ => return None,
         })
@@ -282,12 +274,6 @@ pub fn run_point(kind: &ProtocolKind, nodes: usize, seed: u64, params: &SweepPar
             });
             world.run()
         }
-        ProtocolKind::GpsrPerimeter => {
-            let mut world = World::new(config, |_, _, rng| {
-                Gpsr::new(GpsrConfig::with_perimeter(), rng)
-            });
-            world.run()
-        }
         ProtocolKind::Agfw(agfw_config) => {
             let agfw_config = *agfw_config;
             let mut world = World::new(config, move |id, cfg, rng| {
@@ -458,10 +444,6 @@ mod tests {
             Some(ProtocolKind::GpsrGreedy)
         );
         assert_eq!(
-            ProtocolKind::from_name("gpsr-perimeter"),
-            Some(ProtocolKind::GpsrPerimeter)
-        );
-        assert_eq!(
             ProtocolKind::from_name("agfw-noack").map(|k| k.label()),
             Some("AGFW-noACK")
         );
@@ -469,7 +451,9 @@ mod tests {
             ProtocolKind::from_name("agfw-hardened").map(|k| k.label()),
             Some("AGFW-Hardened")
         );
-        assert_eq!(ProtocolKind::from_name("dsr"), None);
+        for gone in ["dsr", "gpsr-perimeter", "agfw-recovery", "agfw-predictive"] {
+            assert_eq!(ProtocolKind::from_name(gone), None, "{gone}");
+        }
     }
 
     #[test]

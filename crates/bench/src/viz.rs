@@ -115,9 +115,6 @@ pub fn run_point_observed(
         ProtocolKind::GpsrGreedy => run_observed(World::new(config, |_, _, rng| {
             Gpsr::new(GpsrConfig::greedy_only(), rng)
         })),
-        ProtocolKind::GpsrPerimeter => run_observed(World::new(config, |_, _, rng| {
-            Gpsr::new(GpsrConfig::with_perimeter(), rng)
-        })),
         ProtocolKind::Agfw(agfw_config) => {
             let agfw_config = *agfw_config;
             run_observed(World::new(config, move |id, cfg, rng| {

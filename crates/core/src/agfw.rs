@@ -27,13 +27,12 @@ use crate::backoff::backoff_delay;
 use crate::dlm::ServerSelection;
 use crate::keys::KeyDirectory;
 use crate::packet::{
-    AckRef, AgfwData, AgfwMode, AgfwPacket, AlsNetKind, AlsNetMessage, AlsPair, TrapdoorWire,
+    AckRef, AgfwData, AgfwPacket, AlsNetKind, AlsNetMessage, AlsPair, TrapdoorWire,
 };
 use crate::pseudonym::{Pseudonym, PseudonymGenerator};
 use crate::{FixedMap, FixedSet};
 use agr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use agr_crypto::trapdoor::Trapdoor;
-use agr_geom::planar;
 use agr_sim::{
     AdversaryRole, Ctx, FlowTag, MacAddr, MacOutcome, NodeId, Protocol, SimConfig, SimTime,
 };
@@ -140,7 +139,7 @@ pub struct DefenseConfig {
 }
 
 /// Slots with a suspicion score at or above this are excluded from
-/// next-hop selection (greedy and perimeter).
+/// next-hop selection.
 const SUSPICION_THRESHOLD: f64 = 1.0;
 /// Suspicion added to the addressed slot on an NL-ACK timeout.
 const TIMEOUT_INCREMENT: f64 = 0.6;
@@ -186,14 +185,6 @@ pub struct AgfwConfig {
     pub piggyback_acks: bool,
     /// Trapdoor cryptography realisation.
     pub crypto: CryptoMode,
-    /// Anonymous perimeter recovery at greedy dead ends — the paper's §6
-    /// future-work extension, face-routing over the pseudonymous ANT.
-    /// Off reproduces the paper's greedy-only AGFW.
-    pub recovery: bool,
-    /// Advertise velocity in hellos and extrapolate neighbor positions at
-    /// selection time — §3.1.1's "forwarding could be better if the node
-    /// movement is predictable" refinement. Costs 8 bytes per hello.
-    pub predictive: bool,
     /// How destination locations are learned.
     pub location: LocationMode,
     /// Adversary hardening (suspicion scoring, forward-watch, bounded
@@ -225,8 +216,6 @@ impl Default for AgfwConfig {
             nl_ack: true,
             piggyback_acks: false,
             crypto: CryptoMode::Modeled,
-            recovery: false,
-            predictive: false,
             location: LocationMode::Oracle,
             defense: DefenseConfig::default(),
         }
@@ -240,24 +229,6 @@ impl AgfwConfig {
     pub fn without_ack() -> Self {
         AgfwConfig {
             nl_ack: false,
-            ..AgfwConfig::default()
-        }
-    }
-
-    /// AGFW with anonymous perimeter recovery (§6 extension).
-    #[must_use]
-    pub fn with_recovery() -> Self {
-        AgfwConfig {
-            recovery: true,
-            ..AgfwConfig::default()
-        }
-    }
-
-    /// AGFW with velocity-predictive neighbor tables (§3.1.1 refinement).
-    #[must_use]
-    pub fn predictive() -> Self {
-        AgfwConfig {
-            predictive: true,
             ..AgfwConfig::default()
         }
     }
@@ -435,7 +406,6 @@ impl Agfw {
             ttl: DATA_TTL,
             payload_bytes: ctx.config().flows[tag.flow as usize].payload_bytes,
             acks: Vec::new(),
-            mode: AgfwMode::Greedy,
             tag,
         };
         let delay = self.config.crypto.encrypt_delay();
@@ -665,9 +635,9 @@ impl Agfw {
         ctx.mac_broadcast(AgfwPacket::Data(data), bytes);
     }
 
-    /// Routes `data` one hop: greedy, perimeter recovery (if enabled), the
-    /// last forwarding attempt, or a drop. `decrement_ttl` is false for
-    /// retransmissions of an already-committed hop.
+    /// Routes `data` one hop: greedy, the last forwarding attempt, or a
+    /// drop. `decrement_ttl` is false for retransmissions of an
+    /// already-committed hop.
     fn forward_or_last_attempt(
         &mut self,
         ctx: &mut Ctx<'_, AgfwPacket>,
@@ -682,18 +652,6 @@ impl Agfw {
             data.ttl -= 1;
         }
         let me = ctx.my_pos();
-
-        // Perimeter mode: resume greedy as soon as we are closer to the
-        // destination than the point where recovery started.
-        if let AgfwMode::Perimeter { entry, prev } = data.mode {
-            if planar::can_resume_greedy(me, entry, data.dst_loc) {
-                data.mode = AgfwMode::Greedy;
-            } else {
-                self.perimeter_step(ctx, data, entry, prev);
-                return;
-            }
-        }
-
         match self.greedy_hop(me, data.dst_loc, ctx.now()) {
             Some(next) => {
                 data.next = next;
@@ -706,14 +664,6 @@ impl Agfw {
                 data.next = Pseudonym::LAST_ATTEMPT;
                 ctx.count("agfw.last_attempt");
                 self.send_data(ctx, data);
-            }
-            None if self.config.recovery => {
-                // §6 extension: enter anonymous perimeter mode. The first
-                // right-hand sweep starts from the destination direction,
-                // exactly as in GPSR — but over pseudonymous ANT entries.
-                ctx.count("agfw.perimeter_enter");
-                let dst_loc = data.dst_loc;
-                self.perimeter_step(ctx, data, me, dst_loc);
             }
             // Forwarding stops; "recovery mode could be further
             // considered" (Algorithm 3.2).
@@ -736,36 +686,6 @@ impl Agfw {
             self.config.selection,
             self.suspicion_threshold(),
         )
-    }
-
-    /// One hop of anonymous perimeter routing: right-hand rule over the
-    /// Gabriel-planarised fresh ANT.
-    fn perimeter_step(
-        &mut self,
-        ctx: &mut Ctx<'_, AgfwPacket>,
-        mut data: AgfwData,
-        entry: agr_geom::Point,
-        prev: agr_geom::Point,
-    ) {
-        let me = ctx.my_pos();
-        let threshold = self.suspicion_threshold();
-        match self
-            .ant
-            .perimeter_next_excluding(me, prev, ctx.now(), threshold)
-        {
-            Some(next) => {
-                data.next = next;
-                data.mode = AgfwMode::Perimeter { entry, prev: me };
-                ctx.count("agfw.forward.perimeter");
-                self.send_data(ctx, data);
-            }
-            None if me.within_range(data.dst_loc, self.comm_range) => {
-                data.next = Pseudonym::LAST_ATTEMPT;
-                ctx.count("agfw.last_attempt");
-                self.send_data(ctx, data);
-            }
-            None => self.give_up(ctx, data.uid, "agfw.drop.no_planar"),
-        }
     }
 
     /// Forgets a data packet this node can route no further, counting the
@@ -1573,19 +1493,12 @@ impl Protocol for Agfw {
                 // stale-location fault injection the two diverge, and
                 // neighbors must route on what was *announced*.
                 let loc = ctx.beacon_pos();
-                let vel = self.config.predictive.then(|| ctx.my_velocity());
                 let ts = ctx.now();
                 let auth = self.aant.as_ref().map(|a| {
                     ctx.count("aant.sign");
                     a.sign_hello(n, loc, ts, ctx.rng())
                 });
-                let hello = AgfwPacket::Hello {
-                    n,
-                    loc,
-                    vel,
-                    ts,
-                    auth,
-                };
+                let hello = AgfwPacket::Hello { n, loc, ts, auth };
                 ctx.count("agfw.hello");
                 let bytes = hello.wire_bytes();
                 ctx.mac_broadcast(hello, bytes);
@@ -1656,14 +1569,8 @@ impl Protocol for Agfw {
     ) {
         debug_assert!(from.is_none(), "AGFW frames must be anonymous broadcasts");
         match packet {
-            AgfwPacket::Hello {
-                n,
-                loc,
-                vel,
-                ts,
-                auth,
-            } => {
-                let (n, loc, vel, ts) = (*n, *loc, *vel, *ts);
+            AgfwPacket::Hello { n, loc, ts, auth } => {
+                let (n, loc, ts) = (*n, *loc, *ts);
                 if let Some(aant) = &self.aant {
                     ctx.count("aant.verify");
                     let (ok, hit) = match auth.as_ref() {
@@ -1684,7 +1591,7 @@ impl Protocol for Agfw {
                 // resurrect an expired neighbor entry. (Note this defeats
                 // replays even of ring-signed AANT hellos, whose
                 // signatures verify verbatim.)
-                if !self.ant.observe_hello(n, loc, vel, ts, ctx.now()) {
+                if !self.ant.observe_hello(n, loc, ts, ctx.now()) {
                     ctx.count("defense.hello_rejected");
                     return;
                 }
@@ -1715,7 +1622,6 @@ impl Protocol for Agfw {
                             packet: AgfwPacket::Hello {
                                 n,
                                 loc,
-                                vel,
                                 ts,
                                 auth: auth.clone(),
                             },

@@ -13,7 +13,7 @@
 
 use crate::pseudonym::Pseudonym;
 use crate::FixedMap;
-use agr_geom::{planar, Point, Vec2};
+use agr_geom::{planar, Point};
 use agr_sim::SimTime;
 
 /// Next-hop selection strategy over the ANT.
@@ -36,23 +36,8 @@ pub struct AntEntry {
     pub(crate) pseudonym: Pseudonym,
     /// Advertised position.
     pub loc: Point,
-    /// Advertised velocity, when the sender included one ("forwarding
-    /// could be better if the node movement is predictable", §3.1.1).
-    pub(crate) velocity: Option<Vec2>,
     /// When the hello was heard.
     pub(crate) heard_at: SimTime,
-}
-
-impl AntEntry {
-    /// The entry's position extrapolated to `now` along its advertised
-    /// velocity (or the raw position when none was advertised).
-    #[must_use]
-    pub(crate) fn predicted_loc(&self, now: SimTime) -> Point {
-        match self.velocity {
-            Some(v) => self.loc + v * now.saturating_sub(self.heard_at).as_secs_f64(),
-            None => self.loc,
-        }
-    }
 }
 
 /// The anonymous neighbor table.
@@ -116,24 +101,11 @@ impl AnonymousNeighborTable {
     /// A repeated pseudonym refreshes its entry; distinct pseudonyms from
     /// the same (unknown) neighbor simply coexist.
     pub fn observe(&mut self, pseudonym: Pseudonym, loc: Point, now: SimTime) {
-        self.observe_with_velocity(pseudonym, loc, None, now);
-    }
-
-    /// Records a hello that also advertised a velocity (the §3.1.1
-    /// predictive extension).
-    pub(crate) fn observe_with_velocity(
-        &mut self,
-        pseudonym: Pseudonym,
-        loc: Point,
-        velocity: Option<Vec2>,
-        now: SimTime,
-    ) {
         self.entries.insert(
             pseudonym,
             AntEntry {
                 pseudonym,
                 loc,
-                velocity,
                 heard_at: now,
             },
         );
@@ -155,7 +127,6 @@ impl AnonymousNeighborTable {
         &mut self,
         pseudonym: Pseudonym,
         loc: Point,
-        velocity: Option<Vec2>,
         ts: SimTime,
         now: SimTime,
     ) -> bool {
@@ -168,7 +139,7 @@ impl AnonymousNeighborTable {
             }
         }
         self.hello_ts.insert(pseudonym, ts);
-        self.observe_with_velocity(pseudonym, loc, velocity, now);
+        self.observe(pseudonym, loc, now);
         true
     }
 
@@ -290,25 +261,6 @@ impl AnonymousNeighborTable {
         })
     }
 
-    /// The anonymous perimeter hop (the §6 extension) from `self_pos`,
-    /// sweeping from `from`: the right-hand rule over the
-    /// Gabriel-planarised *fresh* entries, so that a neighbor's stale
-    /// aliases do not witness away its live edge. Restricted to entries
-    /// whose suspicion score is below `suspicion_threshold`.
-    #[must_use]
-    pub(crate) fn perimeter_next_excluding(
-        &self,
-        self_pos: Point,
-        from: Point,
-        now: SimTime,
-        suspicion_threshold: f64,
-    ) -> Option<Pseudonym> {
-        let fresh = self
-            .candidates(now, true, suspicion_threshold)
-            .map(|e| (e.pseudonym, e.loc));
-        planar::perimeter_next(self_pos, from, fresh)
-    }
-
     /// Chooses the next-hop entry for a packet at `self_pos` heading to
     /// `dst_loc`: strictly closer to the destination than the forwarder,
     /// per greedy forwarding, refined by `strategy`.
@@ -338,12 +290,10 @@ impl AnonymousNeighborTable {
         strategy: SelectionStrategy,
         suspicion_threshold: f64,
     ) -> Option<Pseudonym> {
-        // Entries that advertised a velocity are judged at their
-        // *predicted* position (§3.1.1's movement-prediction refinement).
         let closest = |fresh_only| {
             let candidates = self
                 .candidates(now, fresh_only, suspicion_threshold)
-                .map(|e| (e.pseudonym, e.predicted_loc(now)));
+                .map(|e| (e.pseudonym, e.loc));
             planar::greedy_next(self_pos, dst_loc, candidates).map(|(pseudonym, _)| pseudonym)
         };
         match strategy {
@@ -456,71 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn velocity_extrapolation_changes_selection() {
-        use agr_geom::Vec2;
-        let mut t = ant();
-        let dst = Point::new(200.0, 0.0);
-        // Entry A is closer now but moving away; entry B is farther but
-        // closing fast. Two seconds later B's predicted position wins.
-        t.observe_with_velocity(
-            n(1),
-            Point::new(100.0, 0.0),
-            Some(Vec2::new(-20.0, 0.0)),
-            SimTime::from_secs(1),
-        );
-        t.observe_with_velocity(
-            n(2),
-            Point::new(80.0, 0.0),
-            Some(Vec2::new(20.0, 0.0)),
-            SimTime::from_secs(1),
-        );
-        let got = t
-            .next_hop(
-                Point::ORIGIN,
-                dst,
-                SimTime::from_secs(3),
-                SelectionStrategy::NaiveClosest,
-            )
-            .unwrap();
-        assert_eq!(
-            got.pseudonym,
-            n(2),
-            "prediction must prefer the approaching node"
-        );
-        // Without velocities the stale snapshot would have picked n(1).
-        let mut t2 = ant();
-        t2.observe(n(1), Point::new(100.0, 0.0), SimTime::from_secs(1));
-        t2.observe(n(2), Point::new(80.0, 0.0), SimTime::from_secs(1));
-        let got2 = t2
-            .next_hop(
-                Point::ORIGIN,
-                dst,
-                SimTime::from_secs(3),
-                SelectionStrategy::NaiveClosest,
-            )
-            .unwrap();
-        assert_eq!(got2.pseudonym, n(1));
-    }
-
-    #[test]
-    fn predicted_loc_identity_without_velocity() {
-        let e = AntEntry {
-            pseudonym: n(1),
-            loc: Point::new(5.0, 5.0),
-            velocity: None,
-            heard_at: SimTime::ZERO,
-        };
-        assert_eq!(e.predicted_loc(SimTime::from_secs(100)), e.loc);
-    }
-
-    #[test]
     fn replayed_hello_cannot_resurrect_expired_entry() {
         let mut t = ant();
         // Original hello at t=1 s, stamped t=1 s.
         let accepted = t.observe_hello(
             n(1),
             Point::new(10.0, 0.0),
-            None,
             SimTime::from_secs(1),
             SimTime::from_secs(1),
         );
@@ -533,7 +424,6 @@ mod tests {
         let replay = t.observe_hello(
             n(1),
             Point::new(10.0, 0.0),
-            None,
             SimTime::from_secs(1),
             SimTime::from_secs(10),
         );
@@ -549,7 +439,6 @@ mod tests {
         let replay = t.observe_hello(
             n(1),
             Point::new(10.0, 0.0),
-            None,
             SimTime::from_secs(1),
             SimTime::from_secs(10),
         );
@@ -561,11 +450,11 @@ mod tests {
     fn duplicate_timestamp_rejected_but_newer_accepted() {
         let mut t = ant();
         let p = Point::new(10.0, 0.0);
-        assert!(t.observe_hello(n(1), p, None, SimTime::from_secs(1), SimTime::from_secs(1)));
+        assert!(t.observe_hello(n(1), p, SimTime::from_secs(1), SimTime::from_secs(1)));
         // Immediate duplicate (same ts): rejected.
-        assert!(!t.observe_hello(n(1), p, None, SimTime::from_secs(1), SimTime::from_secs(1)));
+        assert!(!t.observe_hello(n(1), p, SimTime::from_secs(1), SimTime::from_secs(1)));
         // The neighbor's own next hello (newer ts): accepted.
-        assert!(t.observe_hello(n(1), p, None, SimTime::from_secs(2), SimTime::from_secs(2)));
+        assert!(t.observe_hello(n(1), p, SimTime::from_secs(2), SimTime::from_secs(2)));
         assert_eq!(t.live_count(SimTime::from_secs(2)), 1);
     }
 
@@ -635,22 +524,6 @@ mod tests {
         assert!(t.suspicion(n(1)) >= 1.0);
         assert!(t.suspicion(n(2)) >= 1.0);
         assert_eq!(t.suspicion(n(3)), 0.0);
-    }
-
-    #[test]
-    fn perimeter_excluding_skips_suspects() {
-        let mut t = ant();
-        let now = SimTime::from_millis(1500);
-        t.observe(n(1), Point::new(10.0, 0.0), now);
-        t.observe(n(2), Point::new(0.0, 10.0), now);
-        // Arrived from the west: the sweep meets east (n(1)) before north.
-        let west = Point::new(-10.0, 0.0);
-        let next = |t: &AnonymousNeighborTable, threshold| {
-            t.perimeter_next_excluding(Point::ORIGIN, west, now, threshold)
-        };
-        t.suspect(n(1), 1.0);
-        assert_eq!(next(&t, f64::INFINITY), Some(n(1)));
-        assert_eq!(next(&t, 1.0), Some(n(2)), "suspect must be routed around");
     }
 
     #[test]

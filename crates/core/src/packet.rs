@@ -15,7 +15,7 @@
 use crate::pseudonym::Pseudonym;
 use agr_crypto::ring_sig::RingSignature;
 use agr_crypto::trapdoor::Trapdoor;
-use agr_geom::{CellId, Point, Vec2};
+use agr_geom::{CellId, Point};
 use agr_sim::{FlowTag, NodeId, SimTime};
 
 /// IP-ish fixed network header bytes counted on every packet.
@@ -97,28 +97,6 @@ impl HelloAuth {
     }
 }
 
-/// Routing mode of an AGFW data packet.
-///
-/// `Perimeter` is this reproduction's implementation of the paper's §6
-/// future work — "it should not be difficult to extend the scheme to
-/// incorporate extra recovery mechanisms based on our approach" — done
-/// anonymously: face routing over the pseudonymous ANT, with the entry
-/// point and previous-hop *positions* (never identities) in the header.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AgfwMode {
-    /// Greedy forwarding towards `dst_loc`.
-    Greedy,
-    /// Anonymous perimeter recovery.
-    Perimeter {
-        /// Where the packet entered perimeter mode; greedy resumes at any
-        /// node strictly closer to the destination.
-        entry: Point,
-        /// Position of the previous hop (the ingress edge for the
-        /// right-hand rule) — a location, not an identity.
-        prev: Point,
-    },
-}
-
 /// An AGFW data packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgfwData {
@@ -140,8 +118,6 @@ pub struct AgfwData {
     pub payload_bytes: u32,
     /// Piggybacked acknowledgments, possibly empty.
     pub acks: Vec<AckRef>,
-    /// Greedy or anonymous-perimeter recovery (§6 extension).
-    pub mode: AgfwMode,
     /// Simulation accounting tag — NOT a wire field.
     pub tag: FlowTag,
 }
@@ -159,11 +135,11 @@ impl AgfwData {
             + 1 // ttl
             + 1 // ack count
             + AckRef::wire_bytes() * self.acks.len() as u32
-            + 1 // mode flag
-            + match self.mode {
-                AgfwMode::Greedy => 0,
-                AgfwMode::Perimeter { .. } => 16, // entry + prev positions
-            }
+            // A routing-mode byte from when data could travel in
+            // perimeter mode. Dropping it would shorten every data frame's
+            // airtime and so move every golden: a declared re-baseline,
+            // not a clean-up.
+            + 1
             + self.payload_bytes
     }
 }
@@ -355,16 +331,12 @@ impl AlsNetMessage {
 /// An AGFW network-layer packet.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AgfwPacket {
-    /// `⟨HELLO, n, loc, ts⟩`, optionally ring-signed and optionally
-    /// carrying a velocity (§3.1.1's predictive refinement).
+    /// `⟨HELLO, n, loc, ts⟩`, optionally ring-signed.
     Hello {
         /// One-time pseudonym.
         n: Pseudonym,
         /// Sender's current position.
         loc: Point,
-        /// Sender's advertised velocity, if the predictive extension is
-        /// enabled (+8 wire bytes).
-        vel: Option<Vec2>,
         /// Beacon timestamp.
         ts: SimTime,
         /// Optional §3.1.2 authentication.
@@ -387,11 +359,10 @@ impl AgfwPacket {
     #[must_use]
     pub fn wire_bytes(&self) -> u32 {
         match self {
-            AgfwPacket::Hello { auth, vel, .. } => {
+            AgfwPacket::Hello { auth, .. } => {
                 NET_HEADER_BYTES
                     + Pseudonym::wire_bytes()
                     + 8 // loc
-                    + if vel.is_some() { 8 } else { 0 }
                     + 4 // ts
                     + auth.as_ref().map_or(0, HelloAuth::wire_bytes)
             }
@@ -429,7 +400,6 @@ mod tests {
             ttl: 64,
             payload_bytes: 64,
             acks: Vec::new(),
-            mode: AgfwMode::Greedy,
             tag: tag(),
         }
     }
@@ -442,13 +412,6 @@ mod tests {
         let header = d.wire_bytes() - d.payload_bytes;
         assert_eq!(header, 20 + 8 + 6 + 64 + 4 + 1 + 1 + 1);
         assert!(header > 48);
-        // Perimeter mode carries two extra positions.
-        let mut p = data();
-        p.mode = AgfwMode::Perimeter {
-            entry: Point::ORIGIN,
-            prev: Point::ORIGIN,
-        };
-        assert_eq!(p.wire_bytes(), d.wire_bytes() + 16);
     }
 
     #[test]
@@ -493,18 +456,9 @@ mod tests {
         let bare = AgfwPacket::Hello {
             n: Pseudonym([1; 6]),
             loc: Point::ORIGIN,
-            vel: None,
             ts: SimTime::ZERO,
             auth: None,
         };
         assert_eq!(bare.wire_bytes(), 20 + 6 + 8 + 4);
-        let predictive = AgfwPacket::Hello {
-            n: Pseudonym([1; 6]),
-            loc: Point::ORIGIN,
-            vel: Some(Vec2::new(1.0, 2.0)),
-            ts: SimTime::ZERO,
-            auth: None,
-        };
-        assert_eq!(predictive.wire_bytes(), bare.wire_bytes() + 8);
     }
 }

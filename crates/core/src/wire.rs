@@ -28,12 +28,12 @@
 //! authenticated hello currently returns [`WireError::Unsupported`].
 
 use crate::packet::{
-    AckRef, AgfwData, AgfwMode, AgfwPacket, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair,
+    AckRef, AgfwData, AgfwPacket, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair,
 };
 use crate::pseudonym::Pseudonym;
 use crate::TrapdoorWire;
 use agr_crypto::trapdoor::Trapdoor;
-use agr_geom::{CellId, Point, Vec2};
+use agr_geom::{CellId, Point};
 use agr_sim::{FlowTag, NodeId, SimTime};
 
 /// Packet-type tags (first byte of every encoding).
@@ -41,6 +41,13 @@ const TAG_HELLO: u8 = 0;
 const TAG_DATA: u8 = 1;
 const TAG_NL_ACK: u8 = 2;
 const TAG_ALS: u8 = 3;
+
+/// The one value of the hello's velocity flag and the data packet's
+/// routing-mode byte. Both once announced an optional extension (a
+/// velocity; perimeter-mode positions) that no longer exists; the byte
+/// stays so every encoding keeps its layout, and any other value is
+/// rejected.
+const NO_EXTENSION: u8 = 0;
 
 /// Codec failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,6 +129,15 @@ impl<'a> Reader<'a> {
 
     fn point(&mut self) -> Result<Point, WireError> {
         Ok(Point::new(self.f64()?, self.f64()?))
+    }
+
+    /// Reads a byte that must be [`NO_EXTENSION`]; `field` names it in
+    /// the error.
+    fn no_extension(&mut self, field: &'static str) -> Result<(), WireError> {
+        match self.u8()? {
+            NO_EXTENSION => Ok(()),
+            value => Err(WireError::BadTag { field, value }),
+        }
     }
 
     fn pseudonym(&mut self) -> Result<Pseudonym, WireError> {
@@ -238,27 +254,14 @@ pub fn encode_packet(packet: &AgfwPacket) -> Result<Vec<u8>, WireError> {
 pub fn encode_packet_into(packet: &AgfwPacket, out: &mut Vec<u8>) -> Result<(), WireError> {
     out.clear();
     match packet {
-        AgfwPacket::Hello {
-            n,
-            loc,
-            vel,
-            ts,
-            auth,
-        } => {
+        AgfwPacket::Hello { n, loc, ts, auth } => {
             if auth.is_some() {
                 return Err(WireError::Unsupported("ring-signed hello auth"));
             }
             out.push(TAG_HELLO);
             out.extend_from_slice(&n.0);
             put_point(out, *loc);
-            match vel {
-                Some(v) => {
-                    out.push(1);
-                    out.extend_from_slice(&v.x.to_bits().to_be_bytes());
-                    out.extend_from_slice(&v.y.to_bits().to_be_bytes());
-                }
-                None => out.push(0),
-            }
+            out.push(NO_EXTENSION);
             out.extend_from_slice(&ts.as_nanos().to_be_bytes());
         }
         AgfwPacket::Data(d) => {
@@ -295,14 +298,7 @@ fn encode_data(out: &mut Vec<u8>, d: &AgfwData) -> Result<(), WireError> {
     out.push(d.ttl);
     out.extend_from_slice(&d.payload_bytes.to_be_bytes());
     put_acks(out, &d.acks)?;
-    match d.mode {
-        AgfwMode::Greedy => out.push(0),
-        AgfwMode::Perimeter { entry, prev } => {
-            out.push(1);
-            put_point(out, entry);
-            put_point(out, prev);
-        }
-    }
+    out.push(NO_EXTENSION);
     Ok(())
 }
 
@@ -420,21 +416,11 @@ pub fn decode_packet(bytes: &[u8]) -> Result<AgfwPacket, WireError> {
         TAG_HELLO => {
             let n = r.pseudonym()?;
             let loc = r.point()?;
-            let vel = match r.u8()? {
-                0 => None,
-                1 => Some(Vec2::new(r.f64()?, r.f64()?)),
-                value => {
-                    return Err(WireError::BadTag {
-                        field: "hello velocity flag",
-                        value,
-                    })
-                }
-            };
+            r.no_extension("hello velocity flag")?;
             let ts = SimTime::from_nanos(r.u64()?);
             AgfwPacket::Hello {
                 n,
                 loc,
-                vel,
                 ts,
                 auth: None,
             }
@@ -475,19 +461,7 @@ fn decode_data(r: &mut Reader<'_>) -> Result<AgfwData, WireError> {
     let ttl = r.u8()?;
     let payload_bytes = r.u32()?;
     let acks = read_acks(r)?;
-    let mode = match r.u8()? {
-        0 => AgfwMode::Greedy,
-        1 => AgfwMode::Perimeter {
-            entry: r.point()?,
-            prev: r.point()?,
-        },
-        value => {
-            return Err(WireError::BadTag {
-                field: "routing mode",
-                value,
-            })
-        }
-    };
+    r.no_extension("routing mode")?;
     Ok(AgfwData {
         dst_loc,
         next,
@@ -496,7 +470,6 @@ fn decode_data(r: &mut Reader<'_>) -> Result<AgfwData, WireError> {
         ttl,
         payload_bytes,
         acks,
-        mode,
         // Simulation accounting only — never on the wire.
         tag: FlowTag {
             flow: 0,
@@ -574,7 +547,6 @@ mod tests {
         let hello = AgfwPacket::Hello {
             n: Pseudonym([7; 6]),
             loc: Point::new(1.0, 2.0),
-            vel: None,
             ts: SimTime::from_millis(3),
             auth: None,
         };

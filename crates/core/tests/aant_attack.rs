@@ -43,7 +43,6 @@ impl Protocol for NodeKind {
                 let hello = AgfwPacket::Hello {
                     n,
                     loc: *fake_loc,
-                    vel: None,
                     ts: ctx.now(),
                     auth: None,
                 };

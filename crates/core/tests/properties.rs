@@ -1,7 +1,7 @@
 //! Property-based tests for the anonymous-routing building blocks.
 
 use agr_core::ant::SelectionStrategy;
-use agr_core::packet::{AckRef, AgfwData, AgfwMode, AgfwPacket, TrapdoorWire};
+use agr_core::packet::{AckRef, AgfwData, AgfwPacket, TrapdoorWire};
 use agr_core::{AnonymousNeighborTable, Pseudonym, PseudonymGenerator};
 use agr_geom::Point;
 use agr_sim::{FlowTag, NodeId, SimTime};
@@ -113,7 +113,6 @@ proptest! {
             ttl: 64,
             payload_bytes,
             acks: (0..acks as u64).map(|u| AckRef { uid: u, to: Pseudonym([2; 6]) }).collect(),
-            mode: AgfwMode::Greedy,
             tag,
         };
         let base = mk(payload, n_acks).wire_bytes();
@@ -151,7 +150,6 @@ proptest! {
         let hello = AgfwPacket::Hello {
             n: Pseudonym([b; 6]),
             loc: Point::new(x, y),
-            vel: None,
             ts: SimTime::from_secs(t),
             auth: None,
         };

@@ -5,19 +5,19 @@
 //! a truncated capture, or a replayed frame with flipped bits — returns
 //! a [`WireError`], never a panic. Proptest drives three generators:
 //! pure noise, strict prefixes of valid encodings, and single-bit
-//! corruptions of valid encodings.
+//! corruptions of valid encodings. Two hand-built frames check the
+//! extension bytes that no longer announce anything.
 
-use agr_core::packet::{AckRef, AgfwMode, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair};
+use agr_core::packet::{AckRef, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair};
 use agr_core::pseudonym::Pseudonym;
-use agr_core::wire::{decode_packet, encode_packet};
+use agr_core::wire::{decode_packet, encode_packet, WireError};
 use agr_core::{AgfwData, AgfwPacket, TrapdoorWire};
-use agr_geom::{CellId, Point, Vec2};
+use agr_geom::{CellId, Point};
 use agr_sim::{FlowTag, NodeId, SimTime};
 use proptest::prelude::*;
 
-/// A corpus of valid packets covering every wire shape (hello with and
-/// without velocity, data in both modes with and without piggybacked
-/// ACKs, empty and full NL-ACKs, all twelve ALS kinds — the three
+/// A corpus of valid packets covering every wire shape (hello, data with
+/// piggybacked ACKs, empty and full NL-ACKs, all twelve ALS kinds — the three
 /// geo-routed ones, the service-transport Forward/Ack/Miss, the
 /// anti-entropy SyncDigest/SyncDelta, the health/admission
 /// Ping/Pong/Busy, and the telemetry StatsDump in both its
@@ -44,32 +44,16 @@ fn corpus() -> Vec<AgfwPacket> {
         ttl: 62,
         payload_bytes: 64,
         acks: vec![ack(0x11, 0x21), ack(0x22, 0x31)],
-        mode: AgfwMode::Greedy,
         tag: zero_tag,
     };
-    let mut perimeter = data.clone();
-    perimeter.mode = AgfwMode::Perimeter {
-        entry: Point::new(740.0, 111.0),
-        prev: Point::new(738.5, 90.0),
-    };
-    perimeter.acks.clear();
     vec![
         AgfwPacket::Hello {
             n: Pseudonym([9, 8, 7, 6, 5, 4]),
             loc: Point::new(300.25, -12.5),
-            vel: None,
             ts: SimTime::from_millis(12_345),
             auth: None,
         },
-        AgfwPacket::Hello {
-            n: Pseudonym([0xFF; 6]),
-            loc: Point::new(0.0, 1500.0),
-            vel: Some(Vec2::new(-19.5, 3.25)),
-            ts: SimTime::from_secs(900),
-            auth: None,
-        },
         AgfwPacket::Data(data),
-        AgfwPacket::Data(perimeter),
         AgfwPacket::NlAck { acks: vec![] },
         AgfwPacket::NlAck {
             acks: vec![ack(1, 1), ack(u64::MAX, 0xEE)],
@@ -246,7 +230,7 @@ proptest! {
     /// has no optional tail: cutting anywhere leaves a field unfinished),
     /// and never a panic.
     #[test]
-    fn truncations_error_cleanly(which in 0usize..19, cut in 0.0f64..1.0) {
+    fn truncations_error_cleanly(which in 0usize..17, cut in 0.0f64..1.0) {
         let enc = &encodings()[which];
         let len = (cut * enc.len() as f64) as usize; // < enc.len(): strict
         prop_assert!(
@@ -260,7 +244,7 @@ proptest! {
     /// survives decoding, the result must also re-encode without
     /// panicking (a corrupt-but-parseable packet can be forwarded).
     #[test]
-    fn bit_flips_never_panic(which in 0usize..19, bit in any::<u16>()) {
+    fn bit_flips_never_panic(which in 0usize..17, bit in any::<u16>()) {
         let mut enc = encodings()[which].clone();
         let bit = usize::from(bit) % (enc.len() * 8);
         enc[bit / 8] ^= 1 << (bit % 8);
@@ -274,4 +258,41 @@ proptest! {
 #[test]
 fn empty_input_is_truncated() {
     assert!(decode_packet(&[]).is_err());
+}
+
+/// Frames in the two shapes the codec once accepted for extensions that
+/// are gone: a hello carrying a velocity (flag 1 + two f64s) and a data
+/// packet in perimeter mode (mode 1 + entry and previous-hop positions).
+/// An attacker can still send them; both are bad tags, not panics and not
+/// packets.
+#[test]
+fn former_extension_frames_are_rejected() {
+    let mut hello = encode_packet(&AgfwPacket::Hello {
+        n: Pseudonym([0xFF; 6]),
+        loc: Point::new(0.0, 1500.0),
+        ts: SimTime::from_secs(900),
+        auth: None,
+    })
+    .unwrap();
+    // type (1) + pseudonym (6) + loc (16), then the velocity flag.
+    let flag = 1 + 6 + 16;
+    assert_eq!(hello[flag], 0);
+    hello[flag] = 1;
+    hello.splice(flag + 1..flag + 1, [0x42; 16]);
+
+    let AgfwPacket::Data(mut data) = corpus().swap_remove(1) else {
+        panic!("corpus[1] is the data packet")
+    };
+    data.acks.clear();
+    let mut perimeter = encode_packet(&AgfwPacket::Data(data)).unwrap();
+    // The routing-mode byte is the last one.
+    *perimeter.last_mut().unwrap() = 1;
+    perimeter.extend_from_slice(&[0x42; 16]);
+
+    for (frame, field) in [(hello, "hello velocity flag"), (perimeter, "routing mode")] {
+        assert_eq!(
+            decode_packet(&frame),
+            Err(WireError::BadTag { field, value: 1 })
+        );
+    }
 }

@@ -6,16 +6,14 @@
 //! every packet shape — otherwise uid-keyed ACK matching, duplicate
 //! suppression, and trapdoor flow markers diverge downstream.
 
-use agr_core::packet::{
-    AckRef, AgfwMode, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair, HelloAuth,
-};
+use agr_core::packet::{AckRef, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair, HelloAuth};
 use agr_core::pseudonym::Pseudonym;
 use agr_core::wire::{decode_packet, encode_packet, WireError};
 use agr_core::{AgfwData, AgfwPacket, TrapdoorWire};
 use agr_crypto::ring_sig::ring_sign;
 use agr_crypto::rsa::RsaKeyPair;
 use agr_crypto::trapdoor::Trapdoor;
-use agr_geom::{CellId, Point, Vec2};
+use agr_geom::{CellId, Point};
 use agr_sim::{FlowTag, NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,7 +58,6 @@ fn data_with_piggybacked_acks() -> AgfwPacket {
         ttl: 62,
         payload_bytes: 64,
         acks: vec![ack(0x11, 0x21), ack(0x22, 0x31)],
-        mode: AgfwMode::Greedy,
         tag: zero_tag(),
     })
 }
@@ -70,19 +67,7 @@ fn hello_roundtrips() {
     assert_roundtrip(&AgfwPacket::Hello {
         n: Pseudonym([9, 8, 7, 6, 5, 4]),
         loc: Point::new(300.25, -12.5),
-        vel: None,
         ts: SimTime::from_millis(12_345),
-        auth: None,
-    });
-}
-
-#[test]
-fn predictive_hello_roundtrips() {
-    assert_roundtrip(&AgfwPacket::Hello {
-        n: Pseudonym([0xFF; 6]),
-        loc: Point::new(0.0, 1500.0),
-        vel: Some(Vec2::new(-19.5, 3.25)),
-        ts: SimTime::from_secs(900),
         auth: None,
     });
 }
@@ -90,19 +75,6 @@ fn predictive_hello_roundtrips() {
 #[test]
 fn data_with_acks_roundtrips() {
     assert_roundtrip(&data_with_piggybacked_acks());
-}
-
-#[test]
-fn perimeter_data_roundtrips() {
-    let AgfwPacket::Data(mut d) = data_with_piggybacked_acks() else {
-        unreachable!()
-    };
-    d.mode = AgfwMode::Perimeter {
-        entry: Point::new(740.0, 111.0),
-        prev: Point::new(738.5, 90.0),
-    };
-    d.acks.clear();
-    assert_roundtrip(&AgfwPacket::Data(d));
 }
 
 #[test]
@@ -118,7 +90,6 @@ fn real_trapdoor_roundtrips_and_still_opens() {
         ttl: 1,
         payload_bytes: 512,
         acks: vec![ack(777, 0x0C)],
-        mode: AgfwMode::Greedy,
         tag: zero_tag(),
     });
     assert_roundtrip(&packet);
@@ -611,7 +582,6 @@ fn authenticated_hello_refuses_to_encode() {
     let packet = AgfwPacket::Hello {
         n: Pseudonym([3; 6]),
         loc: Point::ORIGIN,
-        vel: None,
         ts: SimTime::ZERO,
         auth: Some(HelloAuth {
             ring_ids: vec![1, 2],

@@ -1,10 +1,9 @@
 //! 2-D geometry and grid-partitioning substrate for geographic ad hoc routing.
 //!
 //! Everything in the reproduction that reasons about *where nodes are* goes
-//! through this crate: node positions and movement ([`Point`], [`Vec2`]),
-//! deployment areas ([`Rect`]), the DLM location-service grid ([`Grid`]),
-//! and the forwarding kernel GPSR and AGFW both route with ([`planar`]):
-//! greedy selection, Gabriel planarisation and the right-hand rule.
+//! through this crate: node positions ([`Point`]), deployment areas
+//! ([`Rect`]), the DLM location-service grid ([`Grid`]), and the greedy
+//! forwarding kernel GPSR and AGFW both route with ([`planar`]).
 //!
 //! Distances are in **metres** and the coordinate system is the usual
 //! Cartesian plane (x to the right, y up), matching the paper's
@@ -31,5 +30,5 @@ mod point;
 mod rect;
 
 pub use grid::{CellId, Grid};
-pub use point::{Point, Vec2};
+pub use point::Point;
 pub use rect::Rect;

@@ -1,5 +1,4 @@
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A position in the plane, in metres.
 ///
@@ -63,12 +62,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Vector from `self` to `other`.
-    #[must_use]
-    pub fn vector_to(self, other: Point) -> Vec2 {
-        Vec2::new(other.x - self.x, other.y - self.y)
-    }
-
     /// Linear interpolation: the point a fraction `t` of the way to `other`.
     ///
     /// `t = 0` returns `self`, `t = 1` returns `other`. Values outside
@@ -111,145 +104,6 @@ impl fmt::Display for Point {
     }
 }
 
-impl Add<Vec2> for Point {
-    type Output = Point;
-
-    fn add(self, v: Vec2) -> Point {
-        Point::new(self.x + v.x, self.y + v.y)
-    }
-}
-
-impl AddAssign<Vec2> for Point {
-    fn add_assign(&mut self, v: Vec2) {
-        self.x += v.x;
-        self.y += v.y;
-    }
-}
-
-impl Sub<Point> for Point {
-    type Output = Vec2;
-
-    fn sub(self, other: Point) -> Vec2 {
-        other.vector_to(self)
-    }
-}
-
-/// A displacement in the plane, in metres.
-///
-/// Where [`Point`] answers "where", `Vec2` answers "which way and how far".
-/// The mobility model represents per-leg velocities as `Vec2`s, and
-/// perimeter-mode routing uses `Vec2` angles for its right-hand rule.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Vec2 {
-    /// Horizontal component in metres.
-    pub x: f64,
-    /// Vertical component in metres.
-    pub y: f64,
-}
-
-impl Vec2 {
-    /// The zero vector.
-    pub const ZERO: Vec2 = Vec2 { x: 0.0, y: 0.0 };
-
-    /// Creates a vector `(x, y)`.
-    #[must_use]
-    pub const fn new(x: f64, y: f64) -> Self {
-        Vec2 { x, y }
-    }
-
-    /// Euclidean length.
-    #[must_use]
-    pub fn length(self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
-    }
-
-    /// The vector scaled to unit length, or `None` for (near-)zero vectors.
-    #[must_use]
-    pub(crate) fn normalized(self) -> Option<Vec2> {
-        let len = self.length();
-        if len < 1e-12 {
-            None
-        } else {
-            Some(self / len)
-        }
-    }
-
-    /// Angle of the vector in radians, in `(-pi, pi]`, measured
-    /// counter-clockwise from the positive x-axis.
-    #[must_use]
-    pub(crate) fn angle(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
-    /// Counter-clockwise angle from `self` to `other`, normalised to
-    /// `[0, 2*pi)`.
-    ///
-    /// This is the primitive behind the right-hand rule in perimeter mode:
-    /// the next edge is the one with the smallest counter-clockwise sweep
-    /// from the reversed ingress edge.
-    #[must_use]
-    pub fn ccw_angle_to(self, other: Vec2) -> f64 {
-        let mut a = other.angle() - self.angle();
-        if a < 0.0 {
-            a += std::f64::consts::TAU;
-        }
-        a
-    }
-}
-
-impl fmt::Display for Vec2 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<{:.1}, {:.1}>", self.x, self.y)
-    }
-}
-
-impl Add for Vec2 {
-    type Output = Vec2;
-
-    fn add(self, other: Vec2) -> Vec2 {
-        Vec2::new(self.x + other.x, self.y + other.y)
-    }
-}
-
-impl Sub for Vec2 {
-    type Output = Vec2;
-
-    fn sub(self, other: Vec2) -> Vec2 {
-        Vec2::new(self.x - other.x, self.y - other.y)
-    }
-}
-
-impl SubAssign for Vec2 {
-    fn sub_assign(&mut self, other: Vec2) {
-        self.x -= other.x;
-        self.y -= other.y;
-    }
-}
-
-impl Neg for Vec2 {
-    type Output = Vec2;
-
-    fn neg(self) -> Vec2 {
-        Vec2::new(-self.x, -self.y)
-    }
-}
-
-impl Mul<f64> for Vec2 {
-    type Output = Vec2;
-
-    fn mul(self, s: f64) -> Vec2 {
-        Vec2::new(self.x * s, self.y * s)
-    }
-}
-
-impl Div<f64> for Vec2 {
-    type Output = Vec2;
-
-    fn div(self, s: f64) -> Vec2 {
-        Vec2::new(self.x / s, self.y / s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,44 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn point_plus_vector() {
-        let p = Point::new(1.0, 1.0) + Vec2::new(2.0, 3.0);
-        assert_eq!(p, Point::new(3.0, 4.0));
-        let v = Point::new(3.0, 4.0) - Point::new(1.0, 1.0);
-        assert_eq!(v, Vec2::new(2.0, 3.0));
-    }
-
-    #[test]
-    fn ccw_angle_quarter_turns() {
-        let e1 = Vec2::new(1.0, 0.0);
-        let up = Vec2::new(0.0, 1.0);
-        let down = Vec2::new(0.0, -1.0);
-        let quarter = std::f64::consts::FRAC_PI_2;
-        assert!((e1.ccw_angle_to(up) - quarter).abs() < 1e-12);
-        assert!((e1.ccw_angle_to(down) - 3.0 * quarter).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_zero_is_none() {
-        assert!(Vec2::ZERO.normalized().is_none());
-        let n = Vec2::new(3.0, 4.0).normalized().unwrap();
-        assert!((n.length() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vector_ops() {
-        let a = Vec2::new(1.0, 2.0);
-        let b = Vec2::new(3.0, -1.0);
-        assert_eq!(a + b, Vec2::new(4.0, 1.0));
-        assert_eq!(a - b, Vec2::new(-2.0, 3.0));
-        assert_eq!(-a, Vec2::new(-1.0, -2.0));
-        assert_eq!(a * 2.0, Vec2::new(2.0, 4.0));
-        assert_eq!(a / 2.0, Vec2::new(0.5, 1.0));
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Point::new(1.25, 2.0).to_string(), "(1.2, 2.0)");
-        assert_eq!(Vec2::new(1.0, -2.0).to_string(), "<1.0, -2.0>");
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use agr_geom::{planar, Grid, Point, Rect, Vec2};
+use agr_geom::{planar, Grid, Point, Rect};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -85,26 +85,6 @@ proptest! {
     }
 
     #[test]
-    fn ccw_angle_in_range(ax in -1.0..1.0f64, ay in -1.0..1.0f64,
-                          bx in -1.0..1.0f64, by in -1.0..1.0f64) {
-        prop_assume!(ax.abs() + ay.abs() > 1e-6 && bx.abs() + by.abs() > 1e-6);
-        let a = Vec2::new(ax, ay);
-        let b = Vec2::new(bx, by);
-        let angle = a.ccw_angle_to(b);
-        prop_assert!((0.0..std::f64::consts::TAU + 1e-9).contains(&angle));
-    }
-
-    #[test]
-    fn right_hand_returns_valid_index(
-        here in arb_point(), from in arb_point(),
-        cands in proptest::collection::vec(arb_point(), 1..10),
-    ) {
-        if let Some(i) = planar::right_hand_next(here, from, &cands) {
-            prop_assert!(i < cands.len());
-        }
-    }
-
-    #[test]
     fn greedy_choice_is_closest_progressing(
         me in arb_point(),
         dst in arb_point(),
@@ -124,39 +104,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn planarisation_yields_subset(
-        me in arb_point(),
-        neighbors in arb_neighbors(),
-    ) {
-        let planar = planar::gabriel_neighbors(me, &neighbors);
-        prop_assert!(planar.len() <= neighbors.len());
-        for p in &planar {
-            prop_assert!(neighbors.contains(p));
-        }
-    }
-
-    #[test]
-    fn perimeter_next_hop_is_a_planar_neighbor(
-        me in arb_point(),
-        prev in arb_point(),
-        neighbors in arb_neighbors(),
-    ) {
-        if let Some(next) = planar::perimeter_next(me, prev, neighbors.iter().copied()) {
-            let planar = planar::gabriel_neighbors(me, &neighbors);
-            prop_assert!(planar.iter().any(|&(key, _)| key == next));
-        }
-    }
-
-    #[test]
-    fn resume_rule_is_a_strict_distance_test(
-        me in arb_point(),
-        entry in arb_point(),
-        dst in arb_point(),
-    ) {
-        let resumed = planar::can_resume_greedy(me, entry, dst);
-        prop_assert_eq!(resumed, me.distance_sq(dst) < entry.distance_sq(dst));
     }
 }

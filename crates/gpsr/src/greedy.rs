@@ -14,7 +14,7 @@ use agr_geom::{planar, Point};
 /// heading to `dst_loc`.
 ///
 /// Returns `None` when no neighbor makes strict progress (a void /
-/// local maximum — where GPSR would switch to perimeter mode).
+/// local maximum), where the packet is dropped.
 #[must_use]
 pub fn next_hop<I>(self_pos: Point, dst_loc: Point, neighbors: I) -> Option<Neighbor>
 where

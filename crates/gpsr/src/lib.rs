@@ -12,17 +12,14 @@
 //!   geographically closest to the destination, strictly closer than
 //!   yourself. Packets are MAC *unicasts* — RTS/CTS/DATA/ACK — addressed
 //!   to the chosen neighbor's MAC address.
-//! * **Perimeter recovery** ([`GpsrConfig::with_perimeter`]): when greedy
-//!   hits a local maximum, route around the void on the Gabriel-planarised
-//!   neighbor graph by the right-hand rule. The paper's §6 names this the
-//!   natural extension of the anonymous scheme; we implement it for the
-//!   baseline and as an AGFW ablation.
 //!
-//! Both rules are [`agr_geom::planar`]'s forwarding kernel, the same code
-//! AGFW routes with; this crate supplies the identified neighbor table and
-//! the perimeter-mode state carried in each packet. The [`Gpsr`] type
-//! implements [`agr_sim::Protocol`] and runs on the `agr-sim` MANET
-//! simulator.
+//! GPSR's perimeter recovery is not implemented: the paper compares
+//! against GPSR-Greedy, and a paired-seed study found that perimeter mode
+//! buys under one point of delivery at every density tried (EXPERIMENTS.md
+//! §6). Greedy selection is [`agr_geom::planar::greedy_next`], the same
+//! kernel AGFW routes with; this crate supplies the identified neighbor
+//! table. The [`Gpsr`] type implements [`agr_sim::Protocol`] and runs on
+//! the `agr-sim` MANET simulator.
 //!
 //! # Examples
 //!
@@ -35,7 +32,7 @@
 //! let mut config = SimConfig::default();
 //! config.duration = SimTime::from_secs(120);
 //! let config = config.with_cbr_traffic(5, 3, SimTime::from_secs(1), 64, &mut rng);
-//! let mut world = World::new(config, |_, _, rng| Gpsr::new(GpsrConfig::default(), rng));
+//! let mut world = World::new(config, |_, _, rng| Gpsr::new(GpsrConfig::greedy_only(), rng));
 //! let stats = world.run();
 //! assert!(stats.delivery_fraction() > 0.5);
 //! ```

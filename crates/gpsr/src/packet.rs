@@ -12,28 +12,12 @@ use agr_sim::{FlowTag, NodeId};
 /// position (8).
 pub const BEACON_BYTES: u32 = 32;
 
-/// Bytes of the GPSR data header: IP-ish header (20) + destination id (4)
-/// + destination location (8) + mode/TTL/perimeter fields (16).
+/// Bytes of the GPSR data header: IP-ish header (20), destination id (4),
+/// destination location (8), and 16 bytes for TTL and full GPSR's mode
+/// and perimeter fields. This GPSR routes greedily only, but the 16 bytes
+/// stay: dropping them would shorten every data frame's airtime and so
+/// move every golden, a declared re-baseline.
 pub(crate) const DATA_HEADER_BYTES: u32 = 48;
-
-/// Routing mode carried in the data header.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum RoutingMode {
-    /// Greedy forwarding towards the destination location.
-    Greedy,
-    /// Perimeter (face) routing around a void.
-    Perimeter {
-        /// Location where the packet entered perimeter mode; greedy
-        /// resumes at any node closer to the destination than this.
-        entry: Point,
-        /// Position of the node that forwarded the packet to us (the
-        /// ingress edge for the right-hand rule).
-        prev: Point,
-        /// First edge taken on the current perimeter; re-traversing it
-        /// means the destination is unreachable and the packet is dropped.
-        first_edge: Option<(NodeId, NodeId)>,
-    },
-}
 
 /// The header of a GPSR data packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,8 +30,6 @@ pub struct DataHeader {
     pub(crate) dst_loc: Point,
     /// Remaining hop budget.
     pub(crate) ttl: u8,
-    /// Greedy or perimeter.
-    pub(crate) mode: RoutingMode,
     /// Application payload size in bytes (payload content is irrelevant to
     /// routing; only its size matters for airtime).
     pub(crate) payload_bytes: u32,
@@ -93,20 +75,8 @@ mod tests {
             dst: NodeId(1),
             dst_loc: Point::ORIGIN,
             ttl: 64,
-            mode: RoutingMode::Greedy,
             payload_bytes: 64,
         };
         assert_eq!(h.wire_bytes(), DATA_HEADER_BYTES + 64);
-    }
-
-    #[test]
-    fn modes_compare() {
-        assert_eq!(RoutingMode::Greedy, RoutingMode::Greedy);
-        let p = RoutingMode::Perimeter {
-            entry: Point::ORIGIN,
-            prev: Point::ORIGIN,
-            first_edge: None,
-        };
-        assert_ne!(p, RoutingMode::Greedy);
     }
 }

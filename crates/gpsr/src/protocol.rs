@@ -2,19 +2,16 @@
 
 use crate::greedy;
 use crate::neighbor::NeighborTable;
-use crate::packet::{DataHeader, GpsrPacket, RoutingMode, BEACON_BYTES};
-use agr_geom::planar;
+use crate::packet::{DataHeader, GpsrPacket, BEACON_BYTES};
 use agr_sim::{Ctx, FlowTag, MacAddr, MacDst, MacOutcome, NodeId, Protocol, SimTime};
 use rand::Rng;
 
-/// GPSR configuration.
+/// GPSR configuration. GPSR here is the paper's greedy-only baseline,
+/// which "usually ... has a satisfactory delivery performance even in a
+/// modest-density network" (§6), so there is nothing left to configure;
+/// the type stays because the benchmark harness still names it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GpsrConfig {
-    /// Enable perimeter-mode recovery (off = the paper's GPSR-Greedy
-    /// baseline, which "usually ... has a satisfactory delivery
-    /// performance even in a modest-density network", §6).
-    pub perimeter: bool,
-}
+pub struct GpsrConfig;
 
 /// Beacon (local location update) interval; GPSR default 1 s.
 const BEACON_INTERVAL: SimTime = SimTime::from_secs(1);
@@ -27,13 +24,7 @@ impl GpsrConfig {
     /// The baseline of the paper's Figure 1: greedy-only GPSR.
     #[must_use]
     pub fn greedy_only() -> Self {
-        GpsrConfig::default()
-    }
-
-    /// Greedy + perimeter recovery (the full GPSR of Karp & Kung).
-    #[must_use]
-    pub fn with_perimeter() -> Self {
-        GpsrConfig { perimeter: true }
+        GpsrConfig
     }
 }
 
@@ -45,7 +36,6 @@ const TIMER_BEACON: u64 = 1;
 /// a runnable example.
 #[derive(Debug)]
 pub struct Gpsr {
-    config: GpsrConfig,
     table: NeighborTable,
 }
 
@@ -54,9 +44,8 @@ impl Gpsr {
     /// `World::new` factory signature; GPSR itself draws its jitter from
     /// the simulation RNG at runtime.
     #[must_use]
-    pub fn new(config: GpsrConfig, _rng: &mut impl Rng) -> Self {
+    pub fn new(_config: GpsrConfig, _rng: &mut impl Rng) -> Self {
         Gpsr {
-            config,
             table: NeighborTable::new(NEIGHBOR_TIMEOUT),
         }
     }
@@ -80,8 +69,7 @@ impl Gpsr {
         ctx.set_timer(SimTime::from_nanos(delay), TIMER_BEACON);
     }
 
-    fn forward(&mut self, ctx: &mut Ctx<'_, GpsrPacket>, mut header: DataHeader) {
-        let me = ctx.my_id();
+    fn forward(&mut self, ctx: &mut Ctx<'_, GpsrPacket>, header: DataHeader) {
         let my_pos = ctx.my_pos();
         let now = ctx.now();
 
@@ -98,67 +86,17 @@ impl Gpsr {
             return;
         }
 
-        // Perimeter mode continues until the packet is strictly closer to
-        // the destination than where it entered; otherwise route greedily,
-        // entering perimeter mode at a local maximum. The right-hand rule
-        // for the first perimeter hop sweeps from the direction of the
-        // destination.
-        let (entry, from, first_edge, counter) = match header.mode {
-            RoutingMode::Perimeter {
-                entry,
-                prev,
-                first_edge,
-            } if !planar::can_resume_greedy(my_pos, entry, header.dst_loc) => {
-                (entry, prev, first_edge, "gpsr.forward.perimeter")
+        match greedy::next_hop(my_pos, header.dst_loc, self.table.live(now)) {
+            Some(next) => {
+                ctx.count("gpsr.forward.greedy");
+                ctx.mac_unicast(
+                    MacAddr::from(next.id),
+                    GpsrPacket::Data(header),
+                    header.wire_bytes(),
+                );
             }
-            _ => {
-                header.mode = RoutingMode::Greedy;
-                match greedy::next_hop(my_pos, header.dst_loc, self.table.live(now)) {
-                    Some(next) => {
-                        ctx.count("gpsr.forward.greedy");
-                        ctx.mac_unicast(
-                            MacAddr::from(next.id),
-                            GpsrPacket::Data(header),
-                            header.wire_bytes(),
-                        );
-                        return;
-                    }
-                    None if self.config.perimeter => {
-                        (my_pos, header.dst_loc, None, "gpsr.forward.perimeter_enter")
-                    }
-                    None => {
-                        ctx.count("gpsr.drop.local_max");
-                        return;
-                    }
-                }
-            }
-        };
-        let neighbors = self.table.live(now).map(|n| (n.id, n.pos));
-        let Some(next) = planar::perimeter_next(my_pos, from, neighbors) else {
-            ctx.count("gpsr.drop.no_route");
-            return;
-        };
-        // Loop detection, simplified from the GPSR paper (recorded in
-        // DESIGN.md): instead of full face-change bookkeeping, a packet
-        // about to re-traverse the *first edge* it took in perimeter mode,
-        // in the same direction, has an unreachable destination and is
-        // dropped.
-        let edge = (me, next);
-        if first_edge == Some(edge) {
-            ctx.count("gpsr.drop.unreachable");
-            return;
+            None => ctx.count("gpsr.drop.local_max"),
         }
-        header.mode = RoutingMode::Perimeter {
-            entry,
-            prev: my_pos,
-            first_edge: Some(first_edge.unwrap_or(edge)),
-        };
-        ctx.count(counter);
-        ctx.mac_unicast(
-            MacAddr::from(next),
-            GpsrPacket::Data(header),
-            header.wire_bytes(),
-        );
     }
 }
 
@@ -194,7 +132,6 @@ impl Protocol for Gpsr {
             dst: dest,
             dst_loc,
             ttl: DATA_TTL,
-            mode: RoutingMode::Greedy,
             payload_bytes: ctx.config().flows[tag.flow as usize].payload_bytes,
         };
         self.forward(ctx, header);
@@ -248,16 +185,5 @@ impl Protocol for Gpsr {
                 self.forward(ctx, *header);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn config_presets() {
-        assert!(!GpsrConfig::greedy_only().perimeter);
-        assert!(GpsrConfig::with_perimeter().perimeter);
     }
 }

@@ -17,15 +17,10 @@ fn flow(src: u32, dst: u32, start_s: u64, stop_s: u64) -> FlowConfig {
     }
 }
 
-fn run_static(
-    positions: Vec<Point>,
-    flows: Vec<FlowConfig>,
-    duration_s: u64,
-    config: GpsrConfig,
-) -> agr_sim::Stats {
+fn run_static(positions: Vec<Point>, flows: Vec<FlowConfig>, duration_s: u64) -> agr_sim::Stats {
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(duration_s));
     sim.flows = flows;
-    let mut world = World::new(sim, move |_, _, rng| Gpsr::new(config, rng));
+    let mut world = World::new(sim, |_, _, rng| Gpsr::new(GpsrConfig::greedy_only(), rng));
     world.run()
 }
 
@@ -35,12 +30,7 @@ fn multi_hop_chain_delivers_everything() {
     let positions: Vec<Point> = (0..5)
         .map(|i| Point::new(f64::from(i) * 200.0, 0.0))
         .collect();
-    let stats = run_static(
-        positions,
-        vec![flow(0, 4, 5, 55)],
-        60,
-        GpsrConfig::greedy_only(),
-    );
+    let stats = run_static(positions, vec![flow(0, 4, 5, 55)], 60);
     assert_eq!(stats.data_delivered, stats.data_sent);
     assert!(stats.data_sent >= 49);
     // Four hops of forwarding per packet.
@@ -54,18 +44,8 @@ fn multi_hop_chain_delivers_everything() {
 fn multi_hop_latency_scales_with_hops() {
     let line =
         |n: usize| -> Vec<Point> { (0..n).map(|i| Point::new(i as f64 * 200.0, 0.0)).collect() };
-    let one_hop = run_static(
-        line(2),
-        vec![flow(0, 1, 5, 55)],
-        60,
-        GpsrConfig::greedy_only(),
-    );
-    let four_hop = run_static(
-        line(5),
-        vec![flow(0, 4, 5, 55)],
-        60,
-        GpsrConfig::greedy_only(),
-    );
+    let one_hop = run_static(line(2), vec![flow(0, 1, 5, 55)], 60);
+    let four_hop = run_static(line(5), vec![flow(0, 4, 5, 55)], 60);
     assert!(
         four_hop.mean_latency() > one_hop.mean_latency().mul(3),
         "4-hop latency {} should be ≥3x 1-hop {}",
@@ -85,69 +65,9 @@ fn greedy_drops_at_local_maximum() {
         Point::new(410.0, 150.0), // 3 = B
         Point::new(600.0, 0.0),   // 4 = D
     ];
-    let stats = run_static(
-        positions,
-        vec![flow(0, 4, 10, 50)],
-        60,
-        GpsrConfig::greedy_only(),
-    );
+    let stats = run_static(positions, vec![flow(0, 4, 10, 50)], 60);
     assert_eq!(stats.data_delivered, 0, "void must defeat greedy-only GPSR");
     assert!(stats.counter("gpsr.drop.local_max") > 0);
-}
-
-#[test]
-fn perimeter_mode_routes_around_the_void() {
-    let positions = vec![
-        Point::new(0.0, 0.0),
-        Point::new(200.0, 0.0),
-        Point::new(210.0, 150.0),
-        Point::new(410.0, 150.0),
-        Point::new(600.0, 0.0),
-    ];
-    let stats = run_static(
-        positions,
-        vec![flow(0, 4, 10, 50)],
-        60,
-        GpsrConfig::with_perimeter(),
-    );
-    assert_eq!(
-        stats.data_delivered, stats.data_sent,
-        "perimeter recovery must deliver around the void"
-    );
-    assert!(stats.counter("gpsr.forward.perimeter_enter") > 0);
-}
-
-#[test]
-fn unreachable_destination_is_dropped_not_looped() {
-    // Destination is an isolated island; perimeter mode must detect the
-    // loop and drop rather than orbit forever.
-    let positions = vec![
-        Point::new(0.0, 0.0),
-        Point::new(200.0, 0.0),
-        Point::new(200.0, 200.0),
-        Point::new(0.0, 200.0),
-        Point::new(1400.0, 280.0), // unreachable island
-    ];
-    let stats = run_static(
-        positions,
-        vec![flow(0, 4, 10, 40)],
-        60,
-        GpsrConfig::with_perimeter(),
-    );
-    assert_eq!(stats.data_delivered, 0);
-    // Every packet eventually dropped by loop detection, no-route, or TTL.
-    let drops = stats.counter("gpsr.drop.unreachable")
-        + stats.counter("gpsr.drop.no_route")
-        + stats.counter("gpsr.drop.ttl")
-        + stats.counter("gpsr.drop.local_max")
-        + stats.counter("mac.drop");
-    assert!(
-        drops >= stats.data_sent,
-        "drops {drops} < sent {}",
-        stats.data_sent
-    );
-    // The first-edge rule is what ends the orbit.
-    assert!(stats.counter("gpsr.drop.unreachable") > 0);
 }
 
 #[test]
@@ -182,7 +102,7 @@ fn beacons_build_neighbor_tables() {
     let positions = vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)];
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(10));
     sim.flows = vec![];
-    let mut world = World::new(sim, |_, _, rng| Gpsr::new(GpsrConfig::default(), rng));
+    let mut world = World::new(sim, |_, _, rng| Gpsr::new(GpsrConfig::greedy_only(), rng));
     world.run_until(SimTime::from_secs(5));
     let now = world.now();
     for id in [0u32, 1] {
@@ -207,7 +127,9 @@ fn mobility_evicts_departed_neighbors() {
     config.mobility.max_speed = 20.0;
     config.mobility.pause = SimTime::from_secs(2);
     config.flows = vec![flow(0, 7, 5, 115)];
-    let mut world = World::new(config, |_, _, rng| Gpsr::new(GpsrConfig::default(), rng));
+    let mut world = World::new(config, |_, _, rng| {
+        Gpsr::new(GpsrConfig::greedy_only(), rng)
+    });
     let stats = world.run();
     // The run must complete without panicking and make some deliveries.
     assert!(stats.data_sent > 0);

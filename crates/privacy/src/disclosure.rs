@@ -63,8 +63,14 @@ impl Discloses for GpsrPacket {
 impl Discloses for AgfwPacket {
     fn disclosure(&self) -> Disclosure {
         match self {
-            // A ring signature names a ring, not its signer.
-            AgfwPacket::Hello { n, loc, .. } => Disclosure {
+            // A ring signature names a ring, not its signer. Every field
+            // is named, so a new one has to be accounted for here.
+            AgfwPacket::Hello {
+                n,
+                loc,
+                ts: _,
+                auth: _,
+            } => Disclosure {
                 identity: None,
                 advertised: Some(*loc),
                 pseudonymous: true,
@@ -101,7 +107,7 @@ impl Discloses for AgfwPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agr_core::packet::{AckRef, AgfwMode, AlsNetKind, AlsNetMessage, HelloAuth};
+    use agr_core::packet::{AckRef, AlsNetKind, AlsNetMessage, HelloAuth};
     use agr_core::{AgfwData, TrapdoorWire};
     use agr_crypto::ring_sig::ring_sign;
     use agr_crypto::rsa::RsaKeyPair;
@@ -144,7 +150,6 @@ mod tests {
         AgfwPacket::Hello {
             n: Pseudonym([1; 6]),
             loc: Point::new(3.0, 4.0),
-            vel: None,
             ts: SimTime::ZERO,
             auth,
         }
@@ -173,7 +178,6 @@ mod tests {
             ttl: 64,
             payload_bytes: 64,
             acks: Vec::new(),
-            mode: AgfwMode::Greedy,
             tag: FlowTag {
                 flow: 0,
                 seq: 0,

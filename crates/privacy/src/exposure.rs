@@ -169,7 +169,6 @@ mod tests {
                 Some(AgfwPacket::Hello {
                     n: Pseudonym([1; 6]),
                     loc: Point::ORIGIN,
-                    vel: None,
                     ts: SimTime::ZERO,
                     auth: None,
                 }),

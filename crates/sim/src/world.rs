@@ -320,11 +320,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         )
     }
 
-    fn velocity_of(&mut self, i: usize) -> agr_geom::Vec2 {
-        let _ = self.position_of(i); // advance the leg state machine
-        self.mobility[i].velocity_at(self.now)
-    }
-
     /// Fills `self.candidates` with the current positions of the nodes
     /// the PHY must consider for a transmission from `tx_pos`, in
     /// ascending node order: every node but those [`may_sense`] proves
@@ -998,13 +993,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     #[must_use]
     pub fn my_pos(&mut self) -> Point {
         self.inner.position_of(self.node)
-    }
-
-    /// This node's instantaneous velocity (available to a GPS-equipped
-    /// node alongside its position).
-    #[must_use]
-    pub fn my_velocity(&mut self) -> agr_geom::Vec2 {
-        self.inner.velocity_of(self.node)
     }
 
     /// The position this node should advertise in beacons.

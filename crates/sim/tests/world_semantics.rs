@@ -1,7 +1,7 @@
 //! Semantics of the `World` driver itself: partial runs, frame
 //! recording, timers, and the `Ctx` surface.
 
-use agr_geom::{Point, Vec2};
+use agr_geom::Point;
 use agr_sim::{
     Ctx, FlowConfig, FlowTag, MacAddr, NodeId, Protocol, RecordingObserver, SimConfig, SimTime,
     World,
@@ -14,15 +14,11 @@ struct Pkt(FlowTag);
 
 struct Echo {
     timer_fires: u32,
-    velocity_seen: Option<Vec2>,
 }
 
 impl Echo {
     fn new() -> Self {
-        Echo {
-            timer_fires: 0,
-            velocity_seen: None,
-        }
+        Echo { timer_fires: 0 }
     }
 }
 
@@ -36,7 +32,6 @@ impl Protocol for Echo {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Pkt>, kind: u64) {
         assert_eq!(kind, 7);
         self.timer_fires += 1;
-        self.velocity_seen = Some(ctx.my_velocity());
         ctx.set_timer(SimTime::from_secs(1), 7);
     }
 
@@ -93,18 +88,6 @@ fn timers_fire_once_per_schedule() {
             "node {id}: 1 Hz timer over 10 s fired {fires} times"
         );
     }
-}
-
-#[test]
-fn velocity_is_zero_for_static_nodes() {
-    let mut world = World::new(two_node_config(10), |_, _, _| Echo::new());
-    world.run_until(SimTime::from_secs(5));
-    let v = world.protocol(NodeId(0)).velocity_seen.unwrap();
-    assert!(
-        v.length() < 0.3,
-        "static topology speed bound, got {}",
-        v.length()
-    );
 }
 
 /// Frames are kept only by an attached [`RecordingObserver`].

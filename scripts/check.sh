@@ -71,12 +71,6 @@ echo "==> smoke adversary sweep (clean + 20% blackholes, 1 seed, 60 simulated se
 AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 AGR_NODES=50 AGR_ADV=0,0.2 \
     cargo run --offline --release -q -p agr-bench --bin adversary_sweep
 
-# The only sweep that runs both perimeter paths (GPSR-Perimeter and
-# AGFW-Recovery) end to end.
-echo "==> smoke perimeter ablation (greedy vs perimeter recovery, 1 seed, 60 simulated seconds)"
-AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 \
-    cargo run --offline --release -q -p agr-bench --bin ablate_perimeter
-
 # The privacy tables at their defaults (~3.5 s together) must reproduce
 # the checked-in files byte for byte: every eavesdropper reads payloads
 # through agr-privacy's `Discloses`, so a change to what a packet type

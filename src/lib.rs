@@ -14,10 +14,10 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`geom`] | `agr-geom` | points, areas, grids, planarisation |
+//! | [`geom`] | `agr-geom` | points, areas, grids, the greedy forwarding kernel |
 //! | [`crypto`] | `agr-crypto` | bignum, RSA, SHA-256, ring signatures, trapdoors, certificates |
 //! | [`sim`] | `agr-sim` | discrete-event MANET simulator (PHY, 802.11 DCF, mobility, traffic) |
-//! | [`gpsr`] | `agr-gpsr` | GPSR baseline: beacons, greedy, perimeter recovery |
+//! | [`gpsr`] | `agr-gpsr` | GPSR-Greedy baseline: beacons, greedy forwarding |
 //! | [`core`] | `agr-core` | the paper's contribution: ANT/AANT, AGFW, ALS/DLM |
 //! | [`privacy`] | `agr-privacy` | eavesdropper model, exposure metrics, tracking attack |
 //! | [`als_service`] | `agr-als-service` | the ALS as a standalone sharded service (store, pipeline, transports) |

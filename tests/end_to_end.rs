@@ -224,5 +224,5 @@ fn facade_reexports_are_usable() {
     assert_eq!(agr::sim::SimTime::from_secs(1).as_nanos(), 1_000_000_000);
     assert_eq!(agr::core::Pseudonym::LAST_ATTEMPT.0, [0u8; 6]);
     assert_eq!(agr::privacy::anonymity_entropy(4), 2.0);
-    assert!(!agr::gpsr::GpsrConfig::default().perimeter);
+    assert_eq!(agr::gpsr::packet::BEACON_BYTES, 32);
 }
