@@ -1587,10 +1587,10 @@ impl Protocol for Agfw {
                 }
                 // Replay/duplicate defense: a hello whose (pseudonym, ts)
                 // was already seen, or whose timestamp is older than the
-                // entry timeout, is discarded — a replayed beacon cannot
-                // resurrect an expired neighbor entry. (Note this defeats
-                // replays even of ring-signed AANT hellos, whose
-                // signatures verify verbatim.)
+                // entry timeout or later than now, is discarded — a
+                // replayed beacon cannot resurrect an expired neighbor
+                // entry. (Note this defeats replays even of ring-signed
+                // AANT hellos, whose signatures verify verbatim.)
                 if !self.ant.observe_hello(n, loc, ts, ctx.now()) {
                     ctx.count("defense.hello_rejected");
                     return;

@@ -13,7 +13,7 @@
 
 use crate::pseudonym::Pseudonym;
 use crate::FixedMap;
-use agr_geom::{planar, Point};
+use agr_geom::{planar::Greedy, Point};
 use agr_sim::SimTime;
 
 /// Next-hop selection strategy over the ANT.
@@ -33,11 +33,35 @@ pub enum SelectionStrategy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AntEntry {
     /// The pseudonym the neighbor used in this hello.
-    pub(crate) pseudonym: Pseudonym,
+    pub pseudonym: Pseudonym,
     /// Advertised position.
     pub loc: Point,
     /// When the hello was heard.
-    pub(crate) heard_at: SimTime,
+    pub heard_at: SimTime,
+}
+
+/// Everything the table holds for one pseudonym. A slot lives while
+/// either its entry or its dedup timestamp does.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    pseudonym: Pseudonym,
+    loc: Point,
+    /// When the entry was last heard; `None` once removed or expired.
+    heard_at: Option<SimTime>,
+    /// The newest accepted hello timestamp (the replay/duplicate window);
+    /// `None` for an entry made by [`AnonymousNeighborTable::observe`], or
+    /// once it ages out.
+    hello_ts: Option<SimTime>,
+}
+
+impl Slot {
+    fn entry(&self) -> Option<AntEntry> {
+        self.heard_at.map(|heard_at| AntEntry {
+            pseudonym: self.pseudonym,
+            loc: self.loc,
+            heard_at,
+        })
+    }
 }
 
 /// The anonymous neighbor table.
@@ -66,7 +90,12 @@ pub struct AntEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnonymousNeighborTable {
-    entries: FixedMap<Pseudonym, AntEntry>,
+    /// One slot per pseudonym, in no meaningful order: every reader
+    /// either looks one up through `index` or folds over all of them
+    /// order-independently (greedy ties break on the pseudonym).
+    slots: Vec<Slot>,
+    /// Pseudonym → position in `slots`.
+    index: FixedMap<Pseudonym, usize>,
     timeout: SimTime,
     fresh_window: SimTime,
     /// Per-pseudonym-slot suspicion score, fed by NL-ACK outcomes and the
@@ -74,11 +103,8 @@ pub struct AnonymousNeighborTable {
     /// outlive `remove()` so a suspect cannot launder itself by being
     /// re-heard under the same pseudonym, and are garbage-collected in
     /// [`Self::prune`] once the slot's entry has expired (rotated-away
-    /// pseudonyms never return).
+    /// pseudonyms never return). Empty unless the defense is on.
     suspicion: FixedMap<Pseudonym, f64>,
-    /// Replay/duplicate dedup window: the newest accepted hello timestamp
-    /// per pseudonym slot (bounded — pruned with the entries).
-    hello_ts: FixedMap<Pseudonym, SimTime>,
 }
 
 impl AnonymousNeighborTable {
@@ -88,12 +114,31 @@ impl AnonymousNeighborTable {
     #[must_use]
     pub fn new(timeout: SimTime, fresh_window: SimTime) -> Self {
         AnonymousNeighborTable {
-            entries: FixedMap::default(),
+            slots: Vec::new(),
+            index: FixedMap::default(),
             timeout,
             fresh_window,
             suspicion: FixedMap::default(),
-            hello_ts: FixedMap::default(),
         }
+    }
+
+    fn is_live(&self, heard_at: SimTime, now: SimTime) -> bool {
+        now.saturating_sub(heard_at) < self.timeout
+    }
+
+    /// The slot for `pseudonym`, appended empty if there is none.
+    fn slot_mut(&mut self, pseudonym: Pseudonym) -> &mut Slot {
+        let slots = &mut self.slots;
+        let i = *self.index.entry(pseudonym).or_insert_with(|| {
+            slots.push(Slot {
+                pseudonym,
+                loc: Point::ORIGIN,
+                heard_at: None,
+                hello_ts: None,
+            });
+            slots.len() - 1
+        });
+        &mut slots[i]
     }
 
     /// Records a hello `⟨n, loc, ts⟩`.
@@ -101,57 +146,59 @@ impl AnonymousNeighborTable {
     /// A repeated pseudonym refreshes its entry; distinct pseudonyms from
     /// the same (unknown) neighbor simply coexist.
     pub fn observe(&mut self, pseudonym: Pseudonym, loc: Point, now: SimTime) {
-        self.entries.insert(
-            pseudonym,
-            AntEntry {
-                pseudonym,
-                loc,
-                heard_at: now,
-            },
-        );
+        let slot = self.slot_mut(pseudonym);
+        slot.loc = loc;
+        slot.heard_at = Some(now);
     }
 
     /// Records a timestamped hello, rejecting replays and duplicates.
     ///
     /// A hello is accepted only when its beacon timestamp `ts` (carried
     /// in the packet) is *newer* than the last accepted hello for this
-    /// pseudonym slot AND no older than the entry timeout relative to
-    /// `now`. An honest neighbor always passes: its timestamps increase
-    /// monotonically and arrive within microseconds of being stamped. A
-    /// replayed beacon fails one of the two gates — verbatim replays
-    /// repeat an already-seen `(pseudonym, ts)`, and delayed replays
-    /// carry a timestamp at least as old as the entry timeout by the time
-    /// they could resurrect anything. Returns whether the hello was
-    /// accepted.
-    pub(crate) fn observe_hello(
+    /// pseudonym slot, not later than `now`, AND no older than the entry
+    /// timeout relative to `now`. An honest neighbor always passes: its
+    /// timestamps increase monotonically and arrive within microseconds
+    /// of being stamped. A replayed beacon fails one of the gates —
+    /// verbatim replays repeat an already-seen `(pseudonym, ts)`, and
+    /// delayed replays carry a timestamp at least as old as the entry
+    /// timeout by the time they could resurrect anything. A hello stamped
+    /// in the future is forged: were it kept, its dedup slot would outlive
+    /// every prune until the clock reached the stamp. Returns whether the
+    /// hello was accepted.
+    pub fn observe_hello(
         &mut self,
         pseudonym: Pseudonym,
         loc: Point,
         ts: SimTime,
         now: SimTime,
     ) -> bool {
-        if now.saturating_sub(ts) >= self.timeout {
+        if ts > now || now.saturating_sub(ts) >= self.timeout {
             return false;
         }
-        if let Some(&last) = self.hello_ts.get(&pseudonym) {
-            if ts <= last {
-                return false;
-            }
+        let slot = self.slot_mut(pseudonym);
+        if slot.hello_ts.is_some_and(|last| ts <= last) {
+            return false;
         }
-        self.hello_ts.insert(pseudonym, ts);
-        self.observe(pseudonym, loc, now);
+        slot.hello_ts = Some(ts);
+        slot.loc = loc;
+        slot.heard_at = Some(now);
         true
     }
 
     /// Removes an entry, e.g. after repeated delivery failures to it.
-    pub(crate) fn remove(&mut self, pseudonym: Pseudonym) -> Option<AntEntry> {
-        self.entries.remove(&pseudonym)
+    /// Its dedup timestamp stays until it ages out.
+    pub fn remove(&mut self, pseudonym: Pseudonym) -> Option<AntEntry> {
+        let &i = self.index.get(&pseudonym)?;
+        let slot = &mut self.slots[i];
+        let entry = slot.entry();
+        slot.heard_at = None;
+        entry
     }
 
     /// Raises the suspicion score of a pseudonym slot by `amount`
     /// (an NL-ACK timeout, or a forward-watch that saw no onward
     /// transmission).
-    pub(crate) fn suspect(&mut self, pseudonym: Pseudonym, amount: f64) {
+    pub fn suspect(&mut self, pseudonym: Pseudonym, amount: f64) {
         *self.suspicion.entry(pseudonym).or_insert(0.0) += amount;
     }
 
@@ -161,14 +208,15 @@ impl AnonymousNeighborTable {
     /// rotation: its aliases cluster around the same advertised position.
     /// (This deliberately links pseudonyms by position, trading a slice of
     /// the paper's unlinkability for robustness; see DESIGN.md.)
-    pub(crate) fn suspect_nearby(&mut self, loc: Point, radius: f64, amount: f64, now: SimTime) {
-        let nearby: Vec<Pseudonym> = self
-            .live(now)
-            .filter(|e| e.loc.distance(loc) <= radius)
-            .map(|e| e.pseudonym)
-            .collect();
-        for p in nearby {
-            self.suspect(p, amount);
+    pub fn suspect_nearby(&mut self, loc: Point, radius: f64, amount: f64, now: SimTime) {
+        let timeout = self.timeout;
+        for slot in &self.slots {
+            let live = slot
+                .heard_at
+                .is_some_and(|t| now.saturating_sub(t) < timeout);
+            if live && slot.loc.distance(loc) <= radius {
+                *self.suspicion.entry(slot.pseudonym).or_insert(0.0) += amount;
+            }
         }
     }
 
@@ -179,13 +227,16 @@ impl AnonymousNeighborTable {
     /// alias starts clean and must be re-convicted at full price. (Same
     /// position-linking trade-off as [`Self::suspect_nearby`].)
     #[must_use]
-    pub(crate) fn suspicion_nearby(
+    pub fn suspicion_nearby(
         &self,
         loc: Point,
         radius: f64,
         except: Pseudonym,
         now: SimTime,
     ) -> f64 {
+        if self.suspicion.is_empty() {
+            return 0.0;
+        }
         self.live(now)
             .filter(|e| e.pseudonym != except && e.loc.distance(loc) <= radius)
             .map(|e| self.suspicion(e.pseudonym))
@@ -194,7 +245,7 @@ impl AnonymousNeighborTable {
 
     /// Decays the suspicion score of a pseudonym slot by `amount`
     /// (a delivered NL-ACK), clamping at zero.
-    pub(crate) fn absolve(&mut self, pseudonym: Pseudonym, amount: f64) {
+    pub fn absolve(&mut self, pseudonym: Pseudonym, amount: f64) {
         if let Some(score) = self.suspicion.get_mut(&pseudonym) {
             *score -= amount;
             if *score <= 0.0 {
@@ -205,25 +256,28 @@ impl AnonymousNeighborTable {
 
     /// The current suspicion score of a pseudonym slot (zero when clean).
     #[must_use]
-    pub(crate) fn suspicion(&self, pseudonym: Pseudonym) -> f64 {
+    pub fn suspicion(&self, pseudonym: Pseudonym) -> f64 {
+        if self.suspicion.is_empty() {
+            return 0.0;
+        }
         self.suspicion.get(&pseudonym).copied().unwrap_or(0.0)
     }
 
     /// The live entry for `pseudonym`, if present and unexpired.
     #[must_use]
-    pub(crate) fn entry(&self, pseudonym: Pseudonym, now: SimTime) -> Option<AntEntry> {
-        self.entries
+    pub fn entry(&self, pseudonym: Pseudonym, now: SimTime) -> Option<AntEntry> {
+        self.index
             .get(&pseudonym)
-            .filter(|e| now.saturating_sub(e.heard_at) < self.timeout)
-            .copied()
+            .and_then(|&i| self.slots[i].entry())
+            .filter(|e| self.is_live(e.heard_at, now))
     }
 
-    /// Live (non-expired) entries.
+    /// Live (non-expired) entries, in no particular order.
     pub fn live(&self, now: SimTime) -> impl Iterator<Item = AntEntry> + '_ {
-        self.entries
-            .values()
-            .filter(move |e| now.saturating_sub(e.heard_at) < self.timeout)
-            .copied()
+        self.slots
+            .iter()
+            .filter_map(Slot::entry)
+            .filter(move |e| self.is_live(e.heard_at, now))
     }
 
     /// Number of live entries (may exceed the number of physical
@@ -236,29 +290,33 @@ impl AnonymousNeighborTable {
     /// Drops expired entries, along with dedup-window and suspicion
     /// state for pseudonym slots whose entry has expired (per-beacon
     /// rotation means an abandoned pseudonym never returns, so this
-    /// bounds both side tables without forgetting a live suspect).
+    /// bounds both without forgetting a live suspect).
     pub fn prune(&mut self, now: SimTime) {
         let timeout = self.timeout;
-        self.entries
-            .retain(|_, e| now.saturating_sub(e.heard_at) < timeout);
-        self.hello_ts
-            .retain(|_, ts| now.saturating_sub(*ts) < timeout);
-        self.suspicion.retain(|p, _| self.entries.contains_key(p));
-    }
-
-    /// Live entries whose suspicion score is below `suspicion_threshold`
-    /// (an infinite threshold excludes nobody), optionally only those
-    /// heard within the freshness window.
-    fn candidates(
-        &self,
-        now: SimTime,
-        fresh_only: bool,
-        suspicion_threshold: f64,
-    ) -> impl Iterator<Item = AntEntry> + '_ {
-        self.live(now).filter(move |e| {
-            (!fresh_only || now.saturating_sub(e.heard_at) < self.fresh_window)
-                && self.suspicion(e.pseudonym) < suspicion_threshold
-        })
+        let alive = |t: &SimTime| now.saturating_sub(*t) < timeout;
+        let mut i = 0;
+        while i < self.slots.len() {
+            let slot = &mut self.slots[i];
+            slot.heard_at = slot.heard_at.filter(alive);
+            slot.hello_ts = slot.hello_ts.filter(alive);
+            if slot.heard_at.is_some() || slot.hello_ts.is_some() {
+                i += 1;
+                continue;
+            }
+            self.index.remove(&slot.pseudonym);
+            self.slots.swap_remove(i);
+            if let Some(moved) = self.slots.get(i) {
+                *self
+                    .index
+                    .get_mut(&moved.pseudonym)
+                    .expect("every slot is indexed") = i;
+            }
+        }
+        if !self.suspicion.is_empty() {
+            let (index, slots) = (&self.index, &self.slots);
+            self.suspicion
+                .retain(|p, _| index.get(p).is_some_and(|&i| slots[i].heard_at.is_some()));
+        }
     }
 
     /// Chooses the next-hop entry for a packet at `self_pos` heading to
@@ -273,7 +331,7 @@ impl AnonymousNeighborTable {
         strategy: SelectionStrategy,
     ) -> Option<AntEntry> {
         self.next_hop_excluding(self_pos, dst_loc, now, strategy, f64::INFINITY)
-            .and_then(|pseudonym| self.entries.get(&pseudonym).copied())
+            .and_then(|pseudonym| self.entry(pseudonym, now))
     }
 
     /// The pseudonym [`Self::next_hop`] would choose, restricted to
@@ -281,8 +339,11 @@ impl AnonymousNeighborTable {
     /// hardened selection rule. An infinite threshold excludes nobody and
     /// reproduces `next_hop` exactly, which is what keeps defense-off runs
     /// byte-identical.
+    ///
+    /// One scan keeps both greedy choices [`SelectionStrategy::FreshnessAware`]
+    /// needs: over the fresh entries, and over all live ones as fallback.
     #[must_use]
-    pub(crate) fn next_hop_excluding(
+    pub fn next_hop_excluding(
         &self,
         self_pos: Point,
         dst_loc: Point,
@@ -290,16 +351,25 @@ impl AnonymousNeighborTable {
         strategy: SelectionStrategy,
         suspicion_threshold: f64,
     ) -> Option<Pseudonym> {
-        let closest = |fresh_only| {
-            let candidates = self
-                .candidates(now, fresh_only, suspicion_threshold)
-                .map(|e| (e.pseudonym, e.loc));
-            planar::greedy_next(self_pos, dst_loc, candidates).map(|(pseudonym, _)| pseudonym)
-        };
-        match strategy {
-            SelectionStrategy::NaiveClosest => closest(false),
-            SelectionStrategy::FreshnessAware => closest(true).or_else(|| closest(false)),
+        let fresh_first = strategy == SelectionStrategy::FreshnessAware;
+        let mut any = Greedy::new(self_pos, dst_loc);
+        let mut fresh = any;
+        for slot in &self.slots {
+            let Some(heard_at) = slot.heard_at else {
+                continue;
+            };
+            let age = now.saturating_sub(heard_at);
+            if age < self.timeout && self.suspicion(slot.pseudonym) < suspicion_threshold {
+                if fresh_first && age < self.fresh_window {
+                    fresh.offer(slot.pseudonym, slot.loc);
+                }
+                any.offer(slot.pseudonym, slot.loc);
+            }
         }
+        fresh
+            .choice()
+            .or(any.choice())
+            .map(|(pseudonym, _)| pseudonym)
     }
 }
 
@@ -456,6 +526,20 @@ mod tests {
         // The neighbor's own next hello (newer ts): accepted.
         assert!(t.observe_hello(n(1), p, SimTime::from_secs(2), SimTime::from_secs(2)));
         assert_eq!(t.live_count(SimTime::from_secs(2)), 1);
+    }
+
+    #[test]
+    fn future_stamped_hello_is_rejected_and_leaves_no_slot() {
+        let mut t = ant();
+        let now = SimTime::from_secs(10);
+        let forged = now + SimTime::from_secs(3600);
+        assert!(!t.observe_hello(n(1), Point::new(10.0, 0.0), forged, now));
+        assert_eq!(t.live_count(now), 0);
+        t.prune(now);
+        assert!(t.slots.is_empty() && t.index.is_empty());
+        // Its pseudonym's honest hellos are still accepted: a kept forged
+        // stamp would have rejected every one of them as a duplicate.
+        assert!(t.observe_hello(n(1), Point::new(10.0, 0.0), now, now));
     }
 
     #[test]

@@ -64,13 +64,9 @@ pub use ant::{AnonymousNeighborTable, SelectionStrategy};
 pub use packet::{AgfwData, AgfwPacket, TrapdoorWire};
 pub use pseudonym::{Pseudonym, PseudonymGenerator};
 
-/// A hash map with a fixed-key hasher: the same inserts iterate in the
+/// Every map and set in this crate is on `agr_sim::FixedHasher`, the one
+/// fixed-key hasher of the simulator: the same inserts iterate in the
 /// same order in every run and every process, so no random hasher seed
 /// can reach the simulation. (`clippy.toml` bans the random-keyed
 /// `HashMap::new` in this crate.)
-pub(crate) type FixedMap<K, V> =
-    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<std::hash::DefaultHasher>>;
-
-/// The set counterpart of [`FixedMap`].
-pub(crate) type FixedSet<T> =
-    std::collections::HashSet<T, std::hash::BuildHasherDefault<std::hash::DefaultHasher>>;
+pub(crate) use agr_sim::{FixedMap, FixedSet};

@@ -35,17 +35,56 @@ where
     K: Ord + Copy,
     I: IntoIterator<Item = (K, Point)>,
 {
-    let my_dist = here.distance_sq(dst);
-    neighbors
-        .into_iter()
-        .map(|(key, pos)| (key, pos, pos.distance_sq(dst)))
-        .filter(|&(_, _, dist)| dist < my_dist)
-        .min_by(|a, b| {
-            a.2.partial_cmp(&b.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        })
-        .map(|(key, pos, _)| (key, pos))
+    let mut greedy = Greedy::new(here, dst);
+    for (key, pos) in neighbors {
+        greedy.offer(key, pos);
+    }
+    greedy.choice()
+}
+
+/// [`greedy_next`] one candidate at a time, for a caller that makes
+/// several greedy choices over subsets of one neighbor scan: offer each
+/// candidate to the choices it belongs to, then read each
+/// [`Self::choice`]. The choice depends only on the set offered, never
+/// on the order.
+#[derive(Debug, Clone, Copy)]
+pub struct Greedy<K> {
+    dst: Point,
+    my_dist: f64,
+    best: Option<(K, Point, f64)>,
+}
+
+impl<K: Ord + Copy> Greedy<K> {
+    /// An empty choice for a packet at `here` heading to `dst`.
+    #[must_use]
+    pub fn new(here: Point, dst: Point) -> Self {
+        Greedy {
+            dst,
+            my_dist: here.distance_sq(dst),
+            best: None,
+        }
+    }
+
+    /// Considers the neighbor `key` at `pos`.
+    #[inline]
+    pub fn offer(&mut self, key: K, pos: Point) {
+        let dist = pos.distance_sq(self.dst);
+        // `dist < my_dist` also rules out NaN, so the comparisons below
+        // are a total order on (distance, key).
+        let closer = dist < self.my_dist
+            && self.best.is_none_or(|(best_key, _, best_dist)| {
+                dist < best_dist || (dist == best_dist && key < best_key)
+            });
+        if closer {
+            self.best = Some((key, pos, dist));
+        }
+    }
+
+    /// The closest neighbor offered that makes strict progress.
+    #[must_use]
+    pub fn choice(&self) -> Option<(K, Point)> {
+        self.best.map(|(key, pos, _)| (key, pos))
+    }
 }
 
 #[cfg(test)]

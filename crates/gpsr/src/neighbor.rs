@@ -6,9 +6,7 @@
 //! so a silent or departed neighbor stops being a forwarding candidate.
 
 use agr_geom::Point;
-use agr_sim::{NodeId, SimTime};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use agr_sim::{FixedMap, NodeId, SimTime};
 
 /// One neighbor entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,10 +35,10 @@ pub struct Neighbor {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NeighborTable {
-    /// Keyed by simulated node ids, and every reader breaks ties on the
-    /// id, so a fixed-key hasher loses nothing; it spares each node's
-    /// construction a random seed.
-    entries: HashMap<NodeId, Neighbor, BuildHasherDefault<DefaultHasher>>,
+    /// On `agr_sim`'s one fixed hasher: keyed by simulated node ids, and
+    /// every reader breaks ties on the id, so its storage order reaches no
+    /// decision.
+    entries: FixedMap<NodeId, Neighbor>,
     timeout: SimTime,
 }
 
@@ -49,7 +47,7 @@ impl NeighborTable {
     #[must_use]
     pub fn new(timeout: SimTime) -> Self {
         NeighborTable {
-            entries: HashMap::default(),
+            entries: FixedMap::default(),
             timeout,
         }
     }

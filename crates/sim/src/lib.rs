@@ -64,6 +64,7 @@ mod adversary;
 mod config;
 pub mod engine;
 mod fault;
+mod hash;
 mod mac;
 pub mod mobility;
 mod obs;
@@ -78,6 +79,7 @@ mod world;
 pub use adversary::{AdversaryMix, AdversaryPlan, AdversaryRole};
 pub use config::{FlowConfig, MacParams, MobilityParams, SimConfig};
 pub use fault::{ChurnEvent, FaultPlan, GilbertElliott, LinkChannel, LossModel};
+pub use hash::{FixedHasher, FixedMap, FixedSet};
 pub use obs::TelemetryObserver;
 pub use protocol::{FlowTag, MacDst, MacOutcome, Protocol};
 pub use stats::Stats;

@@ -24,9 +24,8 @@
 
 use crate::protocol::MacDst;
 use crate::time::SimTime;
-use crate::MacAddr;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use crate::{FixedMap, MacAddr};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// MAC frame types.
@@ -129,10 +128,8 @@ pub(crate) struct Mac<PKT> {
     pub(crate) guard: u64,
     /// Next MAC sequence number to assign.
     pub(crate) next_seq: u16,
-    /// Last sequence number accepted from each source (dedup). The keys
-    /// are the simulator's own MAC addresses, so a fixed-key hasher loses
-    /// nothing, and it spares `World::new` a random seed per node.
-    pub(crate) dedup: HashMap<MacAddr, u16, BuildHasherDefault<DefaultHasher>>,
+    /// Last sequence number accepted from each source (dedup).
+    pub(crate) dedup: FixedMap<MacAddr, u16>,
     /// Frame to transmit after SIFS, with its kind and precomputed
     /// airtime (valid in `Sifs`).
     pub(crate) pending_response: Option<(MacFrame<PKT>, TxKind, SimTime)>,
@@ -151,7 +148,7 @@ impl<PKT> Mac<PKT> {
             nav_until: SimTime::ZERO,
             guard: 0,
             next_seq: 0,
-            dedup: HashMap::default(),
+            dedup: FixedMap::default(),
             pending_response: None,
         }
     }

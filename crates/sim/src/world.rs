@@ -26,13 +26,12 @@ use crate::phy::{Carrier, Phy};
 use crate::protocol::{FlowTag, MacDst, MacOutcome, Protocol};
 use crate::stats::Stats;
 use crate::time::SimTime;
-use crate::{MacAddr, NodeId};
+use crate::{FixedMap, MacAddr, NodeId};
 use agr_geom::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -182,7 +181,7 @@ pub(crate) struct Inner<PKT> {
     /// Per-receiver loss-channel state, keyed by transmitter: one
     /// [`LinkChannel`] per *directed* link, created lazily on first use.
     /// Empty unless the plan has a loss model.
-    links: Vec<HashMap<usize, LinkChannel, BuildHasherDefault<DefaultHasher>>>,
+    links: Vec<FixedMap<usize, LinkChannel>>,
     /// Radio-up flag per node; churn events toggle it.
     node_up: Vec<bool>,
     /// Bumped on every churn recovery; deliveries compare against it to
@@ -268,7 +267,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         let links = if config.fault.loss.is_none() {
             Vec::new()
         } else {
-            (0..n).map(|_| HashMap::default()).collect()
+            (0..n).map(|_| FixedMap::default()).collect()
         };
         let beacon_fixes = if config.fault.stale.is_none() {
             Vec::new()

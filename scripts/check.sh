@@ -26,6 +26,10 @@ if [ "$(cut -d: -f1 <<<"$islands" | sort)" != "$expected" ]; then
     exit 1
 fi
 
+# The A/B script's gain / no-gain / loss rule, on canned pairs.
+echo "==> bench_ab.sh --self-test"
+bash scripts/bench_ab.sh --self-test
+
 # The public surface is meant to be small enough to read in cargo doc:
 # a link to a private or deleted item fails here, not in a browser.
 echo "==> cargo doc -D warnings"
