@@ -32,7 +32,7 @@ impl ProtocolKind {
     pub fn label(&self) -> &'static str {
         match self {
             ProtocolKind::GpsrGreedy => "GPSR-Greedy",
-            ProtocolKind::Agfw(c) if c.defense.enabled => "AGFW-Hardened",
+            ProtocolKind::Agfw(c) if c.defense => "AGFW-Hardened",
             ProtocolKind::Agfw(c) if !c.nl_ack => "AGFW-noACK",
             ProtocolKind::Agfw(_) => "AGFW-ACK",
         }
@@ -485,17 +485,15 @@ mod tests {
 
     /// ISSUE-2 determinism regression: the serial-vs-parallel property
     /// must survive fault injection. Same seed + same `FaultPlan` ⇒
-    /// bit-identical stats whatever the worker count, with every fault
-    /// class (burst loss, churn, stale beacons) active at once.
+    /// bit-identical stats whatever the worker count, with both fault
+    /// classes (burst loss, churn) active at once.
     #[test]
     fn faulty_matrix_identical_serial_vs_four_jobs() {
-        let fault = FaultPlan::burst_loss(0.05, 0.4)
-            .with_churn(
-                agr_sim::NodeId(7),
-                SimTime::from_secs(20),
-                SimTime::from_secs(40),
-            )
-            .with_stale_locations(SimTime::from_secs(3));
+        let fault = FaultPlan::burst_loss(0.05, 0.4).with_churn(
+            agr_sim::NodeId(7),
+            SimTime::from_secs(20),
+            SimTime::from_secs(40),
+        );
         let params = SweepParams {
             duration: SimTime::from_secs(60),
             flows: 10,

@@ -1,7 +1,7 @@
 //! Acceptance tests for adversarial node injection and the hardening
 //! defenses.
 //!
-//! Three properties are pinned:
+//! Four properties are pinned:
 //!
 //! 1. **Adversary-free runs are byte-identical to the pre-adversary
 //!    build.** The golden fingerprints below were captured at the commit
@@ -13,10 +13,12 @@
 //! 3. **Adversarial runs stay deterministic under parallelism** —
 //!    serial and 4-worker sweeps of the same adversarial matrix agree
 //!    exactly, mirroring the fault-injection regression.
+//! 4. **Adversarial, faulty runs are byte-identical to a golden.** One
+//!    blackhole + burst-loss + churn scenario, fingerprinted.
 
 use agr_bench::runner::{run_matrix_jobs, run_point, ProtocolKind, SweepParams};
 use agr_core::agfw::AgfwConfig;
-use agr_sim::{AdversaryMix, SimTime, Stats};
+use agr_sim::{AdversaryMix, FaultPlan, NodeId, SimTime, Stats};
 
 /// FNV-1a over the run's headline numbers and every named counter — a
 /// cheap but exhaustive digest of a simulation outcome.
@@ -193,5 +195,66 @@ fn adversarial_matrix_identical_serial_vs_four_jobs() {
                 point.protocol
             );
         }
+    }
+}
+
+/// Golden fingerprints for one adversarial *and* faulty scenario: 20%
+/// blackholes over a Gilbert burst-loss channel with one radio outage.
+/// The goldens above are adversary- and fault-free; this one pins the
+/// blackhole, defense, burst-loss, churn and NL-ACK retransmission paths
+/// together, for the undefended and hardened AGFW and for GPSR. The
+/// values predate the deletion of the capabilities no result measured
+/// (ROADMAP item 22) and held through it.
+#[test]
+fn adversarial_faulty_run_matches_golden() {
+    let params = SweepParams {
+        fault: FaultPlan::burst_loss(0.05, 0.4).with_churn(
+            NodeId(7),
+            SimTime::from_secs(20),
+            SimTime::from_secs(35),
+        ),
+        adversary: Some(AdversaryMix::blackholes(0.2)),
+        ..short_params()
+    };
+    let cases = [
+        (
+            ProtocolKind::Agfw(AgfwConfig::default()),
+            0x1fe4_4193_1dbd_7bbb_u64,
+            115,
+            67,
+            124_656,
+        ),
+        (
+            ProtocolKind::Agfw(AgfwConfig::hardened()),
+            0xe60c_83ab_5d2a_b8c5,
+            115,
+            72,
+            138_520,
+        ),
+        (
+            ProtocolKind::GpsrGreedy,
+            0x2cfe_5eb7_37af_eae0,
+            115,
+            65,
+            158_116,
+        ),
+    ];
+    for (kind, want_fp, want_sent, want_delivered, want_events) in cases {
+        let stats = run_point(&kind, 50, 1, &params);
+        let got = (
+            fingerprint(&stats),
+            stats.data_sent,
+            stats.data_delivered,
+            stats.events_processed,
+        );
+        assert_eq!(
+            got,
+            (want_fp, want_sent, want_delivered, want_events),
+            "{}: adversarial+faulty run drifted (fingerprint, sent, delivered, events)",
+            kind.label()
+        );
+        assert!(stats.counter("adv.blackhole_drop") > 0, "{}", kind.label());
+        assert!(stats.counter("fault.drop.burst") > 0, "{}", kind.label());
+        assert_eq!(stats.counter("fault.churn_down"), 1, "{}", kind.label());
     }
 }

@@ -14,8 +14,8 @@
 //! trapdoor.
 //!
 //! Packet handling mirrors the paper's Algorithm 3.2; the network-layer
-//! ACK + retransmission scheme and piggybacked ACKs implement the §3.2
-//! reliability discussion; the cryptographic processing-cost model
+//! ACK + retransmission scheme implements the §3.2 reliability
+//! discussion; the cryptographic processing-cost model
 //! implements §5.1 ("Our simulations include a proper processing delay
 //! for where it applies": 0.5 ms per trapdoor seal, 8.5 ms per open
 //! attempt, the paper's measured RSA-512 timings).
@@ -33,9 +33,7 @@ use crate::pseudonym::{Pseudonym, PseudonymGenerator};
 use crate::{FixedMap, FixedSet};
 use agr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use agr_crypto::trapdoor::Trapdoor;
-use agr_sim::{
-    AdversaryRole, Ctx, FlowTag, MacAddr, MacOutcome, NodeId, Protocol, SimConfig, SimTime,
-};
+use agr_sim::{Ctx, FlowTag, MacAddr, MacOutcome, NodeId, Protocol, SimConfig, SimTime};
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -107,37 +105,6 @@ const ALS_MAX_QUERY_RETRIES: u32 = 4;
 /// Hop budget of service messages.
 const ALS_TTL: u8 = 32;
 
-/// Hardening knobs against active insiders (blackholes, grayholes,
-/// spoofers, replayers — see `agr-sim::adversary`).
-///
-/// All machinery is gated behind [`DefenseConfig::enabled`], which is
-/// **off** by default: a default-configured node behaves byte-for-byte
-/// like a build without defense support, preserving the paper-faithful
-/// baseline. [`AgfwConfig::hardened`] turns everything on.
-///
-/// Three mechanisms compose:
-///
-/// 1. **Suspicion-scored selection**: every NL-ACK outcome feeds a
-///    per-pseudonym-slot suspicion score in the ANT (timed out → +0.6,
-///    delivered → −0.3); next-hop selection skips slots at or above 1.0.
-/// 2. **Forward-watch** (watchdog): an ACK from a relay that is *not* in
-///    the destination's last-hop region promises an onward transmission.
-///    The packet is retained; if no copy of it (nor a downstream ACK) is
-///    overheard within 75 ms, the relay is a suspected blackhole — it,
-///    and live slots advertised within 50 m of it (its likely rotation
-///    aliases), get +2.0, and the retained packet is re-routed around
-///    them. This is the only signal that can
-///    catch an accept+ACK+drop attacker, which never times out.
-/// 3. **Bounded backoff**: hop retransmissions and ALS query retries are
-///    spaced by capped exponential backoff with hash-derived jitter
-///    ([`crate::backoff::backoff_delay`]) instead of hammering a silent
-///    relay at a fixed cadence.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DefenseConfig {
-    /// Master switch; off reproduces the unhardened protocol exactly.
-    pub enabled: bool,
-}
-
 /// Slots with a suspicion score at or above this are excluded from
 /// next-hop selection.
 const SUSPICION_THRESHOLD: f64 = 1.0;
@@ -166,13 +133,6 @@ const ALS_BACKOFF_CAP: SimTime = SimTime::from_millis(1600);
 /// AGFW configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgfwConfig {
-    /// Hello (anonymous beacon) interval.
-    pub hello_interval: SimTime,
-    /// ANT entry lifetime.
-    pub ant_timeout: SimTime,
-    /// Freshness window for [`SelectionStrategy::FreshnessAware`];
-    /// should cover the pseudonym-memory horizon (2 hello intervals).
-    pub fresh_window: SimTime,
     /// Next-hop selection strategy.
     pub selection: SelectionStrategy,
     /// Rotate the pseudonym every `rotate_every`-th hello (paper: 1 =
@@ -181,22 +141,44 @@ pub struct AgfwConfig {
     /// Enable network-layer acknowledgments and retransmission. Off is
     /// the paper's "simple form of AGFW" lower bound in Figure 1(a).
     pub nl_ack: bool,
-    /// Piggyback ACKs on outgoing data packets when possible (§3.2).
-    pub piggyback_acks: bool,
     /// Trapdoor cryptography realisation.
     pub crypto: CryptoMode,
     /// How destination locations are learned.
     pub location: LocationMode,
-    /// Adversary hardening (suspicion scoring, forward-watch, bounded
-    /// backoff). Disabled by default — see [`DefenseConfig`].
-    pub defense: DefenseConfig,
+    /// Hardening against active insiders (blackholes and grayholes, see
+    /// `agr-sim::adversary`). **Off** by default: a default-configured
+    /// node behaves byte-for-byte like a build without defense support,
+    /// preserving the paper-faithful baseline. [`AgfwConfig::hardened`]
+    /// turns it on, and three mechanisms compose:
+    ///
+    /// 1. **Suspicion-scored selection**: every NL-ACK outcome feeds a
+    ///    per-pseudonym-slot suspicion score in the ANT (timed out →
+    ///    +0.6, delivered → −0.3); next-hop selection skips slots at or
+    ///    above 1.0.
+    /// 2. **Forward-watch** (watchdog): an ACK from a relay that is *not*
+    ///    in the destination's last-hop region promises an onward
+    ///    transmission. The packet is retained; if no copy of it (nor a
+    ///    downstream ACK) is overheard within 75 ms, the relay is a
+    ///    suspected blackhole — it, and live slots advertised within 50 m
+    ///    of it (its likely rotation aliases), get +2.0, and the retained
+    ///    packet is re-routed around them. This is the only signal that
+    ///    can catch an accept+ACK+drop attacker, which never times out.
+    /// 3. **Bounded backoff**: hop retransmissions and ALS query retries
+    ///    are spaced by capped exponential backoff with hash-derived
+    ///    jitter ([`crate::backoff::backoff_delay`]) instead of hammering
+    ///    a silent relay at a fixed cadence.
+    pub defense: bool,
 }
 
 /// How many of its own recent pseudonyms a node answers to (paper: 2).
 const PSEUDONYM_MEMORY: usize = 2;
-/// With piggybacking on, flush ACKs as an explicit packet if no data
-/// packet has carried them within this delay.
-const ACK_FLUSH_DELAY: SimTime = SimTime::from_millis(5);
+/// Hello (anonymous beacon) interval.
+const HELLO_INTERVAL: SimTime = SimTime::from_secs(1);
+/// ANT entry lifetime.
+const ANT_TIMEOUT: SimTime = SimTime::from_millis(4500);
+/// Freshness window for [`SelectionStrategy::FreshnessAware`]; covers
+/// the pseudonym-memory horizon (2 hello intervals).
+const FRESH_WINDOW: SimTime = SimTime::from_millis(2200);
 /// Initial TTL of data packets.
 const DATA_TTL: u8 = 64;
 /// How long a forwarder waits for the next hop's NL-ACK after its
@@ -208,16 +190,12 @@ pub const MAX_RETRANSMITS: u32 = 5;
 impl Default for AgfwConfig {
     fn default() -> Self {
         AgfwConfig {
-            hello_interval: SimTime::from_secs(1),
-            ant_timeout: SimTime::from_millis(4500),
-            fresh_window: SimTime::from_millis(2200),
             selection: SelectionStrategy::FreshnessAware,
             rotate_every: 1,
             nl_ack: true,
-            piggyback_acks: false,
             crypto: CryptoMode::Modeled,
             location: LocationMode::Oracle,
-            defense: DefenseConfig::default(),
+            defense: false,
         }
     }
 }
@@ -238,15 +216,14 @@ impl AgfwConfig {
     #[must_use]
     pub fn hardened() -> Self {
         AgfwConfig {
-            defense: DefenseConfig { enabled: true },
+            defense: true,
             ..AgfwConfig::default()
         }
     }
 }
 
 const TIMER_HELLO: u64 = 0;
-const TIMER_ACK_FLUSH: u64 = 1;
-const TIMER_ALS_UPDATE: u64 = 2;
+const TIMER_ALS_UPDATE: u64 = 1;
 const OP_BASE: u64 = 16;
 
 /// Deferred work completing after a modelled processing delay.
@@ -270,9 +247,6 @@ enum PendingOp {
     ForwardWatch { uid: u64, suspect: Pseudonym },
     /// A backed-off retransmission of `uid` is due (defense mode).
     RetryHop { uid: u64, generation: u32 },
-    /// This node plays [`AdversaryRole::Replayer`]: re-broadcast a
-    /// captured hello verbatim.
-    ReplayHello { packet: AgfwPacket },
 }
 
 /// Something this node transmitted and may have to retransmit.
@@ -361,17 +335,14 @@ pub struct Agfw {
     /// Packets this node has taken responsibility for (forwarded and/or
     /// delivered), for duplicate suppression and re-ACKing.
     handled: FixedMap<u64, HandledState>,
-    ack_backlog: Vec<AckRef>,
-    ack_flush_scheduled: bool,
     als: Option<AlsState>,
     /// Forward-watch state: ACKed hops awaiting an overheard onward
     /// transmission (empty unless the defense is enabled).
     watched: FixedMap<u64, WatchedHop>,
     /// uids of our own in-flight packets whose onward copy we already
-    /// overheard. The hop ACK normally *follows* (or rides on) that
-    /// copy, so without this record every honestly-forwarded hop would
-    /// arm a watch no later event could clear (empty unless the defense
-    /// is enabled).
+    /// overheard. The hop ACK normally *follows* that copy, so without
+    /// this record every honestly-forwarded hop would arm a watch no later
+    /// event could clear (empty unless the defense is enabled).
     forward_seen: FixedSet<u64>,
     /// Real-mode trapdoors this node already failed to open. A trapdoor
     /// is bound to one destination key, so a failed open can never
@@ -405,7 +376,6 @@ impl Agfw {
             uid: ctx.rng().random(),
             ttl: DATA_TTL,
             payload_bytes: ctx.config().flows[tag.flow as usize].payload_bytes,
-            acks: Vec::new(),
             tag,
         };
         let delay = self.config.crypto.encrypt_delay();
@@ -484,7 +454,7 @@ impl Agfw {
             my_id: id,
             config,
             comm_range: sim.radio.comm_range,
-            ant: AnonymousNeighborTable::new(config.ant_timeout, config.fresh_window),
+            ant: AnonymousNeighborTable::new(ANT_TIMEOUT, FRESH_WINDOW),
             pseudonyms: PseudonymGenerator::new(u64::from(id.0), PSEUDONYM_MEMORY),
             hellos_sent: 0,
             keys,
@@ -494,8 +464,6 @@ impl Agfw {
             next_op: 0,
             pending_acks: FixedMap::default(),
             handled: FixedMap::default(),
-            ack_backlog: Vec::new(),
-            ack_flush_scheduled: false,
             als,
             watched: FixedMap::default(),
             forward_seen: FixedSet::default(),
@@ -519,7 +487,7 @@ impl Agfw {
     /// threshold when the defense is on, infinite (exclude nobody, i.e.
     /// the legacy selection verbatim) when it is off.
     fn suspicion_threshold(&self) -> f64 {
-        if self.config.defense.enabled {
+        if self.config.defense {
             SUSPICION_THRESHOLD
         } else {
             f64::INFINITY
@@ -579,29 +547,14 @@ impl Agfw {
         }
     }
 
-    /// Queues an ACK for `uid` as received under pseudonym `to`, flushing
-    /// according to the piggyback policy.
-    fn queue_ack(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, uid: u64, to: Pseudonym) {
+    /// Broadcasts the NL-ACK for `uid` as received under pseudonym `to`
+    /// (nothing when NL-ACKs are off).
+    fn send_ack(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, uid: u64, to: Pseudonym) {
         if !self.config.nl_ack {
             return;
         }
-        self.ack_backlog.push(AckRef { uid, to });
-        if self.config.piggyback_acks {
-            if !self.ack_flush_scheduled {
-                self.ack_flush_scheduled = true;
-                ctx.set_timer(ACK_FLUSH_DELAY, TIMER_ACK_FLUSH);
-            }
-        } else {
-            self.flush_acks(ctx);
-        }
-    }
-
-    fn flush_acks(&mut self, ctx: &mut Ctx<'_, AgfwPacket>) {
-        if self.ack_backlog.is_empty() {
-            return;
-        }
         let packet = AgfwPacket::NlAck {
-            acks: std::mem::take(&mut self.ack_backlog),
+            acks: vec![AckRef { uid, to }],
         };
         ctx.count("agfw.nl_ack_sent");
         let bytes = packet.wire_bytes();
@@ -609,11 +562,7 @@ impl Agfw {
     }
 
     /// Broadcasts a data packet, registering the pending NL-ACK.
-    fn send_data(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, mut data: AgfwData) {
-        if self.config.piggyback_acks && !self.ack_backlog.is_empty() {
-            data.acks = std::mem::take(&mut self.ack_backlog);
-            ctx.count_n("agfw.acks_piggybacked", data.acks.len() as u64);
-        }
+    fn send_data(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, data: AgfwData) {
         if self.config.nl_ack {
             let entry = self
                 .pending_acks
@@ -761,7 +710,7 @@ impl Agfw {
                         // Only now do we know the packet was for us: mark,
                         // deliver, and acknowledge the last-attempt sender.
                         self.accept_delivery(ctx, &data);
-                        self.queue_ack(ctx, data.uid, Pseudonym::LAST_ATTEMPT);
+                        self.send_ack(ctx, data.uid, Pseudonym::LAST_ATTEMPT);
                     } else {
                         // Committed forwarder turned out to be the
                         // destination; the hop ACK already went out when
@@ -817,14 +766,14 @@ impl Agfw {
                     Outbound::Data(data) => data.next,
                     Outbound::Als(msg) => msg.next,
                 };
-                if self.config.defense.enabled {
+                if self.config.defense {
                     self.ant.suspect(addressed, TIMEOUT_INCREMENT);
                     ctx.count("defense.suspected");
                 }
                 if retries_left + 1 < MAX_RETRANSMITS {
                     self.ant.remove(addressed);
                 }
-                if self.config.defense.enabled {
+                if self.config.defense {
                     // Bounded exponential backoff with hash-derived jitter
                     // before re-selecting, instead of an immediate retry
                     // at a fixed cadence.
@@ -868,16 +817,11 @@ impl Agfw {
                 ctx.count("defense.rerouted");
                 self.forward_or_last_attempt(ctx, w.data, false);
             }
-            PendingOp::ReplayHello { packet } => {
-                ctx.count("adv.replayed_hello");
-                let bytes = packet.wire_bytes();
-                ctx.mac_broadcast(packet, bytes);
-            }
         }
     }
 
     fn process_ack(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, ack: AckRef) {
-        let defense_on = self.config.defense.enabled;
+        let defense_on = self.config.defense;
         if defense_on {
             // An overheard ACK for the *downstream* hop of a watched
             // packet (same uid, different addressed pseudonym) proves the
@@ -953,7 +897,7 @@ impl Agfw {
     /// cloned out of the `Arc` only at the two points where this node
     /// commits to doing something with it (trapdoor open, relay).
     fn handle_data(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, data: &AgfwData) {
-        if self.config.defense.enabled && !self.pseudonyms.owns(data.next) {
+        if self.config.defense && !self.pseudonyms.owns(data.next) {
             if self.watched.remove(&data.uid).is_some() {
                 // Overhearing a copy of a watched packet addressed onward
                 // (not an upstream retransmission back to us) proves the
@@ -966,14 +910,11 @@ impl Agfw {
                 self.forward_seen.insert(data.uid);
             }
         }
-        for &ack in &data.acks {
-            self.process_ack(ctx, ack);
-        }
         if data.next == Pseudonym::LAST_ATTEMPT {
             if self.handled.get(&data.uid).is_some_and(|h| h.delivered) {
                 // We already delivered this packet (we are its
                 // destination) and our ACK was lost: re-acknowledge.
-                self.queue_ack(ctx, data.uid, Pseudonym::LAST_ATTEMPT);
+                self.send_ack(ctx, data.uid, Pseudonym::LAST_ATTEMPT);
                 return;
             }
             // Everyone hearing the last attempt tries the trapdoor.
@@ -997,7 +938,7 @@ impl Agfw {
                 // Duplicate (the previous hop missed our ACK): re-ACK,
                 // do not re-forward.
                 ctx.count("agfw.duplicate");
-                self.queue_ack(ctx, data.uid, data.next);
+                self.send_ack(ctx, data.uid, data.next);
                 return;
             }
             self.handled.insert(
@@ -1007,18 +948,10 @@ impl Agfw {
                     delivered: false,
                 },
             );
-            if self.config.piggyback_acks {
-                // Queue first so the ACK rides on the forwarded packet.
-                self.queue_ack(ctx, data.uid, data.next);
-                self.dispatch_packet(ctx, data.clone(), true);
-            } else {
-                // Forward first: the explicit ACK otherwise sits ahead of
-                // the data in the MAC queue and delays every hop.
-                let uid = data.uid;
-                let to = data.next;
-                self.dispatch_packet(ctx, data.clone(), true);
-                self.queue_ack(ctx, uid, to);
-            }
+            // Forward first: the ACK otherwise sits ahead of the data in
+            // the MAC queue and delays every hop.
+            self.dispatch_packet(ctx, data.clone(), true);
+            self.send_ack(ctx, data.uid, data.next);
         } else {
             // "If n is not the pseudonym of the node, it will simply
             // discard the packet."
@@ -1153,7 +1086,7 @@ impl Agfw {
 
     /// Builds and geo-routes the LREQ for `dest`, scheduling its timeout.
     fn als_send_request(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, dest: NodeId) {
-        let defense_on = self.config.defense.enabled;
+        let defense_on = self.config.defense;
         let my_salt = u64::from(self.my_id.0);
         let Some(als) = &mut self.als else { return };
         let me = u64::from(self.my_id.0);
@@ -1419,13 +1352,13 @@ impl Agfw {
             // re-acknowledge committed copies of ACK-protected kinds;
             // stay silent otherwise.
             if committed && Self::als_acked(&msg.kind) {
-                self.queue_ack(ctx, msg.uid, msg.next);
+                self.send_ack(ctx, msg.uid, msg.next);
             }
             return;
         }
         if last_attempt {
             if self.als_try_consume(ctx, msg, false) && Self::als_acked(&msg.kind) {
-                self.queue_ack(ctx, msg.uid, Pseudonym::LAST_ATTEMPT);
+                self.send_ack(ctx, msg.uid, Pseudonym::LAST_ATTEMPT);
             }
             return;
         }
@@ -1437,7 +1370,7 @@ impl Agfw {
         if msg.ttl == 0 {
             ctx.count("als.drop.ttl");
             if wants_ack {
-                self.queue_ack(ctx, uid, to);
+                self.send_ack(ctx, uid, to);
             }
             return;
         }
@@ -1449,13 +1382,13 @@ impl Agfw {
         // still acknowledging the hop, exactly like the data path.
         if ctx.adversary_drops() {
             if wants_ack {
-                self.queue_ack(ctx, uid, to);
+                self.send_ack(ctx, uid, to);
             }
             return;
         }
         self.als_route(ctx, msg);
         if wants_ack {
-            self.queue_ack(ctx, uid, to);
+            self.send_ack(ctx, uid, to);
         }
     }
 }
@@ -1464,7 +1397,7 @@ impl Protocol for Agfw {
     type Packet = AgfwPacket;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, AgfwPacket>) {
-        let base = self.config.hello_interval.as_nanos().max(1);
+        let base = HELLO_INTERVAL.as_nanos().max(1);
         let delay = SimTime::from_nanos(ctx.rng().random_range(0..base));
         ctx.set_timer(delay, TIMER_HELLO);
         if self.als.is_some() {
@@ -1489,10 +1422,7 @@ impl Protocol for Agfw {
                 }
                 self.hellos_sent += 1;
                 let n = self.pseudonyms.current().expect("rotated above");
-                // Advertise the beacon fix, not ground truth: under
-                // stale-location fault injection the two diverge, and
-                // neighbors must route on what was *announced*.
-                let loc = ctx.beacon_pos();
+                let loc = ctx.my_pos();
                 let ts = ctx.now();
                 let auth = self.aant.as_ref().map(|a| {
                     ctx.count("aant.sign");
@@ -1511,13 +1441,9 @@ impl Protocol for Agfw {
                         .retain(|_, &mut t| now.saturating_sub(t) < SimTime::from_secs(5));
                 }
                 self.als_handoff(ctx);
-                let base = self.config.hello_interval.as_nanos();
+                let base = HELLO_INTERVAL.as_nanos();
                 let jitter = ctx.rng().random_range((base * 3 / 4)..=(base * 5 / 4));
                 ctx.set_timer(SimTime::from_nanos(jitter), TIMER_HELLO);
-            }
-            TIMER_ACK_FLUSH => {
-                self.ack_flush_scheduled = false;
-                self.flush_acks(ctx);
             }
             TIMER_ALS_UPDATE => {
                 self.als_send_update(ctx);
@@ -1595,7 +1521,7 @@ impl Protocol for Agfw {
                     ctx.count("defense.hello_rejected");
                     return;
                 }
-                if self.config.defense.enabled {
+                if self.config.defense {
                     // Suspicion inheritance: a fresh pseudonym beaconing
                     // from where a *convicted* suspect stood is excluded
                     // too — without this a per-beacon-rotating attacker
@@ -1611,22 +1537,6 @@ impl Protocol for Agfw {
                         self.ant.suspect(n, SUSPICION_THRESHOLD - current);
                         ctx.count("defense.suspicion_inherited");
                     }
-                }
-                if let Some(AdversaryRole::Replayer { delay }) = ctx.adversary_role() {
-                    // This node is a replayer: capture the hello and
-                    // schedule its verbatim re-broadcast.
-                    self.schedule_op(
-                        ctx,
-                        delay,
-                        PendingOp::ReplayHello {
-                            packet: AgfwPacket::Hello {
-                                n,
-                                loc,
-                                ts,
-                                auth: auth.clone(),
-                            },
-                        },
-                    );
                 }
             }
             AgfwPacket::NlAck { acks } => {
@@ -1665,7 +1575,7 @@ mod tests {
     #[test]
     fn default_config_matches_paper() {
         let c = AgfwConfig::default();
-        assert_eq!(c.hello_interval, SimTime::from_secs(1));
+        assert_eq!(HELLO_INTERVAL, SimTime::from_secs(1));
         assert_eq!(c.rotate_every, 1);
         assert!(c.nl_ack);
         assert_eq!(c.crypto, CryptoMode::Modeled);

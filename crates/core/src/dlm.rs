@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn ssa_spreads_identities_across_cells() {
         let s = ssa();
-        let cells: std::collections::HashSet<_> = (0..200u64).map(|i| s.cell_for(i)).collect();
+        let cells: crate::FixedSet<_> = (0..200u64).map(|i| s.cell_for(i)).collect();
         assert!(
             cells.len() >= 10,
             "200 identities should hit most of the 12 cells, got {}",

@@ -67,6 +67,6 @@ pub use pseudonym::{Pseudonym, PseudonymGenerator};
 /// Every map and set in this crate is on `agr_sim::FixedHasher`, the one
 /// fixed-key hasher of the simulator: the same inserts iterate in the
 /// same order in every run and every process, so no random hasher seed
-/// can reach the simulation. (`clippy.toml` bans the random-keyed
-/// `HashMap::new` in this crate.)
+/// can reach the simulation. (`clippy.toml` bans std's randomly keyed
+/// `HashMap` and `HashSet` in this crate.)
 pub(crate) use agr_sim::{FixedMap, FixedSet};

@@ -116,15 +116,12 @@ pub struct AgfwData {
     pub ttl: u8,
     /// Application payload size.
     pub payload_bytes: u32,
-    /// Piggybacked acknowledgments, possibly empty.
-    pub acks: Vec<AckRef>,
     /// Simulation accounting tag — NOT a wire field.
     pub tag: FlowTag,
 }
 
 impl AgfwData {
-    /// Total network-layer bytes: header + trapdoor + piggybacked ACKs +
-    /// payload.
+    /// Total network-layer bytes: header + trapdoor + payload.
     #[must_use]
     pub fn wire_bytes(&self) -> u32 {
         NET_HEADER_BYTES
@@ -133,12 +130,12 @@ impl AgfwData {
             + self.trapdoor.wire_bytes()
             + 4 // uid
             + 1 // ttl
-            + 1 // ack count
-            + AckRef::wire_bytes() * self.acks.len() as u32
-            // A routing-mode byte from when data could travel in
-            // perimeter mode. Dropping it would shorten every data frame's
-            // airtime and so move every golden: a declared re-baseline,
-            // not a clean-up.
+            // An ack-count byte and a routing-mode byte, from when ACKs
+            // could ride on data and data could travel in perimeter mode;
+            // both are always zero. Dropping them would shorten every data
+            // frame's airtime and so move every golden: a declared
+            // re-baseline, not a clean-up.
+            + 1
             + 1
             + self.payload_bytes
     }
@@ -399,7 +396,6 @@ mod tests {
             uid: 7,
             ttl: 64,
             payload_bytes: 64,
-            acks: Vec::new(),
             tag: tag(),
         }
     }
@@ -412,18 +408,6 @@ mod tests {
         let header = d.wire_bytes() - d.payload_bytes;
         assert_eq!(header, 20 + 8 + 6 + 64 + 4 + 1 + 1 + 1);
         assert!(header > 48);
-    }
-
-    #[test]
-    fn piggybacked_acks_cost_10_bytes_each() {
-        let mut d = data();
-        let base = d.wire_bytes();
-        let ack = |uid| AckRef {
-            uid,
-            to: Pseudonym([2; 6]),
-        };
-        d.acks = vec![ack(1), ack(2), ack(3)];
-        assert_eq!(d.wire_bytes(), base + 30);
     }
 
     #[test]

@@ -42,11 +42,11 @@ const TAG_DATA: u8 = 1;
 const TAG_NL_ACK: u8 = 2;
 const TAG_ALS: u8 = 3;
 
-/// The one value of the hello's velocity flag and the data packet's
-/// routing-mode byte. Both once announced an optional extension (a
-/// velocity; perimeter-mode positions) that no longer exists; the byte
-/// stays so every encoding keeps its layout, and any other value is
-/// rejected.
+/// The one value of the hello's velocity flag, and of the data packet's
+/// two piggybacked-ACK count bytes and its routing-mode byte. Each once
+/// announced an optional extension (a velocity; ACKs riding on data;
+/// perimeter-mode positions) that no longer exists; the bytes stay so
+/// every encoding keeps its layout, and any other value is rejected.
 const NO_EXTENSION: u8 = 0;
 
 /// Codec failure.
@@ -297,8 +297,8 @@ fn encode_data(out: &mut Vec<u8>, d: &AgfwData) -> Result<(), WireError> {
     out.extend_from_slice(&d.uid.to_be_bytes());
     out.push(d.ttl);
     out.extend_from_slice(&d.payload_bytes.to_be_bytes());
-    put_acks(out, &d.acks)?;
-    out.push(NO_EXTENSION);
+    // The u16 piggybacked-ACK count, then the routing mode.
+    out.extend_from_slice(&[NO_EXTENSION; 3]);
     Ok(())
 }
 
@@ -460,7 +460,8 @@ fn decode_data(r: &mut Reader<'_>) -> Result<AgfwData, WireError> {
     let uid = r.u64()?;
     let ttl = r.u8()?;
     let payload_bytes = r.u32()?;
-    let acks = read_acks(r)?;
+    r.no_extension("piggybacked ack count")?;
+    r.no_extension("piggybacked ack count")?;
     r.no_extension("routing mode")?;
     Ok(AgfwData {
         dst_loc,
@@ -469,7 +470,6 @@ fn decode_data(r: &mut Reader<'_>) -> Result<AgfwData, WireError> {
         uid,
         ttl,
         payload_bytes,
-        acks,
         // Simulation accounting only — never on the wire.
         tag: FlowTag {
             flow: 0,

@@ -5,7 +5,10 @@ use agr_core::agfw::{Agfw, AgfwConfig, CryptoMode};
 use agr_core::keys::KeyDirectory;
 use agr_core::AgfwPacket;
 use agr_geom::Point;
-use agr_sim::{FlowConfig, NodeId, RecordingObserver, SimConfig, SimTime, World};
+use agr_sim::{
+    Ctx, FlowConfig, FlowTag, MacAddr, MacOutcome, NodeId, Protocol, RecordingObserver, SimConfig,
+    SimTime, World,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
@@ -80,6 +83,45 @@ fn latency_includes_crypto_processing_delays() {
     assert!(stats.counter("agfw.trapdoor_opened") >= stats.data_delivered);
 }
 
+/// An AGFW node that may be left unstarted: it then never schedules a
+/// hello, so no neighbor table ever holds it, yet it still receives,
+/// opens trapdoors and acknowledges.
+struct MaybeMute {
+    agfw: Agfw,
+    mute: bool,
+}
+
+impl Protocol for MaybeMute {
+    type Packet = AgfwPacket;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, AgfwPacket>) {
+        if !self.mute {
+            self.agfw.on_start(ctx);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, kind: u64) {
+        self.agfw.on_timer(ctx, kind);
+    }
+
+    fn on_app_send(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, dest: NodeId, tag: FlowTag) {
+        self.agfw.on_app_send(ctx, dest, tag);
+    }
+
+    fn on_receive(
+        &mut self,
+        ctx: &mut Ctx<'_, AgfwPacket>,
+        packet: &AgfwPacket,
+        from: Option<MacAddr>,
+    ) {
+        self.agfw.on_receive(ctx, packet, from);
+    }
+
+    fn on_mac_result(&mut self, ctx: &mut Ctx<'_, AgfwPacket>, outcome: MacOutcome<AgfwPacket>) {
+        self.agfw.on_mac_result(ctx, outcome);
+    }
+}
+
 #[test]
 fn last_forwarding_attempt_reaches_silent_destination() {
     // The destination never beacons, so no ANT ever contains it; packets
@@ -91,12 +133,9 @@ fn last_forwarding_attempt_reaches_silent_destination() {
     ];
     let mut sim = SimConfig::static_topology(positions, SimTime::from_secs(60));
     sim.flows = vec![flow(0, 2, 10, 50)];
-    let mut world = World::new(sim, |id, cfg, rng| {
-        let mut config = AgfwConfig::default();
-        if id == NodeId(2) {
-            config.hello_interval = SimTime::from_secs(100_000); // mute
-        }
-        Agfw::new(id, config, cfg, rng)
+    let mut world = World::new(sim, |id, cfg, rng| MaybeMute {
+        agfw: Agfw::new(id, AgfwConfig::default(), cfg, rng),
+        mute: id == NodeId(2),
     });
     let stats = world.run();
     assert!(
@@ -239,33 +278,6 @@ fn authenticated_ant_still_routes() {
     assert!(stats.counter("aant.sign") > 0);
     assert!(stats.counter("aant.verify") >= stats.counter("aant.sign"));
     assert_eq!(stats.counter("aant.reject"), 0);
-}
-
-#[test]
-fn piggybacked_acks_reduce_ack_traffic() {
-    let positions: Vec<Point> = (0..5)
-        .map(|i| Point::new(f64::from(i) * 200.0, 0.0))
-        .collect();
-    let mk = |piggyback: bool| {
-        let mut sim = SimConfig::static_topology(positions.clone(), SimTime::from_secs(60));
-        sim.flows = vec![flow(0, 4, 5, 55)];
-        let config = AgfwConfig {
-            piggyback_acks: piggyback,
-            ..AgfwConfig::default()
-        };
-        let mut world = World::new(sim, move |id, cfg, rng| Agfw::new(id, config, cfg, rng));
-        world.run()
-    };
-    let plain = mk(false);
-    let piggy = mk(true);
-    assert_eq!(piggy.data_delivered, piggy.data_sent);
-    assert!(
-        piggy.counter("agfw.nl_ack_sent") < plain.counter("agfw.nl_ack_sent"),
-        "piggybacking should cut explicit ACK packets: {} vs {}",
-        piggy.counter("agfw.nl_ack_sent"),
-        plain.counter("agfw.nl_ack_sent")
-    );
-    assert!(piggy.counter("agfw.acks_piggybacked") > 0);
 }
 
 #[test]

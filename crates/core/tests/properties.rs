@@ -95,7 +95,7 @@ proptest! {
     fn pseudonyms_are_distinct_whp(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut g = PseudonymGenerator::new(1, 2);
-        let set: std::collections::HashSet<_> = (0..100).map(|_| g.rotate(&mut rng)).collect();
+        let set: agr_sim::FixedSet<_> = (0..100).map(|_| g.rotate(&mut rng)).collect();
         prop_assert_eq!(set.len(), 100, "48-bit pseudonyms must not collide in 100 draws");
     }
 
@@ -105,21 +105,26 @@ proptest! {
         n_acks in 0usize..10,
     ) {
         let tag = FlowTag { flow: 0, seq: 0, src: NodeId(0), sent_at: SimTime::ZERO };
-        let mk = |payload_bytes, acks: usize| AgfwData {
+        let data = |payload_bytes| AgfwData {
             dst_loc: Point::ORIGIN,
             next: Pseudonym([1; 6]),
             trapdoor: TrapdoorWire::Modeled { dest: NodeId(0), nonce: 0 },
             uid: 1,
             ttl: 64,
             payload_bytes,
-            acks: (0..acks as u64).map(|u| AckRef { uid: u, to: Pseudonym([2; 6]) }).collect(),
             tag,
         };
-        let base = mk(payload, n_acks).wire_bytes();
-        prop_assert_eq!(mk(payload + 1, n_acks).wire_bytes(), base + 1);
-        prop_assert_eq!(mk(payload, n_acks + 1).wire_bytes(), base + AckRef::wire_bytes());
+        let base = data(payload).wire_bytes();
+        prop_assert_eq!(data(payload + 1).wire_bytes(), base + 1);
         // Header alone always exceeds the GPSR header (the trapdoor cost).
         prop_assert!(base - payload >= 64);
+        let nl_ack = |acks: usize| AgfwPacket::NlAck {
+            acks: (0..acks as u64).map(|u| AckRef { uid: u, to: Pseudonym([2; 6]) }).collect(),
+        };
+        prop_assert_eq!(
+            nl_ack(n_acks + 1).wire_bytes(),
+            nl_ack(n_acks).wire_bytes() + AckRef::wire_bytes()
+        );
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! through the same nodes.
 //!
 //! Each world is a seeded random static topology. AGFW-ACK runs without
-//! pseudonym rotation (one ANT entry per neighbor) and with
-//! `fresh_window = ant_timeout`, so "fresh" means "live" and both
-//! selection strategies see exactly the neighbors GPSR-Greedy's table
-//! holds. A frame observer recovers each packet's forwarder sequence
-//! from the data frames on the air.
+//! pseudonym rotation (one ANT entry per neighbor) and with naive-closest
+//! selection, so it chooses among exactly the live neighbors
+//! GPSR-Greedy's table holds. A frame observer recovers each packet's
+//! forwarder sequence from the data frames on the air.
 //!
 //! Packets re-routed after a loss are counted but not compared: some
 //! transmission left the packet's walk, i.e. a node sent it to a second
@@ -19,7 +18,7 @@
 //! asserts there are none.
 
 use agr_core::agfw::{Agfw, AgfwConfig};
-use agr_core::{AgfwPacket, Pseudonym};
+use agr_core::{AgfwPacket, Pseudonym, SelectionStrategy};
 use agr_geom::Point;
 use agr_gpsr::{Gpsr, GpsrConfig, GpsrPacket};
 use agr_sim::{
@@ -28,7 +27,7 @@ use agr_sim::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// One data frame of a packet: the transmitter and the next hop it named
@@ -42,9 +41,9 @@ struct Trace {
     hops: BTreeMap<usize, Vec<Hop>>,
     /// GPSR headers name the destination, not the flow: which packet goes
     /// where.
-    packet_to: HashMap<NodeId, usize>,
+    packet_to: BTreeMap<NodeId, usize>,
     /// AGFW names next hops by pseudonym: whose each one is, from hellos.
-    owners: HashMap<Pseudonym, NodeId>,
+    owners: BTreeMap<Pseudonym, NodeId>,
 }
 
 impl FrameObserver<GpsrPacket> for Trace {
@@ -156,11 +155,10 @@ where
 
 #[test]
 fn agfw_and_gpsr_forward_along_the_same_nodes() {
-    let defaults = AgfwConfig::default();
     let agfw_config = AgfwConfig {
-        fresh_window: defaults.ant_timeout,
+        selection: SelectionStrategy::NaiveClosest,
         rotate_every: u32::MAX,
-        ..defaults
+        ..AgfwConfig::default()
     };
     // (seed, nodes): sparse worlds, where greedy forwarding meets voids,
     // and two denser ones.

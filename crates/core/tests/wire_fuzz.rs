@@ -5,7 +5,7 @@
 //! a truncated capture, or a replayed frame with flipped bits — returns
 //! a [`WireError`], never a panic. Proptest drives three generators:
 //! pure noise, strict prefixes of valid encodings, and single-bit
-//! corruptions of valid encodings. Two hand-built frames check the
+//! corruptions of valid encodings. Three hand-built frames check the
 //! extension bytes that no longer announce anything.
 
 use agr_core::packet::{AckRef, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair};
@@ -16,8 +16,8 @@ use agr_geom::{CellId, Point};
 use agr_sim::{FlowTag, NodeId, SimTime};
 use proptest::prelude::*;
 
-/// A corpus of valid packets covering every wire shape (hello, data with
-/// piggybacked ACKs, empty and full NL-ACKs, all twelve ALS kinds — the three
+/// A corpus of valid packets covering every wire shape (hello, data,
+/// empty and full NL-ACKs, all twelve ALS kinds — the three
 /// geo-routed ones, the service-transport Forward/Ack/Miss, the
 /// anti-entropy SyncDigest/SyncDelta, the health/admission
 /// Ping/Pong/Busy, and the telemetry StatsDump in both its
@@ -43,7 +43,6 @@ fn corpus() -> Vec<AgfwPacket> {
         uid: 0x0123_4567_89AB_CDEF,
         ttl: 62,
         payload_bytes: 64,
-        acks: vec![ack(0x11, 0x21), ack(0x22, 0x31)],
         tag: zero_tag,
     };
     vec![
@@ -260,11 +259,12 @@ fn empty_input_is_truncated() {
     assert!(decode_packet(&[]).is_err());
 }
 
-/// Frames in the two shapes the codec once accepted for extensions that
-/// are gone: a hello carrying a velocity (flag 1 + two f64s) and a data
-/// packet in perimeter mode (mode 1 + entry and previous-hop positions).
-/// An attacker can still send them; both are bad tags, not panics and not
-/// packets.
+/// Frames in the three shapes the codec once accepted for extensions
+/// that are gone: a hello carrying a velocity (flag 1 + two f64s), a data
+/// packet carrying a piggybacked ACK (count 1 + one uid/pseudonym entry)
+/// and a data packet in perimeter mode (mode 1 + entry and previous-hop
+/// positions). An attacker can still send them; all are bad tags, not
+/// panics and not packets.
 #[test]
 fn former_extension_frames_are_rejected() {
     let mut hello = encode_packet(&AgfwPacket::Hello {
@@ -280,16 +280,22 @@ fn former_extension_frames_are_rejected() {
     hello[flag] = 1;
     hello.splice(flag + 1..flag + 1, [0x42; 16]);
 
-    let AgfwPacket::Data(mut data) = corpus().swap_remove(1) else {
-        panic!("corpus[1] is the data packet")
-    };
-    data.acks.clear();
-    let mut perimeter = encode_packet(&AgfwPacket::Data(data)).unwrap();
-    // The routing-mode byte is the last one.
+    let data = encode_packet(&corpus().swap_remove(1)).unwrap();
+    // The frame ends in the u16 ack count and the routing-mode byte.
+    let count = data.len() - 3;
+    assert_eq!(data[count..], [0, 0, 0]);
+    let mut piggyback = data.clone();
+    piggyback[count + 1] = 1;
+    piggyback.splice(count + 2..count + 2, [0x42; 8 + 6]);
+    let mut perimeter = data;
     *perimeter.last_mut().unwrap() = 1;
     perimeter.extend_from_slice(&[0x42; 16]);
 
-    for (frame, field) in [(hello, "hello velocity flag"), (perimeter, "routing mode")] {
+    for (frame, field) in [
+        (hello, "hello velocity flag"),
+        (piggyback, "piggybacked ack count"),
+        (perimeter, "routing mode"),
+    ] {
         assert_eq!(
             decode_packet(&frame),
             Err(WireError::BadTag { field, value: 1 })

@@ -45,8 +45,8 @@ fn ack(uid: u64, fill: u8) -> AckRef {
     }
 }
 
-/// A canonical data packet exercising the `AckRef` piggyback path.
-fn data_with_piggybacked_acks() -> AgfwPacket {
+/// A canonical data packet.
+fn data_packet() -> AgfwPacket {
     AgfwPacket::Data(AgfwData {
         dst_loc: Point::new(1200.0, 280.5),
         next: Pseudonym([0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6]),
@@ -57,7 +57,6 @@ fn data_with_piggybacked_acks() -> AgfwPacket {
         uid: 0x0123_4567_89AB_CDEF,
         ttl: 62,
         payload_bytes: 64,
-        acks: vec![ack(0x11, 0x21), ack(0x22, 0x31)],
         tag: zero_tag(),
     })
 }
@@ -73,8 +72,8 @@ fn hello_roundtrips() {
 }
 
 #[test]
-fn data_with_acks_roundtrips() {
-    assert_roundtrip(&data_with_piggybacked_acks());
+fn data_roundtrips() {
+    assert_roundtrip(&data_packet());
 }
 
 #[test]
@@ -89,7 +88,6 @@ fn real_trapdoor_roundtrips_and_still_opens() {
         uid: 3,
         ttl: 1,
         payload_bytes: 512,
-        acks: vec![ack(777, 0x0C)],
         tag: zero_tag(),
     });
     assert_roundtrip(&packet);
@@ -524,12 +522,12 @@ fn golden_als_service_encodings_are_stable() {
     );
 }
 
-/// The pinned byte-for-byte encoding of [`data_with_piggybacked_acks`].
+/// The pinned byte-for-byte encoding of [`data_packet`].
 /// If this golden changes, the wire format changed: every deployed node
 /// would disagree with every updated one, so bump deliberately.
 #[test]
 fn golden_data_encoding_is_stable() {
-    let bytes = encode_packet(&data_with_piggybacked_acks()).unwrap();
+    let bytes = encode_packet(&data_packet()).unwrap();
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     let golden = concat!(
         "01", // packet type: DATA
@@ -542,12 +540,8 @@ fn golden_data_encoding_is_stable() {
         "0123456789abcdef", // uid
         "3e",               // ttl 62
         "00000040",         // payload_bytes 64
-        "0002",             // ack count
-        "0000000000000011",
-        "212121212121", // ack 1: uid, to
-        "0000000000000022",
-        "313131313131", // ack 2: uid, to
-        "00",           // mode: greedy
+        "0000",             // ack count: always 0
+        "00",               // routing mode: always 0
     );
     assert_eq!(hex, golden);
 }
@@ -556,7 +550,7 @@ fn golden_data_encoding_is_stable() {
 fn decode_tolerates_any_flow_tag_on_encode_side() {
     // The accounting tag is excluded from the wire: two packets differing
     // only in their tag encode identically.
-    let AgfwPacket::Data(d) = data_with_piggybacked_acks() else {
+    let AgfwPacket::Data(d) = data_packet() else {
         unreachable!()
     };
     let mut tagged = d.clone();

@@ -109,11 +109,9 @@ impl Protocol for Gpsr {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, GpsrPacket>, kind: u64) {
         debug_assert_eq!(kind, TIMER_BEACON);
-        // Advertised position, which lags ground truth under
-        // stale-location fault injection (identical to my_pos otherwise).
         let beacon = GpsrPacket::Beacon {
             id: ctx.my_id(),
-            pos: ctx.beacon_pos(),
+            pos: ctx.my_pos(),
         };
         ctx.count("gpsr.beacons");
         ctx.mac_broadcast(beacon, BEACON_BYTES);

@@ -177,7 +177,6 @@ mod tests {
             uid: 1,
             ttl: 64,
             payload_bytes: 64,
-            acks: Vec::new(),
             tag: FlowTag {
                 flow: 0,
                 seq: 0,

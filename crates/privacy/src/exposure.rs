@@ -8,8 +8,7 @@
 
 use crate::disclosure::Discloses;
 use crate::tracker::Sighting;
-use agr_sim::{FrameObserver, FrameRecord};
-use std::collections::HashSet;
+use agr_sim::{FixedSet, FrameObserver, FrameRecord};
 
 /// What a global passive eavesdropper extracted from a trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -52,7 +51,7 @@ impl ExposureReport {
 #[derive(Debug, Default)]
 pub struct Eavesdropper {
     report: ExposureReport,
-    identities: HashSet<u64>,
+    identities: FixedSet<u64>,
     sightings: Vec<Sighting>,
 }
 

@@ -5,10 +5,9 @@
 //! eavesdroppers, but the very mechanisms that buy anonymity —
 //! unlinkable per-beacon pseudonyms and identity-free local broadcast —
 //! make AGFW unusually attractive to an active insider: a node can
-//! agree to relay and then drop silently, advertise a fabricated fix to
-//! attract traffic, or replay captured HELLOs, all without ever being
-//! named. An [`AdversaryPlan`] converts chosen nodes into one of four
-//! such insiders:
+//! agree to relay and then drop silently without ever being named. An
+//! [`AdversaryPlan`] converts chosen nodes into one of two such
+//! insiders:
 //!
 //! * **Blackhole** ([`AdversaryRole::Blackhole`]): accepts a committed
 //!   hop, sends the network-layer ACK, and silently discards the data.
@@ -17,14 +16,6 @@
 //! * **Grayhole** ([`AdversaryRole::Grayhole`]): a probabilistic
 //!   blackhole that drops each accepted packet with probability
 //!   `p_drop`, making misbehaviour intermittent and harder to pin.
-//! * **Spoofer** ([`AdversaryRole::Spoofer`]): every beacon advertises
-//!   an attractive false fix (e.g. the area centre) instead of the true
-//!   position, pulling greedy next-hop selection toward the attacker.
-//!   The node otherwise forwards honestly — the lie alone degrades
-//!   routing.
-//! * **Replayer** ([`AdversaryRole::Replayer`]): records every HELLO it
-//!   overhears and re-broadcasts it verbatim after `delay`, trying to
-//!   resurrect expired neighbor entries with stale positions.
 //!
 //! # Determinism
 //!
@@ -39,11 +30,9 @@
 //! this module, and adversarial runs are bit-identical at any
 //! `AGR_JOBS` worker count.
 
-use agr_geom::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::time::SimTime;
 use crate::NodeId;
 
 /// Behaviour assigned to a compromised node.
@@ -57,17 +46,6 @@ pub enum AdversaryRole {
     Grayhole {
         /// Per-packet drop probability in `[0, 1]`.
         p_drop: f64,
-    },
-    /// Beacons advertise `fake` instead of the true position, attracting
-    /// greedy traffic toward the attacker; forwarding itself is honest.
-    Spoofer {
-        /// The fabricated fix advertised in every beacon.
-        fake: Point,
-    },
-    /// Re-broadcasts every captured HELLO verbatim after `delay`.
-    Replayer {
-        /// Time between capture and replay.
-        delay: SimTime,
     },
 }
 

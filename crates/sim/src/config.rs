@@ -174,15 +174,14 @@ pub struct SimConfig {
     /// Combine with a `MobilityParams` pause longer than the run for fully
     /// static topologies (used by tests and controlled experiments).
     pub initial_positions: Option<Vec<agr_geom::Point>>,
-    /// Deterministic fault schedule: per-link loss, node churn, and
-    /// stale-beacon injection (see `crate::fault`). The default plan
-    /// injects nothing and leaves runs bit-identical to a fault-free
-    /// simulator.
+    /// Deterministic fault schedule: per-link loss and node churn (see
+    /// `crate::fault`). The default plan injects nothing and leaves runs
+    /// bit-identical to a fault-free simulator.
     pub fault: FaultPlan,
-    /// Deterministic adversarial node assignment: blackholes, grayholes,
-    /// location spoofers, and beacon replayers (see `crate::adversary`).
-    /// The default plan compromises nobody and leaves runs byte-identical
-    /// to an adversary-free simulator.
+    /// Deterministic adversarial node assignment: blackholes and
+    /// grayholes (see `crate::adversary`). The default plan compromises
+    /// nobody and leaves runs byte-identical to an adversary-free
+    /// simulator.
     pub adversary: AdversaryPlan,
 }
 
@@ -333,7 +332,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let c = SimConfig::default().with_cbr_traffic(30, 20, SimTime::from_secs(1), 64, &mut rng);
         assert_eq!(c.flows.len(), 30);
-        let senders: std::collections::HashSet<_> = c.flows.iter().map(|f| f.src).collect();
+        let senders: crate::FixedSet<_> = c.flows.iter().map(|f| f.src).collect();
         assert_eq!(senders.len(), 20);
         for f in &c.flows {
             assert_ne!(f.src, f.dst);

@@ -15,10 +15,6 @@
 //!   node neither transmits into the channel nor senses it; its protocol
 //!   state survives (a radio crash, not an amnesia crash), so recovery
 //!   exercises route healing over stale neighbor tables.
-//! * **Stale locations** ([`StaleLocations`]): beacons advertise a GPS
-//!   fix refreshed only every `refresh` interval, so neighbors act on
-//!   positions up to `refresh` old — delayed beacon propagation without
-//!   perturbing the mobility ground truth.
 //!
 //! # Determinism
 //!
@@ -173,15 +169,6 @@ pub struct ChurnEvent {
     pub up: SimTime,
 }
 
-/// Stale-location injection: beacons advertise a position fix refreshed
-/// only every `refresh`, so neighbor tables hold positions up to
-/// `refresh` seconds old.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StaleLocations {
-    /// How long an advertised fix may lag behind ground truth.
-    pub(crate) refresh: SimTime,
-}
-
 /// A complete, seeded fault schedule for one run.
 ///
 /// The default plan injects nothing and leaves the simulation
@@ -193,12 +180,10 @@ pub struct FaultPlan {
     pub(crate) loss: LossModel,
     /// Scheduled radio outages.
     pub churn: Vec<ChurnEvent>,
-    /// Stale advertised-position injection.
-    pub(crate) stale: Option<StaleLocations>,
 }
 
 impl FaultPlan {
-    /// The no-fault plan (perfect channel, no churn, fresh beacons).
+    /// The no-fault plan (perfect channel, no churn).
     #[must_use]
     pub fn none() -> Self {
         FaultPlan::default()
@@ -226,7 +211,7 @@ impl FaultPlan {
     /// and schedule no events.
     #[must_use]
     pub(crate) fn is_none(&self) -> bool {
-        self.loss.is_none() && self.churn.is_empty() && self.stale.is_none()
+        self.loss.is_none() && self.churn.is_empty()
     }
 
     /// Adds a scheduled outage.
@@ -238,13 +223,6 @@ impl FaultPlan {
     pub fn with_churn(mut self, node: NodeId, down: SimTime, up: SimTime) -> Self {
         assert!(up > down, "churn recovery must follow the outage");
         self.churn.push(ChurnEvent { node, down, up });
-        self
-    }
-
-    /// Enables stale-beacon injection with the given fix lifetime.
-    #[must_use]
-    pub fn with_stale_locations(mut self, refresh: SimTime) -> Self {
-        self.stale = Some(StaleLocations { refresh });
         self
     }
 }
@@ -265,8 +243,6 @@ mod tests {
         let churned =
             FaultPlan::none().with_churn(NodeId(3), SimTime::from_secs(10), SimTime::from_secs(20));
         assert!(!churned.is_none());
-        let stale = FaultPlan::none().with_stale_locations(SimTime::from_secs(5));
-        assert!(!stale.is_none());
     }
 
     #[test]

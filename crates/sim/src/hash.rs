@@ -3,7 +3,8 @@
 //! std's `HashMap::new` draws a random key per process, so a map iterated
 //! while drawing from an RNG would make same-seed runs differ; every map
 //! in the simulator and the protocol crates is built on [`FixedHasher`]
-//! instead (`clippy.toml` bans the random-keyed constructors). Its keys
+//! instead (`clippy.toml` bans std's `HashMap` and `HashSet` types outside
+//! this module, which defines the two aliases on them). Its keys
 //! are the simulator's own: node ids, link indices, packet uids drawn
 //! from seeded RNGs, SHA-256 pseudonyms and trapdoor ciphertexts. None is
 //! chosen to collide, so a multiplicative hash loses nothing against
@@ -12,6 +13,8 @@
 //! breaks ties on the key), but the order must still be the same in every
 //! process, which a fixed hasher guarantees; the known-answer test below
 //! pins it.
+
+#![allow(clippy::disallowed_types)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

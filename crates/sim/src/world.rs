@@ -189,9 +189,6 @@ pub(crate) struct Inner<PKT> {
     churn_generation: u64,
     /// Per-flow churn generation at last counted heal.
     flow_heal_gen: Vec<u64>,
-    /// Per-node stale advertised fix: `(taken_at, position)`. Empty
-    /// unless the plan injects stale fixes.
-    beacon_fixes: Vec<Option<(SimTime, Point)>>,
     /// Per-node adversary RNGs, seeded in node order from the master RNG
     /// *after* the fault family — only when the adversary plan names
     /// somebody, so adversary-free runs consume exactly the RNG stream of
@@ -262,17 +259,12 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             assert!(idx < n, "adversary plan names node {idx} out of {n}");
             adv_roles[idx] = Some(*role);
         }
-        // Per-link loss channels and stale fixes likewise exist only when
-        // the plan injects those faults.
+        // Per-link loss channels likewise exist only when the plan has a
+        // loss model.
         let links = if config.fault.loss.is_none() {
             Vec::new()
         } else {
             (0..n).map(|_| FixedMap::default()).collect()
-        };
-        let beacon_fixes = if config.fault.stale.is_none() {
-            Vec::new()
-        } else {
-            vec![None; n]
         };
         let flow_count = config.flows.len();
         Inner {
@@ -304,7 +296,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             node_up: vec![true; n],
             churn_generation: 0,
             flow_heal_gen: vec![0; flow_count],
-            beacon_fixes,
             adv_rngs,
             adv_roles,
         }
@@ -356,18 +347,13 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
         channel.transmit(&model, &mut self.fault_rngs[rx])
     }
 
-    /// The adversary role node `n` plays, if any.
-    fn adversary_role(&self, n: usize) -> Option<AdversaryRole> {
-        self.adv_roles.get(n).copied().flatten()
-    }
-
     /// Whether node `n`, acting as an adversarial relay, drops the packet
     /// it just accepted. Blackholes always drop; grayholes draw exactly
     /// one Bernoulli sample from the node's adversary RNG per decision
     /// (keeping the draw count a pure function of accepted traffic);
-    /// every other role forwards honestly.
+    /// honest nodes forward.
     fn adversary_drops(&mut self, n: usize) -> bool {
-        match self.adversary_role(n) {
+        match self.adv_roles.get(n).copied().flatten() {
             Some(AdversaryRole::Blackhole) => {
                 self.stats.count("adv.blackhole_drop");
                 true
@@ -379,7 +365,7 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
                 }
                 dropped
             }
-            _ => false,
+            None => false,
         }
     }
 
@@ -391,34 +377,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Inner<PKT> {
             self.stats.count("fault.churn_up");
         } else {
             self.stats.count("fault.churn_down");
-        }
-    }
-
-    /// The position this node advertises in beacons. Without stale-fix
-    /// injection this is the true position; with it, a fix is held for up
-    /// to `refresh` before being retaken, so neighbors act on positions
-    /// that lag ground truth.
-    fn beacon_position_of(&mut self, n: usize) -> Point {
-        // A spoofer lies about its position outright; the lie takes
-        // precedence over any stale-fix schedule.
-        if let Some(AdversaryRole::Spoofer { fake }) = self.adversary_role(n) {
-            self.stats.count("adv.spoofed_beacon");
-            return fake;
-        }
-        let Some(stale) = self.config.fault.stale else {
-            return self.position_of(n);
-        };
-        let now = self.now;
-        match self.beacon_fixes[n] {
-            Some((taken_at, fix)) if now.saturating_sub(taken_at) < stale.refresh => {
-                self.stats.count("fault.stale_fix");
-                fix
-            }
-            _ => {
-                let fresh = self.position_of(n);
-                self.beacon_fixes[n] = Some((now, fresh));
-                fresh
-            }
         }
     }
 
@@ -992,28 +950,6 @@ impl<PKT: Clone + std::fmt::Debug + 'static> Ctx<'_, PKT> {
     #[must_use]
     pub fn my_pos(&mut self) -> Point {
         self.inner.position_of(self.node)
-    }
-
-    /// The position this node should advertise in beacons.
-    ///
-    /// Equal to [`Ctx::my_pos`] unless the run's
-    /// [`crate::fault::FaultPlan`] injects stale locations, in which case
-    /// the returned fix may lag ground truth by up to the configured
-    /// refresh interval — modelling delayed beacon propagation. Forwarding
-    /// decisions should keep using `my_pos`; only *advertised* positions
-    /// go stale.
-    #[must_use]
-    pub fn beacon_pos(&mut self) -> Point {
-        self.inner.beacon_position_of(self.node)
-    }
-
-    /// The adversary role this node plays, if the run's
-    /// [`crate::adversary::AdversaryPlan`] compromises it. Protocols use
-    /// this for behaviours that live above the PHY, such as replaying
-    /// captured beacons.
-    #[must_use]
-    pub fn adversary_role(&self) -> Option<AdversaryRole> {
-        self.inner.adversary_role(self.node)
     }
 
     /// Ask the adversary machinery whether this node drops a packet it

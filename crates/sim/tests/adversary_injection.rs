@@ -1,9 +1,6 @@
 //! Adversary-injection semantics: clean runs stay untouched, roles bite
 //! exactly as specified, and adversarial runs reproduce bit for bit.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use agr_geom::Point;
 use agr_sim::{
     AdversaryMix, AdversaryPlan, AdversaryRole, Ctx, FlowConfig, FlowTag, MacAddr, NodeId,
@@ -93,85 +90,6 @@ fn grayhole_drop_rate_tracks_p_drop() {
         (observed - 0.3).abs() < 0.12,
         "observed grayhole rate {observed:.3} far from p_drop 0.3"
     );
-}
-
-/// Protocol that samples the advertised beacon position once a second.
-struct FixSampler {
-    samples: Rc<RefCell<Vec<(NodeId, Point, Point)>>>,
-}
-
-impl Protocol for FixSampler {
-    type Packet = Pkt;
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Pkt>) {
-        ctx.set_timer(SimTime::from_secs(1), 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Pkt>, _kind: u64) {
-        let id = ctx.my_id();
-        let truth = ctx.my_pos();
-        let advertised = ctx.beacon_pos();
-        self.samples.borrow_mut().push((id, truth, advertised));
-        ctx.set_timer(SimTime::from_secs(1), 0);
-    }
-    fn on_app_send(&mut self, _ctx: &mut Ctx<'_, Pkt>, _d: NodeId, _tag: FlowTag) {}
-    fn on_receive(&mut self, _ctx: &mut Ctx<'_, Pkt>, _pkt: &Pkt, _from: Option<MacAddr>) {}
-}
-
-#[test]
-fn spoofer_advertises_the_fake_fix_and_only_the_fake_fix() {
-    let fake = Point::new(750.0, 750.0);
-    let mut config = two_node_config(20);
-    config.adversary = AdversaryPlan::none().with_role(NodeId(1), AdversaryRole::Spoofer { fake });
-    let samples = Rc::new(RefCell::new(Vec::new()));
-    let handle = Rc::clone(&samples);
-    let mut world = World::new(config, move |_, _, _| FixSampler {
-        samples: Rc::clone(&handle),
-    });
-    let stats = world.run();
-    assert!(stats.counter("adv.spoofed_beacon") > 0);
-    let samples = samples.borrow();
-    assert!(!samples.is_empty());
-    for (id, truth, advertised) in samples.iter() {
-        if *id == NodeId(1) {
-            assert_eq!(*advertised, fake, "spoofer must advertise the lie");
-            assert_ne!(*truth, fake, "ground truth stays honest");
-        } else {
-            assert_eq!(*advertised, *truth, "honest nodes advertise truth");
-        }
-    }
-}
-
-#[test]
-fn replayer_role_is_visible_to_the_protocol() {
-    // The replay mechanics live in the protocol layer (AGFW captures and
-    // re-broadcasts); the simulator's contract is only that the role is
-    // queryable. Pin that contract.
-    let delay = SimTime::from_secs(2);
-    let mut config = two_node_config(10);
-    config.adversary =
-        AdversaryPlan::none().with_role(NodeId(0), AdversaryRole::Replayer { delay });
-    type RoleLog = Rc<RefCell<Vec<(NodeId, Option<AdversaryRole>)>>>;
-    let roles: RoleLog = Rc::new(RefCell::new(Vec::new()));
-    let handle = Rc::clone(&roles);
-    struct RoleProbe {
-        roles: RoleLog,
-    }
-    impl Protocol for RoleProbe {
-        type Packet = Pkt;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Pkt>) {
-            self.roles
-                .borrow_mut()
-                .push((ctx.my_id(), ctx.adversary_role()));
-        }
-        fn on_app_send(&mut self, _ctx: &mut Ctx<'_, Pkt>, _d: NodeId, _tag: FlowTag) {}
-        fn on_receive(&mut self, _ctx: &mut Ctx<'_, Pkt>, _pkt: &Pkt, _from: Option<MacAddr>) {}
-    }
-    let mut world = World::new(config, move |_, _, _| RoleProbe {
-        roles: Rc::clone(&handle),
-    });
-    let _ = world.run();
-    let roles = roles.borrow();
-    assert!(roles.contains(&(NodeId(0), Some(AdversaryRole::Replayer { delay }))));
-    assert!(roles.contains(&(NodeId(1), None)));
 }
 
 // ---------------------------------------------------------------------

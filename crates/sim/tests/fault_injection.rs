@@ -1,8 +1,5 @@
-//! Fault-injection semantics: loss-model convergence, churn, stale
-//! beacon fixes, and reproducibility of faulty runs.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! Fault-injection semantics: loss-model convergence, churn, and
+//! reproducibility of faulty runs.
 
 use agr_geom::Point;
 use agr_sim::{
@@ -192,79 +189,6 @@ fn inverted_churn_window_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Stale locations: `Ctx::beacon_pos` holds a fix for the refresh
-// interval while the true position keeps moving.
-// ---------------------------------------------------------------------
-
-/// Protocol that samples `(my_pos, beacon_pos)` once a second.
-struct FixSampler {
-    samples: Rc<RefCell<Vec<(Point, Point)>>>,
-}
-
-impl Protocol for FixSampler {
-    type Packet = Pkt;
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Pkt>) {
-        ctx.set_timer(SimTime::from_secs(1), 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Pkt>, _kind: u64) {
-        let truth = ctx.my_pos();
-        let advertised = ctx.beacon_pos();
-        self.samples.borrow_mut().push((truth, advertised));
-        ctx.set_timer(SimTime::from_secs(1), 0);
-    }
-    fn on_app_send(&mut self, _ctx: &mut Ctx<'_, Pkt>, _d: NodeId, _tag: FlowTag) {}
-    fn on_receive(&mut self, _ctx: &mut Ctx<'_, Pkt>, _pkt: &Pkt, _from: Option<MacAddr>) {}
-}
-
-#[test]
-fn stale_fixes_lag_true_positions() {
-    let mut config = SimConfig::default();
-    config.num_nodes = 4;
-    config.duration = SimTime::from_secs(60);
-    config.seed = 9;
-    config.mobility.max_speed = 20.0;
-    config.mobility.pause = SimTime::ZERO;
-    config.fault = FaultPlan::none().with_stale_locations(SimTime::from_secs(5));
-    let samples = Rc::new(RefCell::new(Vec::new()));
-    let handle = Rc::clone(&samples);
-    let mut world = World::new(config, move |_, _, _| FixSampler {
-        samples: Rc::clone(&handle),
-    });
-    let stats = world.run();
-    assert!(stats.counter("fault.stale_fix") > 0, "fixes must be reused");
-    let samples = samples.borrow();
-    let lagging = samples
-        .iter()
-        .filter(|(truth, fix)| truth.distance(*fix) > 1.0)
-        .count();
-    assert!(
-        lagging > 0,
-        "moving nodes must advertise stale fixes ({} samples)",
-        samples.len()
-    );
-}
-
-#[test]
-fn without_stale_config_beacon_pos_is_truth() {
-    let mut config = SimConfig::default();
-    config.num_nodes = 4;
-    config.duration = SimTime::from_secs(30);
-    config.mobility.max_speed = 20.0;
-    config.mobility.pause = SimTime::ZERO;
-    let samples = Rc::new(RefCell::new(Vec::new()));
-    let handle = Rc::clone(&samples);
-    let mut world = World::new(config, move |_, _, _| FixSampler {
-        samples: Rc::clone(&handle),
-    });
-    let stats = world.run();
-    assert_eq!(stats.counter("fault.stale_fix"), 0);
-    assert!(samples
-        .borrow()
-        .iter()
-        .all(|(truth, fix)| truth.distance(*fix) == 0.0));
-}
-
-// ---------------------------------------------------------------------
 // Reproducibility (satellite 2, world level): the same seed and the
 // same plan give bit-identical statistics; the parallel-runner version
 // of this test lives in `agr-bench`.
@@ -272,9 +196,11 @@ fn without_stale_config_beacon_pos_is_truth() {
 
 #[test]
 fn same_seed_same_plan_same_stats() {
-    let plan = FaultPlan::burst_loss(0.1, 0.3)
-        .with_churn(NodeId(1), SimTime::from_secs(8), SimTime::from_secs(14))
-        .with_stale_locations(SimTime::from_secs(3));
+    let plan = FaultPlan::burst_loss(0.1, 0.3).with_churn(
+        NodeId(1),
+        SimTime::from_secs(8),
+        SimTime::from_secs(14),
+    );
     let run = |seed: u64| {
         let mut config = two_node_config(30);
         config.seed = seed;

@@ -67,23 +67,21 @@ for f in fig1a.csv fig1b.csv fig1a.svg fig1b.svg; do
     test -s "$SMOKE_RESULTS/$f" || { echo "fig1 smoke: $f missing from AGR_RESULTS_DIR" >&2; exit 1; }
 done
 
-echo "==> smoke fault sweep (lossless + 10% loss, 1 seed, 60 simulated seconds)"
-AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 AGR_NODES=50 AGR_LOSS=0,0.1 \
-    cargo run --offline --release -q -p agr-bench --bin fault_sweep
-
-echo "==> smoke adversary sweep (clean + 20% blackholes, 1 seed, 60 simulated seconds)"
-AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_SEEDS=1 AGR_DURATION_S=60 AGR_NODES=50 AGR_ADV=0,0.2 \
-    cargo run --offline --release -q -p agr-bench --bin adversary_sweep
-
-# The privacy tables at their defaults (~3.5 s together) must reproduce
-# the checked-in files byte for byte: every eavesdropper reads payloads
-# through agr-privacy's `Discloses`, so a change to what a packet type
-# declares, or to how the observers fold it, fails here.
-echo "==> privacy tables (privacy_eval, privacy_sniffers at defaults) reproduce results/"
+# The privacy tables at their defaults (~3.5 s together) and the fault
+# and adversary sweeps at results/README.md's settings (~9 s together)
+# must reproduce the checked-in files byte for byte: every eavesdropper
+# reads payloads through agr-privacy's `Discloses`, and the sweeps run
+# the loss, churn, blackhole and defense paths, so a change to any of
+# them fails here.
+echo "==> privacy tables and fault/adversary sweeps reproduce results/"
 AGR_RESULTS_DIR="$SMOKE_RESULTS" cargo run --offline --release -q -p agr-bench --bin privacy_eval >/dev/null
 AGR_RESULTS_DIR="$SMOKE_RESULTS" cargo run --offline --release -q -p agr-bench --bin privacy_sniffers >/dev/null
-for f in privacy_exposure.csv privacy_tracking.csv privacy_sniffers.csv; do
-    cmp "$SMOKE_RESULTS/$f" "results/$f" || { echo "privacy tables: $f differs from results/" >&2; exit 1; }
+for bin in fault_sweep adversary_sweep; do
+    AGR_RESULTS_DIR="$SMOKE_RESULTS" AGR_DURATION_S=300 AGR_SEEDS=3 \
+        cargo run --offline --release -q -p agr-bench --bin "$bin" >/dev/null
+done
+for f in privacy_exposure.csv privacy_tracking.csv privacy_sniffers.csv fault_sweep.csv adversary_sweep.csv; do
+    cmp "$SMOKE_RESULTS/$f" "results/$f" || { echo "results check: $f differs from results/" >&2; exit 1; }
 done
 
 # Telemetry smoke: `simulate --viz-json` must produce a non-empty JSONL
