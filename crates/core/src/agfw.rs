@@ -554,7 +554,7 @@ impl Agfw {
             return;
         }
         let packet = AgfwPacket::NlAck {
-            acks: vec![AckRef { uid, to }],
+            ack: AckRef { uid, to },
         };
         ctx.count("agfw.nl_ack_sent");
         let bytes = packet.wire_bytes();
@@ -976,8 +976,8 @@ impl Agfw {
         let ssa = als.ssa;
         // Borrowed keys, resolved up front: nodes missing from the
         // directory drop out here (before any randomness is drawn), and
-        // the batch below seals every record through one shared scratch
-        // arena instead of cloning a key per requester.
+        // the batch below seals every record under a borrowed key
+        // instead of cloning one per requester.
         let requesters: Vec<(u64, &RsaPublicKey)> = als
             .anticipated
             .iter()
@@ -1539,11 +1539,7 @@ impl Protocol for Agfw {
                     }
                 }
             }
-            AgfwPacket::NlAck { acks } => {
-                for &ack in acks {
-                    self.process_ack(ctx, ack);
-                }
-            }
+            AgfwPacket::NlAck { ack } => self.process_ack(ctx, *ack),
             AgfwPacket::Data(data) => self.handle_data(ctx, data),
             AgfwPacket::Als(msg) => self.handle_als(ctx, msg),
         }

@@ -20,7 +20,6 @@
 //! ([`AlsServer::handle_request_all`]) that trades bandwidth for
 //! requester anonymity.
 
-use agr_crypto::bigint::MontScratch;
 use agr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use agr_crypto::CryptoError;
 use agr_geom::{CellId, Point};
@@ -136,47 +135,8 @@ pub fn make_update<R: Rng + ?Sized>(
     ssa: &ServerSelection,
     rng: &mut R,
 ) -> Result<AlsUpdate, CryptoError> {
-    let mut scratch = MontScratch::new();
-    make_update_with_scratch(
-        updater,
-        updater_loc,
-        ts,
-        requester,
-        requester_key,
-        ssa,
-        rng,
-        &mut scratch,
-    )
-}
-
-/// [`make_update`] with a caller-owned Montgomery scratch arena, so a
-/// burst of updates shares one set of bignum temporaries.
-///
-/// Random-byte consumption is identical to [`make_update`]: the index is
-/// deterministic and the payload padding draws the same bytes, so seeded
-/// simulations produce byte-identical updates whichever entry point runs.
-///
-/// # Errors
-///
-/// Propagates RSA block-size errors (requesters need ≥320-bit keys).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_update_with_scratch<R: Rng + ?Sized>(
-    updater: u64,
-    updater_loc: Point,
-    ts: SimTime,
-    requester: u64,
-    requester_key: &RsaPublicKey,
-    ssa: &ServerSelection,
-    rng: &mut R,
-    scratch: &mut MontScratch,
-) -> Result<AlsUpdate, CryptoError> {
-    let index = requester_key
-        .encrypt_deterministic_with_scratch(&index_plaintext(updater, requester), scratch)?;
-    let payload = requester_key.encrypt_with_scratch(
-        &record_plaintext(updater, updater_loc, ts),
-        rng,
-        scratch,
-    )?;
+    let index = requester_key.encrypt_deterministic(&index_plaintext(updater, requester))?;
+    let payload = requester_key.encrypt(&record_plaintext(updater, updater_loc, ts), rng)?;
     Ok(AlsUpdate {
         server_cell: ssa.cell_for(updater),
         index,
@@ -184,9 +144,8 @@ pub(crate) fn make_update_with_scratch<R: Rng + ?Sized>(
     })
 }
 
-/// Seals one update per anticipated requester as a single batch sharing
-/// one Montgomery scratch arena — the "update the location server
-/// accordingly" burst of §3.3 without per-requester setup cost.
+/// Seals one update per anticipated requester — the "update the location
+/// server accordingly" burst of §3.3.
 ///
 /// Requesters are processed in slice order and each one draws random
 /// padding exactly as [`make_update`] would, so a seeded simulation emits
@@ -202,21 +161,11 @@ pub(crate) fn make_update_batch<R: Rng + ?Sized>(
     ssa: &ServerSelection,
     rng: &mut R,
 ) -> Vec<AlsUpdate> {
-    let mut scratch = MontScratch::new();
     let mut updates = Vec::with_capacity(requesters.len());
     for &(requester, key) in requesters {
         // The index encrypts first and fails (or not) before the payload
         // touches the RNG, so a skip here is RNG-neutral.
-        if let Ok(update) = make_update_with_scratch(
-            updater,
-            updater_loc,
-            ts,
-            requester,
-            key,
-            ssa,
-            rng,
-            &mut scratch,
-        ) {
+        if let Ok(update) = make_update(updater, updater_loc, ts, requester, key, ssa, rng) {
             updates.push(update);
         }
     }

@@ -85,8 +85,7 @@ impl KeyDirectory {
         self.certs.keys().copied()
     }
 
-    /// Verifies every certificate against the CA key, as one batch
-    /// sharing a single Montgomery scratch arena.
+    /// Verifies every certificate against the CA key, as one batch.
     ///
     /// # Errors
     ///
@@ -116,6 +115,22 @@ mod tests {
             assert_eq!(dir.public_key(id).unwrap(), keys[id as usize].public());
         }
         assert!(dir.cert(99).is_none());
+    }
+
+    /// `generate` draws a CA key and then one key per node, in node order,
+    /// each by `RsaKeyPair::generate`; with the 512-bit draws pinned by
+    /// `agr-crypto`'s `rsa::tests::keygen_known_answer` at this seed, that
+    /// pins every key the benchmark's crypto workload generates.
+    #[test]
+    fn generate_draws_ca_then_nodes_in_order() {
+        let seed = 1 ^ 0xa5a5_5a5a;
+        let (keys, dir) = KeyDirectory::generate(4, 512, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ca = RsaKeyPair::generate(512, &mut rng).unwrap();
+        assert_eq!(dir.ca_key(), ca.public());
+        for k in &keys {
+            assert_eq!(**k, RsaKeyPair::generate(512, &mut rng).unwrap());
+        }
     }
 
     #[test]

@@ -341,11 +341,10 @@ pub enum AgfwPacket {
     },
     /// A data packet.
     Data(AgfwData),
-    /// A network-layer acknowledgment, broadcast anonymously; may
-    /// acknowledge several packets.
+    /// A network-layer acknowledgment of one hop, broadcast anonymously.
     NlAck {
-        /// The acknowledged hops.
-        acks: Vec<AckRef>,
+        /// The acknowledged hop.
+        ack: AckRef,
     },
     /// A geo-routed anonymous-location-service message.
     Als(AlsNetMessage),
@@ -364,9 +363,7 @@ impl AgfwPacket {
                     + auth.as_ref().map_or(0, HelloAuth::wire_bytes)
             }
             AgfwPacket::Data(d) => d.wire_bytes(),
-            AgfwPacket::NlAck { acks } => {
-                NET_HEADER_BYTES + 1 + AckRef::wire_bytes() * acks.len() as u32
-            }
+            AgfwPacket::NlAck { .. } => NET_HEADER_BYTES + 1 + AckRef::wire_bytes(),
             AgfwPacket::Als(m) => m.wire_bytes(),
         }
     }
@@ -423,16 +420,15 @@ mod tests {
     }
 
     #[test]
-    fn nl_ack_batches() {
-        let ack = |uid| AckRef {
-            uid,
-            to: Pseudonym([2; 6]),
+    fn nl_ack_carries_one_ack() {
+        let nl_ack = AgfwPacket::NlAck {
+            ack: AckRef {
+                uid: 1,
+                to: Pseudonym([2; 6]),
+            },
         };
-        let one = AgfwPacket::NlAck { acks: vec![ack(1)] };
-        let three = AgfwPacket::NlAck {
-            acks: vec![ack(1), ack(2), ack(3)],
-        };
-        assert_eq!(three.wire_bytes(), one.wire_bytes() + 20);
+        // Header, the count byte and one uid + pseudonym entry.
+        assert_eq!(nl_ack.wire_bytes(), 20 + 1 + 10);
     }
 
     #[test]

@@ -171,16 +171,6 @@ fn put_bytes_u16(out: &mut Vec<u8>, what: &'static str, b: &[u8]) -> Result<(), 
     Ok(())
 }
 
-fn put_acks(out: &mut Vec<u8>, acks: &[AckRef]) -> Result<(), WireError> {
-    let count = u16::try_from(acks.len()).map_err(|_| WireError::TooLong("ack list"))?;
-    out.extend_from_slice(&count.to_be_bytes());
-    for ack in acks {
-        out.extend_from_slice(&ack.uid.to_be_bytes());
-        out.extend_from_slice(&ack.to.0);
-    }
-    Ok(())
-}
-
 fn read_cell(r: &mut Reader<'_>) -> Result<CellId, WireError> {
     Ok(CellId {
         col: r.u32()?,
@@ -208,18 +198,6 @@ fn read_sync_pairs(r: &mut Reader<'_>) -> Result<Vec<AlsSyncPair>, WireError> {
                 index: r.bytes_u16()?,
                 payload: r.bytes_u16()?,
                 stored_at: SimTime::from_nanos(r.u64()?),
-            })
-        })
-        .collect()
-}
-
-fn read_acks(r: &mut Reader<'_>) -> Result<Vec<AckRef>, WireError> {
-    let count = r.u16()? as usize;
-    (0..count)
-        .map(|_| {
-            Ok(AckRef {
-                uid: r.u64()?,
-                to: r.pseudonym()?,
             })
         })
         .collect()
@@ -268,9 +246,12 @@ pub fn encode_packet_into(packet: &AgfwPacket, out: &mut Vec<u8>) -> Result<(), 
             out.push(TAG_DATA);
             encode_data(out, d)?;
         }
-        AgfwPacket::NlAck { acks } => {
+        AgfwPacket::NlAck { ack } => {
             out.push(TAG_NL_ACK);
-            put_acks(out, acks)?;
+            // A u16 count of one: the field once sized an ACK batch.
+            out.extend_from_slice(&1u16.to_be_bytes());
+            out.extend_from_slice(&ack.uid.to_be_bytes());
+            out.extend_from_slice(&ack.to.0);
         }
         AgfwPacket::Als(m) => {
             out.push(TAG_ALS);
@@ -426,9 +407,24 @@ pub fn decode_packet(bytes: &[u8]) -> Result<AgfwPacket, WireError> {
             }
         }
         TAG_DATA => AgfwPacket::Data(decode_data(&mut r)?),
-        TAG_NL_ACK => AgfwPacket::NlAck {
-            acks: read_acks(&mut r)?,
-        },
+        TAG_NL_ACK => {
+            r.no_extension("nl-ack count")?;
+            match r.u8()? {
+                1 => {}
+                value => {
+                    return Err(WireError::BadTag {
+                        field: "nl-ack count",
+                        value,
+                    })
+                }
+            }
+            AgfwPacket::NlAck {
+                ack: AckRef {
+                    uid: r.u64()?,
+                    to: r.pseudonym()?,
+                },
+            }
+        }
         TAG_ALS => AgfwPacket::Als(decode_als(&mut r)?),
         value => {
             return Err(WireError::BadTag {
@@ -562,7 +558,13 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = encode_packet(&AgfwPacket::NlAck { acks: vec![] }).unwrap();
+        let mut bytes = encode_packet(&AgfwPacket::NlAck {
+            ack: AckRef {
+                uid: 1,
+                to: Pseudonym([2; 6]),
+            },
+        })
+        .unwrap();
         bytes.push(0xEE);
         assert_eq!(decode_packet(&bytes), Err(WireError::Trailing(1)));
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the anonymous-routing building blocks.
 
 use agr_core::ant::SelectionStrategy;
-use agr_core::packet::{AckRef, AgfwData, AgfwPacket, TrapdoorWire};
+use agr_core::packet::{AgfwData, AgfwPacket, TrapdoorWire};
 use agr_core::{AnonymousNeighborTable, Pseudonym, PseudonymGenerator};
 use agr_geom::Point;
 use agr_sim::{FlowTag, NodeId, SimTime};
@@ -100,10 +100,7 @@ proptest! {
     }
 
     #[test]
-    fn wire_bytes_monotone_in_payload_and_acks(
-        payload in 0u32..1000,
-        n_acks in 0usize..10,
-    ) {
+    fn wire_bytes_monotone_in_payload(payload in 0u32..1000) {
         let tag = FlowTag { flow: 0, seq: 0, src: NodeId(0), sent_at: SimTime::ZERO };
         let data = |payload_bytes| AgfwData {
             dst_loc: Point::ORIGIN,
@@ -118,13 +115,6 @@ proptest! {
         prop_assert_eq!(data(payload + 1).wire_bytes(), base + 1);
         // Header alone always exceeds the GPSR header (the trapdoor cost).
         prop_assert!(base - payload >= 64);
-        let nl_ack = |acks: usize| AgfwPacket::NlAck {
-            acks: (0..acks as u64).map(|u| AckRef { uid: u, to: Pseudonym([2; 6]) }).collect(),
-        };
-        prop_assert_eq!(
-            nl_ack(n_acks + 1).wire_bytes(),
-            nl_ack(n_acks).wire_bytes() + AckRef::wire_bytes()
-        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! a truncated capture, or a replayed frame with flipped bits — returns
 //! a [`WireError`], never a panic. Proptest drives three generators:
 //! pure noise, strict prefixes of valid encodings, and single-bit
-//! corruptions of valid encodings. Three hand-built frames check the
-//! extension bytes that no longer announce anything.
+//! corruptions of valid encodings. Five hand-built frames check the
+//! extension bytes that no longer announce anything and the NL-ACK count
+//! that must be one.
 
 use agr_core::packet::{AckRef, AlsNetKind, AlsNetMessage, AlsPair, AlsSyncPair};
 use agr_core::pseudonym::Pseudonym;
@@ -17,7 +18,7 @@ use agr_sim::{FlowTag, NodeId, SimTime};
 use proptest::prelude::*;
 
 /// A corpus of valid packets covering every wire shape (hello, data,
-/// empty and full NL-ACKs, all twelve ALS kinds — the three
+/// NL-ACK, all twelve ALS kinds — the three
 /// geo-routed ones, the service-transport Forward/Ack/Miss, the
 /// anti-entropy SyncDigest/SyncDelta, the health/admission
 /// Ping/Pong/Busy, and the telemetry StatsDump in both its
@@ -53,9 +54,8 @@ fn corpus() -> Vec<AgfwPacket> {
             auth: None,
         },
         AgfwPacket::Data(data),
-        AgfwPacket::NlAck { acks: vec![] },
         AgfwPacket::NlAck {
-            acks: vec![ack(1, 1), ack(u64::MAX, 0xEE)],
+            ack: ack(u64::MAX, 0xEE),
         },
         AgfwPacket::Als(AlsNetMessage {
             target_loc: Point::new(625.0, 125.0),
@@ -229,7 +229,7 @@ proptest! {
     /// has no optional tail: cutting anywhere leaves a field unfinished),
     /// and never a panic.
     #[test]
-    fn truncations_error_cleanly(which in 0usize..17, cut in 0.0f64..1.0) {
+    fn truncations_error_cleanly(which in 0usize..16, cut in 0.0f64..1.0) {
         let enc = &encodings()[which];
         let len = (cut * enc.len() as f64) as usize; // < enc.len(): strict
         prop_assert!(
@@ -243,7 +243,7 @@ proptest! {
     /// survives decoding, the result must also re-encode without
     /// panicking (a corrupt-but-parseable packet can be forwarded).
     #[test]
-    fn bit_flips_never_panic(which in 0usize..17, bit in any::<u16>()) {
+    fn bit_flips_never_panic(which in 0usize..16, bit in any::<u16>()) {
         let mut enc = encodings()[which].clone();
         let bit = usize::from(bit) % (enc.len() * 8);
         enc[bit / 8] ^= 1 << (bit % 8);
@@ -259,12 +259,12 @@ fn empty_input_is_truncated() {
     assert!(decode_packet(&[]).is_err());
 }
 
-/// Frames in the three shapes the codec once accepted for extensions
-/// that are gone: a hello carrying a velocity (flag 1 + two f64s), a data
-/// packet carrying a piggybacked ACK (count 1 + one uid/pseudonym entry)
-/// and a data packet in perimeter mode (mode 1 + entry and previous-hop
-/// positions). An attacker can still send them; all are bad tags, not
-/// panics and not packets.
+/// Frames in the five shapes the codec once accepted and no longer
+/// does: a hello carrying a velocity (flag 1 + two f64s), a data packet
+/// carrying a piggybacked ACK (count 1 + one uid/pseudonym entry), a data
+/// packet in perimeter mode (mode 1 + entry and previous-hop positions),
+/// and NL-ACKs batching zero or three ACKs. An attacker can still send
+/// them; all are bad tags, not panics and not packets.
 #[test]
 fn former_extension_frames_are_rejected() {
     let mut hello = encode_packet(&AgfwPacket::Hello {
@@ -291,14 +291,27 @@ fn former_extension_frames_are_rejected() {
     *perimeter.last_mut().unwrap() = 1;
     perimeter.extend_from_slice(&[0x42; 16]);
 
-    for (frame, field) in [
-        (hello, "hello velocity flag"),
-        (piggyback, "piggybacked ack count"),
-        (perimeter, "routing mode"),
+    // type (1), then the u16 count, then one uid/pseudonym entry each.
+    let nl_ack = |count: u8| {
+        let mut frame = vec![2, 0, count];
+        for uid in 0..count {
+            frame.extend_from_slice(&u64::from(uid).to_be_bytes());
+            frame.extend_from_slice(&[0x42; 6]);
+        }
+        frame
+    };
+    assert!(decode_packet(&nl_ack(1)).is_ok());
+
+    for (frame, field, value) in [
+        (hello, "hello velocity flag", 1),
+        (piggyback, "piggybacked ack count", 1),
+        (perimeter, "routing mode", 1),
+        (nl_ack(0), "nl-ack count", 0),
+        (nl_ack(3), "nl-ack count", 3),
     ] {
         assert_eq!(
             decode_packet(&frame),
-            Err(WireError::BadTag { field, value: 1 })
+            Err(WireError::BadTag { field, value })
         );
     }
 }

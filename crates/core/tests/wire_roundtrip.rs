@@ -105,11 +105,28 @@ fn real_trapdoor_roundtrips_and_still_opens() {
     assert_eq!(contents.src, 42);
 }
 
+/// The one-ack NL-ACK frame, byte for byte: type tag, a u16 count of 1,
+/// the uid and the acknowledged pseudonym.
+#[test]
+fn one_ack_nl_ack_bytes_are_pinned() {
+    let frame = encode_packet(&AgfwPacket::NlAck {
+        ack: ack(0x0123_4567_89AB_CDEF, 0xA5),
+    })
+    .unwrap();
+    assert_eq!(
+        frame,
+        [
+            2, 0, 1, 0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5,
+            0xA5
+        ]
+    );
+}
+
 #[test]
 fn nl_ack_roundtrips() {
-    assert_roundtrip(&AgfwPacket::NlAck { acks: vec![] });
+    assert_roundtrip(&AgfwPacket::NlAck { ack: ack(1, 1) });
     assert_roundtrip(&AgfwPacket::NlAck {
-        acks: vec![ack(1, 1), ack(2, 2), ack(u64::MAX, 0xEE)],
+        ack: ack(u64::MAX, 0xEE),
     });
 }
 

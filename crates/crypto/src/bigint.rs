@@ -4,9 +4,10 @@
 //! small-vector: values up to 2048 bits (every steady-state protocol
 //! operand) live inline on the stack, wider values spill to the heap. The
 //! two hot paths for this reproduction are modular exponentiation (RSA,
-//! Miller–Rabin) — handled by a Montgomery CIOS multiplier whose
-//! temporaries live in a caller-owned [`MontScratch`] arena, so a full
-//! exponentiation performs **zero heap allocations** — and key generation
+//! Miller–Rabin) — handled by a Montgomery CIOS multiplier compiled at a
+//! few fixed widths, whose temporaries are stack arrays of the modulus's
+//! own width, so a full exponentiation performs **zero heap
+//! allocations** — and key generation
 //! (division, gcd, modular inverse), handled by straightforward
 //! shift-subtract algorithms that are easy to audit and fast enough at
 //! 512 bits.
@@ -702,81 +703,37 @@ impl fmt::LowerHex for BigUint {
     }
 }
 
-/// Widest modulus the allocation-free scratch path supports: 32 limbs =
-/// 2048 bits. Wider moduli fall back to [`Montgomery::pow_reference`].
-pub(crate) const MAX_LIMBS: usize = 32;
+/// Limb widths the exponentiation kernel is compiled at: the tree's RSA
+/// moduli (256, 384, 512, 768, 1024 and 2048 bits) and their CRT halves.
+/// A modulus of any other width up to 32 limbs runs at the next width up
+/// with zero top limbs; a wider one runs [`Montgomery::pow_reference`].
+const KERNEL_WIDTHS: [usize; 6] = [4, 6, 8, 12, 16, 32];
 
 /// Widest exponentiation window (bits); sets the odd-power table size.
-const MAX_WINDOW: u32 = 4;
+const MAX_WINDOW: usize = 4;
 
 /// Number of precomputed odd powers: `g^1, g^3, …, g^(2^MAX_WINDOW - 1)`.
 const TABLE_SIZE: usize = 1 << (MAX_WINDOW - 1);
 
-/// Caller-owned scratch arena for Montgomery exponentiation.
-///
-/// Roughly 5 KiB of plain `u64` arrays, constructed on the stack. One
-/// arena serves any number of sequential [`Montgomery::pow_with_scratch`]
-/// calls under any moduli up to `MAX_LIMBS` limbs — loops that
-/// exponentiate repeatedly (ring signature chains, batched verification,
-/// Miller–Rabin rounds) build one and thread it through, making the whole
-/// loop allocation-free.
-///
-/// The buffers are never read before being written, so construction cost
-/// is a single memset.
-pub struct MontScratch {
-    /// CIOS accumulator; needs two carry limbs beyond the modulus width.
-    t: [u64; MAX_LIMBS + 2],
-    /// Running exponentiation accumulator (Montgomery domain).
-    acc: [u64; MAX_LIMBS],
-    /// `g²` while building the odd-power table; doubles as the staging
-    /// block for conversions in and out of the Montgomery domain.
-    sq: [u64; MAX_LIMBS],
-    /// Precomputed odd powers `g^(2i+1)` (Montgomery domain).
-    odd: [[u64; MAX_LIMBS]; TABLE_SIZE],
-}
-
-impl MontScratch {
-    /// A fresh arena (one memset, no heap).
-    #[must_use]
-    pub fn new() -> Self {
-        MontScratch {
-            t: [0; MAX_LIMBS + 2],
-            acc: [0; MAX_LIMBS],
-            sq: [0; MAX_LIMBS],
-            odd: [[0; MAX_LIMBS]; TABLE_SIZE],
-        }
-    }
-}
-
-impl Default for MontScratch {
-    fn default() -> Self {
-        MontScratch::new()
-    }
-}
-
-impl fmt::Debug for MontScratch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MontScratch").finish_non_exhaustive()
-    }
-}
-
 /// Montgomery multiplication context for a fixed odd modulus.
 ///
-/// Building the context costs `64 * limbs` shift-and-reduce steps (the
-/// `R² mod n` precomputation), which is comparable to the exponentiation
-/// itself for small exponents like the RSA verification exponent. Callers
-/// that exponentiate repeatedly under one modulus — RSA keys, trapdoor
-/// seal/open, the ring signature's `k+1` permutations — should build one
-/// context (or use a `MontCache`) and call `Montgomery::pow` on it
-/// instead of [`BigUint::modpow`], which rebuilds the context every call.
+/// The context holds the modulus zero-padded to its kernel width `w` (the
+/// smallest of `KERNEL_WIDTHS` that fits it, or its own width beyond
+/// 32 limbs) and `R² mod n` for `R = 2^(64·w)`, computed by one division.
+/// Callers that exponentiate repeatedly under one modulus — RSA keys,
+/// trapdoor seal/open, the ring signature's `k+1` permutations — should
+/// build one context (or use a `MontCache`) and call [`Montgomery::pow`]
+/// on it instead of [`BigUint::modpow`], which rebuilds the context every
+/// call.
 ///
-/// Exponentiation temporaries live in a [`MontScratch`]; `Montgomery::pow`
-/// builds one per call on the stack, and the `*_with_scratch` variants
-/// let loops share a single arena.
+/// An exponentiation keeps its temporaries in `[u64; w]` stack arrays
+/// and performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct Montgomery {
+    /// The modulus, zero-padded to the kernel width.
     n: LimbVec,
     n0inv: u64,
+    /// `R² mod n`, at the kernel width.
     r2: LimbVec,
 }
 
@@ -793,58 +750,33 @@ impl Montgomery {
             modulus.is_odd() && modulus > &BigUint::one(),
             "Montgomery context requires an odd modulus > 1"
         );
-        let n = modulus.limbs.clone();
-        let len = n.len();
+        let len = modulus.limbs.len();
+        let width = KERNEL_WIDTHS.into_iter().find(|&w| w >= len).unwrap_or(len);
+        let mut n = modulus.limbs.clone();
+        n.resize(width, 0);
         // n0inv = -n[0]^{-1} mod 2^64 via Newton iteration.
         let mut inv: u64 = 1;
         for _ in 0..6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
         }
         let n0inv = inv.wrapping_neg();
-        // R^2 mod n where R = 2^(64*len): start from R mod n, double len*64 times.
-        let r = BigUint::one().shl_bits(64 * len as u32).rem_ref(modulus);
-        let mut r2 = r;
-        for _ in 0..(64 * len) {
-            r2 = r2.shl_bits(1);
-            if &r2 >= modulus {
-                r2 = r2.checked_sub(modulus).expect("r2 >= modulus");
-            }
-        }
-        let mut r2_limbs = r2.limbs;
-        r2_limbs.resize(len, 0);
-        Montgomery {
-            n,
-            n0inv,
-            r2: r2_limbs,
-        }
+        // R² mod n = 2^(128·width) mod n, by one division.
+        let mut r2 = BigUint::one()
+            .shl_bits(128 * width as u32)
+            .rem_ref(modulus)
+            .limbs;
+        r2.resize(width, 0);
+        Montgomery { n, n0inv, r2 }
     }
 
-    /// Modulus width in limbs.
-    fn len(&self) -> usize {
-        self.n.len()
-    }
-
-    /// CIOS Montgomery product into the scratch accumulator: on return
-    /// `t[..len]` holds the canonical `a * b * R^{-1} mod n` and
-    /// `t[len..]` is zero. `a` and `b` must be exactly `len` limbs.
-    ///
-    /// The RSA-512 widths (4 limbs for a CRT half, 8 for the modulus) get
-    /// the body with a literal width, which LLVM unrolls; every other
-    /// width runs the same body with the width known only at run time.
-    fn mont_mul_t(&self, a: &[u64], b: &[u64], t: &mut [u64; MAX_LIMBS + 2]) {
-        let n = self.n.as_slice();
-        debug_assert_eq!(a.len(), n.len());
-        debug_assert_eq!(b.len(), n.len());
-        match n.len() {
-            4 => cios(4, n, self.n0inv, a, b, t),
-            8 => cios(8, n, self.n0inv, a, b, t),
-            len => cios(len, n, self.n0inv, a, b, t),
-        }
+    /// The modulus as a (normalised) integer.
+    fn modulus(&self) -> BigUint {
+        BigUint::from_limb_slice(&self.n)
     }
 
     /// CIOS Montgomery product `a * b * R^{-1} mod n`, allocating its
     /// accumulator — the frozen reference multiplier, also used for
-    /// moduli wider than [`MAX_LIMBS`].
+    /// moduli wider than 32 limbs.
     fn mont_mul_vec(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         let n = self.n.as_slice();
         let len = n.len();
@@ -887,134 +819,118 @@ impl Montgomery {
     /// `base^exp mod n` in the cached context — identical results to
     /// [`BigUint::modpow`] for this modulus, without the per-call setup.
     ///
-    /// Builds a [`MontScratch`] on the stack; loops should prefer
-    /// [`Montgomery::pow_with_scratch`] to share one arena.
-    #[must_use]
-    pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let mut scratch = MontScratch::new();
-        self.pow_with_scratch(base, exp, &mut scratch)
-    }
-
-    /// `base^exp mod n` using a caller-owned scratch arena: zero heap
-    /// allocations for moduli up to `MAX_LIMBS` limbs (the result
-    /// itself is inline-stored).
-    ///
-    /// Sliding-window exponentiation over precomputed odd powers, window
-    /// width adapted to the exponent size. Every intermediate is reduced
-    /// to the canonical residue, so results are bit-identical to
+    /// Dispatches once on the kernel width to a sliding-window
+    /// exponentiation over `[u64; w]` stack arrays. Every product is
+    /// reduced to the canonical residue, so results are bit-identical to
     /// [`Montgomery::pow_reference`].
     #[must_use]
-    pub fn pow_with_scratch(
-        &self,
-        base: &BigUint,
-        exp: &BigUint,
-        scratch: &mut MontScratch,
-    ) -> BigUint {
+    pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
-        let len = self.len();
-        if len > MAX_LIMBS {
-            return self.pow_reference(base, exp);
+        match self.n.len() {
+            4 => self.pow_fixed::<4>(base, exp),
+            6 => self.pow_fixed::<6>(base, exp),
+            8 => self.pow_fixed::<8>(base, exp),
+            12 => self.pow_fixed::<12>(base, exp),
+            16 => self.pow_fixed::<16>(base, exp),
+            32 => self.pow_fixed::<32>(base, exp),
+            _ => self.pow_reference(base, exp),
         }
-        let modulus = BigUint {
-            limbs: self.n.clone(),
-        };
-        // Reduce the base; protocol callers already pass residues, so the
-        // division is the rare path.
-        let reduced;
-        let base_norm = if *base >= modulus {
-            reduced = base.rem_ref(&modulus);
-            &reduced
-        } else {
-            base
-        };
-        let MontScratch { t, acc, sq, odd } = scratch;
-        // Stage the padded base in `acc`, convert into the Montgomery
-        // domain: odd[0] = g = base * R mod n.
-        let bl = base_norm.limbs.as_slice();
-        acc[..bl.len()].copy_from_slice(bl);
-        acc[bl.len()..len].fill(0);
-        self.mont_mul_t(&acc[..len], &self.r2[..len], t);
-        odd[0][..len].copy_from_slice(&t[..len]);
+    }
 
-        let bits = exp.bits();
+    /// [`Montgomery::pow`] at kernel width `L` (`exp > 0`).
+    ///
+    /// Left-to-right sliding window over precomputed odd powers, window
+    /// width adapted to the exponent size. Kept out of line so each width
+    /// is one contiguous body: a run touches only the code of the widths
+    /// it uses.
+    #[inline(never)]
+    fn pow_fixed<const L: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let n: &[u64; L] = self.n.as_slice().try_into().expect("kernel width");
+        let r2: &[u64; L] = self.r2.as_slice().try_into().expect("kernel width");
+        let mul = |a: &[u64; L], b: &[u64; L]| mont_mul(a, b, n, self.n0inv);
+        // Any L-limb base converts correctly (the product bound needs only
+        // b < n), so only a wider one needs reducing first; protocol
+        // callers pass residues.
+        let reduced;
+        let bl = if base.limbs.len() > L {
+            reduced = base.rem_ref(&self.modulus());
+            reduced.limbs.as_slice()
+        } else {
+            base.limbs.as_slice()
+        };
+        let mut g = [0u64; L];
+        g[..bl.len()].copy_from_slice(bl);
+
+        let e = exp.limbs.as_slice();
+        let bit = |i: usize| e[i / 64] >> (i % 64) & 1 == 1;
+        let bits = exp.bits() as usize;
         let window = match bits {
             0..=23 => 1,
             24..=79 => 2,
             80..=239 => 3,
             _ => MAX_WINDOW,
         };
+        // odd[i] = g^(2i+1) in the Montgomery domain.
+        let mut odd = [[0u64; L]; TABLE_SIZE];
+        odd[0] = mul(&g, r2);
         if window > 1 {
-            // sq = g²; odd[i] = odd[i-1] * g².
-            self.mont_mul_t(&odd[0][..len], &odd[0][..len], t);
-            sq[..len].copy_from_slice(&t[..len]);
-            for i in 1..(1usize << (window - 1)) {
-                let (lo, hi) = odd.split_at_mut(i);
-                self.mont_mul_t(&lo[i - 1][..len], &sq[..len], t);
-                hi[0][..len].copy_from_slice(&t[..len]);
+            let sq = mul(&odd[0], &odd[0]);
+            for i in 1..1 << (window - 1) {
+                odd[i] = mul(&odd[i - 1], &sq);
             }
         }
 
-        // Left-to-right sliding window: squarings run over zero bits, set
-        // bits open a window of up to `window` bits ending on a set bit
-        // (so the table index is always odd).
-        let mut first = true;
-        let mut i = i64::from(bits) - 1;
-        while i >= 0 {
-            if !exp.bit(i as u32) {
-                self.mont_mul_t(&acc[..len], &acc[..len], t);
-                acc[..len].copy_from_slice(&t[..len]);
-                i -= 1;
-                continue;
-            }
-            let mut s = (i - i64::from(window) + 1).max(0);
-            while !exp.bit(s as u32) {
-                s += 1;
-            }
-            let width = (i - s + 1) as u32;
-            let mut u: usize = 0;
-            for j in (s..=i).rev() {
-                u = (u << 1) | usize::from(exp.bit(j as u32));
-            }
-            if first {
-                acc[..len].copy_from_slice(&odd[(u - 1) / 2][..len]);
-                first = false;
-            } else {
-                for _ in 0..width {
-                    self.mont_mul_t(&acc[..len], &acc[..len], t);
-                    acc[..len].copy_from_slice(&t[..len]);
+        // Bits [s, i] from the top down: a zero bit costs one squaring; a
+        // set bit opens a window of up to `window` bits ending on a set
+        // bit, so its value u is odd and `odd[u / 2]` holds g^u, and costs
+        // i - s + 1 squarings and one multiply. The top bit is set, so the
+        // first window just loads `acc`.
+        let mut acc = [0u64; L];
+        let mut top = bits;
+        while top > 0 {
+            let i = top - 1;
+            let (mut s, mut u) = (i, 0);
+            if bit(i) {
+                s = (i + 1).saturating_sub(window);
+                while !bit(s) {
+                    s += 1;
                 }
-                self.mont_mul_t(&acc[..len], &odd[(u - 1) / 2][..len], t);
-                acc[..len].copy_from_slice(&t[..len]);
+                u = (s..=i).rev().fold(0, |u, j| u << 1 | usize::from(bit(j)));
             }
-            i = s - 1;
+            if top == bits {
+                acc = odd[u / 2];
+            } else {
+                for _ in s..=i {
+                    acc = mul(&acc, &acc);
+                }
+                if u != 0 {
+                    acc = mul(&acc, &odd[u / 2]);
+                }
+            }
+            top = s;
         }
 
         // Convert out of the Montgomery domain (multiply by 1).
-        sq[..len].fill(0);
-        sq[0] = 1;
-        self.mont_mul_t(&acc[..len], &sq[..len], t);
-        BigUint::from_limb_slice(&t[..len])
+        let mut one = [0u64; L];
+        one[0] = 1;
+        BigUint::from_limb_slice(&mul(&acc, &one))
     }
 
     /// The frozen `Vec<u64>` reference path: plain MSB-first
-    /// square-and-multiply with a per-product allocating multiplier —
-    /// byte-for-byte the implementation that predates the scratch arena.
+    /// square-and-multiply with a per-product allocating multiplier.
     ///
-    /// Kept as the equivalence oracle for the scratch/windowed path
-    /// (property tests assert bit-identical results) and as the working
-    /// fallback for moduli wider than `MAX_LIMBS` limbs.
+    /// Kept as the equivalence oracle for [`Montgomery::pow`] (property
+    /// tests assert bit-identical results) and as the working fallback
+    /// for moduli wider than 32 limbs.
     #[must_use]
     pub fn pow_reference(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
-        let len = self.len();
-        let modulus = BigUint {
-            limbs: self.n.clone(),
-        };
-        let mut base_limbs = base.rem_ref(&modulus).limbs;
+        let len = self.n.len();
+        let mut base_limbs = base.rem_ref(&self.modulus()).limbs;
         base_limbs.resize(len, 0);
         // Convert to Montgomery domain.
         let base_m = self.mont_mul_vec(&base_limbs, &self.r2);
@@ -1034,48 +950,54 @@ impl Montgomery {
     }
 }
 
-/// The CIOS body of [`Montgomery::mont_mul_t`] for a `len`-limb modulus
-/// `n`. Always inlined, so a call with a literal `len` compiles to a loop
-/// of known trip count and fixed-length slices without bounds checks.
+/// CIOS Montgomery product `a * b * R^{-1} mod n` at a fixed width `L`,
+/// reduced to the canonical residue. Needs `b < n`; `a` may be any
+/// `L`-limb value: from `t < 2n`, each step's `t + a_i·b + m·n` is below
+/// `2n + 2·(2^64 − 1)·n < 2^65·n`, so `t` stays below `2n` after the shift.
 #[inline(always)]
-fn cios(len: usize, n: &[u64], n0inv: u64, a: &[u64], b: &[u64], t: &mut [u64; MAX_LIMBS + 2]) {
-    let (n, a, b) = (&n[..len], &a[..len], &b[..len]);
-    let t = &mut t[..len + 2];
-    t.fill(0);
+fn mont_mul<const L: usize>(a: &[u64; L], b: &[u64; L], n: &[u64; L], n0inv: u64) -> [u64; L] {
+    // t[..L] plus the limb above it; t < 2n < 2R between steps.
+    let mut t = [0u64; L];
+    let mut t_hi: u64 = 0;
     for &ai in a {
         // t += ai * b
         let mut carry: u64 = 0;
-        for j in 0..len {
+        for j in 0..L {
             let cur = u128::from(t[j]) + u128::from(ai) * u128::from(b[j]) + u128::from(carry);
             t[j] = cur as u64;
             carry = (cur >> 64) as u64;
         }
-        let cur = u128::from(t[len]) + u128::from(carry);
-        t[len] = cur as u64;
-        t[len + 1] += (cur >> 64) as u64;
+        let cur = u128::from(t_hi) + u128::from(carry);
+        t_hi = cur as u64;
+        let t_top = (cur >> 64) as u64;
         // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
         let m = t[0].wrapping_mul(n0inv);
         let cur = u128::from(t[0]) + u128::from(m) * u128::from(n[0]);
         let mut carry = (cur >> 64) as u64;
-        for j in 1..len {
+        for j in 1..L {
             let cur = u128::from(t[j]) + u128::from(m) * u128::from(n[j]) + u128::from(carry);
             t[j - 1] = cur as u64;
             carry = (cur >> 64) as u64;
         }
-        let cur = u128::from(t[len]) + u128::from(carry);
-        t[len - 1] = cur as u64;
-        let cur2 = u128::from(t[len + 1]) + (cur >> 64);
-        t[len] = cur2 as u64;
-        t[len + 1] = (cur2 >> 64) as u64;
+        let cur = u128::from(t_hi) + u128::from(carry);
+        t[L - 1] = cur as u64;
+        t_hi = t_top + (cur >> 64) as u64;
     }
-    // Conditional final subtraction: result in t[0..=len] is < 2n,
-    // reduce to the canonical residue.
-    let overflow = t[len] != 0;
-    if overflow || ge(&t[..len], n) {
-        sub_in_place(&mut t[..len], n, overflow);
+    // Conditional final subtraction: keep t - n unless it borrowed out of
+    // the high limb, i.e. unless t < n.
+    let mut d = [0u64; L];
+    let mut borrow = false;
+    for j in 0..L {
+        let (x, b1) = t[j].overflowing_sub(n[j]);
+        let (y, b2) = x.overflowing_sub(u64::from(borrow));
+        d[j] = y;
+        borrow = b1 | b2;
     }
-    t[len] = 0;
-    t[len + 1] = 0;
+    if t_hi != 0 || !borrow {
+        d
+    } else {
+        t
+    }
 }
 
 /// A lazily-built, shareable [`Montgomery`] context for one fixed modulus.
@@ -1111,23 +1033,11 @@ impl MontCache {
     pub(crate) fn get(&self, modulus: &BigUint) -> &Montgomery {
         let mont = self.cell.get_or_init(|| Montgomery::new(modulus));
         debug_assert_eq!(
-            mont.n, modulus.limbs,
+            mont.modulus(),
+            *modulus,
             "MontCache reused with a different modulus"
         );
         mont
-    }
-
-    /// `base^exp mod modulus` through the cached context, reusing a
-    /// caller-owned scratch arena — the fully allocation-free hot path.
-    #[must_use]
-    pub(crate) fn modpow_with_scratch(
-        &self,
-        base: &BigUint,
-        exp: &BigUint,
-        modulus: &BigUint,
-        scratch: &mut MontScratch,
-    ) -> BigUint {
-        self.get(modulus).pow_with_scratch(base, exp, scratch)
     }
 }
 
@@ -1378,21 +1288,20 @@ mod tests {
         assert!(m.is_odd());
         let mont = Montgomery::new(&m);
         let base = BigUint::from_bytes_be(&[0x42; 31]);
-        let mut scratch = MontScratch::new();
         for exp_bytes in [1usize, 2, 3, 8, 16, 29, 32, 64] {
             let exp = BigUint::from_bytes_be(&vec![0xb7u8; exp_bytes]);
-            let fast = mont.pow_with_scratch(&base, &exp, &mut scratch);
+            let fast = mont.pow(&base, &exp);
             let slow = mont.pow_reference(&base, &exp);
             assert_eq!(fast, slow, "mismatch at {exp_bytes}-byte exponent");
         }
     }
 
+    /// Edge operands on the kernel's per-call stack scratch: zero, one,
+    /// a base equal to or beyond the modulus, and a zero exponent.
     #[test]
     fn scratch_pow_handles_edge_operands() {
         let m = BigUint::from_bytes_be(&[0xf1; 16]);
         let mont = Montgomery::new(&m);
-        let mut scratch = MontScratch::new();
-        // Zero base, one base, base == modulus, base > modulus.
         for base in [
             BigUint::ZERO,
             BigUint::one(),
@@ -1401,34 +1310,73 @@ mod tests {
             m.mul_ref(&m),
         ] {
             let exp = big(65_537);
-            assert_eq!(
-                mont.pow_with_scratch(&base, &exp, &mut scratch),
-                mont.pow_reference(&base, &exp)
-            );
+            assert_eq!(mont.pow(&base, &exp), mont.pow_reference(&base, &exp));
         }
-        // Zero exponent.
-        assert_eq!(
-            mont.pow_with_scratch(&big(5), &BigUint::ZERO, &mut scratch),
-            BigUint::one()
-        );
+        assert_eq!(mont.pow(&big(5), &BigUint::ZERO), BigUint::one());
     }
 
+    /// A 1-limb and a 3-limb modulus both run on the 4-limb kernel with
+    /// zero top limbs; interleaved calls share no state.
     #[test]
     fn scratch_is_reusable_across_moduli() {
-        // One arena must serve different (and differently-sized) moduli.
         let m1 = BigUint::from_bytes_be(&[0xd3; 8]);
         let m2 = BigUint::from_bytes_be(&[0xc5; 24]);
         let mont1 = Montgomery::new(&m1);
         let mont2 = Montgomery::new(&m2);
-        let mut scratch = MontScratch::new();
+        assert_eq!((mont1.n.len(), mont2.n.len()), (4, 4));
         let base = big(0x1234_5678_9abc_def1);
         let exp = big(0xfeed_beef);
-        let r1 = mont1.pow_with_scratch(&base, &exp, &mut scratch);
-        let r2 = mont2.pow_with_scratch(&base, &exp, &mut scratch);
-        let r1_again = mont1.pow_with_scratch(&base, &exp, &mut scratch);
+        let r1 = mont1.pow(&base, &exp);
+        let r2 = mont2.pow(&base, &exp);
+        let r1_again = mont1.pow(&base, &exp);
         assert_eq!(r1, mont1.pow_reference(&base, &exp));
         assert_eq!(r2, mont2.pow_reference(&base, &exp));
         assert_eq!(r1, r1_again);
+        // Against plain square-and-multiply with division reduction.
+        let mut naive = BigUint::one();
+        for i in (0..exp.bits()).rev() {
+            naive = naive.mul_ref(&naive).rem_ref(&m1);
+            if exp.bit(i) {
+                naive = naive.mul_ref(&base).rem_ref(&m1);
+            }
+        }
+        assert_eq!(r1, naive);
+    }
+
+    /// `R² mod n` the way the context once built it: `R mod n` by one
+    /// division, then `64·w` modular doublings, for `R = 2^(64·w)`.
+    fn r2_by_doubling(modulus: &BigUint, width: usize) -> BigUint {
+        let mut r2 = BigUint::one().shl_bits(64 * width as u32).rem_ref(modulus);
+        for _ in 0..(64 * width) {
+            r2 = r2.shl_bits(1);
+            if &r2 >= modulus {
+                r2 = r2.checked_sub(modulus).expect("r2 >= modulus");
+            }
+        }
+        r2
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The one-division `R²` equals the doubling construction for odd
+        /// moduli of 1 to 32 limbs, at every kernel width.
+        #[test]
+        fn r2_matches_doubling_construction(
+            mut limbs in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..=32),
+        ) {
+            // Odd, above one, and exactly the drawn number of limbs.
+            limbs[0] |= 1;
+            *limbs.last_mut().expect("at least one limb") |= 2;
+            let m = BigUint::from_limb_slice(&limbs);
+            let mont = Montgomery::new(&m);
+            let width = mont.n.len();
+            proptest::prop_assert!(KERNEL_WIDTHS.contains(&width) && width >= limbs.len());
+            proptest::prop_assert_eq!(
+                BigUint::from_limb_slice(&mont.r2),
+                r2_by_doubling(&m, width)
+            );
+        }
     }
 
     #[test]

@@ -56,10 +56,9 @@ impl Certificate {
         8 + 8 + self.public_key.modulus_len() + 4 + self.signature.len()
     }
 
-    /// Verifies the CA signature on many certificates under one CA key
-    /// as a single batch: all items share one Montgomery scratch arena
-    /// instead of paying per-certificate setup — the bulk path for
-    /// verifying a whole key directory at once.
+    /// Verifies the CA signature on many certificates under one CA key —
+    /// the bulk path for verifying a whole key directory at once; the
+    /// CA key's cached Montgomery context serves every certificate.
     ///
     /// # Errors
     ///

@@ -1,6 +1,6 @@
 //! Probabilistic prime generation (Miller–Rabin) for RSA key generation.
 
-use crate::bigint::{MontScratch, Montgomery};
+use crate::bigint::Montgomery;
 use crate::BigUint;
 use rand::Rng;
 
@@ -93,11 +93,10 @@ pub(crate) fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut 
         d = d.shr_bits(1);
         s += 1;
     }
-    // One Montgomery context and scratch arena serve every round and every
-    // squaring: n is odd and > 211 here, and rebuilding the context per
-    // modpow would dominate the witness loop.
+    // One Montgomery context serves every round and every squaring: n is
+    // odd and > 211 here, and rebuilding the context per modpow would
+    // dominate the witness loop.
     let mont = Montgomery::new(n);
-    let mut scratch = MontScratch::new();
     // Base span [2, n-2]: n - 2 choices starting at 2.
     let span = n
         .checked_sub(&BigUint::from_u64(3))
@@ -105,12 +104,12 @@ pub(crate) fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut 
         .add_ref(&BigUint::one());
     'witness: for _ in 0..rounds {
         let a = random_below(&span, rng).add_ref(&two);
-        let mut x = mont.pow_with_scratch(&a, &d, &mut scratch);
+        let mut x = mont.pow(&a, &d);
         if x == BigUint::one() || x == n_minus_1 {
             continue 'witness;
         }
         for _ in 0..s.saturating_sub(1) {
-            x = mont.pow_with_scratch(&x, &two, &mut scratch);
+            x = mont.pow(&x, &two);
             if x == n_minus_1 {
                 continue 'witness;
             }

@@ -29,7 +29,7 @@
 //! everyone else's `x_i` is random, which is precisely why the verifier
 //! cannot tell who closed the ring.
 
-use crate::bigint::{BigUint, MontScratch};
+use crate::bigint::BigUint;
 use crate::error::CryptoError;
 use crate::feistel::Feistel;
 use crate::prime::random_below;
@@ -98,7 +98,6 @@ pub fn ring_sign<K: Borrow<RsaPublicKey>, R: Rng + ?Sized>(
     let cipher = domain.cipher(ring, message);
     let two_b = domain.two_b();
     let bl = domain.block_len;
-    let mut scratch = MontScratch::new();
 
     // Random x_i (and thus y_i) for everyone but the signer, written into
     // one flat block buffer instead of one vector per position.
@@ -109,7 +108,7 @@ pub fn ring_sign<K: Borrow<RsaPublicKey>, R: Rng + ?Sized>(
             continue;
         }
         let x = random_below(&two_b, rng);
-        let g = extended_permutation(&x, key.borrow(), &two_b, &mut scratch);
+        let g = extended_permutation(&x, key.borrow(), &two_b);
         domain.write_block(&g, &mut ys[i * bl..(i + 1) * bl]);
         xs[i] = x;
     }
@@ -135,7 +134,7 @@ pub fn ring_sign<K: Borrow<RsaPublicKey>, R: Rng + ?Sized>(
     // y_s = c xor a.
     xor_into(&mut c, &a);
     let y_s = BigUint::from_bytes_be(&c);
-    let x_s = invert_extended_permutation(&y_s, signer, &two_b, &mut scratch);
+    let x_s = invert_extended_permutation(&y_s, signer, &two_b);
     xs[signer_index] = x_s;
 
     Ok(RingSignature { v, xs })
@@ -177,14 +176,13 @@ pub fn ring_verify<K: Borrow<RsaPublicKey>>(
         }
     }
     let cipher = domain.cipher(ring, message);
-    // One accumulator, one block buffer, and one Montgomery arena serve
-    // every ring position — the per-position temporaries of the chain
-    // (`g_i(x_i)` and its block form) never touch the heap.
-    let mut scratch = MontScratch::new();
+    // One accumulator and one block buffer serve every ring position —
+    // the per-position temporaries of the chain (`g_i(x_i)` and its block
+    // form) never touch the heap.
     let mut acc = signature.v.clone();
     let mut y = vec![0u8; domain.block_len];
     for (x, key) in signature.xs.iter().zip(ring) {
-        let g = extended_permutation(x, key.borrow(), &two_b, &mut scratch);
+        let g = extended_permutation(x, key.borrow(), &two_b);
         domain.write_block(&g, &mut y);
         xor_into(&mut acc, &y);
         cipher.encrypt_block(&mut acc);
@@ -376,36 +374,24 @@ fn xor_into(acc: &mut [u8], other: &[u8]) {
 }
 
 /// The RST extended trapdoor permutation `g_i` over `[0, 2^b)`.
-fn extended_permutation(
-    x: &BigUint,
-    key: &RsaPublicKey,
-    two_b: &BigUint,
-    scratch: &mut MontScratch,
-) -> BigUint {
+fn extended_permutation(x: &BigUint, key: &RsaPublicKey, two_b: &BigUint) -> BigUint {
     let n = key.modulus();
     let (q, r) = x.div_rem(n);
     let next_multiple = q.add_ref(&BigUint::one()).mul_ref(n);
     if next_multiple <= *two_b {
-        q.mul_ref(n)
-            .add_ref(&key.raw_encrypt_with_scratch(&r, scratch))
+        q.mul_ref(n).add_ref(&key.raw_encrypt(&r))
     } else {
         x.clone()
     }
 }
 
 /// Inverts `g_s` with the signer's private key.
-fn invert_extended_permutation(
-    y: &BigUint,
-    signer: &RsaKeyPair,
-    two_b: &BigUint,
-    scratch: &mut MontScratch,
-) -> BigUint {
+fn invert_extended_permutation(y: &BigUint, signer: &RsaKeyPair, two_b: &BigUint) -> BigUint {
     let n = signer.public().modulus();
     let (q, r) = y.div_rem(n);
     let next_multiple = q.add_ref(&BigUint::one()).mul_ref(n);
     if next_multiple <= *two_b {
-        q.mul_ref(n)
-            .add_ref(&signer.raw_decrypt_with_scratch(&r, scratch))
+        q.mul_ref(n).add_ref(&signer.raw_decrypt(&r))
     } else {
         y.clone()
     }

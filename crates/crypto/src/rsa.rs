@@ -7,11 +7,11 @@
 //! is a protocol reproduction, not an interoperable PKCS#1 stack).
 //!
 //! The *raw* `x^e mod n` / `y^d mod n` permutations are also exposed
-//! (`RsaPublicKey::raw_encrypt_with_scratch`, `RsaKeyPair::raw_decrypt`) because the
+//! (`RsaPublicKey::raw_encrypt`, `RsaKeyPair::raw_decrypt`) because the
 //! Rivest–Shamir–Tauman ring signature is built directly on the trapdoor
 //! permutation, not on padded encryption.
 
-use crate::bigint::{BigUint, MontCache, MontScratch};
+use crate::bigint::{BigUint, MontCache};
 use crate::error::CryptoError;
 use crate::prime;
 use crate::sha256::Sha256;
@@ -80,19 +80,13 @@ impl RsaPublicKey {
         self.modulus_len().saturating_sub(PKCS1_OVERHEAD)
     }
 
-    /// The raw trapdoor permutation `x ↦ x^e mod n`, through a
-    /// caller-owned scratch arena so loops that apply it many times (ring
-    /// signature chains, batched verification) stay allocation-free.
+    /// The raw trapdoor permutation `x ↦ x^e mod n`.
     ///
     /// No padding; used by the ring signature. The caller must ensure
     /// `x < n` for the map to be a permutation.
     #[must_use]
-    pub(crate) fn raw_encrypt_with_scratch(
-        &self,
-        x: &BigUint,
-        scratch: &mut MontScratch,
-    ) -> BigUint {
-        self.mont.modpow_with_scratch(x, &self.e, &self.n, scratch)
+    pub(crate) fn raw_encrypt(&self, x: &BigUint) -> BigUint {
+        self.mont.get(&self.n).pow(x, &self.e)
     }
 
     /// Encrypts `msg` with PKCS#1-v1.5 type-2 random padding.
@@ -108,25 +102,6 @@ impl RsaPublicKey {
         &self,
         msg: &[u8],
         rng: &mut R,
-    ) -> Result<Vec<u8>, CryptoError> {
-        let mut scratch = MontScratch::new();
-        self.encrypt_with_scratch(msg, rng, &mut scratch)
-    }
-
-    /// [`RsaPublicKey::encrypt`] with a caller-owned scratch arena, for
-    /// bursts that seal many records back to back (the ALS update path).
-    ///
-    /// Consumes exactly the same random bytes as [`RsaPublicKey::encrypt`],
-    /// so swapping one for the other never perturbs a seeded RNG stream.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RsaPublicKey::encrypt`].
-    pub fn encrypt_with_scratch<R: Rng + ?Sized>(
-        &self,
-        msg: &[u8],
-        rng: &mut R,
-        scratch: &mut MontScratch,
     ) -> Result<Vec<u8>, CryptoError> {
         let k = self.modulus_len();
         if msg.len() > self.max_plaintext_len() {
@@ -145,7 +120,7 @@ impl RsaPublicKey {
         block.push(0x00);
         block.extend_from_slice(msg);
         let m = BigUint::from_bytes_be(&block);
-        let c = self.raw_encrypt_with_scratch(&m, scratch);
+        let c = self.raw_encrypt(&m);
         Ok(c.to_bytes_be_padded(k).expect("c < n fits in k bytes"))
     }
 
@@ -167,23 +142,6 @@ impl RsaPublicKey {
     /// Returns [`CryptoError::MessageTooLong`] if `msg` exceeds
     /// `RsaPublicKey::max_plaintext_len`.
     pub fn encrypt_deterministic(&self, msg: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let mut scratch = MontScratch::new();
-        self.encrypt_deterministic_with_scratch(msg, &mut scratch)
-    }
-
-    /// [`RsaPublicKey::encrypt_deterministic`] with a caller-owned scratch
-    /// arena — pairs with [`RsaPublicKey::encrypt_with_scratch`] on the
-    /// ALS update path, where every sealed record needs both an index and
-    /// a payload ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RsaPublicKey::encrypt_deterministic`].
-    pub fn encrypt_deterministic_with_scratch(
-        &self,
-        msg: &[u8],
-        scratch: &mut MontScratch,
-    ) -> Result<Vec<u8>, CryptoError> {
         let k = self.modulus_len();
         if msg.len() > self.max_plaintext_len() {
             return Err(CryptoError::MessageTooLong {
@@ -210,7 +168,7 @@ impl RsaPublicKey {
         block.push(0x00);
         block.extend_from_slice(msg);
         let m = BigUint::from_bytes_be(&block);
-        let c = self.raw_encrypt_with_scratch(&m, scratch);
+        let c = self.raw_encrypt(&m);
         Ok(c.to_bytes_be_padded(k).expect("c < n fits in k bytes"))
     }
 
@@ -221,22 +179,6 @@ impl RsaPublicKey {
     /// Returns [`CryptoError::BlockSizeMismatch`] if the signature has the
     /// wrong length, or [`CryptoError::BadSignature`] if it does not verify.
     pub fn verify(&self, msg: &[u8], signature: &[u8]) -> Result<(), CryptoError> {
-        let mut scratch = MontScratch::new();
-        self.verify_with_scratch(msg, signature, &mut scratch)
-    }
-
-    /// [`RsaPublicKey::verify`] with a caller-owned scratch arena, so a
-    /// loop of verifications shares one set of Montgomery temporaries.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RsaPublicKey::verify`].
-    pub(crate) fn verify_with_scratch(
-        &self,
-        msg: &[u8],
-        signature: &[u8],
-        scratch: &mut MontScratch,
-    ) -> Result<(), CryptoError> {
         let k = self.modulus_len();
         if signature.len() != k {
             return Err(CryptoError::BlockSizeMismatch {
@@ -248,7 +190,7 @@ impl RsaPublicKey {
         if s >= self.n {
             return Err(CryptoError::BadSignature);
         }
-        let recovered = self.raw_encrypt_with_scratch(&s, scratch);
+        let recovered = self.raw_encrypt(&s);
         // recovered < n < 2^(8k), so comparing the integers is exactly
         // comparing the k-byte padded blocks.
         if recovered == BigUint::from_bytes_be(&signature_block(msg, k)) {
@@ -258,12 +200,7 @@ impl RsaPublicKey {
         }
     }
 
-    /// Verifies a burst of `(key, message, signature)` triples.
-    ///
-    /// All items share one scratch arena, so the whole batch costs no
-    /// Montgomery temporaries beyond a single stack allocation: with the
-    /// small `e = 65537` used throughout this stack the batch win is
-    /// amortised setup, not fewer multiplications.
+    /// Verifies a burst of `(key, message, signature)` triples, one by one.
     ///
     /// # Errors
     ///
@@ -274,11 +211,9 @@ impl RsaPublicKey {
     where
         I: IntoIterator<Item = (&'a RsaPublicKey, &'a [u8], &'a [u8])>,
     {
-        let mut scratch = MontScratch::new();
-        for (key, msg, sig) in items {
-            key.verify_with_scratch(msg, sig, &mut scratch)?;
-        }
-        Ok(())
+        items
+            .into_iter()
+            .try_for_each(|(key, msg, sig)| key.verify(msg, sig))
     }
 }
 
@@ -378,26 +313,10 @@ impl RsaKeyPair {
     /// No padding; used by the ring signature.
     #[must_use]
     pub(crate) fn raw_decrypt(&self, y: &BigUint) -> BigUint {
-        let mut scratch = MontScratch::new();
-        self.raw_decrypt_with_scratch(y, &mut scratch)
-    }
-
-    /// [`RsaKeyPair::raw_decrypt`] with a caller-owned scratch arena
-    /// shared by both CRT half-exponentiations.
-    #[must_use]
-    pub(crate) fn raw_decrypt_with_scratch(
-        &self,
-        y: &BigUint,
-        scratch: &mut MontScratch,
-    ) -> BigUint {
         // CRT: m1 = y^dp mod p, m2 = y^dq mod q,
         //      h = qinv (m1 - m2) mod p, m = m2 + q h.
-        let m1 = self
-            .mont_p
-            .modpow_with_scratch(y, &self.dp, &self.p, scratch);
-        let m2 = self
-            .mont_q
-            .modpow_with_scratch(y, &self.dq, &self.q, scratch);
+        let m1 = self.mont_p.get(&self.p).pow(y, &self.dp);
+        let m2 = self.mont_q.get(&self.q).pow(y, &self.dq);
         let m2_mod_p = m2.rem_ref(&self.p);
         let diff = if m1 >= m2_mod_p {
             m1.checked_sub(&m2_mod_p).expect("m1 >= m2 mod p")
@@ -498,6 +417,36 @@ mod tests {
         RsaKeyPair::generate(512, &mut rng(99)).unwrap()
     }
 
+    /// Pins key generation bit for bit: SHA-256 over the CA modulus and
+    /// every node key's `n`, `d`, `p` and `q`, drawn in the order
+    /// `KeyDirectory::generate(4, 512, …)` draws them (a CA key, then four
+    /// node keys) from the benchmark's key seed `1 ^ 0xa5a5_5a5a`, plus one
+    /// 1024-bit key drawn next. Prime search, Miller–Rabin and the bignum
+    /// layer under them must leave every key, and every RNG draw, alone.
+    #[test]
+    fn keygen_known_answer() {
+        let mut r = rng(1 ^ 0xa5a5_5a5a);
+        let mut h = Sha256::new();
+        let mut absorb = |v: &BigUint| {
+            let bytes = v.to_bytes_be();
+            h.update(&(bytes.len() as u32).to_be_bytes());
+            h.update(&bytes);
+        };
+        let ca = RsaKeyPair::generate(512, &mut r).unwrap();
+        absorb(&ca.public.n);
+        for bits in [512, 512, 512, 512, 1024] {
+            let k = RsaKeyPair::generate(bits, &mut r).unwrap();
+            for v in [&k.public.n, &k.d, &k.p, &k.q] {
+                absorb(v);
+            }
+        }
+        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "48b31b9c69d450f1dc96e3adc478846aa784e5abac7e057ef45b1340821cdba4"
+        );
+    }
+
     #[test]
     fn generate_rejects_bad_sizes() {
         assert!(matches!(
@@ -523,9 +472,7 @@ mod tests {
     fn raw_roundtrip() {
         let keys = RsaKeyPair::generate(128, &mut rng(5)).unwrap();
         let x = BigUint::from_u64(0xdead_beef_1234_5678);
-        let y = keys
-            .public()
-            .raw_encrypt_with_scratch(&x, &mut MontScratch::new());
+        let y = keys.public().raw_encrypt(&x);
         assert_ne!(y, x);
         assert_eq!(keys.raw_decrypt(&y), x);
     }
@@ -720,28 +667,10 @@ mod tests {
     }
 
     #[test]
-    fn scratch_verify_matches_verify() {
-        let keys = test_keys();
-        let sig = keys.sign(b"scratch me");
-        let mut scratch = MontScratch::new();
-        assert!(keys
-            .public()
-            .verify_with_scratch(b"scratch me", &sig, &mut scratch)
-            .is_ok());
-        assert_eq!(
-            keys.public()
-                .verify_with_scratch(b"other", &sig, &mut scratch),
-            Err(CryptoError::BadSignature)
-        );
-    }
-
-    #[test]
     fn crt_decrypt_matches_plain_exponentiation() {
         let keys = RsaKeyPair::generate(128, &mut rng(33)).unwrap();
         let msg = BigUint::from_u64(123_456_789);
-        let c = keys
-            .public()
-            .raw_encrypt_with_scratch(&msg, &mut MontScratch::new());
+        let c = keys.public().raw_encrypt(&msg);
         let plain = c.modpow(&keys.d, keys.public().modulus());
         assert_eq!(keys.raw_decrypt(&c), plain);
     }

@@ -1,16 +1,17 @@
-//! Equivalence proofs for the fixed-limb Montgomery fast paths.
+//! Equivalence proofs for the fixed-width Montgomery kernel.
 //!
-//! The windowed scratch-arena exponentiation ([`Montgomery::pow_with_scratch`])
-//! must be *bit-identical* to the frozen `Vec<u64>` reference path
+//! The windowed exponentiation ([`Montgomery::pow`]) must be
+//! *bit-identical* to the frozen `Vec<u64>` reference path
 //! ([`Montgomery::pow_reference`]) — that identity is what keeps every
 //! golden event stream byte-stable across the perf rewrite. These tests
-//! pin it across random 192/256/512/1024/2048-bit operands, including
-//! operands shorter than the modulus (top limbs zero) and
-//! `base >= modulus`. 256 and 512 bits are the two widths the Montgomery
-//! product specialises (an RSA-512 CRT half and the modulus); 192 bits
-//! (3 limbs) runs the run-time-width body.
+//! pin it across random 512/1024/2048-bit operands and, for edge operands,
+//! moduli of 1, 2, 3, 5, 6, 7, 12, 16, 20 and 32 limbs: every width the
+//! kernel is compiled at (4, 6, 8, 12, 16, 32) runs, and so does every
+//! padding case (a modulus shorter than its kernel width gets zero top
+//! limbs). Operands include values shorter than the modulus (top limbs
+//! zero) and `base >= modulus`.
 
-use agr_crypto::bigint::{BigUint, MontScratch, Montgomery};
+use agr_crypto::bigint::{BigUint, Montgomery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,16 +35,15 @@ fn operand(max: usize) -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), 0..=max).prop_map(|b| BigUint::from_bytes_be(&b))
 }
 
-/// One equivalence check: scratch-windowed vs frozen reference.
+/// One equivalence check: windowed kernel vs frozen reference.
 fn assert_pow_matches(m: &BigUint, base: &BigUint, exp: &BigUint) {
     let mont = Montgomery::new(m);
-    let mut scratch = MontScratch::new();
-    let fast = mont.pow_with_scratch(base, exp, &mut scratch);
+    let fast = mont.pow(base, exp);
     let reference = mont.pow_reference(base, exp);
     assert_eq!(
         fast,
         reference,
-        "windowed scratch pow diverged from reference for {}-bit modulus",
+        "windowed pow diverged from reference for {}-bit modulus",
         m.bits()
     );
 }
@@ -63,14 +63,15 @@ proptest! {
 
     #[test]
     fn pow_matches_reference_2048(base in operand(512), exp in operand(72)) {
-        // 2048 bits = the full 32-limb scratch capacity.
+        // 2048 bits = the widest kernel instantiation, 32 limbs.
         assert_pow_matches(&modulus(2048), &base, &exp);
     }
 }
 
 #[test]
 fn edge_operands_match_reference_at_all_widths() {
-    for bits in [192u32, 256, 512, 1024, 2048] {
+    for limbs in [1u32, 2, 3, 5, 6, 7, 12, 16, 20, 32] {
+        let bits = 64 * limbs;
         let m = modulus(bits);
         let m_minus_1 = m.checked_sub(&BigUint::one()).unwrap();
         let bases = [
@@ -98,15 +99,14 @@ fn edge_operands_match_reference_at_all_widths() {
 
 #[test]
 fn scratch_survives_modulus_width_changes() {
-    // One arena reused across wide, specialised and run-time-width moduli
-    // must not leak state between widths.
-    let mut scratch = MontScratch::new();
-    for bits in [512u32, 2048, 256, 192, 512, 1024] {
+    // Back-to-back calls across kernel widths, padded and exact, keep
+    // their stack scratch apart.
+    for bits in [512u32, 2048, 256, 192, 512, 1024, 64, 1280] {
         let m = modulus(bits);
         let mont = Montgomery::new(&m);
         let base = m.checked_sub(&BigUint::from_u64(7)).unwrap();
         let exp = BigUint::from_u64(65_537);
-        let got = mont.pow_with_scratch(&base, &exp, &mut scratch);
+        let got = mont.pow(&base, &exp);
         assert_eq!(got, mont.pow_reference(&base, &exp));
     }
 }

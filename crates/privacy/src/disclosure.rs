@@ -239,10 +239,10 @@ mod tests {
             (
                 "agfw nl_ack",
                 AgfwPacket::NlAck {
-                    acks: vec![AckRef {
+                    ack: AckRef {
                         uid: 1,
                         to: Pseudonym([2; 6]),
-                    }],
+                    },
                 }
                 .disclosure(),
                 declared(None, None, false, None, "nl_ack"),
