@@ -152,24 +152,31 @@ impl BatchScratch {
         }
     }
 
-    /// Points the scratch arrays at `bufs` (receive) — `with_addrs`
-    /// additionally wires a per-message address slot for `recvmmsg` to
-    /// fill with the sender.
-    fn arm_recv(&mut self, bufs: &mut [&mut [u8]], with_addrs: bool) {
-        let n = bufs.len();
+    /// Points the scratch arrays at `bufs` (receive) and returns how
+    /// many there are — `with_addrs` additionally wires a per-message
+    /// address slot for `recvmmsg` to fill with the sender. The address
+    /// slots are only grown, never cleared: the kernel writes every byte
+    /// `decode` reads for the family it reports.
+    fn arm_recv<'a>(
+        &mut self,
+        bufs: impl IntoIterator<Item = &'a mut [u8]>,
+        with_addrs: bool,
+    ) -> usize {
         self.iovecs.clear();
         self.hdrs.clear();
-        self.addrs.clear();
-        self.addrs.resize(n, SockAddrStorage::zeroed());
-        for buf in bufs.iter_mut() {
+        for buf in bufs {
             self.iovecs.push(IoVec {
                 base: buf.as_mut_ptr(),
                 len: buf.len(),
             });
         }
-        // Pointers are taken only after every push above: the arrays no
-        // longer reallocate, so the addresses stay valid through the
-        // syscall.
+        let n = self.iovecs.len();
+        if with_addrs && self.addrs.len() < n {
+            self.addrs.resize(n, SockAddrStorage::zeroed());
+        }
+        // Pointers are taken only after every push and resize above: the
+        // arrays no longer reallocate, so the addresses stay valid
+        // through the syscall.
         for i in 0..n {
             let (name, namelen) = if with_addrs {
                 (
@@ -192,13 +199,31 @@ impl BatchScratch {
                 len: 0,
             });
         }
+        n
     }
 
-    fn recv_raw(&mut self, socket: &UdpSocket, n: usize, block: bool) -> io::Result<usize> {
+    /// Receives up to one datagram into each buffer `bufs` yields, in
+    /// order, and returns how many arrived; [`BatchScratch::received_len`]
+    /// and (with `with_addrs`) [`BatchScratch::received_from`] then read
+    /// back each one. `block` waits (up to the socket's read timeout) for
+    /// the first datagram; otherwise an empty queue is an immediate
+    /// `WouldBlock`.
+    pub(crate) fn recv_batch<'a>(
+        &mut self,
+        socket: &UdpSocket,
+        bufs: impl IntoIterator<Item = &'a mut [u8]>,
+        block: bool,
+        with_addrs: bool,
+    ) -> io::Result<usize> {
+        let n = self.arm_recv(bufs, with_addrs);
+        if n == 0 {
+            return Ok(0);
+        }
         let flags = if block { MSG_WAITFORONE } else { MSG_DONTWAIT };
-        // SAFETY: every header points at a live buffer of the declared
-        // length (or a live address slot), armed just above; vlen never
-        // exceeds the header count.
+        // SAFETY: every header points at a buffer of the declared length
+        // (or an address slot of this scratch), armed just above. The
+        // buffers stay exclusively borrowed for `'a`, which outlives this
+        // call, and vlen equals the header count.
         let got = unsafe {
             recvmmsg(
                 socket.as_raw_fd(),
@@ -214,46 +239,14 @@ impl BatchScratch {
         Ok(got.unsigned_abs() as usize)
     }
 
-    /// Receives up to `bufs.len()` datagrams with their senders,
-    /// appending `(filled_len, peer)` per datagram to `out`. `block`
-    /// waits (up to the socket's read timeout) for the first datagram;
-    /// otherwise an empty queue is an immediate `WouldBlock`.
-    pub(crate) fn recv_from_batch(
-        &mut self,
-        socket: &UdpSocket,
-        bufs: &mut [&mut [u8]],
-        block: bool,
-        out: &mut Vec<(usize, SocketAddr)>,
-    ) -> io::Result<usize> {
-        if bufs.is_empty() {
-            return Ok(0);
-        }
-        self.arm_recv(bufs, true);
-        let got = self.recv_raw(socket, bufs.len(), block)?;
-        for i in 0..got {
-            out.push((self.hdrs[i].len as usize, self.addrs[i].decode()?));
-        }
-        Ok(got)
+    /// Filled length of datagram `i` of the last receive.
+    pub(crate) fn received_len(&self, i: usize) -> usize {
+        self.hdrs[i].len as usize
     }
 
-    /// Connected-socket variant of [`BatchScratch::recv_from_batch`]:
-    /// appends each datagram's filled length to `lens`.
-    pub(crate) fn recv_batch(
-        &mut self,
-        socket: &UdpSocket,
-        bufs: &mut [&mut [u8]],
-        block: bool,
-        lens: &mut Vec<usize>,
-    ) -> io::Result<usize> {
-        if bufs.is_empty() {
-            return Ok(0);
-        }
-        self.arm_recv(bufs, false);
-        let got = self.recv_raw(socket, bufs.len(), block)?;
-        for i in 0..got {
-            lens.push(self.hdrs[i].len as usize);
-        }
-        Ok(got)
+    /// Sender of datagram `i` of the last `with_addrs` receive.
+    pub(crate) fn received_from(&self, i: usize) -> io::Result<SocketAddr> {
+        self.addrs[i].decode()
     }
 
     /// Points the scratch arrays at `n` outbound frames; `frame(i)`
@@ -385,27 +378,26 @@ mod tests {
             .unwrap();
 
         let mut storage: Vec<Vec<u8>> = (0..8).map(|_| vec![0u8; 64]).collect();
-        let mut got = Vec::new();
         let mut received = 0;
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while received < frames.len() && std::time::Instant::now() < deadline {
-            let mut bufs: Vec<&mut [u8]> = storage[received..]
-                .iter_mut()
-                .map(|b| b.as_mut_slice())
-                .collect();
-            match scratch.recv_from_batch(&b, &mut bufs, true, &mut got) {
-                Ok(n) => received += n,
+            let bufs = storage[received..].iter_mut().map(Vec::as_mut_slice);
+            match scratch.recv_batch(&b, bufs, true, true) {
+                Ok(n) => {
+                    for i in 0..n {
+                        assert_eq!(scratch.received_from(i).unwrap(), a_addr);
+                        let len = scratch.received_len(i);
+                        assert_eq!(&storage[received + i][..len], frames[received + i]);
+                    }
+                    received += n;
+                }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => panic!("recv_from_batch: {e}"),
+                Err(e) => panic!("recv_batch: {e}"),
             }
         }
         assert_eq!(received, frames.len());
-        for (i, (len, peer)) in got.iter().enumerate() {
-            assert_eq!(*peer, a_addr);
-            assert_eq!(&storage[i][..*len], frames[i].as_slice());
-        }
     }
 
     #[test]
@@ -413,10 +405,8 @@ mod tests {
         let (a, _b, _aa, _ba) = bound_pair();
         let mut scratch = BatchScratch::new();
         let mut buf = vec![0u8; 32];
-        let mut bufs: Vec<&mut [u8]> = vec![buf.as_mut_slice()];
-        let mut out = Vec::new();
         let err = scratch
-            .recv_from_batch(&a, &mut bufs, false, &mut out)
+            .recv_batch(&a, [buf.as_mut_slice()], false, true)
             .unwrap_err();
         assert!(
             matches!(
@@ -437,16 +427,18 @@ mod tests {
             .send_batch(&a, frames.len(), |i| (frames[i], None))
             .unwrap();
         let mut storage: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 16]).collect();
-        let mut lens = Vec::new();
         let mut received = 0;
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while received < frames.len() && std::time::Instant::now() < deadline {
-            let mut bufs: Vec<&mut [u8]> = storage[received..]
-                .iter_mut()
-                .map(|s| s.as_mut_slice())
-                .collect();
-            match scratch.recv_batch(&b, &mut bufs, true, &mut lens) {
-                Ok(n) => received += n,
+            let bufs = storage[received..].iter_mut().map(Vec::as_mut_slice);
+            match scratch.recv_batch(&b, bufs, true, false) {
+                Ok(n) => {
+                    for i in 0..n {
+                        let len = scratch.received_len(i);
+                        assert_eq!(&storage[received + i][..len], frames[received + i]);
+                    }
+                    received += n;
+                }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut => {}
@@ -454,8 +446,5 @@ mod tests {
             }
         }
         assert_eq!(received, frames.len());
-        for (i, len) in lens.iter().enumerate() {
-            assert_eq!(&storage[i][..*len], frames[i]);
-        }
     }
 }

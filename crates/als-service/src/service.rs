@@ -223,8 +223,9 @@ impl<P> Round<'_, P> {
 }
 
 /// The serve loop — the only reader of a [`ServerTransport`]: wait for
-/// the first frame (one poll-bounded blocking batch receive), drain
-/// whatever else already arrived without waiting again, push the whole
+/// the first frame (one poll-bounded blocking batch receive, which
+/// also takes whatever else already arrived; only a call that came back
+/// full is followed by another, non-blocking one), push the whole
 /// round through the pipeline's batch path, and answer with one batch
 /// send — syscalls, queue handoffs, and buffer allocations all amortize
 /// over the round. Runs until `stop` is raised or the transport breaks
@@ -266,23 +267,23 @@ pub fn serve_batched<T: ServerTransport>(
     let mut fatal = false;
     while !fatal && !stop.load(Ordering::Acquire) {
         batch.clear();
-        match transport.recv_batch_from(&recv_pool, max_batch, true, &mut batch) {
-            Ok(_) => {}
+        let mut asked = max_batch;
+        let mut got = match transport.recv_batch_from(&recv_pool, asked, true, &mut batch) {
+            Ok(got) => got,
             Err(e)
                 if e.kind() == io::ErrorKind::TimedOut || e.kind() == io::ErrorKind::WouldBlock =>
             {
                 continue;
             }
             Err(_) => break,
-        }
-        // Readiness drain: keep taking already-arrived frames without
-        // waiting, until the transport reports WouldBlock or the round
-        // hits its backlog cap.
-        while batch.len() < max_backlog {
-            let room = (max_backlog - batch.len()).min(max_batch);
-            match transport.recv_batch_from(&recv_pool, room, false, &mut batch) {
-                Ok(0) => break,
-                Ok(_) => {}
+        };
+        // A call that came back short left nothing queued, so only a
+        // full one is worth another, non-blocking, call — up to the
+        // round's backlog cap.
+        while got == asked && batch.len() < max_backlog {
+            asked = (max_backlog - batch.len()).min(max_batch);
+            got = match transport.recv_batch_from(&recv_pool, asked, false, &mut batch) {
+                Ok(got) => got,
                 Err(e)
                     if e.kind() == io::ErrorKind::TimedOut
                         || e.kind() == io::ErrorKind::WouldBlock =>
@@ -294,7 +295,7 @@ pub fn serve_batched<T: ServerTransport>(
                     fatal = true;
                     break;
                 }
-            }
+            };
         }
         round.stats.batches += 1;
         occupancy.record(batch.len().min(max_backlog) as u64);
@@ -620,7 +621,7 @@ fn unexpected(kind: &AlsNetKind) -> io::Error {
 mod tests {
     use super::*;
     use crate::pipeline::EngineConfig;
-    use crate::transport::loopback_pair;
+    use crate::transport::{loopback_pair, LoopbackClient, LoopbackServer};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -701,5 +702,93 @@ mod tests {
         assert_eq!(stats.bad_frames, 1);
         assert_eq!(stats.ignored, 1);
         assert_eq!(stats.updates + stats.queries + stats.forwards, 0);
+    }
+
+    /// A loopback server that logs every batch receive as `(block,
+    /// frames returned)`, `None` for an error.
+    struct Counting {
+        inner: LoopbackServer,
+        calls: Vec<(bool, Option<usize>)>,
+    }
+
+    impl ServerTransport for Counting {
+        type Peer = ();
+
+        fn recv_from(&mut self) -> io::Result<(Vec<u8>, ())> {
+            self.inner.recv_from()
+        }
+
+        fn send_to(&mut self, peer: &(), frame: &[u8]) -> io::Result<()> {
+            self.inner.send_to(peer, frame)
+        }
+
+        fn recv_batch_from(
+            &mut self,
+            pool: &Arc<FramePool>,
+            max: usize,
+            block: bool,
+            out: &mut Vec<(PooledFrame, ())>,
+        ) -> io::Result<usize> {
+            let got = self.inner.recv_batch_from(pool, max, block, out);
+            let logged = got.as_ref().ok().copied();
+            self.calls.push((block, logged));
+            got
+        }
+
+        fn send_batch_to(&mut self, frames: &[((), PooledFrame)]) -> usize {
+            self.inner.send_batch_to(frames)
+        }
+    }
+
+    #[test]
+    fn a_round_receives_again_only_after_a_full_call() {
+        let ping = |uid| encode_packet(&AgfwPacket::Als(frame(uid, AlsNetKind::Ping))).unwrap();
+        let send_pings = |client: &mut LoopbackClient, uids: std::ops::Range<u64>| {
+            let frames: Vec<Vec<u8>> = uids.map(ping).collect();
+            let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+            assert_eq!(client.send_batch(&refs).unwrap(), refs.len());
+            let mut answered = 0;
+            while answered < refs.len() {
+                answered += client.recv_batch_with(64, &mut |_| {}).unwrap();
+            }
+        };
+        let engine = Engine::start(EngineConfig::default());
+        let (mut client, inner) = loopback_pair(64);
+        let mut server_side = Counting {
+            inner,
+            calls: Vec::new(),
+        };
+        let config = BatchConfig {
+            max_batch: 4,
+            max_backlog: 16,
+            ..BatchConfig::default()
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_batched(&engine, &mut server_side, config, &stop));
+            // Each batch lands in the queue under one lock, so a round
+            // sees all of it: 3 frames fit one call, 10 fill two.
+            send_pings(&mut client, 1..4);
+            send_pings(&mut client, 4..14);
+            stop.store(true, Ordering::Release);
+            assert_eq!(server.join().unwrap().pings, 13);
+        });
+        // Idle polls (blocking calls that timed out) aside, the log is
+        // the two rounds' calls.
+        let rounds: Vec<(bool, Option<usize>)> = server_side
+            .calls
+            .iter()
+            .copied()
+            .filter(|&(block, got)| !(block && got.is_none()))
+            .collect();
+        assert_eq!(
+            rounds,
+            [
+                (true, Some(3)),
+                (true, Some(4)),
+                (false, Some(4)),
+                (false, Some(2))
+            ]
+        );
     }
 }

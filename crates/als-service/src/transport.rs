@@ -20,7 +20,8 @@
 //! `recvmmsg`/`sendmmsg` so a whole batch costs one syscall. Receive
 //! batches land in [`PooledFrame`] buffers from a caller-supplied
 //! [`FramePool`], so a hot serve loop recycles buffers instead of
-//! allocating per datagram.
+//! allocating per datagram; the UDP server keeps its receive frames
+//! armed between calls and replaces only the ones it handed out.
 //!
 //! Receive paths time out (default `RECV_POLL`, configurable per
 //! endpoint) instead of blocking forever so serve loops can poll their
@@ -127,8 +128,14 @@ pub trait ServerTransport {
     /// With `block` set, waits for the first frame up to the
     /// receive-poll granularity and then takes whatever else already
     /// arrived without waiting again; without it, an empty queue is an
-    /// immediate `WouldBlock` — the drain cue for a readiness-driven
-    /// serve loop.
+    /// immediate `WouldBlock`.
+    ///
+    /// A call returns every frame queued when it returns, up to `max`,
+    /// so one that returns fewer than `max` left nothing behind: the
+    /// serve loop calls again within a round only after a call that
+    /// came back full. Over its life a transport takes from `pool` at
+    /// most one buffer per frame it returns, plus the `max` it may keep
+    /// armed.
     ///
     /// Defaults to one blocking [`ServerTransport::recv_from`] (and
     /// `WouldBlock` for every non-blocking call), which preserves exact
@@ -512,17 +519,10 @@ impl Transport for UdpClient {
         while self.batch_bufs.len() < max {
             self.batch_bufs.push(vec![0; MAX_FRAME]);
         }
-        let mut bufs: Vec<&mut [u8]> = self.batch_bufs[..max]
-            .iter_mut()
-            .map(|b| b.as_mut_slice())
-            .collect();
-        let mut lens = Vec::with_capacity(max);
-        let got = self
-            .scratch
-            .recv_batch(&self.socket, &mut bufs, true, &mut lens)?;
-        drop(bufs);
-        for (i, len) in lens.into_iter().enumerate() {
-            on_frame(&self.batch_bufs[i][..len]);
+        let bufs = self.batch_bufs[..max].iter_mut().map(Vec::as_mut_slice);
+        let got = self.scratch.recv_batch(&self.socket, bufs, true, false)?;
+        for (i, buf) in self.batch_bufs[..got].iter().enumerate() {
+            on_frame(&buf[..self.scratch.received_len(i)]);
         }
         Ok(got)
     }
@@ -534,6 +534,10 @@ pub struct UdpServer {
     buf: Vec<u8>,
     #[cfg(target_os = "linux")]
     scratch: crate::mmsg::BatchScratch,
+    /// Receive frames kept between batch calls; a call tops them up
+    /// only for the frames the previous one handed out.
+    #[cfg(target_os = "linux")]
+    armed: Vec<PooledFrame>,
 }
 
 impl UdpServer {
@@ -562,6 +566,8 @@ impl UdpServer {
             buf: vec![0; MAX_FRAME],
             #[cfg(target_os = "linux")]
             scratch: crate::mmsg::BatchScratch::new(),
+            #[cfg(target_os = "linux")]
+            armed: Vec::new(),
         })
     }
 
@@ -596,17 +602,23 @@ impl ServerTransport for UdpServer {
         out: &mut Vec<(PooledFrame, SocketAddr)>,
     ) -> io::Result<usize> {
         let max = max.max(1);
-        let mut frames: Vec<PooledFrame> = (0..max).map(|_| pool.get()).collect();
-        let mut bufs: Vec<&mut [u8]> = frames.iter_mut().map(|f| f.recv_space(MAX_FRAME)).collect();
-        let mut metas: Vec<(usize, SocketAddr)> = Vec::with_capacity(max);
-        let got = self
-            .scratch
-            .recv_from_batch(&self.socket, &mut bufs, block, &mut metas)?;
-        drop(bufs);
-        // Unused tail frames drop back into the pool here.
-        for (mut frame, (len, peer)) in frames.drain(..got).zip(metas) {
-            frame.set_len(len);
-            out.push((frame, peer));
+        while self.armed.len() < max {
+            self.armed.push(pool.get());
+        }
+        // `armed` is a stack, top first: the next datagram lands in the
+        // frame most recently taken from the pool, i.e. the one the
+        // previous round returned, so a quiet server keeps touching the
+        // same few buffers instead of cycling through all of them.
+        let top = self.armed.len() - max;
+        let bufs = self.armed[top..]
+            .iter_mut()
+            .rev()
+            .map(|f| f.recv_space(MAX_FRAME));
+        let got = self.scratch.recv_batch(&self.socket, bufs, block, true)?;
+        let rest = self.armed.len() - got;
+        for (i, mut frame) in self.armed.drain(rest..).rev().enumerate() {
+            frame.set_len(self.scratch.received_len(i));
+            out.push((frame, self.scratch.received_from(i)?));
         }
         Ok(got)
     }
@@ -769,17 +781,7 @@ mod tests {
 
         let pool = FramePool::with_frame_bytes(8, MAX_FRAME);
         let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.len() < frames.len() {
-            assert!(std::time::Instant::now() < deadline, "frames lost");
-            match server.recv_batch_from(&pool, 8, true, &mut got) {
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::TimedOut
-                        || e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("recv failed: {e}"),
-            }
-        }
+        recv_until(&mut server, &pool, 8, frames.len(), &mut got);
         // UDP may reorder even on loopback in theory; match as a set of
         // payloads.
         let mut bytes: Vec<Vec<u8>> = got.iter().map(|(f, _)| f.to_vec()).collect();
@@ -811,6 +813,86 @@ mod tests {
                 Err(e) => panic!("recv failed: {e}"),
             }
         }
+    }
+
+    /// Blocking batch receives into `out` until it holds `n` frames.
+    fn recv_until(
+        server: &mut UdpServer,
+        pool: &Arc<FramePool>,
+        max: usize,
+        n: usize,
+        out: &mut Vec<(PooledFrame, SocketAddr)>,
+    ) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while out.len() < n {
+            assert!(std::time::Instant::now() < deadline, "frames lost");
+            match server.recv_batch_from(pool, max, true, out) {
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::TimedOut
+                        || e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("recv failed: {e}"),
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn udp_batch_receive_takes_pool_frames_only_for_frames_it_returns() {
+        let mut server = UdpServer::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = UdpClient::connect(server.local_addr().unwrap()).unwrap();
+        let pool = FramePool::with_frame_bytes(64, MAX_FRAME);
+        let max = 8;
+        let taken = |stats: crate::pool::PoolStats| stats.hits + stats.misses;
+        let empty_recv = |server: &mut UdpServer| {
+            let err = server
+                .recv_batch_from(&pool, max, false, &mut Vec::new())
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        };
+
+        // The first call arms at most `max` frames; an empty receive
+        // after that takes nothing.
+        empty_recv(&mut server);
+        assert!(taken(pool.stats()) <= max as u64);
+        let armed = pool.stats();
+        empty_recv(&mut server);
+        assert_eq!(pool.stats(), armed, "an empty receive takes no frame");
+
+        // A k-frame receive, topped up by the next call, takes at most k.
+        let first_sent: Vec<&[u8]> = vec![b"one", b"two", b"three"];
+        assert_eq!(client.send_batch(&first_sent).unwrap(), 3);
+        let mut first = Vec::new();
+        recv_until(&mut server, &pool, max, 3, &mut first);
+        empty_recv(&mut server);
+        assert!(taken(pool.stats()) - taken(armed) <= 3);
+
+        // Frames still in use keep their bytes while later receives land
+        // in the re-armed buffers: no buffer backs two live frames.
+        let second_sent: Vec<&[u8]> = vec![b"four", b"five"];
+        assert_eq!(client.send_batch(&second_sent).unwrap(), 2);
+        let mut second = Vec::new();
+        recv_until(&mut server, &pool, max, 2, &mut second);
+        let bytes = |frames: &[(PooledFrame, SocketAddr)]| {
+            let mut got: Vec<Vec<u8>> = frames.iter().map(|(f, _)| f.to_vec()).collect();
+            got.sort();
+            got
+        };
+        let sorted = |sent: &[&[u8]]| {
+            let mut want: Vec<Vec<u8>> = sent.iter().map(|f| f.to_vec()).collect();
+            want.sort();
+            want
+        };
+        assert_eq!(bytes(&first), sorted(&first_sent));
+        assert_eq!(bytes(&second), sorted(&second_sent));
+        let mut bases: Vec<*const u8> = first
+            .iter()
+            .chain(&second)
+            .map(|(f, _)| f.as_slice().as_ptr())
+            .collect();
+        bases.sort();
+        bases.dedup();
+        assert_eq!(bases.len(), 5, "two live frames share a buffer");
     }
 
     #[test]

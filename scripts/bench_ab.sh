@@ -10,8 +10,8 @@
 # archive, so an interrupted run leaves nothing registered in .git) and
 # once from the working tree. Then runs N pairs of
 # `run --workload <workload> --trace 0`, alternating which side goes
-# first, and reads metric M (default events_per_s for sim_* workloads,
-# ops_per_s otherwise) from each run's `record` line. Whether higher or
+# first, and reads metric M (default: see default_metric) from each run's
+# `record` line. Whether higher or
 # lower is better, and the regression bound, come from BENCHMARK.json.
 # `--metric all` reads every end-to-end metric from the same pairs and
 # gives each its own verdict.
@@ -73,6 +73,17 @@ verdict() {
         if (iqr > bound * (pm < 0 ? -pm : pm) && !apart) { printf "verdict: unresolved (parent IQR wider than the %g bound)\n", bound; exit 4 }
         print "verdict: no gain"; exit 1
     }'
+}
+
+# The metric a workload is judged by when --metric is not given: what
+# the workload exists to move. The open loop's ops_per_s is its fixed
+# send rate, so on als_udp_paced only the latency can move.
+default_metric() {
+    case "$1" in
+    sim_*) echo events_per_s ;;
+    als_udp_paced) echo query_p50_us ;;
+    *) echo ops_per_s ;;
+    esac
 }
 
 # Reads "metric parent change" lines on stdin and gives every end-to-end
@@ -144,6 +155,23 @@ self_test() {
     }
     check_all all-without-loss 0 "$several"
     check_all all-with-one-loss 2 "$several$lossy"
+    # Every workload of BENCHMARK.json gets a default metric it names.
+    local workload metric pair
+    for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
+        metric=$(default_metric "$workload")
+        if ! jq -e --arg m "$metric" 'any(.end_to_end[]; .name == $m)' BENCHMARK.json >/dev/null; then
+            echo "self-test default-metric: $workload -> $metric is not an end-to-end metric" >&2
+            failed=1
+        fi
+    done
+    for pair in sim_agfw_dense:events_per_s als_udp_sat:ops_per_s \
+        als_udp_paced:query_p50_us cluster_r2:ops_per_s; do
+        metric=$(default_metric "${pair%%:*}")
+        if [ "$metric" != "${pair#*:}" ]; then
+            echo "self-test default-metric: ${pair%%:*} -> $metric, want ${pair#*:}" >&2
+            failed=1
+        fi
+    done
     [ "$failed" = 0 ] && echo "bench_ab self-test: ok"
     return "$failed"
 }
@@ -172,9 +200,7 @@ for n in "$pairs" "$seconds" "$seed"; do
     [[ "$n" =~ ^[0-9]+$ ]] || die "not a whole number: $n"
 done
 [ "$pairs" -ge 1 ] || die "--pairs must be at least 1"
-if [ -z "$metric" ]; then
-    case "$workload" in sim_*) metric=events_per_s ;; *) metric=ops_per_s ;; esac
-fi
+[ -n "$metric" ] || metric=$(default_metric "$workload")
 if [ "$metric" = all ]; then
     better="each metric's own direction"
 else
